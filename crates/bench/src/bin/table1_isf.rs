@@ -9,7 +9,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let (num, json) = match brel_bench::parse_table_args(std::env::args().skip(1)) {
+    let (num, _, json) = match brel_bench::parse_table_args(std::env::args().skip(1), None, true) {
         Ok(parsed) => parsed,
         Err(error) => {
             eprintln!("table1_isf: {error}");

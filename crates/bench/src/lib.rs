@@ -73,29 +73,39 @@ pub fn normalized(value: f64, reference: f64) -> f64 {
     }
 }
 
-/// Parses the `[num_instances] [--json]` argument convention shared by the
-/// `table1_isf` and `table2_gyocro` binaries.
+/// Parses the `[num_instances] [max_explored] [--json]` argument
+/// convention of the four table binaries into `(num_instances,
+/// max_explored, json)`. A missing count means the whole family.
+/// `default_budget` is the exploration budget of a table that takes one
+/// as its second positional argument (`None`: no budget argument, and
+/// `0` is returned); `accepts_json` says whether the table has a `--json`
+/// mode.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first argument that is neither a count nor
-/// `--json`, so typos fail loudly instead of silently running the default
-/// configuration.
-pub fn parse_table_args<I: IntoIterator<Item = String>>(args: I) -> Result<(usize, bool), String> {
-    let mut num = usize::MAX;
+/// Returns a message naming the first argument the table does not take,
+/// so typos fail loudly instead of silently running the default (and
+/// possibly minutes-long) configuration.
+pub fn parse_table_args<I: IntoIterator<Item = String>>(
+    args: I,
+    default_budget: Option<usize>,
+    accepts_json: bool,
+) -> Result<(usize, usize, bool), String> {
+    let max_numbers = 1 + usize::from(default_budget.is_some());
+    let mut numbers = Vec::new();
     let mut json = false;
     for arg in args {
-        if arg == "--json" {
+        if arg == "--json" && accepts_json {
             json = true;
-        } else if let Ok(n) = arg.parse() {
-            num = n;
+        } else if let (Ok(n), true) = (arg.parse(), numbers.len() < max_numbers) {
+            numbers.push(n);
         } else {
-            return Err(format!(
-                "unknown argument `{arg}` (expected an instance count or --json)"
-            ));
+            return Err(format!("unexpected argument `{arg}`"));
         }
     }
-    Ok((num, json))
+    let num = numbers.first().copied().unwrap_or(usize::MAX);
+    let budget = numbers.get(1).copied().or(default_budget).unwrap_or(0);
+    Ok((num, budget, json))
 }
 
 #[cfg(test)]
@@ -105,12 +115,23 @@ mod tests {
     #[test]
     fn table_args_accept_count_and_json_in_any_order() {
         let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_table_args(to_args(&[])), Ok((usize::MAX, false)));
-        assert_eq!(parse_table_args(to_args(&["3"])), Ok((3, false)));
-        assert_eq!(parse_table_args(to_args(&["--json", "2"])), Ok((2, true)));
-        assert_eq!(parse_table_args(to_args(&["2", "--json"])), Ok((2, true)));
-        assert!(parse_table_args(to_args(&["--jsonn"]))
-            .unwrap_err()
-            .contains("--jsonn"));
+        let json_table = |v: &[&str]| parse_table_args(to_args(v), None, true);
+        let budget_table = |v: &[&str]| parse_table_args(to_args(v), Some(200), false);
+        assert_eq!(json_table(&[]), Ok((usize::MAX, 0, false)));
+        assert_eq!(json_table(&["3"]), Ok((3, 0, false)));
+        assert_eq!(json_table(&["--json", "2"]), Ok((2, 0, true)));
+        assert_eq!(json_table(&["2", "--json"]), Ok((2, 0, true)));
+        assert!(json_table(&["--jsonn"]).unwrap_err().contains("--jsonn"));
+        // A table without a budget rejects a second count.
+        assert!(json_table(&["2", "10"]).unwrap_err().contains("`10`"));
+        // The budget is the second positional, defaulting per table.
+        assert_eq!(budget_table(&[]), Ok((usize::MAX, 200, false)));
+        assert_eq!(budget_table(&["1"]), Ok((1, 200, false)));
+        assert_eq!(budget_table(&["1", "10"]), Ok((1, 10, false)));
+        // Bad input fails instead of falling back to the full family.
+        assert!(budget_table(&["abc"]).unwrap_err().contains("`abc`"));
+        assert!(budget_table(&["1", "x"]).unwrap_err().contains("`x`"));
+        assert!(budget_table(&["1", "10", "3"]).unwrap_err().contains("`3`"));
+        assert!(budget_table(&["--json"]).unwrap_err().contains("--json"));
     }
 }

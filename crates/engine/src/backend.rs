@@ -1,121 +1,20 @@
-//! The uniform backend interface over the workspace's three solvers.
+//! One backend attempt: run a solver on a rehydrated relation and score
+//! its solution into the uniform [`SolutionReport`].
 
 use std::time::Instant;
 
 use brel_bdd::{BddError, CacheStats, GcStats};
 use brel_core::{
-    BrelConfig, BrelSolver, CostFunction, Explorer, QuickSolver, SearchStrategy, StepOutcome,
+    BrelConfig, CostFunction, Explorer, QuickSolver, SearchStrategy, Solution, SolveStats,
+    StepOutcome,
 };
 use brel_gyocro::{GyocroConfig, GyocroSolver};
-use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
+use brel_relation::{BooleanRelation, RelationError};
 
 use crate::control::JobControl;
 use crate::fault::{FaultInjection, FaultKind, InjectedPanic};
 use crate::job::{BackendKind, CostSpec, JobBudget};
 use crate::reuse::ReuseStats;
-
-/// What a backend hands back before uniform scoring: the compatible
-/// multiple-output function it found and how much of the search space it
-/// visited to find it.
-#[derive(Debug, Clone)]
-pub struct BackendRun {
-    /// The compatible solution.
-    pub function: MultiOutputFunction,
-    /// Backend-specific exploration count (subrelations for BREL, passes
-    /// for gyocro, 1 for the quick solver).
-    pub explored: usize,
-    /// Number of splits performed (BREL only; 0 elsewhere).
-    pub splits: usize,
-    /// High-water mark of pending subproblems (BREL only; 0 elsewhere).
-    pub frontier_peak: usize,
-}
-
-/// A uniform interface over Boolean-relation solvers, so the engine can
-/// race heterogeneous backends on the same job.
-pub trait SolverBackend {
-    /// Short stable name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Solves the relation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::NotWellDefined`] if the relation has no
-    /// compatible function.
-    fn run(&self, relation: &BooleanRelation) -> Result<BackendRun, RelationError>;
-}
-
-impl SolverBackend for QuickSolver {
-    fn name(&self) -> &'static str {
-        BackendKind::Quick.name()
-    }
-
-    fn run(&self, relation: &BooleanRelation) -> Result<BackendRun, RelationError> {
-        let function = QuickSolver::solve(self, relation)?;
-        Ok(BackendRun {
-            function,
-            explored: 1,
-            splits: 0,
-            frontier_peak: 0,
-        })
-    }
-}
-
-impl SolverBackend for GyocroSolver {
-    fn name(&self) -> &'static str {
-        BackendKind::Gyocro.name()
-    }
-
-    fn run(&self, relation: &BooleanRelation) -> Result<BackendRun, RelationError> {
-        let solution = GyocroSolver::solve(self, relation)?;
-        Ok(BackendRun {
-            function: solution.function,
-            explored: solution.passes,
-            splits: 0,
-            frontier_peak: 0,
-        })
-    }
-}
-
-impl SolverBackend for BrelSolver {
-    fn name(&self) -> &'static str {
-        BackendKind::Brel.name()
-    }
-
-    fn run(&self, relation: &BooleanRelation) -> Result<BackendRun, RelationError> {
-        let solution = BrelSolver::solve(self, relation)?;
-        Ok(BackendRun {
-            function: solution.function,
-            explored: solution.stats.explored,
-            splits: solution.stats.splits,
-            frontier_peak: solution.stats.frontier_peak,
-        })
-    }
-}
-
-/// Instantiates a backend configured with the job's cost, budget and
-/// search strategy.
-pub fn instantiate(
-    kind: BackendKind,
-    cost: CostSpec,
-    budget: &JobBudget,
-    strategy: SearchStrategy,
-) -> Box<dyn SolverBackend> {
-    match kind {
-        BackendKind::Quick => Box::new(QuickSolver::new()),
-        BackendKind::Gyocro => Box::new(GyocroSolver::new(GyocroConfig {
-            max_passes: budget.gyocro_max_passes,
-            ..GyocroConfig::default()
-        })),
-        BackendKind::Brel => Box::new(BrelSolver::new(
-            BrelConfig::default()
-                .with_cost(cost.to_cost_fn())
-                .with_strategy(strategy)
-                .with_max_explored(budget.max_explored)
-                .with_fifo_capacity(budget.fifo_capacity),
-        )),
-    }
-}
 
 /// The uniform per-backend result: every field except the wall time is a
 /// pure function of the job spec, which is what makes batch output
@@ -165,7 +64,7 @@ pub struct SolutionReport {
 
 /// The fault-policy context of one backend execution: the wall-clock
 /// deadline, the deterministic step deadline, and the fault injections
-/// aimed at this job. Empty for plain [`execute`] calls.
+/// aimed at this job. Empty for the non-BREL backends and ladder rungs.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExecContext<'a> {
     /// Wall-clock deadline, checked cooperatively between exploration
@@ -185,34 +84,11 @@ pub(crate) struct ExecContext<'a> {
     pub control: Option<&'a JobControl>,
 }
 
-/// Runs one backend on one (already rehydrated) relation and scores the
-/// solution under the job's cost function.
-///
-/// # Errors
-///
-/// Returns [`RelationError::NotWellDefined`] if the relation has no
-/// compatible function.
-pub fn execute(
-    kind: BackendKind,
-    cost: CostSpec,
-    budget: &JobBudget,
-    strategy: SearchStrategy,
-    relation: &BooleanRelation,
-) -> Result<SolutionReport, RelationError> {
-    execute_with(
-        kind,
-        cost,
-        budget,
-        strategy,
-        relation,
-        &ExecContext::default(),
-    )
-    .map(|(report, _)| report)
-}
-
-/// [`execute`] under a fault-policy context. The second return value is the
-/// deterministic truncation description when a step deadline expired (the
-/// report's `degraded` flag is set accordingly).
+/// Runs one backend on one (already rehydrated) relation under a
+/// fault-policy context and scores the solution under the job's cost
+/// function. The second return value is the deterministic truncation
+/// description when a step deadline expired (the report's `degraded` flag
+/// is set accordingly).
 ///
 /// # Errors
 ///
@@ -238,13 +114,34 @@ pub(crate) fn execute_with(
     relation.space().mgr().reset_peak_live_nodes();
     let before = relation.space().mgr().stats_snapshot();
     let start = Instant::now();
-    let (run, truncated) = {
+    let (function, stats, truncated) = {
         let _span = brel_obs::span(brel_obs::Category::Engine, "backend");
-        if kind == BackendKind::Brel {
-            run_brel_guarded(cost, budget, strategy, relation, ctx)?
-        } else {
-            let backend = instantiate(kind, cost, budget, strategy);
-            (backend.run(relation)?, None)
+        match kind {
+            BackendKind::Quick => {
+                let function = QuickSolver::new().solve(relation)?;
+                let stats = SolveStats {
+                    explored: 1,
+                    ..SolveStats::default()
+                };
+                (function, stats, None)
+            }
+            BackendKind::Gyocro => {
+                let solution = GyocroSolver::new(GyocroConfig {
+                    max_passes: budget.gyocro_max_passes,
+                    ..GyocroConfig::default()
+                })
+                .solve(relation)?;
+                let stats = SolveStats {
+                    explored: solution.passes,
+                    ..SolveStats::default()
+                };
+                (solution.function, stats, None)
+            }
+            BackendKind::Brel => {
+                let (solution, truncated) =
+                    run_brel_guarded(cost, budget, strategy, relation, ctx)?;
+                (solution.function, solution.stats, truncated)
+            }
         }
     };
     let wall_us = brel_obs::wall_micros(start);
@@ -252,18 +149,18 @@ pub(crate) fn execute_with(
     // kernel traffic never leaks into the attributed counters.
     let after = relation.space().mgr().stats_snapshot();
     assert!(
-        relation.is_compatible(&run.function),
+        relation.is_compatible(&function),
         "backend {} returned an incompatible function",
         kind.name()
     );
     let report = SolutionReport {
         backend: kind,
-        cost: cost.to_cost_fn().cost(&run.function),
-        cubes: run.function.num_cubes(),
-        literals: run.function.num_literals(),
-        explored: run.explored,
-        splits: run.splits,
-        frontier_peak: run.frontier_peak,
+        cost: cost.to_cost_fn().cost(&function),
+        cubes: function.num_cubes(),
+        literals: function.num_literals(),
+        explored: stats.explored,
+        splits: stats.splits,
+        frontier_peak: stats.frontier_peak,
         strategy: (kind == BackendKind::Brel).then_some(strategy),
         cache: after.cache.delta_since(&before.cache),
         gc: after.gc.delta_since(&before.gc),
@@ -285,7 +182,7 @@ fn run_brel_guarded(
     strategy: SearchStrategy,
     relation: &BooleanRelation,
     ctx: &ExecContext<'_>,
-) -> Result<(BackendRun, Option<String>), RelationError> {
+) -> Result<(Solution, Option<String>), RelationError> {
     let config = BrelConfig::default()
         .with_cost(cost.to_cost_fn())
         .with_strategy(strategy)
@@ -375,16 +272,7 @@ fn run_brel_guarded(
             }
         }
     }
-    let solution = explorer.into_solution();
-    Ok((
-        BackendRun {
-            function: solution.function,
-            explored: solution.stats.explored,
-            splits: solution.stats.splits,
-            frontier_peak: solution.stats.frontier_peak,
-        },
-        truncated,
-    ))
+    Ok((explorer.into_solution(), truncated))
 }
 
 #[cfg(test)]
@@ -397,6 +285,24 @@ mod tests {
         let r = BooleanRelation::from_table(&space, "00:{00,11}\n01:{10}\n10:{01,10}\n11:{11}")
             .unwrap();
         (space, r)
+    }
+
+    fn execute(
+        kind: BackendKind,
+        cost: CostSpec,
+        budget: &JobBudget,
+        strategy: SearchStrategy,
+        relation: &BooleanRelation,
+    ) -> Result<SolutionReport, RelationError> {
+        execute_with(
+            kind,
+            cost,
+            budget,
+            strategy,
+            relation,
+            &ExecContext::default(),
+        )
+        .map(|(report, _)| report)
     }
 
     #[test]
@@ -471,19 +377,6 @@ mod tests {
                 &r
             )
             .is_err());
-        }
-    }
-
-    #[test]
-    fn trait_objects_report_their_names() {
-        for kind in BackendKind::all() {
-            let backend = instantiate(
-                kind,
-                CostSpec::default(),
-                &JobBudget::default(),
-                SearchStrategy::Fifo,
-            );
-            assert_eq!(backend.name(), kind.name());
         }
     }
 }

@@ -8,8 +8,8 @@
 //! to *observe* it while it runs (the BREL solver is anytime — every
 //! incumbent improvement is a valid, verified solution worth streaming).
 //! A [`JobControl`] bundles both. An empty control (no token cancelled,
-//! no callback installed) reduces the controlled runner byte-identically
-//! to [`crate::run_job_warm`], which is what keeps serial-replay
+//! no callback installed) makes [`crate::Runner::run`] byte-identical to
+//! a run without a control, which is what keeps serial-replay
 //! determinism gates meaningful for a serving layer built on top.
 
 use std::fmt;

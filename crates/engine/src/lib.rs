@@ -14,10 +14,11 @@
 //!   (canonical tabular rows, see
 //!   [`brel_relation::BooleanRelation::to_rows`]) plus a backend list, a
 //!   [`CostSpec`] and a [`JobBudget`];
-//! * each pool worker rehydrates the relation into its own [`WarmSession`]
-//!   — kept warm across jobs via [`brel_bdd::BddSession::reset`], which is
-//!   observationally cold — and runs every requested backend through the
-//!   uniform [`SolverBackend`] trait; several backends form a *portfolio*
+//! * every job runs through [`Runner::run`]: each pool worker (or wide
+//!   batch, or serving worker) owns one [`Runner`], which rehydrates the
+//!   relation into its own [`WarmSession`] — kept warm across jobs via
+//!   [`brel_bdd::BddSession::reset`], which is observationally cold — and
+//!   runs every requested backend; several backends form a *portfolio*
 //!   whose cheapest solution (under the job's cost function) is selected
 //!   as the winner;
 //! * workers share a cross-job *solved-subrelation cache* keyed by the
@@ -70,12 +71,12 @@ mod control;
 mod fault;
 mod job;
 mod pool;
-mod portfolio;
 pub mod report;
 pub mod reuse;
+mod runner;
 pub mod wide;
 
-pub use backend::{execute, instantiate, BackendRun, SolutionReport, SolverBackend};
+pub use backend::SolutionReport;
 pub use brel_core::{CancelToken, SearchStrategy};
 pub use control::JobControl;
 pub use fault::{
@@ -84,9 +85,7 @@ pub use fault::{
 };
 pub use job::{BackendKind, CostSpec, JobBudget, JobSpec, RelationSpec};
 pub use pool::{BatchReport, Engine, EngineConfig};
-pub use portfolio::{
-    run_job, run_job_controlled, run_job_warm, run_job_wide, run_job_wide_controlled, JobReport,
-};
 pub use report::Json;
 pub use reuse::{BatchReuse, ReuseStats, WarmSession};
-pub use wide::{solve_wide, solve_wide_with, StaggerPlan, WideOptions};
+pub use runner::{JobReport, Runner};
+pub use wide::{StaggerPlan, WideOptions};

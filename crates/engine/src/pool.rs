@@ -3,11 +3,11 @@
 //! Workers share a single job queue behind a mutex (jobs are coarse enough
 //! that queue contention is negligible) and stream finished [`JobReport`]s
 //! back over an mpsc channel. Because each job is a pure function of its
-//! spec — every worker rehydrates the relation into its own [`WarmSession`],
-//! and a successful warm reset is observationally cold — the collected
-//! batch, sorted by job id, is byte-identical (modulo wall clocks and the
-//! scheduling-dependent reuse flags) no matter how many workers ran it or
-//! how the scheduler interleaved them.
+//! spec — every worker runs it on its own [`Runner`], whose warm session
+//! reset is observationally cold — the collected batch, sorted by job id,
+//! is byte-identical (modulo wall clocks and the scheduling-dependent
+//! reuse flags) no matter how many workers ran it or how the scheduler
+//! interleaved them.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -15,10 +15,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use crate::fault::{FaultInjection, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::job::{BackendKind, JobSpec};
-use crate::portfolio::{run_job_faulted, run_job_wide_with, JobReport};
-use crate::reuse::{BatchReuse, ReuseState, WarmSession};
+use crate::reuse::{BatchReuse, ReuseState};
+use crate::runner::{JobReport, Runner};
 use crate::wide::WideOptions;
 
 /// Engine configuration.
@@ -156,66 +156,55 @@ impl Engine {
     /// Solves every job of the batch and returns the reports sorted by job
     /// id. The output (modulo wall-clock fields) does not depend on the
     /// worker count.
+    ///
+    /// Narrow mode runs one [`Runner`] per worker thread, each pulling jobs
+    /// from a shared queue and sharing the solved-subrelation cache. Wide
+    /// mode runs a single runner that takes the jobs one at a time and
+    /// parallelizes the frontier of each BREL solve over its search
+    /// sessions instead (the cache does not apply there: wide expansions
+    /// are intermediate, not finished portfolios).
     pub fn solve_batch(&self, jobs: &[JobSpec]) -> BatchReport {
-        if let Some(options) = self.config.wide {
-            return self.solve_batch_wide(jobs, options);
-        }
         let start = Instant::now();
-        // Never spin up more workers than jobs; never fewer than one.
-        let num_workers = self.config.num_workers.clamp(1, jobs.len().max(1));
+        let (num_workers, runners) = match self.config.wide {
+            Some(_) => (self.config.num_workers.max(1), 1),
+            // Never spin up more workers than jobs; never fewer than one.
+            None => {
+                let n = self.config.num_workers.clamp(1, jobs.len().max(1));
+                (n, n)
+            }
+        };
+        let cache = (self.config.wide.is_none() && self.config.reuse)
+            .then(|| Arc::new(ReuseState::default()));
         let queue: Mutex<VecDeque<(usize, &JobSpec)>> =
             Mutex::new(jobs.iter().enumerate().collect());
-        let reuse_state = ReuseState::new(self.config.reuse);
-        let session_counts = Mutex::new((0u64, 0u64, 0u64));
+        let totals = Mutex::new(BatchReuse::default());
         let (tx, rx) = mpsc::channel::<JobReport>();
         let mut reports: Vec<JobReport> = thread::scope(|scope| {
-            for worker in 0..num_workers {
+            for worker in 0..runners {
                 let tx = tx.clone();
                 let queue = &queue;
-                let reuse_state = &reuse_state;
-                let session_counts = &session_counts;
-                let keep_warm = self.config.reuse;
-                let plan = self.plan.as_deref();
+                let totals = &totals;
+                let mut runner = Runner::new(&self.config, self.plan.clone());
+                if let Some(cache) = &cache {
+                    runner = runner.with_cache(cache.clone());
+                }
                 scope.spawn(move || {
                     let _track = brel_obs::enabled(brel_obs::Category::Engine)
                         .then(|| brel_obs::set_track(&format!("pool-worker-{worker}")));
-                    // Each worker owns one session that stays warm across
-                    // every job it lands (cold mode never reuses it).
-                    let mut warm = if keep_warm {
-                        WarmSession::new()
-                    } else {
-                        WarmSession::cold()
-                    };
                     loop {
                         // Take the lock only to pop; the solve runs unlocked.
                         let next = queue.lock().expect("job queue poisoned").pop_front();
-                        match next {
-                            Some((id, job)) => {
-                                let _job_span = brel_obs::span!(
-                                    brel_obs::Category::Engine,
-                                    "job",
-                                    "job_id" => id,
-                                );
-                                let injections: Vec<&FaultInjection> =
-                                    plan.map_or_else(Vec::new, |p| p.for_job(&job.name));
-                                // The receiver outlives the scope; a send can
-                                // only fail if the collector stopped early.
-                                let _ = tx.send(run_job_faulted(
-                                    id,
-                                    job,
-                                    &mut warm,
-                                    reuse_state,
-                                    &injections,
-                                ));
-                            }
-                            None => break,
-                        }
+                        let Some((id, job)) = next else { break };
+                        let _job_span = brel_obs::span!(
+                            brel_obs::Category::Engine,
+                            "job",
+                            "job_id" => id,
+                        );
+                        // The receiver outlives the scope; a send can only
+                        // fail if the collector stopped early.
+                        let _ = tx.send(runner.run(id, job, None));
                     }
-                    let (reuses, colds, quarantined) = warm.counts();
-                    let mut totals = session_counts.lock().expect("counts poisoned");
-                    totals.0 += reuses;
-                    totals.1 += colds;
-                    totals.2 += quarantined;
+                    *totals.lock().expect("counts poisoned") += runner.counts();
                 });
             }
             // Drop the original sender so the channel closes once every
@@ -224,87 +213,11 @@ impl Engine {
             rx.iter().collect()
         });
         reports.sort_by_key(|r| r.job_id);
-        let (warm_reuses, cold_builds, quarantines) =
-            *session_counts.lock().expect("counts poisoned");
-        let (subrel_cache_hits, subrel_cache_misses) = reuse_state.counts();
         BatchReport {
             jobs: reports,
             num_workers,
             wall_micros: brel_obs::wall_micros(start),
-            reuse: BatchReuse {
-                warm_reuses,
-                cold_builds,
-                subrel_cache_hits,
-                subrel_cache_misses,
-                quarantines,
-            },
-        }
-    }
-
-    /// Wide mode: jobs run one at a time and the pool parallelizes the
-    /// frontier of each BREL solve instead. Reports are produced directly
-    /// in job-id order; output (modulo wall-clock fields) is independent of
-    /// the worker count, like the job-parallel path.
-    fn solve_batch_wide(&self, jobs: &[JobSpec], options: WideOptions) -> BatchReport {
-        let start = Instant::now();
-        let num_workers = self.config.num_workers.max(1);
-        // The coordinator and the per-worker expansion sessions persist
-        // across jobs (unless reuse is off), so wide rounds stop paying a
-        // fresh manager per expansion. The subrelation cache does not apply
-        // here: wide expansions are intermediate, not finished portfolios.
-        let make = || {
-            if self.config.reuse {
-                WarmSession::new()
-            } else {
-                WarmSession::cold()
-            }
-        };
-        let mut coordinator = make();
-        let mut sessions: Vec<WarmSession> = (0..num_workers).map(|_| make()).collect();
-        let reports: Vec<JobReport> = jobs
-            .iter()
-            .enumerate()
-            .map(|(id, job)| {
-                let _job_span = brel_obs::span!(
-                    brel_obs::Category::Engine,
-                    "job",
-                    "job_id" => id,
-                );
-                let injections: Vec<&FaultInjection> = self
-                    .plan
-                    .as_deref()
-                    .map_or_else(Vec::new, |p| p.for_job(&job.name));
-                run_job_wide_with(
-                    id,
-                    job,
-                    options,
-                    &mut coordinator,
-                    &mut sessions,
-                    None,
-                    &injections,
-                )
-            })
-            .collect();
-        let mut warm_reuses = 0;
-        let mut cold_builds = 0;
-        let mut quarantines = 0;
-        for session in sessions.iter().chain(std::iter::once(&coordinator)) {
-            let (reuses, colds, quarantined) = session.counts();
-            warm_reuses += reuses;
-            cold_builds += colds;
-            quarantines += quarantined;
-        }
-        BatchReport {
-            jobs: reports,
-            num_workers,
-            wall_micros: brel_obs::wall_micros(start),
-            reuse: BatchReuse {
-                warm_reuses,
-                cold_builds,
-                subrel_cache_hits: 0,
-                subrel_cache_misses: 0,
-                quarantines,
-            },
+            reuse: totals.into_inner().expect("counts poisoned"),
         }
     }
 }

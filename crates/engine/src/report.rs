@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use crate::backend::SolutionReport;
 use crate::pool::BatchReport;
-use crate::portfolio::JobReport;
+use crate::runner::JobReport;
 
 /// A JSON value. Object keys keep their insertion order, so rendering is
 /// deterministic.
@@ -131,7 +131,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => push_quoted(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -148,7 +148,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(key, out);
+                    push_quoted(out, key);
                     out.push(':');
                     value.write(out);
                 }
@@ -179,7 +179,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     indent(out, depth + 1);
-                    escape_into(key, out);
+                    push_quoted(out, key);
                     out.push_str(": ");
                     value.write_pretty(out, depth + 1);
                 }
@@ -198,21 +198,10 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string.
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    brel_obs::escape_json_into(out, s);
     out.push('"');
 }
 

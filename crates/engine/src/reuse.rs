@@ -27,7 +27,6 @@
 //! serialized when `include_timing` is set (see [`crate::report`]).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use brel_bdd::{BddConfig, BddSession};
@@ -76,6 +75,16 @@ impl BatchReuse {
             ("subrel_cache_misses", self.subrel_cache_misses),
             ("quarantines", self.quarantines),
         ]
+    }
+}
+
+impl std::ops::AddAssign for BatchReuse {
+    fn add_assign(&mut self, other: BatchReuse) {
+        self.warm_reuses += other.warm_reuses;
+        self.cold_builds += other.cold_builds;
+        self.subrel_cache_hits += other.subrel_cache_hits;
+        self.subrel_cache_misses += other.subrel_cache_misses;
+        self.quarantines += other.quarantines;
     }
 }
 
@@ -281,79 +290,40 @@ impl SubrelKey {
     }
 }
 
-/// The shared cross-job solved-subrelation cache plus its hit/miss
-/// counters. One instance per batch, shared by every worker.
-#[derive(Debug)]
+/// The shared cross-job solved-subrelation cache. One instance per
+/// narrow batch with reuse on, shared by every worker's [`crate::Runner`]
+/// (which counts its own hits and misses).
+#[derive(Debug, Default)]
 pub(crate) struct ReuseState {
-    enabled: bool,
     map: Mutex<HashMap<SubrelKey, SolutionReport>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ReuseState {
-    pub(crate) fn new(enabled: bool) -> Self {
-        ReuseState {
-            enabled,
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn disabled() -> Self {
-        ReuseState::new(false)
-    }
-
     /// Looks up the whole portfolio of a job. Returns the memoized reports
     /// only when *every* attempt is cached (all-or-nothing, so a cached
-    /// report is always the product of a full portfolio run) and counts
-    /// the job as one hit or one miss.
+    /// report is always the product of a full portfolio run).
     pub(crate) fn lookup_job(
         &self,
         fingerprint: u64,
         job: &JobSpec,
     ) -> Option<Vec<SolutionReport>> {
-        if !self.enabled || job.backends.is_empty() {
-            return None;
-        }
-        let found = {
-            let map = self.map.lock().expect("subrel cache poisoned");
-            (0..job.backends.len())
-                .map(|i| map.get(&SubrelKey::new(fingerprint, job, i)).cloned())
-                .collect::<Option<Vec<_>>>()
-        };
-        match found {
-            Some(reports) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(reports)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let map = self.map.lock().expect("subrel cache poisoned");
+        (0..job.backends.len())
+            .map(|i| map.get(&SubrelKey::new(fingerprint, job, i)).cloned())
+            .collect()
     }
 
     /// Memoizes a fully executed portfolio. Skipped when any backend
     /// failed (`attempts` shorter than the backend list), so partial runs
     /// never pollute the cache.
     pub(crate) fn insert_job(&self, fingerprint: u64, job: &JobSpec, attempts: &[SolutionReport]) {
-        if !self.enabled || attempts.len() != job.backends.len() || attempts.is_empty() {
+        if attempts.len() != job.backends.len() || attempts.is_empty() {
             return;
         }
         let mut map = self.map.lock().expect("subrel cache poisoned");
         for (i, attempt) in attempts.iter().enumerate() {
             map.insert(SubrelKey::new(fingerprint, job, i), attempt.clone());
         }
-    }
-
-    /// `(hits, misses)` counted so far.
-    pub(crate) fn counts(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -459,15 +429,5 @@ mod tests {
         assert!(r3.is_well_defined());
         drop((s3, r3));
         assert_eq!(warm.counts(), (2, 1, 0));
-    }
-
-    #[test]
-    fn disabled_cache_never_hits() {
-        let state = ReuseState::disabled();
-        let space = RelationSpace::new(1, 1);
-        let r = BooleanRelation::from_table(&space, "0:{0}\n1:{1}").unwrap();
-        let job = JobSpec::portfolio("j", RelationSpec::from_relation(&r).unwrap());
-        assert!(state.lookup_job(1, &job).is_none());
-        assert_eq!(state.counts(), (0, 0));
     }
 }

@@ -725,10 +725,20 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 }
 
 /// Solves the BREL backend of `job` with work-stealing parallel search
-/// and scores it into the same [`SolutionReport`] shape as the
-/// sequential backend. Deterministic across worker counts (not across
-/// modes: wide commits in strategy pop order over its own frontier, so
-/// `explored`/`splits` may differ from a narrow run with the same spec).
+/// over `sessions` (one worker per session, at least one) and scores it
+/// into the same [`SolutionReport`] shape as the sequential backend. This
+/// is the BREL branch of [`crate::Runner::run`] in wide mode.
+/// Deterministic across worker counts (not across modes: wide commits in
+/// strategy pop order over its own frontier, so `explored`/`splits` may
+/// differ from a narrow run with the same spec).
+///
+/// It honors the job's [`crate::fault::FaultPolicy`] (the job's wall
+/// `deadline`, node quota, step deadline), cooperative cancellation and
+/// incumbent streaming through `control`, and the deterministic injection
+/// slice. A faulted, cancelled or truncated search *degrades*: the commit
+/// sequence closes, and the report keeps the best incumbent (wide mode
+/// always holds one from the quick seed) with `degraded` set and the first
+/// fault described in the second tuple slot.
 ///
 /// Symmetry pruning is not available in wide mode (the symmetry cache is
 /// per-session); jobs run as if `use_symmetry` were off, which is the
@@ -737,50 +747,15 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// # Errors
 ///
 /// Returns [`RelationError::NotWellDefined`] if the relation has no
-/// compatible function.
-pub fn solve_wide(
-    job: &JobSpec,
-    num_workers: usize,
-    options: WideOptions,
-) -> Result<SolutionReport, RelationError> {
-    let mut sessions: Vec<WarmSession> = (0..num_workers.max(1))
-        .map(|_| WarmSession::new())
-        .collect();
-    solve_wide_with(job, options, &mut sessions)
-}
-
-/// [`solve_wide`] over the caller's persistent per-worker sessions (one
-/// worker per session): workers — and, through the batch engine,
-/// successive jobs — reuse warm managers instead of building one per
-/// expansion.
-pub fn solve_wide_with(
+/// compatible function; other structural errors fail the job too.
+pub(crate) fn search(
     job: &JobSpec,
     options: WideOptions,
     sessions: &mut [WarmSession],
-) -> Result<SolutionReport, RelationError> {
-    solve_wide_faulted(job, options, sessions, None, &[]).map(|(report, _)| report)
-}
-
-/// The fault- and control-aware core of wide mode. On top of
-/// [`solve_wide_with`] it honors the job's [`crate::fault::FaultPolicy`]
-/// (wall deadline, node quota, step deadline), cooperative cancellation
-/// and incumbent streaming through `control`, and the deterministic
-/// injection slice. A faulted, cancelled or truncated search *degrades*:
-/// the commit sequence closes, and the report keeps the best incumbent
-/// (wide mode always holds one from the quick seed) with `degraded` set
-/// and the first fault described in the second tuple slot. Structural
-/// errors still fail the job.
-pub(crate) fn solve_wide_faulted(
-    job: &JobSpec,
-    options: WideOptions,
-    sessions: &mut [WarmSession],
+    deadline: Option<Instant>,
     control: Option<&JobControl>,
     injections: &[&FaultInjection],
 ) -> Result<(SolutionReport, Option<String>), RelationError> {
-    if sessions.is_empty() {
-        let mut local = vec![WarmSession::cold()];
-        return solve_wide_faulted(job, options, &mut local, control, injections);
-    }
     let start = Instant::now();
     let solve_span = brel_obs::span(brel_obs::Category::Engine, "wide_solve");
 
@@ -844,10 +819,7 @@ pub(crate) fn solve_wide_faulted(
     let ctx = RunContext {
         job,
         options,
-        deadline: job
-            .fault
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms)),
+        deadline,
         control,
         injections,
     };
@@ -944,11 +916,20 @@ mod tests {
         })
     }
 
+    fn solve(
+        job: &JobSpec,
+        workers: usize,
+        options: WideOptions,
+    ) -> Result<SolutionReport, RelationError> {
+        let mut sessions: Vec<WarmSession> = (0..workers).map(|_| WarmSession::new()).collect();
+        search(job, options, &mut sessions, None, None, &[]).map(|(report, _)| report)
+    }
+
     #[test]
     fn wide_mode_finds_the_fig10_optimum_under_every_strategy() {
         for strategy in SearchStrategy::all() {
             let job = fig10_job().with_strategy(strategy);
-            let report = solve_wide(&job, 2, WideOptions::default()).unwrap();
+            let report = solve(&job, 2, WideOptions::default()).unwrap();
             assert_eq!(report.backend, BackendKind::Brel);
             assert_eq!(report.cost, 2, "{strategy} missed the optimum");
             assert_eq!(report.strategy, Some(strategy));
@@ -969,9 +950,9 @@ mod tests {
                 r.wall_micros = 0;
                 r
             };
-            let one = mask(solve_wide(&job, 1, options).unwrap());
-            let two = mask(solve_wide(&job, 2, options).unwrap());
-            let eight = mask(solve_wide(&job, 8, options).unwrap());
+            let one = mask(solve(&job, 1, options).unwrap());
+            let two = mask(solve(&job, 2, options).unwrap());
+            let eight = mask(solve(&job, 8, options).unwrap());
             assert_eq!(one, two, "{strategy}: 1 vs 2 workers");
             assert_eq!(one, eight, "{strategy}: 1 vs 8 workers");
         }
@@ -995,7 +976,7 @@ mod tests {
                         steal_threshold,
                         ..WideOptions::default()
                     };
-                    mask(solve_wide(&job, 4, options).unwrap())
+                    mask(solve(&job, 4, options).unwrap())
                 })
                 .collect();
             assert_eq!(reports[0], reports[1], "{strategy}: threshold 0 vs 2");
@@ -1012,7 +993,7 @@ mod tests {
             r.wall_micros = 0;
             r
         };
-        let baseline = mask(solve_wide(&job, 1, WideOptions::default()).unwrap());
+        let baseline = mask(solve(&job, 1, WideOptions::default()).unwrap());
         for workers in [1usize, 2, 8] {
             for seed in [1u64, 0xBEEF] {
                 let options = WideOptions {
@@ -1022,7 +1003,7 @@ mod tests {
                     }),
                     ..WideOptions::default()
                 };
-                let staggered = mask(solve_wide(&job, workers, options).unwrap());
+                let staggered = mask(solve(&job, workers, options).unwrap());
                 assert_eq!(
                     baseline, staggered,
                     "stagger seed {seed} at {workers} workers changed the result"
@@ -1041,7 +1022,7 @@ mod tests {
             lookahead: 8,
             ..WideOptions::default()
         };
-        let report = solve_wide(&job, 4, options).unwrap();
+        let report = solve(&job, 4, options).unwrap();
         assert_eq!(report.explored, 1, "commits must stop at the budget");
         assert!(report.cost >= 2);
     }
@@ -1055,10 +1036,11 @@ mod tests {
         });
         let job = fig10_job().with_strategy(SearchStrategy::BestFirst);
         let mut sessions: Vec<WarmSession> = (0..4).map(|_| WarmSession::new()).collect();
-        let (report, fault) = solve_wide_faulted(
+        let (report, fault) = search(
             &job,
             WideOptions::default(),
             &mut sessions,
+            None,
             Some(&control),
             &[],
         )
@@ -1083,10 +1065,11 @@ mod tests {
         control.cancel_token().cancel();
         let job = fig10_job();
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = solve_wide_faulted(
+        let (report, fault) = search(
             &job,
             WideOptions::default(),
             &mut sessions,
+            None,
             Some(&control),
             &[],
         )
@@ -1109,10 +1092,11 @@ mod tests {
         let job = fig10_job();
         let injection = FaultInjection::new("fig10", 0, FaultKind::Panic);
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = solve_wide_faulted(
+        let (report, fault) = search(
             &job,
             WideOptions::default(),
             &mut sessions,
+            None,
             None,
             &[&injection],
         )
@@ -1143,7 +1127,7 @@ mod tests {
                 ..WideOptions::default()
             };
             let (report, fault) =
-                solve_wide_faulted(&job, options, &mut sessions, None, &[&injection]).unwrap();
+                search(&job, options, &mut sessions, None, None, &[&injection]).unwrap();
             runs.push((mask(report), fault));
         }
         assert_eq!(runs[0], runs[1], "1 vs 2 workers");
@@ -1157,10 +1141,11 @@ mod tests {
         let job = fig10_job();
         let injection = FaultInjection::new("fig10", 1, FaultKind::StepDeadline);
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = solve_wide_faulted(
+        let (report, fault) = search(
             &job,
             WideOptions::default(),
             &mut sessions,
+            None,
             None,
             &[&injection],
         )
@@ -1185,7 +1170,7 @@ mod tests {
             BackendKind::Brel,
         );
         assert!(matches!(
-            solve_wide(&job, 2, WideOptions::default()),
+            solve(&job, 2, WideOptions::default()),
             Err(RelationError::NotWellDefined)
         ));
     }

@@ -45,7 +45,7 @@ pub fn chrome_trace(
             "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"",
             tid(track)
         ));
-        escape_into(&mut out, name);
+        escape_json_into(&mut out, name);
         out.push_str("\"}}");
     }
 
@@ -68,7 +68,7 @@ pub fn chrome_trace(
                 span.dur_us,
                 span.cat.label()
             ));
-            escape_into(&mut out, span.name);
+            escape_json_into(&mut out, span.name);
             out.push('"');
             push_args(&mut out, &span.args);
             out.push('}');
@@ -85,7 +85,7 @@ pub fn chrome_trace(
                 event.ts_us,
                 event.cat.label()
             ));
-            escape_into(&mut out, event.name);
+            escape_json_into(&mut out, event.name);
             out.push('"');
             push_args(&mut out, &event.args);
             out.push('}');
@@ -120,14 +120,16 @@ fn push_args(out: &mut String, args: &ArgList) {
         }
         first = false;
         out.push('"');
-        escape_into(out, key);
+        escape_json_into(out, key);
         out.push_str(&format!("\":{value}"));
     }
     out.push('}');
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
+/// control characters), without the surrounding quotes. The workspace's
+/// one JSON string escaper: the engine's report writer uses it too.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

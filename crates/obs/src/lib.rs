@@ -49,7 +49,7 @@ mod collector;
 mod metrics;
 mod report;
 
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, escape_json_into};
 pub use collector::{
     ArgList, Collector, CountingCollector, EventRecord, NullCollector, PhaseAgg,
     RecordingCollector, SpanRecord,

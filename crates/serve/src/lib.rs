@@ -18,7 +18,7 @@
 //!   a jittered `retry_after_ms` hint instead of queuing without bound.
 //! - [`server`] — the daemon proper: one accept thread, one reader plus
 //!   one writer thread per connection, N worker threads each owning a
-//!   [`brel_engine::WarmSession`]. Faults stay contained exactly as in
+//!   [`brel_engine::Runner`]. Faults stay contained exactly as in
 //!   batch mode (panic isolation, quarantine, degrade-don't-die), and
 //!   shutdown is a drain: stop admitting, cancel cooperatively, emit a
 //!   `final` frame for every admitted job, join every thread, exit.

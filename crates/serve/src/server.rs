@@ -3,10 +3,10 @@
 //!
 //! Fault containment is layered:
 //!
-//! * every solve runs through [`brel_engine::run_job_controlled`], so
-//!   panics, quota trips and deadlines are caught at the attempt boundary
-//!   and classified — a poisoned or faulted session is quarantined and
-//!   rebuilt cold, never rehydrated into the next job;
+//! * every solve runs through [`brel_engine::Runner::run`] on the worker's
+//!   own runner, so panics, quota trips and deadlines are caught at the
+//!   attempt boundary and classified — a poisoned or faulted session is
+//!   quarantined and rebuilt cold, never rehydrated into the next job;
 //! * a cancelled or disconnected client flips the job's [`CancelToken`];
 //!   the exploration stops at the next step boundary and the client (if
 //!   still there) receives a `Final` carrying the best incumbent;
@@ -29,9 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use brel_core::CancelToken;
-use brel_engine::{
-    run_job_controlled, run_job_wide_controlled, FaultPlan, JobControl, WarmSession, WideOptions,
-};
+use brel_engine::{BatchReuse, EngineConfig, FaultPlan, JobControl, Runner, WideOptions};
 use brel_obs::Category;
 
 use crate::protocol::{Frame, FrameReader, StatsSnapshot, Submit};
@@ -43,7 +41,7 @@ pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` picks a free port (see
     /// [`Server::addr`]).
     pub addr: String,
-    /// Worker threads, each owning one persistent [`WarmSession`].
+    /// Worker threads, each owning one persistent [`Runner`].
     pub workers: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
@@ -541,15 +539,15 @@ fn handle_submit(shared: &Arc<Shared>, conn_id: u64, reply: &Sender<Frame>, subm
 
 fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
     let _track = brel_obs::set_track(&format!("serve-worker-{worker_id}"));
-    let mut warm = WarmSession::new();
-    // Wide mode: this serve worker's persistent search sessions, reused
-    // across jobs exactly like the batch engine's.
-    let mut wide_sessions: Vec<WarmSession> = shared
-        .config
-        .wide
-        .map(|(n, _)| (0..n.max(1)).map(|_| WarmSession::new()).collect())
-        .unwrap_or_default();
-    let mut last_counts = (0u64, 0u64, 0u64);
+    // One warm runner per serve worker, reused across jobs exactly like a
+    // batch-engine worker's (in wide mode it owns the search sessions too).
+    let config = EngineConfig {
+        num_workers: shared.config.wide.map_or(1, |(n, _)| n),
+        wide: shared.config.wide.map(|(_, options)| options),
+        reuse: true,
+    };
+    let mut runner = Runner::new(&config, shared.config.fault_plan.clone());
+    let mut last_counts = BatchReuse::default();
     let tick = shared.poll_tick();
     while let Some(mut job) = shared.queue.pop(tick) {
         let draining = shared.queue.is_draining();
@@ -615,52 +613,29 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
                 }
             });
 
-        let injections: Vec<&brel_engine::FaultInjection> = shared
-            .config
-            .fault_plan
-            .as_deref()
-            .map(|plan| plan.for_job(&job.spec.name))
-            .unwrap_or_default();
-
         let solve_start = Instant::now();
         let report = {
             let mut span = brel_obs::span(Category::Serve, "solve");
             span.arg("ticket", ticket);
-            match shared.config.wide {
-                Some((_, options)) => run_job_wide_controlled(
-                    ticket as usize,
-                    &job.spec,
-                    options,
-                    &mut warm,
-                    &mut wide_sessions,
-                    &control,
-                    &injections,
-                ),
-                None => {
-                    run_job_controlled(ticket as usize, &job.spec, &mut warm, &control, &injections)
-                }
-            }
+            runner.run(ticket as usize, &job.spec, Some(&control))
         };
         let solve_us = solve_start.elapsed().as_micros() as u64;
 
         // Fold this worker's warm-pool movement into the shared counters
         // (the wide search sessions count like any other warm session).
-        let counts = wide_sessions.iter().fold(warm.counts(), |acc, s| {
-            let c = s.counts();
-            (acc.0 + c.0, acc.1 + c.1, acc.2 + c.2)
-        });
-        shared
-            .counters
-            .warm_reuses
-            .fetch_add(counts.0 - last_counts.0, Ordering::Relaxed);
-        shared
-            .counters
-            .cold_builds
-            .fetch_add(counts.1 - last_counts.1, Ordering::Relaxed);
-        shared
-            .counters
-            .quarantines
-            .fetch_add(counts.2 - last_counts.2, Ordering::Relaxed);
+        let counts = runner.counts();
+        shared.counters.warm_reuses.fetch_add(
+            counts.warm_reuses - last_counts.warm_reuses,
+            Ordering::Relaxed,
+        );
+        shared.counters.cold_builds.fetch_add(
+            counts.cold_builds - last_counts.cold_builds,
+            Ordering::Relaxed,
+        );
+        shared.counters.quarantines.fetch_add(
+            counts.quarantines - last_counts.quarantines,
+            Ordering::Relaxed,
+        );
         last_counts = counts;
 
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);

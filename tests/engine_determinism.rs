@@ -1,11 +1,13 @@
 //! Determinism of the batch engine: the same batch solved with 1, 2 and 8
 //! workers must yield byte-identical `SolutionReport` sequences in job-id
-//! order (timing-free serializations compared byte for byte).
+//! order (timing-free serializations compared byte for byte), and so must
+//! the same jobs run one at a time through a single `Runner`.
 
 use brel_suite::benchdata::random_relation::random_well_defined_relation;
 use brel_suite::benchdata::table2;
 use brel_suite::engine::{
-    BackendKind, CostSpec, Engine, JobBudget, JobSpec, RelationSpec, SearchStrategy, WideOptions,
+    BackendKind, BatchReport, CostSpec, Engine, EngineConfig, JobBudget, JobControl, JobSpec,
+    RelationSpec, Runner, SearchStrategy, WideOptions,
 };
 use brel_suite::relation::{BooleanRelation, RelationSpace};
 
@@ -55,6 +57,29 @@ fn mixed_batch() -> Vec<JobSpec> {
     jobs
 }
 
+/// The serving worker's shape: one long-lived `Runner` takes the jobs one
+/// at a time under an inert `JobControl`.
+fn run_serially(jobs: &[JobSpec], wide: Option<WideOptions>) -> BatchReport {
+    let config = EngineConfig {
+        num_workers: 1,
+        wide,
+        reuse: true,
+    };
+    let mut runner = Runner::new(&config, None);
+    let control = JobControl::new();
+    let reports = jobs
+        .iter()
+        .enumerate()
+        .map(|(id, job)| runner.run(id, job, Some(&control)))
+        .collect();
+    BatchReport {
+        jobs: reports,
+        num_workers: 1,
+        wall_micros: 0,
+        reuse: runner.counts(),
+    }
+}
+
 #[test]
 fn batches_are_byte_identical_across_1_2_and_8_workers() {
     let jobs = mixed_batch();
@@ -78,6 +103,11 @@ fn batches_are_byte_identical_across_1_2_and_8_workers() {
     assert_eq!(jsons[0], jsons[2], "1 vs 8 workers (JSON)");
     assert_eq!(csvs[0], csvs[1], "1 vs 2 workers (CSV)");
     assert_eq!(csvs[0], csvs[2], "1 vs 8 workers (CSV)");
+
+    // One runner taking the jobs serially matches the 1-worker batch.
+    let serial = run_serially(&jobs, None);
+    assert_eq!(jsons[0], serial.to_json(false), "1 worker vs runner (JSON)");
+    assert_eq!(csvs[0], serial.to_csv(false), "1 worker vs runner (CSV)");
 
     // The structured reports agree field by field too (not just the
     // serialized views): mask the wall-clock and the scheduling-dependent
@@ -121,14 +151,15 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
     assert!(narrow[0].contains("\"strategy\": \"best-first\""));
 
     // Wide mode (parallel frontier expansion inside each BREL solve).
+    let options = WideOptions {
+        lookahead: 4,
+        ..WideOptions::default()
+    };
     let wide: Vec<String> = [1usize, 2, 8]
         .into_iter()
         .map(|w| {
             Engine::with_workers(w)
-                .with_wide(WideOptions {
-                    lookahead: 4,
-                    ..WideOptions::default()
-                })
+                .with_wide(options)
                 .solve_batch(&jobs)
                 .to_json(false)
         })
@@ -141,20 +172,28 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
         .into_iter()
         .map(|w| {
             Engine::with_workers(w)
-                .with_wide(WideOptions {
-                    lookahead: 4,
-                    ..WideOptions::default()
-                })
+                .with_wide(options)
                 .solve_batch(&jobs)
                 .to_csv(false)
         })
         .collect();
     assert_eq!(wide_csv[0], wide_csv[1], "wide CSV: 1 vs 8 workers");
+
+    // One wide runner taking the jobs serially matches the 1-worker batch.
+    let serial = run_serially(&jobs, Some(options));
+    assert_eq!(
+        wide[0],
+        serial.to_json(false),
+        "wide: 1 worker vs runner (JSON)"
+    );
+    assert_eq!(
+        wide_csv[0],
+        serial.to_csv(false),
+        "wide: 1 worker vs runner (CSV)"
+    );
+
     let report = Engine::with_workers(2)
-        .with_wide(WideOptions {
-            lookahead: 4,
-            ..WideOptions::default()
-        })
+        .with_wide(options)
         .solve_batch(&jobs);
     assert_eq!(report.num_solved(), jobs.len());
     // Wide mode still escapes the quick solver's local minimum on fig10.
