@@ -162,9 +162,10 @@ impl WarmSession {
     ///
     /// The manager is pre-sized from the row count: a characteristic
     /// function built from `P` related pairs over `n + m` variables lands
-    /// near `P · (n + m)` decision nodes in the common case. Construction
-    /// leaves minterm-accumulation garbage behind, so one collection runs
-    /// before the relation is handed to the backends.
+    /// near `P · (n + m)` decision nodes in the common case. The
+    /// characteristic function is built bottom-up from the sorted rows
+    /// (see [`BooleanRelation::from_rows`]), which leaves no garbage, so
+    /// the relation goes to the backends without a sweep.
     pub fn rehydrate(&mut self, spec: &RelationSpec) -> (RelationSpace, BooleanRelation, bool) {
         self.rehydrate_with(spec, BddConfig::from_env())
     }
@@ -195,7 +196,6 @@ impl WarmSession {
         let space = RelationSpace::from_session(session, spec.num_inputs(), spec.num_outputs());
         let relation = BooleanRelation::from_rows(&space, spec.rows())
             .expect("arities were validated at construction");
-        space.collect_garbage();
         (space, relation, warm)
     }
 

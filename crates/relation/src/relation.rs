@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use brel_bdd::{Bdd, PathCube, Var};
+use brel_bdd::{Bdd, BddManager, NodeId, PathCube, Var};
 
 use crate::error::RelationError;
 use crate::function::MultiOutputFunction;
@@ -55,7 +55,9 @@ impl BooleanRelation {
         }
     }
 
-    /// Builds a relation from explicit `(input vertex, output vertex)` pairs.
+    /// Builds a relation from explicit `(input vertex, output vertex)` pairs,
+    /// in any order and possibly repeated, the same way as
+    /// [`BooleanRelation::from_rows`].
     ///
     /// # Errors
     ///
@@ -65,16 +67,12 @@ impl BooleanRelation {
         space: &RelationSpace,
         pairs: &[(Vec<bool>, Vec<bool>)],
     ) -> Result<Self, RelationError> {
-        let mut chi = space.mgr().zero();
-        for (x, y) in pairs {
-            let xin = space.input_minterm(x)?;
-            let yout = space.output_minterm(y)?;
-            chi = chi.or(&xin.and(&yout));
-        }
-        Ok(BooleanRelation {
-            space: space.clone(),
-            chi,
-        })
+        Self::build(
+            space,
+            pairs
+                .iter()
+                .map(|(x, y)| (x.as_slice(), std::slice::from_ref(y))),
+        )
     }
 
     /// Builds the relation of a multiple-output *function* (the functional
@@ -107,18 +105,8 @@ impl BooleanRelation {
     ///
     /// Returns [`RelationError::DimensionMismatch`] on arity mismatch.
     pub fn contains(&self, input: &[bool], output: &[bool]) -> Result<bool, RelationError> {
-        if input.len() != self.space.num_inputs() {
-            return Err(RelationError::DimensionMismatch {
-                expected: self.space.num_inputs(),
-                found: input.len(),
-            });
-        }
-        if output.len() != self.space.num_outputs() {
-            return Err(RelationError::DimensionMismatch {
-                expected: self.space.num_outputs(),
-                found: output.len(),
-            });
-        }
+        check_width(self.space.num_inputs(), input.len())?;
+        check_width(self.space.num_outputs(), output.len())?;
         let asg = self.space.full_assignment(input, output);
         Ok(self.chi.eval(&asg))
     }
@@ -130,12 +118,7 @@ impl BooleanRelation {
     /// Returns [`RelationError::DimensionMismatch`] on arity mismatch, or
     /// [`RelationError::TooLarge`] if the output space cannot be enumerated.
     pub fn image(&self, input: &[bool]) -> Result<Vec<Vec<bool>>, RelationError> {
-        if input.len() != self.space.num_inputs() {
-            return Err(RelationError::DimensionMismatch {
-                expected: self.space.num_inputs(),
-                found: input.len(),
-            });
-        }
+        check_width(self.space.num_inputs(), input.len())?;
         if self.space.num_outputs() > 24 {
             return Err(RelationError::TooLarge {
                 vars: self.space.num_outputs(),
@@ -443,9 +426,11 @@ impl BooleanRelation {
     /// Copies `source` into `space` by structural BDD import
     /// ([`brel_bdd::BddSession::import`]): one `mk` per node of the
     /// characteristic function, no enumeration, no 16-variable ceiling.
-    /// This is the cheap way to move a relation across sessions when both
-    /// order their variables identically — the engine's wide mode ships
-    /// stolen subproblems this way.
+    /// Use it when `source` is at hand and both sessions order their
+    /// variables identically — the engine's wide mode ships stolen
+    /// subproblems this way. When the relation travels as data, or the
+    /// orders may differ, use [`BooleanRelation::from_rows`], which costs
+    /// one `mk` per node on the paths of the pair set.
     ///
     /// # Errors
     ///
@@ -455,18 +440,8 @@ impl BooleanRelation {
         space: &RelationSpace,
         source: &BooleanRelation,
     ) -> Result<Self, RelationError> {
-        if space.num_inputs() != source.space.num_inputs() {
-            return Err(RelationError::DimensionMismatch {
-                expected: space.num_inputs(),
-                found: source.space.num_inputs(),
-            });
-        }
-        if space.num_outputs() != source.space.num_outputs() {
-            return Err(RelationError::DimensionMismatch {
-                expected: space.num_outputs(),
-                found: source.space.num_outputs(),
-            });
-        }
+        check_width(space.num_inputs(), source.space.num_inputs())?;
+        check_width(space.num_outputs(), source.space.num_outputs())?;
         Ok(BooleanRelation {
             space: space.clone(),
             chi: space.mgr().import(source.characteristic()),
@@ -476,25 +451,114 @@ impl BooleanRelation {
     /// Builds a relation from `(input vertex, output vertices)` rows, the
     /// inverse of [`BooleanRelation::to_rows`]. Rows with an empty image
     /// contribute no pairs; missing input vertices are simply unrelated.
+    /// Rows may come in any order and repeat inputs or pairs.
+    ///
+    /// χ is built bottom-up in the session's current variable order, with
+    /// no apply operations and no garbage, so rows are the way to move a
+    /// relation between processes, threads or differently ordered
+    /// sessions. Between two sessions with the same order,
+    /// [`BooleanRelation::import_into`] skips the rows altogether.
     ///
     /// # Errors
     ///
     /// Returns [`RelationError::DimensionMismatch`] if any vertex has the
     /// wrong arity.
     pub fn from_rows(space: &RelationSpace, rows: &[RelationRow]) -> Result<Self, RelationError> {
-        let mut chi = space.mgr().zero();
-        for (input, outputs) in rows {
-            let xin = space.input_minterm(input)?;
-            for output in outputs {
-                let yout = space.output_minterm(output)?;
-                chi = chi.or(&xin.and(&yout));
+        Self::build(
+            space,
+            rows.iter()
+                .map(|(input, outputs)| (input.as_slice(), outputs.as_slice())),
+        )
+    }
+
+    /// The one construction path behind [`BooleanRelation::from_rows`] and
+    /// [`BooleanRelation::from_pairs`]: builds χ bottom-up from
+    /// `(input, image)` rows with one `mk` per distinct prefix of the
+    /// pair set, so the cost is linear in the output.
+    ///
+    /// Every vertex width is checked before any node is built. Each pair
+    /// then becomes a packed key whose bits follow the session's current
+    /// level order (bit 0 is the topmost variable, stored at the MSB of
+    /// word 0), so lexicographic key order is the order of the BDD's
+    /// paths. The sorted, deduplicated keys are split recursively on one
+    /// level's bit at a time, and each split is one [`BddManager::mk`]
+    /// under a single session lock: no apply-cache traffic, and every
+    /// node allocated is a node of the result.
+    ///
+    /// [`BddManager::mk`]: brel_bdd::BddManager::mk
+    fn build<'a, I>(space: &RelationSpace, rows: I) -> Result<Self, RelationError>
+    where
+        I: Iterator<Item = (&'a [bool], &'a [Vec<bool>])> + Clone,
+    {
+        let (inputs, outputs) = (space.input_vars(), space.output_vars());
+        let mut num_pairs = 0;
+        for (input, images) in rows.clone() {
+            check_width(inputs.len(), input.len())?;
+            for output in images {
+                check_width(outputs.len(), output.len())?;
             }
+            num_pairs += images.len();
         }
+        // Levels are read under the same lock the build holds: a reorder
+        // only runs at a safe point, never while the lock is held.
+        let root = space.mgr().with(|mgr| {
+            let mut by_level: Vec<Var> = inputs.iter().chain(outputs).copied().collect();
+            by_level.sort_unstable_by_key(|&v| mgr.var_level(v));
+            let mut bit_of = vec![0; mgr.num_vars()];
+            for (bit, v) in by_level.iter().enumerate() {
+                bit_of[v.index()] = bit;
+            }
+            // At least one word, so a space with no variables still has keys.
+            let words = by_level.len().div_ceil(64).max(1);
+            let mut keys = vec![0u64; num_pairs * words];
+            let mut chunks = keys.chunks_exact_mut(words);
+            for (input, images) in rows {
+                for output in images {
+                    let key = chunks.next().expect("one key per pair");
+                    let bits = inputs.iter().zip(input).chain(outputs.iter().zip(output));
+                    for (v, _) in bits.filter(|&(_, &b)| b) {
+                        let bit = bit_of[v.index()];
+                        key[bit / 64] |= 1 << (63 - bit % 64);
+                    }
+                }
+            }
+            let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            build_sorted(mgr, &by_level, &sorted, 0)
+        });
         Ok(BooleanRelation {
             space: space.clone(),
-            chi,
+            chi: Bdd::from_node_id(space.mgr(), root),
         })
     }
+}
+
+/// The [`RelationError::DimensionMismatch`] check of one arity.
+fn check_width(expected: usize, found: usize) -> Result<(), RelationError> {
+    if expected == found {
+        Ok(())
+    } else {
+        Err(RelationError::DimensionMismatch { expected, found })
+    }
+}
+
+/// Builds the function whose minterms are `keys` (sorted, distinct, and
+/// all agreeing on their first `depth` bits) over the variables
+/// `by_level[depth..]`: no keys is 0, a full-depth key is 1, and anything
+/// else splits on bit `depth` and joins the halves with one `mk`.
+fn build_sorted(mgr: &mut BddManager, by_level: &[Var], keys: &[&[u64]], depth: usize) -> NodeId {
+    if keys.is_empty() {
+        return NodeId::ZERO;
+    }
+    if depth == by_level.len() {
+        return NodeId::ONE;
+    }
+    let mask = 1 << (63 - depth % 64);
+    let split = keys.partition_point(|key| key[depth / 64] & mask == 0);
+    let lo = build_sorted(mgr, by_level, &keys[..split], depth + 1);
+    let hi = build_sorted(mgr, by_level, &keys[split..], depth + 1);
+    mgr.mk(by_level[depth], lo, hi)
 }
 
 impl fmt::Display for BooleanRelation {

@@ -144,14 +144,6 @@ impl RelationSpace {
         &self.inner.mgr
     }
 
-    /// Runs a mark-and-sweep collection on the shared manager, reclaiming
-    /// every node not reachable from a live `Bdd` handle; returns the
-    /// reclaimed node count. Batch workers call this right after
-    /// rehydration so per-worker managers start compact.
-    pub fn collect_garbage(&self) -> usize {
-        self.inner.mgr.collect_garbage()
-    }
-
     /// The shared manager's lifecycle counters (collections, reclaimed
     /// nodes, peak live nodes, reorder passes, variable-order hash).
     pub fn gc_stats(&self) -> GcStats {

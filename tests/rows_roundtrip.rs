@@ -1,15 +1,82 @@
 //! Property tests of the row serialization boundary the batch engine rides
-//! on: table-text parse → `to_rows` → `from_rows` is a fixed point, plus
-//! the `table.rs` error paths for malformed bits and widths.
+//! on: table-text parse → `to_rows` → `from_rows` is a fixed point, the
+//! `table.rs` error paths for malformed bits and widths, and the bottom-up
+//! χ builder behind `from_rows`/`from_pairs` checked against a reference
+//! `or`-of-minterms fold.
 
 use proptest::prelude::*;
 
+use brel_suite::bdd::Bdd;
 use brel_suite::benchdata::random_well_defined_relation;
-use brel_suite::relation::{BooleanRelation, RelationError, RelationSpace};
+use brel_suite::relation::{BooleanRelation, RelationError, RelationRow, RelationSpace};
 
 /// Strategy: small dimensions, a seed, and an extra-pair probability.
 fn relation_params() -> impl Strategy<Value = (usize, usize, u64, u64)> {
     (1usize..=4, 1usize..=3, any::<u64>(), 0u64..=60)
+}
+
+/// SplitMix64: a tiny deterministic stream for test-local row generation.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    fn vertex(&mut self, width: usize) -> Vec<bool> {
+        (0..width).map(|_| self.next() & 1 == 1).collect()
+    }
+}
+
+/// Random rows in no particular order: inputs repeat across rows, images
+/// repeat outputs, and about one row in five has an empty image.
+fn random_rows(ni: usize, no: usize, seed: u64) -> Vec<RelationRow> {
+    let mut rng = Mix(seed);
+    let num_rows = rng.below(3 << ni) as usize;
+    (0..num_rows)
+        .map(|_| {
+            let input = rng.vertex(ni);
+            let len = if rng.below(5) == 0 {
+                0
+            } else {
+                1 + rng.below(4)
+            };
+            let image = (0..len).map(|_| rng.vertex(no)).collect();
+            (input, image)
+        })
+        .collect()
+}
+
+/// The reference construction: χ as the `or` of one minterm per pair,
+/// built with ordinary apply operations in the space's session.
+fn or_of_minterms(space: &RelationSpace, rows: &[RelationRow]) -> Bdd {
+    let mut chi = space.mgr().zero();
+    for (input, image) in rows {
+        let x = space.input_minterm(input).unwrap();
+        for output in image {
+            chi = chi.or(&x.and(&space.output_minterm(output).unwrap()));
+        }
+    }
+    chi
+}
+
+/// `from_rows` and `from_pairs` both land on the reference χ handle.
+fn assert_builder_matches_fold(space: &RelationSpace, rows: &[RelationRow]) {
+    let built = BooleanRelation::from_rows(space, rows).unwrap();
+    assert_eq!(built.characteristic(), &or_of_minterms(space, rows));
+    let pairs: Vec<(Vec<bool>, Vec<bool>)> = rows
+        .iter()
+        .flat_map(|(x, image)| image.iter().map(move |y| (x.clone(), y.clone())))
+        .collect();
+    assert_eq!(BooleanRelation::from_pairs(space, &pairs).unwrap(), built);
 }
 
 proptest! {
@@ -71,6 +138,84 @@ proptest! {
         ));
         let bad_out = (vec![bad_bit; ni], vec![vec![bad_bit; no + 1]]);
         prop_assert!(BooleanRelation::from_rows(&space, &[bad_out]).is_err());
+    }
+
+    /// The bottom-up builder equals the `or`-of-minterms fold, handle for
+    /// handle in one session, on unsorted rows with duplicate pairs,
+    /// repeated inputs and empty images.
+    #[test]
+    fn builder_matches_or_of_minterms((ni, no, seed, _prob) in relation_params()) {
+        let space = RelationSpace::new(ni, no);
+        assert_builder_matches_fold(&space, &random_rows(ni, no, seed));
+    }
+
+    /// The same comparison after the session's variable order was
+    /// permuted: the builder must follow the levels, not the indices.
+    #[test]
+    fn builder_follows_a_permuted_order((ni, no, seed, _prob) in relation_params()) {
+        let space = RelationSpace::new(ni, no);
+        let mut rng = Mix(!seed);
+        space.mgr().with(|mgr| {
+            for _ in 0..3 * (ni + no) {
+                mgr.swap_adjacent_levels(rng.below((ni + no - 1) as u64) as u32);
+            }
+        });
+        assert_builder_matches_fold(&space, &random_rows(ni, no, seed));
+    }
+}
+
+/// Keys longer than one 64-bit word: pairs that differ only beyond the
+/// first word, or only in the last variable, stay distinct.
+#[test]
+fn builder_handles_multi_word_keys() {
+    let (ni, no) = (70, 60);
+    let space = RelationSpace::new(ni, no);
+    let mut rng = Mix(7);
+    let mut rows: Vec<RelationRow> = (0..12)
+        .map(|_| (rng.vertex(ni), vec![rng.vertex(no), rng.vertex(no)]))
+        .collect();
+    let (input, image) = rows[0].clone();
+    let mut flipped = image[0].clone();
+    flipped[no - 1] ^= true;
+    rows.push((input, vec![flipped, image[1].clone()]));
+    assert_builder_matches_fold(&space, &rows);
+}
+
+/// A wrong-width output in the last row is still found, before anything
+/// is built.
+#[test]
+fn wrong_width_in_the_last_row_is_rejected() {
+    let space = RelationSpace::new(2, 2);
+    let mut rows: Vec<RelationRow> = (0..4)
+        .map(|i| (vec![i & 1 == 1, i & 2 == 2], vec![vec![true, false]]))
+        .collect();
+    rows.push((vec![true, true], vec![vec![false, true], vec![true; 3]]));
+    let nodes_before = space.mgr().num_nodes();
+    assert!(matches!(
+        BooleanRelation::from_rows(&space, &rows),
+        Err(RelationError::DimensionMismatch {
+            expected: 2,
+            found: 3
+        })
+    ));
+    assert_eq!(space.mgr().num_nodes(), nodes_before, "no partial χ");
+}
+
+/// Building into a fresh session allocates exactly the nodes of χ: the
+/// builder leaves no garbage, so its cost is linear in the output.
+#[test]
+fn build_allocates_exactly_the_result() {
+    for seed in 0..16 {
+        let (ni, no) = (2 + seed as usize % 4, 1 + seed as usize % 3);
+        let rows = random_rows(ni, no, seed);
+        let space = RelationSpace::new(ni, no);
+        let nodes_before = space.mgr().num_nodes();
+        let relation = BooleanRelation::from_rows(&space, &rows).unwrap();
+        assert_eq!(
+            space.mgr().num_nodes() - nodes_before,
+            relation.size(),
+            "seed {seed}"
+        );
     }
 }
 
