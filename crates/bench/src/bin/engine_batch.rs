@@ -15,11 +15,11 @@
 //! * `--wide`       wide mode: jobs run one at a time and the worker pool
 //!   runs an asynchronous work-stealing search over each BREL frontier
 //! * `--lookahead N` wide-mode speculation window: how far past the commit
-//!   head a worker may claim work (default: 8; `--topk` is an alias kept
-//!   for old scripts)
+//!   head a worker may claim work (default: 8)
 //! * `--steal-threshold N` minimum subproblem size (relation pairs) worth
-//!   shipping as rows to another worker; smaller subproblems stay as live
-//!   BDD handles on their owner (default: 4)
+//!   stealing: another worker copies it into its own session by structural
+//!   BDD import; smaller subproblems stay as live BDD handles on their
+//!   owner (default: 4)
 //! * `--hard`       swap in the checked-in hard corpus
 //!   (`hard-rand7x4`): four seeded 7-input/4-output relations whose
 //!   sequential solve takes ≥1s total — the wide-vs-sequential perf
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
             "--wide" => wide = true,
             "--cold" => cold = true,
             "--hard" => hard = true,
-            "--lookahead" | "--topk" => match args.next().and_then(|v| v.parse().ok()) {
+            "--lookahead" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => lookahead = n,
                 None => return usage("--lookahead needs a number"),
             },

@@ -210,8 +210,8 @@ pub struct ObsMetrics {
     /// Per-call cost of a disabled span, nanoseconds (the zero-overhead
     /// contract, measured with no collector installed).
     pub disabled_span_ns: u64,
-    /// Cross-worker steals across the traced batch (subproblems shipped
-    /// as rows to a worker that did not create them).
+    /// Cross-worker steals across the traced batch (subproblems imported
+    /// into the session of a worker that did not create them).
     pub steals: u64,
     /// Percent of the coordinator track's `wide_solve` time attributed
     /// to its named phases (seed + the parallel section), rounded down.

@@ -8,7 +8,7 @@
 //! provided for comparison with gyocro's objective.
 
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use brel_relation::MultiOutputFunction;
 
@@ -30,7 +30,8 @@ impl fmt::Debug for dyn CostFunction {
 
 /// The built-in cost functions plus an escape hatch for user closures.
 /// Clonable (custom closures are reference-counted), so configurations
-/// that embed a `CostFn` can be cloned wholesale.
+/// that embed a `CostFn` can be cloned wholesale, and `Send + Sync`, so an
+/// exploration can be committed from several threads.
 #[derive(Clone, Default)]
 pub enum CostFn {
     /// Sum of the BDD sizes of the outputs (area-oriented; the default).
@@ -50,7 +51,7 @@ pub enum CostFn {
         /// Display name.
         name: String,
         /// The cost closure (shared between clones).
-        eval: Rc<dyn Fn(&MultiOutputFunction) -> u64>,
+        eval: Arc<dyn Fn(&MultiOutputFunction) -> u64 + Send + Sync>,
     },
 }
 
@@ -64,11 +65,11 @@ impl CostFn {
     /// Wraps a closure as a cost function.
     pub fn custom(
         name: impl Into<String>,
-        eval: impl Fn(&MultiOutputFunction) -> u64 + 'static,
+        eval: impl Fn(&MultiOutputFunction) -> u64 + Send + Sync + 'static,
     ) -> Self {
         CostFn::Custom {
             name: name.into(),
-            eval: Rc::new(eval),
+            eval: Arc::new(eval),
         }
     }
 }

@@ -17,10 +17,11 @@
 //!   seed the branch-and-bound with a guaranteed compatible solution;
 //! * [`BrelSolver`] — the recursive solver of Fig. 6 with the partial-BFS
 //!   exploration, cost-based pruning and symmetry pruning of Section 7;
-//! * the [`search`] core it is built on — pluggable [`Frontier`]s
-//!   ([`SearchStrategy::Fifo`]/[`SearchStrategy::Dfs`]/
+//! * the [`search`] core it is built on — one frontier ordered by the
+//!   [`SearchStrategy`] ([`SearchStrategy::Fifo`]/[`SearchStrategy::Dfs`]/
 //!   [`SearchStrategy::BestFirst`] with dominance pruning) and the
-//!   incremental, anytime [`Explorer`] (step/pause/resume on budgets);
+//!   incremental, anytime [`Explorer`] (pop/commit, step/pause/resume on
+//!   budgets);
 //! * customizable [`cost`] functions (sum of BDD sizes, sum of squares,
 //!   cube/literal counts, arbitrary closures);
 //! * the ISF minimization strategies compared in Table 1
@@ -58,8 +59,8 @@ pub use equation::{BooleanSystem, Equation, EquationOperator};
 pub use minimize_isf::{IsfMinimizer, MinimizerKind};
 pub use quick::QuickSolver;
 pub use search::{
-    expand, BestFirstFrontier, CancelToken, DfsFrontier, Expansion, ExploreStatus, Explorer,
-    FifoFrontier, Frontier, SearchStrategy, SharedBound, SplitExpansion, StepOutcome, Subproblem,
+    expand, CancelToken, Expansion, ExploreStatus, Explorer, SearchStrategy, SplitExpansion,
+    StepOutcome, Subproblem,
 };
 pub use solver::{BrelConfig, BrelSolver, Solution, SolveStats, TraceEvent};
 pub use symmetry::{canonical_rows, input_support_mask, relation_fingerprint, SymmetryCache};

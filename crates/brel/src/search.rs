@@ -6,31 +6,35 @@
 //! two. *How* the pending subproblems are ordered is a policy, not part of
 //! the semantics — this module factors that policy out:
 //!
-//! * a [`Subproblem`] is one pending node: a subrelation, its depth and the
+//! * a [`Subproblem`] is one pending node: a subrelation, its depth, the
 //!   lower bound inherited from its parent's MISF-minimized candidate cost
 //!   (constraining a relation further can never beat a candidate obtained
 //!   with strictly more flexibility, the invariant the cost pruning of §7.3
-//!   already relies on);
-//! * a [`Frontier`] stores pending subproblems; [`FifoFrontier`] reproduces
-//!   the paper's partial-BFS order (the default — batch fingerprints are
-//!   unchanged), [`DfsFrontier`] dives depth-first on the most recently
-//!   split half, and [`BestFirstFrontier`] pops the lowest lower bound
-//!   first (ties broken by insertion order) and lets the explorer drop
-//!   popped nodes that can no longer beat the incumbent (dominance
-//!   pruning);
-//! * an [`Explorer`] owns the incumbent, statistics, trace and frontier and
-//!   is *incremental*: [`Explorer::step`] explores one subproblem,
+//!   already relies on) and its admission number `seq`;
+//! * one frontier stores the pending subproblems, ordered by
+//!   `(bound-or-0, seq)`: [`SearchStrategy::Fifo`] pops the lowest `seq`
+//!   (the paper's partial-BFS order and the default — batch fingerprints
+//!   are unchanged), [`SearchStrategy::Dfs`] the highest (it dives on the
+//!   most recently split half), and [`SearchStrategy::BestFirst`] the
+//!   lowest `(lower_bound, seq)`, dropping popped nodes that can no longer
+//!   beat the incumbent (dominance pruning);
+//! * an [`Explorer`] owns the incumbent, statistics, trace and frontier.
+//!   Its transition is [`Explorer::pop`] (the stop checks and dominance)
+//!   followed by [`Explorer::commit`] of the node's [`Expansion`]
+//!   (counters, cost prune, incumbent, child admission). It is
+//!   *incremental*: [`Explorer::step`] explores one subproblem,
 //!   [`Explorer::run_budget`] explores up to a per-call step budget and can
 //!   be resumed, turning the solver into an anytime optimizer — the best
 //!   compatible solution is available after every step;
 //! * [`expand`] is the pure per-node transition (minimize → classify →
-//!   quick-seed → split) shared by the sequential explorer and the engine's
-//!   parallel wide mode, which rehydrates subproblems into per-worker
-//!   managers and calls it remotely.
+//!   quick-seed → split) between a pop and its commit. The engine's wide
+//!   mode runs it on worker threads and commits the results through one
+//!   `Explorer` in pop order, so wide and sequential runs agree by
+//!   construction.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use brel_bdd::GcStats;
@@ -85,15 +89,6 @@ impl SearchStrategy {
             SearchStrategy::BestFirst,
         ]
     }
-
-    /// Instantiates the frontier implementing this strategy.
-    pub fn frontier(&self) -> Box<dyn Frontier> {
-        match self {
-            SearchStrategy::Fifo => Box::new(FifoFrontier::default()),
-            SearchStrategy::Dfs => Box::new(DfsFrontier::default()),
-            SearchStrategy::BestFirst => Box::new(BestFirstFrontier::default()),
-        }
-    }
 }
 
 impl fmt::Display for SearchStrategy {
@@ -113,158 +108,70 @@ pub struct Subproblem {
     /// Lower bound on the cost of any solution in this subtree: the parent's
     /// MISF-minimized candidate cost (0 for the root).
     pub lower_bound: u64,
+    /// Admission number: 0 for the root, then one more per subproblem the
+    /// frontier admits (negative split half first). A pure function of the
+    /// search, so it names the subproblem across threads and runs.
+    pub seq: u64,
 }
 
-/// Storage policy for pending subproblems. Implementations decide *order*
-/// only; budgets, capacity and pruning accounting stay in the [`Explorer`]
-/// so every strategy shares the same split/prune semantics.
-pub trait Frontier: fmt::Debug {
-    /// The strategy this frontier implements (used in reports).
-    fn strategy(&self) -> SearchStrategy;
-
-    /// Adds a pending subproblem.
-    fn push(&mut self, subproblem: Subproblem);
-
-    /// Removes and returns the next subproblem to explore.
-    fn pop(&mut self) -> Option<Subproblem>;
-
-    /// Number of pending subproblems.
-    fn len(&self) -> usize;
-
-    /// `true` if no subproblem is pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the explorer should discard popped subproblems whose lower
-    /// bound can no longer beat the incumbent (dominance pruning). Off for
-    /// FIFO/DFS to preserve their historical exploration order exactly.
-    fn prunes_dominated(&self) -> bool {
-        false
-    }
-}
-
-/// The paper's partial-BFS order: first split, first explored.
-#[derive(Debug, Default)]
-pub struct FifoFrontier {
-    queue: VecDeque<Subproblem>,
-}
-
-impl Frontier for FifoFrontier {
-    fn strategy(&self) -> SearchStrategy {
-        SearchStrategy::Fifo
-    }
-
-    fn push(&mut self, subproblem: Subproblem) {
-        self.queue.push_back(subproblem);
-    }
-
-    fn pop(&mut self) -> Option<Subproblem> {
-        self.queue.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-/// Depth-first order: the most recently split half is explored next.
-#[derive(Debug, Default)]
-pub struct DfsFrontier {
-    stack: Vec<Subproblem>,
-}
-
-impl Frontier for DfsFrontier {
-    fn strategy(&self) -> SearchStrategy {
-        SearchStrategy::Dfs
-    }
-
-    fn push(&mut self, subproblem: Subproblem) {
-        self.stack.push(subproblem);
-    }
-
-    fn pop(&mut self) -> Option<Subproblem> {
-        self.stack.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.stack.len()
-    }
-}
-
-/// Heap entry ordered by `(lower_bound, seq)` with the comparison reversed,
-/// so `BinaryHeap`'s max-pop yields the lowest bound, FIFO among ties.
+/// The pending subproblems, keyed so that the next one to explore is
+/// always the first entry: FIFO on `(0, seq)`, DFS on `(0, !seq)` (highest
+/// `seq` first, the top of a stack) and best-first on `(lower_bound, seq)`
+/// (insertion order among equal bounds, so it degrades to FIFO when every
+/// bound is equal). Order only: budgets, capacity and pruning stay in the
+/// [`Explorer`], so every strategy shares the same split/prune semantics.
 #[derive(Debug)]
-struct Ranked {
-    bound: u64,
-    seq: u64,
-    subproblem: Subproblem,
+struct Frontier {
+    strategy: SearchStrategy,
+    entries: BTreeMap<(u64, u64), Subproblem>,
+    next_seq: u64,
 }
 
-impl PartialEq for Ranked {
-    fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.seq == other.seq
-    }
-}
-
-impl Eq for Ranked {}
-
-impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .bound
-            .cmp(&self.bound)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Best-first order: lowest lower bound first, insertion order among equal
-/// bounds (so it degrades to FIFO when every bound is equal). Enables
-/// dominance pruning in the explorer.
-#[derive(Debug, Default)]
-pub struct BestFirstFrontier {
-    heap: BinaryHeap<Ranked>,
-    seq: u64,
-}
-
-impl Frontier for BestFirstFrontier {
-    fn strategy(&self) -> SearchStrategy {
-        SearchStrategy::BestFirst
+impl Frontier {
+    fn new(strategy: SearchStrategy) -> Self {
+        Frontier {
+            strategy,
+            entries: BTreeMap::new(),
+            next_seq: 0,
+        }
     }
 
-    fn push(&mut self, subproblem: Subproblem) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Ranked {
-            bound: subproblem.lower_bound,
+    fn push(&mut self, relation: BooleanRelation, depth: usize, lower_bound: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = match self.strategy {
+            SearchStrategy::Fifo => (0, seq),
+            SearchStrategy::Dfs => (0, !seq),
+            SearchStrategy::BestFirst => (lower_bound, seq),
+        };
+        let subproblem = Subproblem {
+            relation,
+            depth,
+            lower_bound,
             seq,
-            subproblem,
-        });
+        };
+        self.entries.insert(key, subproblem);
     }
 
     fn pop(&mut self) -> Option<Subproblem> {
-        self.heap.pop().map(|r| r.subproblem)
+        self.entries.pop_first().map(|(_, subproblem)| subproblem)
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
-    fn prunes_dominated(&self) -> bool {
-        true
+    /// The pending subproblems in pop order.
+    fn iter(&self) -> impl Iterator<Item = &Subproblem> {
+        self.entries.values()
     }
 }
 
 /// The outcome of expanding one subproblem: the per-node transition of
 /// Fig. 6, with no frontier or incumbent state attached. Pure with respect
 /// to `(relation, prune_bound)`, which is what lets the engine's wide mode
-/// compute expansions on worker threads and merge them deterministically.
+/// compute expansions on worker threads and commit them in pop order
+/// through [`Explorer::commit`].
 #[derive(Debug)]
 pub struct Expansion {
     /// The MISF-minimized candidate function.
@@ -365,11 +272,10 @@ pub fn expand(
 }
 
 /// A cooperative cancellation flag shared between a driver thread and a
-/// running exploration. Cloning the token shares the flag; any clone can
-/// request cancellation and the [`Explorer`] observes it at the next
-/// [`Explorer::run_budget`] step boundary — between subproblems, never
-/// inside one, so the incumbent in hand stays a valid, verified anytime
-/// solution when the loop returns [`ExploreStatus::Cancelled`].
+/// running job. Cloning the token shares the flag; any clone can request
+/// cancellation, and the engine observes it between exploration steps,
+/// never inside one, so the incumbent in hand stays a valid, verified
+/// anytime solution.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -389,55 +295,6 @@ impl CancelToken {
     /// Whether cancellation has been requested on any clone of this token.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
-    }
-}
-
-/// A cross-thread best-known incumbent cost: a monotonically decreasing
-/// atomic bound shared by several explorations of the *same* relation
-/// (the engine's wide mode gives one to every worker). Cloning shares the
-/// cell. Attached to an [`Explorer`] via [`Explorer::set_shared_bound`],
-/// the bound tightens every prune check — dominance pruning fires the
-/// moment *any* participant improves the incumbent, not just this one —
-/// and every local improvement is published back.
-///
-/// Sharing a bound is sound because pruning is conservative: the bound
-/// only ever decreases, so a prune decision taken against a stale (higher)
-/// value is a decision the tighter bound would also have taken. An
-/// explorer with no shared bound behaves exactly as before.
-#[derive(Debug, Clone, Default)]
-pub struct SharedBound {
-    cell: Arc<AtomicU64>,
-}
-
-impl SharedBound {
-    /// A fresh bound at `u64::MAX` (nothing known yet).
-    pub fn new() -> Self {
-        SharedBound {
-            cell: Arc::new(AtomicU64::new(u64::MAX)),
-        }
-    }
-
-    /// The current best-known cost (`u64::MAX` until first improved).
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Acquire)
-    }
-
-    /// Lowers the bound to `cost` if it improves on the current value
-    /// (compare-and-swap min). Returns whether this call improved it.
-    pub fn improve(&self, cost: u64) -> bool {
-        let mut current = self.cell.load(Ordering::Acquire);
-        while cost < current {
-            match self.cell.compare_exchange_weak(
-                current,
-                cost,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-        false
     }
 }
 
@@ -477,10 +334,6 @@ pub enum ExploreStatus {
     Paused,
     /// The configured `step_deadline` expired (fault-policy truncation).
     DeadlineExpired,
-    /// A [`CancelToken`] attached via [`Explorer::set_cancel_token`] was
-    /// cancelled; the incumbent is kept and the frontier left intact, so
-    /// the caller may still resume if it chooses to.
-    Cancelled,
 }
 
 /// The incremental branch-and-bound exploration: owns the frontier, the
@@ -492,7 +345,7 @@ pub enum ExploreStatus {
 pub struct Explorer {
     config: BrelConfig,
     quick: QuickSolver,
-    frontier: Box<dyn Frontier>,
+    frontier: Frontier,
     symmetry: SymmetryCache,
     root: BooleanRelation,
     gc_before: GcStats,
@@ -500,12 +353,10 @@ pub struct Explorer {
     best_cost: u64,
     stats: SolveStats,
     trace: Vec<TraceEvent>,
-    cancel: Option<CancelToken>,
-    shared_bound: Option<SharedBound>,
 }
 
 impl Explorer {
-    /// Creates an explorer over `relation` with the frontier named by
+    /// Creates an explorer over `relation` with the frontier order named by
     /// `config.strategy`, seeded with the quick solver's compatible
     /// solution.
     ///
@@ -514,21 +365,6 @@ impl Explorer {
     /// Returns [`RelationError::NotWellDefined`] if the relation has no
     /// compatible function.
     pub fn new(config: BrelConfig, relation: &BooleanRelation) -> Result<Self, RelationError> {
-        let frontier = config.strategy.frontier();
-        Explorer::with_frontier(config, relation, frontier)
-    }
-
-    /// Creates an explorer with an explicit (possibly custom) frontier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::NotWellDefined`] if the relation has no
-    /// compatible function.
-    pub fn with_frontier(
-        config: BrelConfig,
-        relation: &BooleanRelation,
-        mut frontier: Box<dyn Frontier>,
-    ) -> Result<Self, RelationError> {
         if !relation.is_well_defined() {
             return Err(RelationError::NotWellDefined);
         }
@@ -546,11 +382,8 @@ impl Explorer {
             trace.push(TraceEvent::Improved { cost: best_cost });
         }
 
-        frontier.push(Subproblem {
-            relation: relation.clone(),
-            depth: 0,
-            lower_bound: 0,
-        });
+        let mut frontier = Frontier::new(config.strategy);
+        frontier.push(relation.clone(), 0, 0);
         stats.frontier_peak = 1;
         let mut symmetry = SymmetryCache::new();
         if config.use_symmetry {
@@ -567,60 +400,62 @@ impl Explorer {
             best_cost,
             stats,
             trace,
-            cancel: None,
-            shared_bound: None,
         })
     }
 
-    /// Attaches a cooperative [`CancelToken`]: [`Explorer::run_budget`]
-    /// checks it between subproblems and returns
-    /// [`ExploreStatus::Cancelled`] once it fires. A single [`step`] call
-    /// never observes the token, so the per-node semantics (and batch
-    /// fingerprints) are unchanged when no driver ever cancels.
-    ///
-    /// [`step`]: Explorer::step
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Attaches a [`SharedBound`]: prune checks tighten to
-    /// `min(local best, shared)` and every local improvement is published.
-    /// The local incumbent *function* still only tracks solutions this
-    /// explorer verified itself — a shared cost can prune, but never
-    /// replace, the incumbent in hand. Publishes the seed cost immediately
-    /// so peers can prune against it.
-    pub fn set_shared_bound(&mut self, bound: SharedBound) {
-        bound.improve(self.best_cost);
-        self.shared_bound = Some(bound);
-    }
-
-    /// The bound prune checks compare against: the local incumbent cost,
-    /// tightened by the shared cross-thread bound when one is attached.
-    fn prune_bound(&self) -> u64 {
-        match &self.shared_bound {
-            Some(shared) => self.best_cost.min(shared.get()),
-            None => self.best_cost,
-        }
-    }
-
-    /// Explores the next subproblem (consuming any dominance-pruned pops on
-    /// the way), or reports exhaustion / budget depletion.
+    /// Explores the next subproblem: [`Explorer::pop`], [`expand`] against
+    /// the incumbent cost, then [`Explorer::commit`]. Reports exhaustion,
+    /// budget depletion or an expired step deadline instead when `pop`
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates [`RelationError::NoSplitPoint`] from [`expand`] (provably
     /// unreachable for well-defined relations).
     pub fn step(&mut self) -> Result<StepOutcome, RelationError> {
+        let subproblem = match self.pop() {
+            Ok(subproblem) => subproblem,
+            Err(stop) => return Ok(stop),
+        };
+        // The per-node span: one `expand` per explored subproblem, tagged
+        // with its depth and the bound it carried out of the frontier.
+        let _span = brel_obs::span!(
+            brel_obs::Category::Search,
+            "expand",
+            "depth" => subproblem.depth,
+            "bound" => subproblem.lower_bound,
+            "index" => self.stats.explored,
+        );
+        let expansion = expand(
+            &self.config.minimizer,
+            &self.config.cost,
+            &self.quick,
+            &subproblem.relation,
+            self.best_cost,
+        )?;
+        Ok(self.commit(subproblem, expansion))
+    }
+
+    /// Takes the next subproblem to explore off the frontier. First the
+    /// stop checks, in order: an empty frontier, the `max_explored` budget,
+    /// the `step_deadline`. Then, under best-first, popped subproblems that
+    /// [`Explorer::is_dominated`] are dropped unexplored on the way.
+    ///
+    /// # Errors
+    ///
+    /// Returns why nothing was popped: [`StepOutcome::Exhausted`],
+    /// [`StepOutcome::BudgetExhausted`] or [`StepOutcome::DeadlineExpired`].
+    pub fn pop(&mut self) -> Result<Subproblem, StepOutcome> {
         loop {
-            if self.frontier.is_empty() {
+            if self.frontier.len() == 0 {
                 self.stats.complete = true;
-                return Ok(StepOutcome::Exhausted);
+                return Err(StepOutcome::Exhausted);
             }
             if let Some(max) = self.config.max_explored {
                 if self.stats.explored >= max {
                     // Budget exhausted: stop exploring, keep the incumbent.
                     self.stats.complete = false;
-                    return Ok(StepOutcome::BudgetExhausted);
+                    return Err(StepOutcome::BudgetExhausted);
                 }
             }
             if let Some(deadline) = self.config.step_deadline {
@@ -629,7 +464,7 @@ impl Explorer {
                     // incumbent is kept, but reported as a deadline so the
                     // engine can classify the job as degraded.
                     self.stats.complete = false;
-                    return Ok(StepOutcome::DeadlineExpired);
+                    return Err(StepOutcome::DeadlineExpired);
                 }
             }
             let subproblem = self.frontier.pop().expect("frontier is non-empty");
@@ -639,7 +474,7 @@ impl Explorer {
                 "depth",
                 subproblem.depth as u64,
             );
-            if self.frontier.prunes_dominated() && subproblem.lower_bound >= self.prune_bound() {
+            if self.is_dominated(&subproblem) {
                 // Dominance: the bound recorded at split time can no longer
                 // beat the (since improved) incumbent. Counted and traced
                 // separately from candidate-cost prunes — this node was
@@ -654,29 +489,32 @@ impl Explorer {
                 }
                 continue;
             }
-            return self.explore(subproblem);
+            return Ok(subproblem);
         }
     }
 
-    fn explore(&mut self, subproblem: Subproblem) -> Result<StepOutcome, RelationError> {
+    /// Whether [`Explorer::pop`] drops `subproblem` unexplored: under
+    /// best-first, its inherited lower bound can no longer beat the
+    /// incumbent. Always `false` for FIFO and DFS, which keep the paper's
+    /// exploration order exactly.
+    pub fn is_dominated(&self, subproblem: &Subproblem) -> bool {
+        self.frontier.strategy == SearchStrategy::BestFirst
+            && subproblem.lower_bound >= self.best_cost
+    }
+
+    /// Commits the expansion of a popped subproblem: counts it, prunes it
+    /// by cost, records an improved incumbent (the compatible candidate, or
+    /// the quick solution of a node that splits) and admits the split
+    /// halves under `fifo_capacity`.
+    ///
+    /// `expansion` is [`expand`] of `subproblem.relation` against a prune
+    /// bound at or above the current incumbent cost. A bound above it (a
+    /// stale snapshot taken before the incumbent improved) commits exactly
+    /// as the current one would: the only extra work it can carry is split
+    /// halves of a candidate the cost prune here discards.
+    pub fn commit(&mut self, subproblem: Subproblem, expansion: Expansion) -> StepOutcome {
         let index = self.stats.explored;
-        // The per-node span: one `expand` per explored subproblem, tagged
-        // with its depth and the bound it carried out of the frontier.
-        let _span = brel_obs::span!(
-            brel_obs::Category::Search,
-            "expand",
-            "depth" => subproblem.depth,
-            "bound" => subproblem.lower_bound,
-            "index" => index,
-        );
         self.stats.explored += 1;
-        let expansion = expand(
-            &self.config.minimizer,
-            &self.config.cost,
-            &self.quick,
-            &subproblem.relation,
-            self.prune_bound(),
-        )?;
         let candidate_cost = expansion.candidate_cost;
         let compatible = expansion.compatible;
         if self.config.trace {
@@ -689,7 +527,7 @@ impl Explorer {
 
         // Prune by cost: constraining the relation further cannot beat a
         // candidate obtained with strictly more flexibility.
-        if candidate_cost >= self.prune_bound() {
+        if candidate_cost >= self.best_cost {
             self.stats.pruned_by_cost += 1;
             brel_obs::event(brel_obs::Category::Search, "pruned_by_cost");
             if self.config.trace {
@@ -698,20 +536,20 @@ impl Explorer {
                     best_cost: self.best_cost,
                 });
             }
-            return Ok(StepOutcome::Explored {
+            return StepOutcome::Explored {
                 candidate_cost,
                 compatible,
                 improved: false,
-            });
+            };
         }
 
         if compatible {
             self.improve(expansion.candidate, candidate_cost);
-            return Ok(StepOutcome::Explored {
+            return StepOutcome::Explored {
                 candidate_cost,
                 compatible,
                 improved: true,
-            });
+            };
         }
 
         let mut improved = false;
@@ -761,27 +599,21 @@ impl Explorer {
                 "depth",
                 (subproblem.depth + 1) as u64,
             );
-            self.frontier.push(Subproblem {
-                relation: child,
-                depth: subproblem.depth + 1,
-                lower_bound: candidate_cost,
-            });
+            self.frontier
+                .push(child, subproblem.depth + 1, candidate_cost);
             self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len());
         }
-        Ok(StepOutcome::Explored {
+        StepOutcome::Explored {
             candidate_cost,
             compatible,
             improved,
-        })
+        }
     }
 
     fn improve(&mut self, function: MultiOutputFunction, cost: u64) {
         self.best = function;
         self.best_cost = cost;
         self.stats.improvements += 1;
-        if let Some(shared) = &self.shared_bound {
-            shared.improve(cost);
-        }
         brel_obs::event_with(brel_obs::Category::Search, "improved", "cost", cost);
         if self.config.trace {
             self.trace.push(TraceEvent::Improved { cost });
@@ -808,9 +640,6 @@ impl Explorer {
     pub fn run_budget(&mut self, max_steps: Option<usize>) -> Result<ExploreStatus, RelationError> {
         let mut steps = 0usize;
         loop {
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Ok(ExploreStatus::Cancelled);
-            }
             if let Some(max) = max_steps {
                 if steps >= max {
                     return Ok(ExploreStatus::Paused);
@@ -861,9 +690,22 @@ impl Explorer {
         self.frontier.len()
     }
 
+    /// The pending subproblems in pop order: the first is the one
+    /// [`Explorer::pop`] takes next, unless a stop check or dominance
+    /// intervenes.
+    pub fn pending(&self) -> impl Iterator<Item = &Subproblem> {
+        self.frontier.iter()
+    }
+
+    /// How many subproblems the frontier has admitted so far, the root
+    /// included — the `seq` the next admitted subproblem gets.
+    pub fn admitted(&self) -> u64 {
+        self.frontier.next_seq
+    }
+
     /// The strategy of the underlying frontier.
     pub fn strategy(&self) -> SearchStrategy {
-        self.frontier.strategy()
+        self.frontier.strategy
     }
 
     /// The configuration driving this exploration.
@@ -933,34 +775,24 @@ mod tests {
     #[test]
     fn frontiers_implement_their_orders() {
         let (_space, r) = fig10();
-        let sp = |bound: u64| Subproblem {
-            relation: r.clone(),
-            depth: 0,
-            lower_bound: bound,
-        };
-        let mut fifo = FifoFrontier::default();
-        let mut dfs = DfsFrontier::default();
-        let mut best = BestFirstFrontier::default();
-        for bound in [5u64, 3, 9, 3] {
-            fifo.push(sp(bound));
-            dfs.push(sp(bound));
-            best.push(sp(bound));
-        }
-        let drain = |f: &mut dyn Frontier| {
-            let mut bounds = Vec::new();
-            while let Some(s) = f.pop() {
-                bounds.push(s.lower_bound);
+        let drain = |strategy: SearchStrategy| {
+            let mut frontier = Frontier::new(strategy);
+            for bound in [5u64, 3, 9, 3] {
+                frontier.push(r.clone(), 0, bound);
             }
-            bounds
+            let listed: Vec<u64> = frontier.iter().map(|s| s.lower_bound).collect();
+            let mut popped = Vec::new();
+            while let Some(s) = frontier.pop() {
+                popped.push(s.lower_bound);
+            }
+            assert_eq!(listed, popped, "{strategy}: listing is pop order");
+            assert_eq!(frontier.len(), 0);
+            popped
         };
-        assert_eq!(drain(&mut fifo), vec![5, 3, 9, 3]);
-        assert_eq!(drain(&mut dfs), vec![3, 9, 3, 5]);
+        assert_eq!(drain(SearchStrategy::Fifo), vec![5, 3, 9, 3]);
+        assert_eq!(drain(SearchStrategy::Dfs), vec![3, 9, 3, 5]);
         // Lowest bound first, insertion order among the two 3s.
-        assert_eq!(drain(&mut best), vec![3, 3, 5, 9]);
-        assert!(fifo.is_empty() && dfs.is_empty() && best.is_empty());
-        assert!(!fifo.prunes_dominated());
-        assert!(!dfs.prunes_dominated());
-        assert!(best.prunes_dominated());
+        assert_eq!(drain(SearchStrategy::BestFirst), vec![3, 3, 5, 9]);
     }
 
     #[test]
@@ -1014,10 +846,8 @@ mod tests {
                     last = explorer.best_cost();
                 }
                 ExploreStatus::Complete => break,
-                ExploreStatus::BudgetExhausted
-                | ExploreStatus::DeadlineExpired
-                | ExploreStatus::Cancelled => {
-                    unreachable!("exact mode has no budget, deadline or token")
+                ExploreStatus::BudgetExhausted | ExploreStatus::DeadlineExpired => {
+                    unreachable!("exact mode has no budget or deadline")
                 }
             }
         }
@@ -1074,108 +904,5 @@ mod tests {
         // A prune bound at or below the candidate cost suppresses the split.
         let pruned = expand(&minimizer, &cost, &quick, &r, a.candidate_cost).unwrap();
         assert!(pruned.split.is_none() && pruned.quick.is_none());
-    }
-
-    #[test]
-    fn cancel_token_stops_run_budget_at_the_step_boundary() {
-        let (_space, r) = fig10();
-        let mut explorer = Explorer::new(BrelConfig::exact(), &r).unwrap();
-        let token = CancelToken::new();
-        explorer.set_cancel_token(token.clone());
-        assert!(!token.is_cancelled());
-        // An uncancelled token never perturbs the search.
-        assert_eq!(explorer.run_budget(Some(1)).unwrap(), ExploreStatus::Paused);
-        assert_eq!(explorer.explored(), 1);
-        // Cancel: the next run returns immediately, incumbent and frontier
-        // intact.
-        token.cancel();
-        assert!(token.is_cancelled());
-        let before = explorer.explored();
-        assert_eq!(explorer.run().unwrap(), ExploreStatus::Cancelled);
-        assert_eq!(explorer.explored(), before, "no step after cancellation");
-        assert!(r.is_compatible(explorer.best()));
-        // The incumbent survives into the final solution.
-        let cancelled_cost = explorer.best_cost();
-        let solution = explorer.into_solution();
-        assert_eq!(solution.cost, cancelled_cost);
-        assert!(!solution.stats.complete);
-    }
-
-    #[test]
-    fn shared_bound_is_a_monotone_atomic_min() {
-        let bound = SharedBound::new();
-        assert_eq!(bound.get(), u64::MAX);
-        assert!(bound.improve(10));
-        assert!(!bound.improve(10), "equal cost is not an improvement");
-        assert!(!bound.improve(12), "the bound never regresses");
-        assert_eq!(bound.get(), 10);
-        // Clones share the cell in both directions.
-        let peer = bound.clone();
-        assert!(peer.improve(7));
-        assert_eq!(bound.get(), 7);
-    }
-
-    #[test]
-    fn shared_bound_tightens_explorer_pruning_and_publishes_improvements() {
-        let (_space, r) = fig10();
-        // Reference: an unshared exact best-first run.
-        let alone = BrelSolver::new(BrelConfig::exact().with_strategy(SearchStrategy::BestFirst))
-            .solve(&r)
-            .unwrap();
-        assert_eq!(alone.cost, 2);
-
-        // A peer holding a cost-1 incumbent prunes this explorer's whole
-        // search down to one bound check: no candidate can beat the bound,
-        // so the root is cost-pruned and nothing ever splits.
-        let bound = SharedBound::new();
-        bound.improve(1);
-        let mut explorer = Explorer::new(
-            BrelConfig::exact().with_strategy(SearchStrategy::BestFirst),
-            &r,
-        )
-        .unwrap();
-        explorer.set_shared_bound(bound.clone());
-        assert_eq!(explorer.run().unwrap(), ExploreStatus::Complete);
-        let bounded = explorer.into_solution();
-        assert!(
-            bounded.stats.explored < alone.stats.explored,
-            "a shared incumbent must prune ({} >= {})",
-            bounded.stats.explored,
-            alone.stats.explored
-        );
-        assert_eq!(bounded.stats.splits, 0, "every candidate is bound-pruned");
-
-        // The reverse direction: local improvements are published, so the
-        // bound ends at the optimum after an unassisted run.
-        let fresh = SharedBound::new();
-        let mut explorer = Explorer::new(
-            BrelConfig::exact().with_strategy(SearchStrategy::BestFirst),
-            &r,
-        )
-        .unwrap();
-        explorer.set_shared_bound(fresh.clone());
-        let seed_cost = explorer.best_cost();
-        assert_eq!(fresh.get(), seed_cost, "attaching publishes the seed");
-        assert_eq!(explorer.run().unwrap(), ExploreStatus::Complete);
-        let published = explorer.into_solution();
-        assert_eq!(published.cost, 2);
-        assert_eq!(fresh.get(), 2);
-    }
-
-    #[test]
-    fn an_unattached_shared_bound_changes_nothing() {
-        let (_space, r) = fig10();
-        let config = BrelConfig::exact().with_strategy(SearchStrategy::BestFirst);
-        let plain = BrelSolver::new(config.clone()).solve(&r).unwrap();
-        let mut explorer = Explorer::new(config, &r).unwrap();
-        explorer.set_shared_bound(SharedBound::new());
-        explorer.run().unwrap();
-        let shared = explorer.into_solution();
-        // A bound nobody else feeds is exactly the local incumbent: the
-        // exploration is step-for-step identical.
-        assert_eq!(shared.cost, plain.cost);
-        assert_eq!(shared.stats.explored, plain.stats.explored);
-        assert_eq!(shared.stats.splits, plain.stats.splits);
-        assert_eq!(shared.stats.pruned_dominated, plain.stats.pruned_dominated);
     }
 }

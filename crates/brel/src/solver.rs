@@ -2,10 +2,10 @@
 //! breadth-first exploration, cost pruning and symmetry pruning of Section 7.
 //!
 //! The solver delegates to the strategy-driven search core of
-//! [`crate::search`]: pending subrelations flow through a pluggable
-//! [`crate::search::Frontier`] (FIFO by default — the paper's partial-BFS
-//! order) and an incremental [`crate::search::Explorer`]. For each explored
-//! subrelation the core:
+//! [`crate::search`]: pending subrelations flow through one frontier
+//! ordered by the [`crate::search::SearchStrategy`] (FIFO by default — the
+//! paper's partial-BFS order) and an incremental
+//! [`crate::search::Explorer`]. For each explored subrelation the core:
 //!
 //! 1. projects the relation onto each output and minimizes the resulting
 //!    MISF output by output (a unate problem),

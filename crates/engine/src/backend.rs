@@ -171,6 +171,23 @@ pub(crate) fn execute_with(
     Ok((report, truncated))
 }
 
+/// The exploration a BREL job asks for: its cost, strategy, budget and
+/// frontier capacity, truncated at the fault policy's `step_deadline`.
+/// Narrow and wide mode both explore under it.
+pub(crate) fn brel_config(
+    cost: CostSpec,
+    budget: &JobBudget,
+    strategy: SearchStrategy,
+    step_deadline: Option<usize>,
+) -> BrelConfig {
+    BrelConfig::default()
+        .with_cost(cost.to_cost_fn())
+        .with_strategy(strategy)
+        .with_max_explored(budget.max_explored)
+        .with_fifo_capacity(budget.fifo_capacity)
+        .with_step_deadline(step_deadline)
+}
+
 /// The BREL attempt as a fault-aware exploration loop: between steps it
 /// fires due injections, checks the wall-clock deadline, and catches the
 /// kernel governor's cooperative unwind ([`Explorer::step_guarded`]).
@@ -183,12 +200,7 @@ fn run_brel_guarded(
     relation: &BooleanRelation,
     ctx: &ExecContext<'_>,
 ) -> Result<(Solution, Option<String>), RelationError> {
-    let config = BrelConfig::default()
-        .with_cost(cost.to_cost_fn())
-        .with_strategy(strategy)
-        .with_max_explored(budget.max_explored)
-        .with_fifo_capacity(budget.fifo_capacity)
-        .with_step_deadline(ctx.step_deadline);
+    let config = brel_config(cost, budget, strategy, ctx.step_deadline);
     let mut explorer = Explorer::new(config, relation)?;
     if let Some(control) = ctx.control {
         // The quick-solver seed is the first incumbent: a valid, verified

@@ -201,8 +201,8 @@ impl WarmSession {
 
     /// Prepares a sized session *without* constructing a relation — the
     /// wide-mode entry point for workers that receive their subproblems
-    /// as in-manager handles (or steal them as rows later) rather than
-    /// rehydrating a spec up front. Reordering is forced off for the
+    /// as in-manager handles (or steal them by structural BDD import)
+    /// rather than rehydrating a spec up front. Reordering is forced off for the
     /// same steal-order-determinism reason as
     /// [`WarmSession::rehydrate_stable`]. Returns the session and
     /// whether the warm path was taken.

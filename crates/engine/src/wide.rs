@@ -2,54 +2,56 @@
 //!
 //! The batch engine's unit of parallelism is the *job* — useless when one
 //! relation dominates the batch. Wide mode parallelizes *inside* one BREL
-//! solve instead, without the round barrier of its first incarnation:
-//! every worker loops over three phases — **commit** ready expansions in
-//! the exact order the sequential explorer would pop them, **claim** a
-//! pending subproblem near the head of the frontier, and **execute** it
-//! speculatively against a snapshot of the shared incumbent bound. There
-//! is no coordinator thread and no round: whichever worker holds the
-//! state lock drives the commit sequence forward, and idle workers steal
-//! work instead of waiting for the slowest expansion of a round.
+//! solve instead: it is the sequential [`Explorer`] with more workers.
+//! Every worker loops over three phases — **commit** ready expansions
+//! through the explorer's [`Explorer::pop`]/[`Explorer::commit`] in the
+//! order it pops them, **claim** a pending subproblem near the head of its
+//! frontier, and **execute** the subproblem's [`expand`] speculatively
+//! against a snapshot of the incumbent cost. There is no coordinator
+//! thread and no round: whichever worker holds the state lock drives the
+//! commit sequence forward, and idle workers steal work instead of waiting
+//! for the slowest expansion.
 //!
 //! Determinism is by construction, not by synchronization:
 //!
-//! * every subproblem carries a stable sequence number assigned at commit
-//!   time (children are numbered in split order by the committing
-//!   worker), so the frontier's pop order is a pure function of the
-//!   search, never of thread timing;
-//! * results only take effect at commit, in pop order — the incumbent,
-//!   the explored/split counters, dominance pruning and child admission
-//!   all advance exactly as a sequential run would;
-//! * a speculative expansion runs against a *snapshot* of the shared
-//!   bound taken when the subproblem was claimed. The bound only tightens
-//!   at commit, so the snapshot is always ≥ the bound the sequential run
-//!   would have used: a stale snapshot can only make the worker compute a
-//!   superset of the needed result (children that commit then discards),
-//!   never a different one.
+//! * the explorer numbers every subproblem with a `seq` at admission, so
+//!   its pop order is a pure function of the search, never of thread
+//!   timing;
+//! * results only take effect at commit, in pop order, through the very
+//!   transition a sequential run uses — the incumbent, the counters,
+//!   dominance pruning and child admission cannot diverge from it;
+//! * a speculative expansion runs against the incumbent cost read when
+//!   its subproblem was claimed. The incumbent only improves at commit, so
+//!   the snapshot is never below the bound the sequential run would have
+//!   used: a stale snapshot can only add split halves that the commit
+//!   discards, never change the result.
 //!
-//! The rows-rehydration tax is gone from the hot path: a subproblem
-//! expanded by the worker that created it reuses that worker's warm
-//! [`brel_bdd::BddSession`] directly (the split halves are kept as live
-//! BDD handles — the kernel is `Send`). Only subproblems *stolen* across
-//! workers ship, lazily at steal time, by structural DAG copy from the
-//! owner's live handle into the stealer's session
+//! What stays here is the parallel machinery: the per-`seq` speculation
+//! table, claiming with owner affinity, structural import on a steal, and
+//! fault containment. A subproblem expanded by the worker that created it
+//! reuses that worker's warm [`brel_bdd::BddSession`] directly (the split
+//! halves stay live BDD handles — the kernel is `Send`). Only subproblems
+//! *stolen* across workers ship, lazily at steal time, by structural DAG
+//! copy from the owner's handle into the stealer's session
 //! ([`brel_bdd::BddSession::import`] — O(shared nodes), no row
 //! enumeration); subproblems below [`WideOptions::steal_threshold`]
 //! input/output pairs are never stolen at all — they stay pinned to
 //! their owner, where re-expanding is cheaper than shipping.
+//!
+//! Lock order: code holding the state lock may take a BDD session's lock
+//! (to clone, size or drop a handle), never the reverse.
 
-use std::collections::BTreeSet;
 use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use brel_bdd::ResourceGovernor;
 use brel_core::{
-    expand, CostFn, CostFunction, IsfMinimizer, QuickSolver, SearchStrategy, SharedBound,
+    expand, CostFn, Expansion, Explorer, IsfMinimizer, QuickSolver, StepOutcome, Subproblem,
 };
 use brel_relation::{BooleanRelation, RelationError, RelationSpace};
 
-use crate::backend::SolutionReport;
+use crate::backend::{brel_config, SolutionReport};
 use crate::control::JobControl;
 use crate::fault::{catch_fault, splitmix64, FaultClass, FaultInjection, FaultKind, InjectedPanic};
 use crate::job::{BackendKind, JobSpec};
@@ -98,72 +100,39 @@ pub struct StaggerPlan {
     pub max_micros: u64,
 }
 
-/// The incumbent's scored metrics (the function itself is re-derivable;
-/// reports only carry numbers).
-#[derive(Debug, Clone, Copy)]
-struct Incumbent {
-    cost: u64,
-    cubes: usize,
-    literals: usize,
-}
-
-/// The committed-form result of one expansion: everything `apply` needs,
-/// with the candidate/quick functions already scored down to numbers.
-/// Cover statistics re-run ISOP, so they are only present when the
-/// commit can actually consume them: the bound at commit is never above
-/// the claim-time snapshot, so a cost at or above the snapshot can never
-/// improve the incumbent and its cover is never scored.
-struct ReadyExpansion {
-    candidate_cost: u64,
-    compatible: bool,
-    /// `(cubes, literals)` of the candidate, iff it can still improve.
-    cover: Option<(usize, usize)>,
-    /// `(cost, cubes, literals)` of the quick solution, iff it can still
-    /// improve.
-    quick: Option<(u64, usize, usize)>,
-    /// Split halves as live handles in the expanding worker's session.
-    children: Option<[BooleanRelation; 2]>,
-}
-
-/// Lifecycle of one frontier entry.
-enum EntryState {
+/// Where one subproblem's speculative expansion stands. A subproblem that
+/// [`Explorer::pop`] drops as dominated keeps its speculation until the
+/// search ends — which is at once: best-first pops the lowest bound, so
+/// once the head is dominated every pending subproblem is, and `pop`
+/// drains the frontier.
+enum Speculation {
     /// Waiting to be claimed.
     Pending,
     /// Claimed by a worker; its expansion is in flight.
     Running,
     /// Expanded; waiting for the commit sequence to reach it.
-    Ready(Box<ReadyExpansion>),
-    /// Dominance-dropped at commit before (or while) expanding.
-    Discarded,
+    Ready(Box<Expansion>),
+    /// Handed to [`Explorer::commit`].
+    Committed,
 }
 
-/// One subproblem. Indexed by its sequence number: `entries[seq]` is the
-/// subproblem whose deterministic identity is `seq` (the root is 0;
-/// children get `entries.len()` at the moment their parent commits,
-/// negative half first).
+/// The speculation of one admitted subproblem; `entries[seq]`.
 struct Entry {
-    depth: usize,
-    lower_bound: u64,
-    /// The worker whose session hosts `relation` (meaningful while
-    /// `relation` is `Some`).
+    /// The worker whose session hosts the subproblem's relation; from its
+    /// claim on, the worker expanding it, whose session will host the
+    /// split halves.
     owner: usize,
-    /// Live handle in the owner's session; taken when claimed.
-    relation: Option<BooleanRelation>,
-    state: EntryState,
+    state: Speculation,
 }
 
 /// Everything the commit sequence owns, guarded by one mutex.
 struct CommitState {
+    /// The search itself: frontier, incumbent and counters.
+    explorer: Explorer,
+    /// The subproblem popped for the next commit, until its expansion is
+    /// ready.
+    head: Option<Subproblem>,
     entries: Vec<Entry>,
-    /// Uncommitted subproblems as `(bound-or-zero, seq)` keys: best-first
-    /// keys on `(lower_bound, seq)`, FIFO/DFS on `(0, seq)` — FIFO pops
-    /// the minimum seq, DFS the maximum (the global sequence counter is
-    /// monotone, so the max key *is* the top of the sequential stack).
-    frontier: BTreeSet<(u64, u64)>,
-    best: Incumbent,
-    explored: usize,
-    splits: usize,
-    frontier_peak: usize,
     done: bool,
     degraded: bool,
     fault: Option<String>,
@@ -174,12 +143,20 @@ struct CommitState {
     quarantine_worker: Option<usize>,
 }
 
-/// The shared search: commit state, a wakeup channel for idle workers,
-/// and the cross-worker incumbent bound (readable without the lock).
+impl CommitState {
+    /// Closes the search on the incumbent as a degraded result. The first
+    /// fault described is the one reported.
+    fn degrade(&mut self, describe: impl FnOnce() -> String) {
+        self.degraded = true;
+        self.fault.get_or_insert_with(describe);
+        self.done = true;
+    }
+}
+
+/// The shared search: commit state and a wakeup channel for idle workers.
 struct Shared {
     state: Mutex<CommitState>,
     work_ready: Condvar,
-    bound: SharedBound,
 }
 
 /// Immutable per-run context threaded to every worker.
@@ -191,337 +168,162 @@ struct RunContext<'a> {
     injections: &'a [&'a FaultInjection],
 }
 
-/// A claimed subproblem, ready to execute outside the lock. On a steal,
-/// `relation` is the *old owner's* handle: the stealer serializes it to
-/// rows, rebuilds in its own session, and drops it — all outside the
-/// state lock.
+/// A claimed subproblem, ready to execute outside the lock. `relation` is
+/// a clone of the frontier's handle; on a steal it lives in the old
+/// owner's session, and the stealer imports it into its own session and
+/// drops the clone — all outside the state lock.
 struct Claimed {
     seq: usize,
     depth: usize,
     lower_bound: u64,
     relation: BooleanRelation,
-    /// Shared-bound snapshot taken at claim time.
+    /// The incumbent cost when the subproblem was claimed.
     snapshot: u64,
     stolen: bool,
 }
 
-fn frontier_key(strategy: SearchStrategy, lower_bound: u64, seq: u64) -> (u64, u64) {
-    match strategy {
-        SearchStrategy::BestFirst => (lower_bound, seq),
-        SearchStrategy::Fifo | SearchStrategy::Dfs => (0, seq),
-    }
-}
-
-/// The key the sequential strategy would pop next.
-fn head_key(frontier: &BTreeSet<(u64, u64)>, strategy: SearchStrategy) -> Option<(u64, u64)> {
-    match strategy {
-        SearchStrategy::Dfs => frontier.iter().next_back().copied(),
-        SearchStrategy::Fifo | SearchStrategy::BestFirst => frontier.iter().next().copied(),
-    }
-}
-
-/// Records a new incumbent (only ever called at commit, under the state
-/// lock, so improvements are serialized and strictly decreasing).
-fn improve(
-    state: &mut CommitState,
-    shared: &Shared,
-    ctx: &RunContext<'_>,
-    cost: u64,
-    cubes: usize,
-    literals: usize,
-) {
-    state.best = Incumbent {
-        cost,
-        cubes,
-        literals,
-    };
-    shared.bound.improve(cost);
-    brel_obs::event_with(brel_obs::Category::Engine, "bound_improve", "cost", cost);
-    if let Some(control) = ctx.control {
-        control.notify_incumbent(cost, state.explored);
-    }
-}
-
-fn discard_entry(entry: &mut Entry, garbage: &mut Vec<BooleanRelation>) {
-    if let Some(handle) = entry.relation.take() {
-        garbage.push(handle);
-    }
-    if let EntryState::Ready(ready) = std::mem::replace(&mut entry.state, EntryState::Discarded) {
-        if let Some(children) = ready.children {
-            garbage.extend(children);
-        }
-    }
-}
-
-/// Applies one committed expansion: counters, incumbent, dominance prune
-/// and child admission — the exact transition the sequential explorer
-/// performs on a popped subproblem.
-fn apply_expansion(
-    state: &mut CommitState,
-    shared: &Shared,
-    ctx: &RunContext<'_>,
-    seq: usize,
-    ready: ReadyExpansion,
-    garbage: &mut Vec<BooleanRelation>,
-) {
-    let depth = state.entries[seq].depth;
-    let owner = state.entries[seq].owner;
-    state.explored += 1;
-    if ready.candidate_cost >= state.best.cost {
-        // Cost-pruned. The expansion may still carry children (it ran
-        // against a stale-but-larger bound snapshot); they are exactly
-        // the work the sequential run would never have produced.
-        if let Some(children) = ready.children {
-            garbage.extend(children);
-        }
-        return;
-    }
-    if ready.compatible {
-        let (cubes, literals) = ready
-            .cover
-            .expect("cover stats exist for any cost below the claim snapshot");
-        improve(state, shared, ctx, ready.candidate_cost, cubes, literals);
-        return;
-    }
-    if let Some((q_cost, q_cubes, q_literals)) = ready.quick {
-        if q_cost < state.best.cost {
-            improve(state, shared, ctx, q_cost, q_cubes, q_literals);
-        }
-    }
-    let children = ready
-        .children
-        .expect("expand splits every unpruned incompatible candidate");
-    state.splits += 1;
-    for child in children {
-        if let Some(cap) = ctx.job.budget.fifo_capacity {
-            if state.frontier.len() >= cap {
-                garbage.push(child);
-                continue;
-            }
-        }
-        let child_seq = state.entries.len() as u64;
-        state.entries.push(Entry {
-            depth: depth + 1,
-            lower_bound: ready.candidate_cost,
-            owner,
-            relation: Some(child),
-            state: EntryState::Pending,
-        });
-        state.frontier.insert(frontier_key(
-            ctx.job.strategy,
-            ready.candidate_cost,
-            child_seq,
-        ));
-        state.frontier_peak = state.frontier_peak.max(state.frontier.len());
-    }
-}
-
-/// Drives the commit sequence as far as it can go: fires injections and
-/// budget/deadline/cancel checks at each expansion index (mirroring the
-/// sequential engine's per-step checks), then commits the frontier head
-/// while it is `Ready`. Returns with the head `Pending`/`Running` (go
-/// speculate) or with `done` set.
-fn commit_ready(
-    state: &mut CommitState,
-    shared: &Shared,
-    ctx: &RunContext<'_>,
-    garbage: &mut Vec<BooleanRelation>,
-) {
+/// Drives the commit sequence as far as it can go. At each expansion
+/// index it fires injections and checks the wall deadline and
+/// cancellation (mirroring the sequential engine's per-step checks), pops
+/// the next subproblem and commits it once its expansion is ready.
+/// Returns with the popped head still in flight (go speculate) or with
+/// `done` set.
+fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
     while !state.done {
+        let explored = state.explorer.explored();
         // Injections fire by equality with the cumulative expansion
         // count — the commit sequence passes through every index, so a
         // plan aimed anywhere in the search fires deterministically,
         // before the next commit and regardless of worker count.
         for injection in ctx.injections {
-            if injection.at_expansion() != state.explored {
+            if injection.at_expansion() != explored || !injection.fire() {
                 continue;
             }
             match injection.kind() {
                 FaultKind::Panic => {
-                    if injection.fire() {
-                        state.degraded = true;
-                        let described = FaultClass::Panicked(
-                            InjectedPanic {
-                                job: injection.job().to_string(),
-                                at_expansion: injection.at_expansion(),
-                            }
-                            .describe(),
-                        )
-                        .describe();
-                        state.fault.get_or_insert(described);
-                        state.quarantine_worker.get_or_insert(0);
-                        state.done = true;
-                    }
+                    let panic = InjectedPanic {
+                        job: injection.job().to_string(),
+                        at_expansion: injection.at_expansion(),
+                    };
+                    state.degrade(|| FaultClass::Panicked(panic.describe()).describe());
+                    state.quarantine_worker.get_or_insert(0);
                 }
                 FaultKind::QuotaTrip => {
-                    if injection.fire() {
-                        state.degraded = true;
-                        state
-                            .fault
-                            .get_or_insert_with(|| FaultClass::Quota.describe());
-                        state.quarantine_worker.get_or_insert(0);
-                        state.done = true;
-                    }
+                    state.degrade(|| FaultClass::Quota.describe());
+                    state.quarantine_worker.get_or_insert(0);
                 }
-                FaultKind::StepDeadline => {
-                    if injection.fire() {
-                        state.degraded = true;
-                        state.fault.get_or_insert_with(|| {
-                            format!(
-                                "injected step deadline at expansion {} of job {}",
-                                injection.at_expansion(),
-                                injection.job()
-                            )
-                        });
-                        state.done = true;
-                    }
-                }
+                FaultKind::StepDeadline => state.degrade(|| {
+                    format!(
+                        "injected step deadline at expansion {} of job {}",
+                        injection.at_expansion(),
+                        injection.job()
+                    )
+                }),
             }
         }
         if state.done {
             return;
         }
-        if state.frontier.is_empty() {
-            state.done = true;
-            return;
-        }
-        if let Some(limit) = ctx.job.fault.step_deadline {
-            if state.explored >= limit {
-                state.degraded = true;
-                let explored = state.explored;
-                state.fault.get_or_insert_with(|| {
-                    format!("step deadline expired after {explored} expansions")
-                });
-                state.done = true;
-                return;
-            }
-        }
         // The wall deadline is timing-dependent by nature; determinism
         // gates use step deadlines instead.
-        if let Some(at) = ctx.deadline {
-            if Instant::now() >= at {
-                state.degraded = true;
-                state
-                    .fault
-                    .get_or_insert_with(|| FaultClass::Deadline.describe());
-                state.done = true;
-                return;
+        if ctx.deadline.is_some_and(|at| Instant::now() >= at) {
+            state.degrade(|| FaultClass::Deadline.describe());
+            return;
+        }
+        if ctx.control.is_some_and(JobControl::is_cancelled) {
+            state.degrade(|| format!("cancelled after {explored} expansions"));
+            return;
+        }
+        if state.head.is_none() {
+            match state.explorer.pop() {
+                Ok(subproblem) => state.head = Some(subproblem),
+                Err(StepOutcome::DeadlineExpired) => {
+                    state.degrade(|| format!("step deadline expired after {explored} expansions"));
+                    return;
+                }
+                Err(_) => {
+                    // Exhausted or out of budget: a clean finish.
+                    state.done = true;
+                    return;
+                }
             }
         }
-        if let Some(control) = ctx.control {
-            if control.is_cancelled() {
-                state.degraded = true;
-                let explored = state.explored;
-                state
-                    .fault
-                    .get_or_insert_with(|| format!("cancelled after {explored} expansions"));
-                state.done = true;
+        let seq = state.head.as_ref().expect("popped above").seq as usize;
+        let entry = &mut state.entries[seq];
+        let expansion = match std::mem::replace(&mut entry.state, Speculation::Committed) {
+            Speculation::Ready(expansion) => expansion,
+            in_flight => {
+                entry.state = in_flight;
                 return;
             }
-        }
-        if let Some(max) = ctx.job.budget.max_explored {
-            if state.explored >= max {
-                // Budget exhausted: stop expanding, keep the incumbent.
-                state.done = true;
-                return;
-            }
-        }
-        let key = head_key(&state.frontier, ctx.job.strategy).expect("frontier checked non-empty");
-        let seq = key.1 as usize;
-        if ctx.job.strategy == SearchStrategy::BestFirst
-            && state.entries[seq].lower_bound >= state.best.cost
+        };
+        let owner = entry.owner;
+        let head = state.head.take().expect("popped above");
+        let outcome = state.explorer.commit(head, *expansion);
+        if let (StepOutcome::Explored { improved: true, .. }, Some(control)) =
+            (outcome, ctx.control)
         {
-            // Dominance: dropped unexplored, like the sequential
-            // best-first frontier — even if a speculative expansion is
-            // in flight or finished (its result is simply discarded).
-            state.frontier.remove(&key);
-            discard_entry(&mut state.entries[seq], garbage);
-            continue;
+            control.notify_incumbent(state.explorer.best_cost(), state.explorer.explored());
         }
-        match state.entries[seq].state {
-            EntryState::Ready(_) => {
-                state.frontier.remove(&key);
-                let prior = std::mem::replace(&mut state.entries[seq].state, EntryState::Discarded);
-                let EntryState::Ready(ready) = prior else {
-                    unreachable!("matched Ready above");
-                };
-                apply_expansion(state, shared, ctx, seq, *ready, garbage);
-            }
-            EntryState::Pending | EntryState::Running => return,
-            EntryState::Discarded => {
-                // Defensive: a discarded entry never stays in the
-                // frontier, but dropping it again is harmless.
-                state.frontier.remove(&key);
-            }
-        }
+        // Admitted split halves live in the expanding worker's session.
+        let admitted = state.explorer.admitted() as usize;
+        state.entries.resize_with(admitted, || Entry {
+            owner,
+            state: Speculation::Pending,
+        });
     }
 }
 
-/// Claims a `Pending`, not best-first-dominated entry within `lookahead`
-/// of the frontier head, in pop order — with owner affinity: a worker
-/// first looks for a subproblem *it* created (whose BDDs sit live in its
-/// own warm session), and only when it owns nothing claimable does it
-/// steal, taking the head-most entry of at least `steal_threshold` pairs.
-/// Affinity changes which worker expands what, never what is expanded:
-/// commits still apply in pop order regardless of who computed them.
-fn claim_work(
-    state: &mut CommitState,
-    w: usize,
-    ctx: &RunContext<'_>,
-    bound: &SharedBound,
-) -> Option<Claimed> {
+/// Claims a `Pending`, not dominated subproblem within `lookahead` of the
+/// frontier head, in pop order — with owner affinity: a worker first looks
+/// for a subproblem *it* created (whose BDDs sit live in its own warm
+/// session), and only when it owns nothing claimable does it steal, taking
+/// the head-most entry of at least `steal_threshold` pairs. Affinity
+/// changes which worker expands what, never what is expanded: commits
+/// still apply in pop order regardless of who computed them.
+fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option<Claimed> {
+    let explorer = &state.explorer;
     let budget_left = ctx
         .job
         .budget
         .max_explored
-        .map_or(usize::MAX, |max| max.saturating_sub(state.explored))
+        .map_or(usize::MAX, |max| max.saturating_sub(explorer.explored()))
         .max(1);
     let limit = ctx.options.lookahead.max(1).min(budget_left);
-    let keys: Vec<(u64, u64)> = match ctx.job.strategy {
-        SearchStrategy::Dfs => state.frontier.iter().rev().take(limit).copied().collect(),
-        SearchStrategy::Fifo | SearchStrategy::BestFirst => {
-            state.frontier.iter().take(limit).copied().collect()
-        }
-    };
+    let window: Vec<&Subproblem> = state
+        .head
+        .iter()
+        .chain(explorer.pending())
+        .take(limit)
+        .collect();
     for steal_pass in [false, true] {
-        for &key in &keys {
-            let seq = key.1 as usize;
-            let best_cost = state.best.cost;
+        for subproblem in &window {
+            let seq = subproblem.seq as usize;
             let entry = &mut state.entries[seq];
-            if !matches!(entry.state, EntryState::Pending) {
+            // A dominated subproblem will be dropped at its pop; not worth
+            // expanding.
+            if !matches!(entry.state, Speculation::Pending) || explorer.is_dominated(subproblem) {
                 continue;
             }
-            if ctx.job.strategy == SearchStrategy::BestFirst && entry.lower_bound >= best_cost {
-                // Will be dominance-dropped at commit; not worth expanding.
-                continue;
-            }
-            let Some(handle) = entry.relation.as_ref() else {
-                continue;
-            };
             let own = entry.owner == w;
             if own == steal_pass {
                 continue;
             }
-            if !own {
-                // Steal gate: `num_pairs` is one sat-count over the
-                // handle's characteristic BDD — cheap enough to ask under
-                // the state lock (the owner's session mutex is a leaf
-                // lock, never held across a wait on the state lock). The
-                // serialization itself happens outside, in the stealer's
-                // loop.
-                if handle.num_pairs() < ctx.options.steal_threshold as u128 {
-                    continue;
-                }
+            // Steal gate: `num_pairs` is one sat-count over the handle's
+            // characteristic BDD — cheap enough to ask under the state
+            // lock. The import itself happens outside, in the stealer's
+            // loop.
+            if !own && subproblem.relation.num_pairs() < ctx.options.steal_threshold as u128 {
+                continue;
             }
-            let relation = entry.relation.take().expect("checked Some above");
             entry.owner = w;
-            entry.state = EntryState::Running;
+            entry.state = Speculation::Running;
             return Some(Claimed {
                 seq,
-                depth: entry.depth,
-                lower_bound: entry.lower_bound,
-                relation,
-                snapshot: bound.get(),
+                depth: subproblem.depth,
+                lower_bound: subproblem.lower_bound,
+                relation: subproblem.relation.clone(),
+                snapshot: explorer.best_cost(),
                 stolen: !own,
             });
         }
@@ -529,15 +331,18 @@ fn claim_work(
     None
 }
 
-/// Runs one speculative expansion in this worker's space and packages
-/// the result for commit. Pure in `(relation, prune_bound)`.
+/// Runs one speculative expansion in this worker's space, under the job's
+/// governor and inside the panic-isolation boundary. Pure in
+/// `(relation, prune_bound)`. The governor is cleared on every path,
+/// faults included, so no later kernel work in this session trips a stale
+/// one.
 fn execute_expand(
     space: &RelationSpace,
     relation: &BooleanRelation,
     cost_fn: &CostFn,
     prune_bound: u64,
     ctx: &RunContext<'_>,
-) -> Result<ReadyExpansion, RelationError> {
+) -> Result<Result<Expansion, RelationError>, FaultClass> {
     let governed = ctx.job.fault.max_live_nodes.is_some() || ctx.deadline.is_some();
     if governed {
         let mut governor = ResourceGovernor::new();
@@ -551,36 +356,11 @@ fn execute_expand(
     }
     let minimizer = IsfMinimizer::default();
     let quick = QuickSolver::new().with_minimizer(minimizer);
-    let result = expand(&minimizer, cost_fn, &quick, relation, prune_bound);
+    let result = catch_fault(|| expand(&minimizer, cost_fn, &quick, relation, prune_bound));
     if governed {
         space.mgr().clear_governor();
     }
-    let expansion = result?;
-    // Scoring a cover re-runs ISOP per output — compute it at most once
-    // per function, and only when the result can still beat the bound
-    // (the bound at commit is never above `prune_bound`, the claim-time
-    // snapshot, so anything at or above it is dead on arrival).
-    let cover = (expansion.compatible && expansion.candidate_cost < prune_bound).then(|| {
-        let cover = expansion.candidate.to_multicover();
-        (cover.num_cubes(), cover.num_literals())
-    });
-    let quick = expansion
-        .quick
-        .as_ref()
-        .filter(|(_, q_cost)| *q_cost < prune_bound)
-        .map(|(q, q_cost)| {
-            let cover = q.to_multicover();
-            (*q_cost, cover.num_cubes(), cover.num_literals())
-        });
-    Ok(ReadyExpansion {
-        candidate_cost: expansion.candidate_cost,
-        compatible: expansion.compatible,
-        cover,
-        quick,
-        children: expansion
-            .split
-            .map(|split| [split.negative, split.positive]),
-    })
+    result
 }
 
 /// One worker's commit / claim / execute loop. Returns when the search
@@ -589,41 +369,31 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
     let _drive = brel_obs::span(brel_obs::Category::Engine, "drive");
     let cost_fn = ctx.job.cost.to_cost_fn();
     loop {
-        let mut garbage: Vec<BooleanRelation> = Vec::new();
-        let mut claimed = None;
-        let mut finished = false;
-        {
-            let mut guard = shared.state.lock().expect("wide state lock");
-            let entries_before = guard.entries.len();
-            commit_ready(&mut guard, shared, ctx, &mut garbage);
-            let committed = guard.entries.len() != entries_before;
-            if guard.done {
-                finished = true;
-            } else {
-                claimed = claim_work(&mut guard, w, ctx, &shared.bound);
-                if claimed.is_none() {
-                    // Nothing claimable: the head is in flight elsewhere.
-                    // Wait (bounded — wakeups also come from commits by
-                    // other workers) and re-drive the commit sequence.
-                    let _idle = brel_obs::span(brel_obs::Category::Engine, "idle");
-                    let (guard, _timeout) = shared
-                        .work_ready
-                        .wait_timeout(guard, Duration::from_millis(25))
-                        .expect("wide state lock");
-                    drop(guard);
-                }
+        let claimed = {
+            let mut state = shared.state.lock().expect("wide state lock");
+            let explored = state.explorer.explored();
+            commit_ready(&mut state, ctx);
+            if state.done {
+                drop(state);
+                shared.work_ready.notify_all();
+                return;
             }
-            if committed {
+            if state.explorer.explored() != explored {
                 shared.work_ready.notify_all();
             }
-        }
-        // BDD handles freed outside the lock: a drop locks the owning
-        // session, which must never nest inside the state lock.
-        drop(garbage);
-        if finished {
-            shared.work_ready.notify_all();
-            return;
-        }
+            let claimed = claim_work(&mut state, w, ctx);
+            if claimed.is_none() {
+                // Nothing claimable: the head is in flight elsewhere.
+                // Wait (bounded — wakeups also come from commits by
+                // other workers) and re-drive the commit sequence.
+                let _idle = brel_obs::span(brel_obs::Category::Engine, "idle");
+                let _wait = shared
+                    .work_ready
+                    .wait_timeout(state, Duration::from_millis(25))
+                    .expect("wide state lock");
+            }
+            claimed
+        };
         let Some(task) = claimed else {
             continue;
         };
@@ -650,17 +420,17 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
             match built {
                 Ok(rebuilt) => relation = rebuilt,
                 Err(error) => {
-                    let mut guard = shared.state.lock().expect("wide state lock");
-                    guard.error.get_or_insert(error);
-                    guard.done = true;
-                    drop(guard);
+                    let mut state = shared.state.lock().expect("wide state lock");
+                    state.error.get_or_insert(error);
+                    state.done = true;
+                    drop(state);
                     shared.work_ready.notify_all();
                     return;
                 }
             }
         }
 
-        let outcome = catch_fault(|| {
+        let outcome = {
             let _span = brel_obs::span!(
                 brel_obs::Category::Engine,
                 "expand",
@@ -668,55 +438,38 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
                 "bound" => task.lower_bound,
             );
             execute_expand(&space, &relation, &cost_fn, task.snapshot, ctx)
-        });
+        };
+        drop(relation);
 
-        let mut garbage: Vec<BooleanRelation> = Vec::new();
-        let mut fatal = false;
-        {
-            let mut guard = shared.state.lock().expect("wide state lock");
+        let fatal = {
+            let mut state = shared.state.lock().expect("wide state lock");
             match outcome {
-                Ok(Ok(ready)) => {
-                    let entry = &mut guard.entries[task.seq];
-                    if matches!(entry.state, EntryState::Discarded) {
-                        // Dominance-dropped while in flight: wasted work
-                        // by design, never wrong work.
-                        if let Some(children) = ready.children {
-                            garbage.extend(children);
-                        }
-                    } else {
-                        entry.state = EntryState::Ready(Box::new(ready));
-                    }
+                Ok(Ok(expansion)) => {
+                    state.entries[task.seq].state = Speculation::Ready(Box::new(expansion));
+                    false
                 }
                 Ok(Err(RelationError::ResourceExhausted(err))) => {
                     // A genuine governor abort: the session may be
                     // mid-operation — degrade the search on the incumbent
                     // and flag this worker's session for quarantine.
-                    guard.degraded = true;
-                    guard
-                        .fault
-                        .get_or_insert_with(|| FaultClass::from_resource(&err).describe());
-                    guard.quarantine_worker.get_or_insert(w);
-                    guard.done = true;
-                    fatal = true;
+                    state.degrade(|| FaultClass::from_resource(&err).describe());
+                    state.quarantine_worker.get_or_insert(w);
+                    true
                 }
                 Ok(Err(error)) => {
-                    guard.error.get_or_insert(error);
-                    guard.done = true;
-                    fatal = true;
+                    state.error.get_or_insert(error);
+                    state.done = true;
+                    true
                 }
                 Err(class) => {
-                    // A genuine panic escaped the expansion: contain it
-                    // like the round-mode worker did — quarantine and
-                    // close the search on the incumbent.
-                    guard.degraded = true;
-                    guard.fault.get_or_insert_with(|| class.describe());
-                    guard.quarantine_worker.get_or_insert(w);
-                    guard.done = true;
-                    fatal = true;
+                    // A genuine panic escaped the expansion: quarantine
+                    // and close the search on the incumbent.
+                    state.degrade(|| class.describe());
+                    state.quarantine_worker.get_or_insert(w);
+                    true
                 }
             }
-        }
-        drop(garbage);
+        };
         shared.work_ready.notify_all();
         if fatal {
             return;
@@ -728,9 +481,13 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// over `sessions` (one worker per session, at least one) and scores it
 /// into the same [`SolutionReport`] shape as the sequential backend. This
 /// is the BREL branch of [`crate::Runner::run`] in wide mode.
-/// Deterministic across worker counts (not across modes: wide commits in
-/// strategy pop order over its own frontier, so `explored`/`splits` may
-/// differ from a narrow run with the same spec).
+///
+/// Under the default kernel configuration the report equals a narrow
+/// run's on every field but the wall time and the `cache`/`gc` kernel
+/// counters (scoped to the seed phase here), at every worker count: both
+/// modes commit through the same [`Explorer`] transition in the same pop
+/// order. (Wide pins automatic reordering off; narrow follows the
+/// environment.)
 ///
 /// It honors the job's [`crate::fault::FaultPolicy`] (the job's wall
 /// `deadline`, node quota, step deadline), cooperative cancellation and
@@ -739,10 +496,6 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// sequence closes, and the report keeps the best incumbent (wide mode
 /// always holds one from the quick seed) with `degraded` set and the first
 /// fault described in the second tuple slot.
-///
-/// Symmetry pruning is not available in wide mode (the symmetry cache is
-/// per-session); jobs run as if `use_symmetry` were off, which is the
-/// engine default.
 ///
 /// # Errors
 ///
@@ -765,48 +518,29 @@ pub(crate) fn search(
     // steal order must never influence).
     let seed_span = brel_obs::span(brel_obs::Category::Engine, "seed");
     let (space0, root, seed_warm) = sessions[0].rehydrate_stable(&job.relation);
-    if !root.is_well_defined() {
-        return Err(RelationError::NotWellDefined);
-    }
-    space0.mgr().reset_peak_live_nodes();
     let before = space0.mgr().stats_snapshot();
-    let cost_fn = job.cost.to_cost_fn();
-    let seed = QuickSolver::new()
-        .with_minimizer(IsfMinimizer::default())
-        .solve(&root)?;
-    let best = Incumbent {
-        cost: cost_fn.cost(&seed),
-        cubes: seed.num_cubes(),
-        literals: seed.num_literals(),
-    };
+    let config = brel_config(job.cost, &job.budget, job.strategy, job.fault.step_deadline);
+    let explorer = Explorer::new(config, &root)?;
     let after = space0.mgr().stats_snapshot();
     // Kernel counters are scoped to the deterministic seed phase: the
     // speculative phase's counters depend on steal order, and the report
     // must stay byte-identical across worker counts.
     let cache = after.cache.delta_since(&before.cache);
     let gc = after.gc.delta_since(&before.gc);
-    drop(seed);
+    drop(root);
     drop(seed_span);
     if let Some(control) = control {
-        control.notify_incumbent(best.cost, 0);
+        control.notify_incumbent(explorer.best_cost(), 0);
     }
 
-    let bound = SharedBound::new();
-    bound.improve(best.cost);
     let shared = Shared {
         state: Mutex::new(CommitState {
+            explorer,
+            head: None,
             entries: vec![Entry {
-                depth: 0,
-                lower_bound: 0,
                 owner: 0,
-                relation: Some(root),
-                state: EntryState::Pending,
+                state: Speculation::Pending,
             }],
-            frontier: BTreeSet::from([frontier_key(job.strategy, 0, 0)]),
-            best,
-            explored: 0,
-            splits: 0,
-            frontier_peak: 1,
             done: false,
             degraded: false,
             fault: None,
@@ -814,7 +548,6 @@ pub(crate) fn search(
             quarantine_worker: None,
         }),
         work_ready: Condvar::new(),
-        bound,
     };
     let ctx = RunContext {
         job,
@@ -868,17 +601,19 @@ pub(crate) fn search(
     if let Some(error) = state.error {
         return Err(error);
     }
-
     drop(solve_span);
+
+    let stats = state.explorer.stats();
+    let cover = state.explorer.best().to_multicover();
     Ok((
         SolutionReport {
             backend: BackendKind::Brel,
-            cost: state.best.cost,
-            cubes: state.best.cubes,
-            literals: state.best.literals,
-            explored: state.explored,
-            splits: state.splits,
-            frontier_peak: state.frontier_peak,
+            cost: state.explorer.best_cost(),
+            cubes: cover.num_cubes(),
+            literals: cover.num_literals(),
+            explored: stats.explored,
+            splits: stats.splits,
+            frontier_peak: stats.frontier_peak,
             strategy: Some(job.strategy),
             cache,
             gc,
@@ -897,6 +632,7 @@ pub(crate) fn search(
 mod tests {
     use super::*;
     use crate::job::{JobBudget, RelationSpec};
+    use brel_core::SearchStrategy;
     use brel_relation::{BooleanRelation, RelationSpace};
     use std::sync::{Arc, Mutex as StdMutex};
 

@@ -6,8 +6,8 @@
 use brel_suite::benchdata::random_relation::random_well_defined_relation;
 use brel_suite::benchdata::table2;
 use brel_suite::engine::{
-    BackendKind, BatchReport, CostSpec, Engine, EngineConfig, JobBudget, JobControl, JobSpec,
-    RelationSpec, Runner, SearchStrategy, WideOptions,
+    BackendKind, BatchReport, CostSpec, Engine, EngineConfig, FaultPolicy, JobBudget, JobControl,
+    JobOutcome, JobSpec, RelationSpec, Runner, SearchStrategy, WideOptions,
 };
 use brel_suite::relation::{BooleanRelation, RelationSpace};
 
@@ -37,24 +37,26 @@ fn mixed_batch() -> Vec<JobSpec> {
         );
     }
     // A paper relation with an unbounded budget and a single-backend job.
-    let space = RelationSpace::new(2, 2);
-    let fig10 =
-        BooleanRelation::from_table(&space, "00:{00,11}\n01:{10}\n10:{01,10}\n11:{11}").unwrap();
     jobs.push(
-        JobSpec::portfolio("fig10", RelationSpec::from_relation(&fig10).unwrap()).with_budget(
-            JobBudget {
-                max_explored: None,
-                fifo_capacity: None,
-                ..JobBudget::default()
-            },
-        ),
+        JobSpec::portfolio("fig10", fig10_spec()).with_budget(JobBudget {
+            max_explored: None,
+            fifo_capacity: None,
+            ..JobBudget::default()
+        }),
     );
     jobs.push(JobSpec::single(
         "fig10_quick",
-        RelationSpec::from_relation(&fig10).unwrap(),
+        fig10_spec(),
         BackendKind::Quick,
     ));
     jobs
+}
+
+fn fig10_spec() -> RelationSpec {
+    let space = RelationSpace::new(2, 2);
+    let fig10 =
+        BooleanRelation::from_table(&space, "00:{00,11}\n01:{10}\n10:{01,10}\n11:{11}").unwrap();
+    RelationSpec::from_relation(&fig10).unwrap()
 }
 
 /// The serving worker's shape: one long-lived `Runner` takes the jobs one
@@ -225,4 +227,82 @@ fn portfolio_mode_picks_per_job_winners() {
         .unwrap();
     assert_eq!(single.attempts.len(), 1);
     assert_eq!(single.winning().unwrap().backend, BackendKind::Quick);
+}
+
+#[test]
+fn wide_batches_match_narrow_batches_but_for_kernel_counters() {
+    // Both modes commit through one `Explorer` transition in one pop
+    // order, so every solver field agrees. Only the kernel counters differ:
+    // wide mode scopes them to its seed phase.
+    let without_kernel_counters = |mut report: BatchReport| {
+        for job in &mut report.jobs {
+            for attempt in &mut job.attempts {
+                attempt.cache = Default::default();
+                attempt.gc = Default::default();
+            }
+        }
+        report.to_json(false)
+    };
+    for strategy in SearchStrategy::all() {
+        let jobs: Vec<JobSpec> = mixed_batch()
+            .into_iter()
+            .map(|j| j.with_strategy(strategy))
+            .collect();
+        let narrow = without_kernel_counters(Engine::with_workers(2).solve_batch(&jobs));
+        for workers in [1usize, 2, 8] {
+            let wide = Engine::with_workers(workers)
+                .with_wide(WideOptions::default())
+                .solve_batch(&jobs);
+            assert_eq!(
+                narrow,
+                without_kernel_counters(wide),
+                "{strategy}: narrow vs wide at {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn budget_and_step_deadline_at_the_same_count_stop_alike_in_both_modes() {
+    // With `max_explored == step_deadline == n` the budget check comes
+    // first: the job is solved, not degraded, in either mode.
+    for strategy in SearchStrategy::all() {
+        for n in 1..=3usize {
+            let job = JobSpec::single("fig10", fig10_spec(), BackendKind::Brel)
+                .with_strategy(strategy)
+                .with_budget(JobBudget {
+                    max_explored: Some(n),
+                    fifo_capacity: None,
+                    ..JobBudget::default()
+                })
+                .with_fault(FaultPolicy {
+                    step_deadline: Some(n),
+                    ..FaultPolicy::default()
+                });
+            let summary = |wide: Option<WideOptions>, num_workers: usize| {
+                let config = EngineConfig {
+                    num_workers,
+                    wide,
+                    reuse: true,
+                };
+                let report = Runner::new(&config, None).run(0, &job, None);
+                let attempt = &report.attempts[0];
+                (
+                    report.outcome,
+                    report.fault.clone(),
+                    attempt.explored,
+                    attempt.degraded,
+                )
+            };
+            let narrow = summary(None, 1);
+            assert_eq!(narrow.0, Some(JobOutcome::Solved), "{strategy}, n = {n}");
+            for workers in [1usize, 2] {
+                assert_eq!(
+                    narrow,
+                    summary(Some(WideOptions::default()), workers),
+                    "{strategy}, n = {n}: narrow vs wide at {workers} workers"
+                );
+            }
+        }
+    }
 }
