@@ -228,8 +228,22 @@ impl BddSession {
     }
 
     fn wrap(&self, id: NodeId) -> Bdd {
+        self.apply(|_| id)
+    }
+
+    /// Runs a closure on the raw manager and returns the node it produces
+    /// as a rooted handle, holding the session lock from the closure
+    /// through the root retain.
+    ///
+    /// This is the safe way to wrap a raw result. A raw id is unrooted
+    /// until it is retained: with [`BddSession::with`] followed by
+    /// [`Bdd::from_node_id`] the lock is released in between, and another
+    /// thread's GC safe point on this session can sweep the node first.
+    /// The same non-reentrancy contract as [`BddSession::with`] applies.
+    pub fn apply(&self, op: impl FnOnce(&mut BddManager) -> NodeId) -> Bdd {
         let slot = {
             let mut m = self.lock();
+            let id = op(&mut m);
             let slot = m.roots.retain(id);
             // The GC safe point: the result is rooted, no raw intermediate
             // id is live, so a pending sweep (or auto-reorder) may run.
@@ -247,9 +261,10 @@ impl BddSession {
     /// The closure runs with the session lock held, and the lock is not
     /// reentrant: calling *any* handle or session method inside it — even
     /// [`Bdd::node_id`], or dropping a `Bdd` — deadlocks. Resolve operand
-    /// ids with [`Bdd::node_id`] *before* calling `with`, work on raw
-    /// [`NodeId`]s inside, and re-wrap results with [`Bdd::from_node_id`]
-    /// afterwards.
+    /// ids with [`Bdd::node_id`] *before* calling `with` and work on raw
+    /// [`NodeId`]s inside. To keep a raw result, return it through
+    /// [`BddSession::apply`] instead, which roots it before the lock is
+    /// released.
     pub fn with<R>(&self, f: impl FnOnce(&mut BddManager) -> R) -> R {
         f(&mut self.lock())
     }
@@ -301,15 +316,13 @@ impl BddSession {
     /// The projection function of variable `var`.
     pub fn var(&self, var: impl Into<Var>) -> Bdd {
         let v = var.into();
-        let id = self.lock().literal(v, true);
-        self.wrap(id)
+        self.apply(|m| m.literal(v, true))
     }
 
     /// The complemented projection function of variable `var`.
     pub fn nvar(&self, var: impl Into<Var>) -> Bdd {
         let v = var.into();
-        let id = self.lock().literal(v, false);
-        self.wrap(id)
+        self.apply(|m| m.literal(v, false))
     }
 
     /// Adds a fresh variable at the bottom of the order.
@@ -432,7 +445,7 @@ impl BddSession {
         // Phase 2: rebuild bottom-up under this session's lock. Terminals
         // are the same ids in every manager; internal nodes resolve
         // through the memo (postorder guarantees children come first).
-        let copied = self.with(|dst| {
+        self.apply(|dst| {
             let mut memo: std::collections::HashMap<NodeId, NodeId> =
                 std::collections::HashMap::with_capacity(nodes.len());
             let resolve = |memo: &std::collections::HashMap<NodeId, NodeId>, id: NodeId| {
@@ -448,8 +461,7 @@ impl BddSession {
                 memo.insert(id, dst.mk(var, lo, hi));
             }
             memo[&root]
-        });
-        self.wrap(copied)
+        })
     }
 
     /// Clears the operation caches of the underlying manager.
@@ -523,6 +535,29 @@ impl Bdd {
         );
     }
 
+    /// Applies a kernel operation to this function's node; see
+    /// [`BddSession::apply`].
+    fn unary(&self, op: impl FnOnce(&mut BddManager, NodeId) -> NodeId) -> Bdd {
+        self.session.apply(|m| {
+            let f = m.roots.node_of(self.slot);
+            op(m, f)
+        })
+    }
+
+    /// Applies a kernel operation to this function's and `other`'s nodes;
+    /// see [`BddSession::apply`].
+    fn binary(
+        &self,
+        other: &Bdd,
+        op: impl FnOnce(&mut BddManager, NodeId, NodeId) -> NodeId,
+    ) -> Bdd {
+        self.assert_same_mgr(other);
+        self.session.apply(|m| {
+            let (f, g) = (m.roots.node_of(self.slot), m.roots.node_of(other.slot));
+            op(m, f, g)
+        })
+    }
+
     /// The session this function belongs to.
     pub fn manager(&self) -> &BddSession {
         &self.session
@@ -538,7 +573,9 @@ impl Bdd {
         self.session.lock().roots.node_of(self.slot)
     }
 
-    /// Rebuilds a handle from a raw node id of the same manager.
+    /// Rebuilds a handle from a raw node id of the same manager. The id
+    /// must still be live: prefer [`BddSession::apply`] for a result that
+    /// was computed under a lock released since.
     pub fn from_node_id(session: &BddSession, id: NodeId) -> Bdd {
         session.wrap(id)
     }
@@ -566,42 +603,27 @@ impl Bdd {
 
     /// Conjunction.
     pub fn and(&self, other: &Bdd) -> Bdd {
-        self.assert_same_mgr(other);
-        let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().and(f, g);
-        self.session.wrap(id)
+        self.binary(other, BddManager::and)
     }
 
     /// Disjunction.
     pub fn or(&self, other: &Bdd) -> Bdd {
-        self.assert_same_mgr(other);
-        let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().or(f, g);
-        self.session.wrap(id)
+        self.binary(other, BddManager::or)
     }
 
     /// Exclusive or.
     pub fn xor(&self, other: &Bdd) -> Bdd {
-        self.assert_same_mgr(other);
-        let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().xor(f, g);
-        self.session.wrap(id)
+        self.binary(other, BddManager::xor)
     }
 
     /// Equivalence (`xnor`).
     pub fn iff(&self, other: &Bdd) -> Bdd {
-        self.assert_same_mgr(other);
-        let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().iff(f, g);
-        self.session.wrap(id)
+        self.binary(other, BddManager::iff)
     }
 
     /// Implication `self → other`.
     pub fn implies(&self, other: &Bdd) -> Bdd {
-        self.assert_same_mgr(other);
-        let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().implies(f, g);
-        self.session.wrap(id)
+        self.binary(other, BddManager::implies)
     }
 
     /// Returns `true` if `self → other` is a tautology (set inclusion of the
@@ -612,9 +634,7 @@ impl Bdd {
 
     /// Negation.
     pub fn complement(&self) -> Bdd {
-        let f = self.node_id();
-        let id = self.session.lock().not(f);
-        self.session.wrap(id)
+        self.unary(BddManager::not)
     }
 
     /// Set difference `self · ¬other`.
@@ -626,55 +646,51 @@ impl Bdd {
     pub fn ite(&self, then_f: &Bdd, else_f: &Bdd) -> Bdd {
         self.assert_same_mgr(then_f);
         self.assert_same_mgr(else_f);
-        let (f, g, h) = (self.node_id(), then_f.node_id(), else_f.node_id());
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "ite");
-        let id = self.session.lock().ite(f, g, h);
-        self.session.wrap(id)
+        self.session.apply(|m| {
+            let (f, g, h) = (
+                m.roots.node_of(self.slot),
+                m.roots.node_of(then_f.slot),
+                m.roots.node_of(else_f.slot),
+            );
+            let _op = brel_obs::span(brel_obs::Category::KernelOp, "ite");
+            m.ite(f, g, h)
+        })
     }
 
     /// Shannon cofactor with respect to `var = value`.
     pub fn cofactor(&self, var: Var, value: bool) -> Bdd {
-        let f = self.node_id();
-        let id = self.session.lock().cofactor(f, var, value);
-        self.session.wrap(id)
+        self.unary(|m, f| m.cofactor(f, var, value))
     }
 
     /// Restriction by a partial assignment.
     pub fn restrict_assignment(&self, assignment: &[(Var, bool)]) -> Bdd {
-        let f = self.node_id();
-        let id = self.session.lock().restrict_assignment(f, assignment);
-        self.session.wrap(id)
+        self.unary(|m, f| m.restrict_assignment(f, assignment))
     }
 
     /// Functional composition: substitute `var` by `g`.
     pub fn compose(&self, var: Var, g: &Bdd) -> Bdd {
-        self.assert_same_mgr(g);
-        let (f, gid) = (self.node_id(), g.node_id());
-        let id = self.session.lock().compose(f, var, gid);
-        self.session.wrap(id)
+        self.binary(g, |m, f, gid| m.compose(f, var, gid))
     }
 
     /// Exchanges two variables.
     pub fn swap_vars(&self, a: Var, b: Var) -> Bdd {
-        let f = self.node_id();
-        let id = self.session.lock().swap_vars(f, a, b);
-        self.session.wrap(id)
+        self.unary(|m, f| m.swap_vars(f, a, b))
     }
 
     /// Existential quantification of `vars`.
     pub fn exists(&self, vars: &[Var]) -> Bdd {
-        let f = self.node_id();
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
-        let id = self.session.lock().exists_many(f, vars);
-        self.session.wrap(id)
+        self.unary(|m, f| {
+            let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
+            m.exists_many(f, vars)
+        })
     }
 
     /// Universal quantification of `vars`.
     pub fn forall(&self, vars: &[Var]) -> Bdd {
-        let f = self.node_id();
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
-        let id = self.session.lock().forall_many(f, vars);
-        self.session.wrap(id)
+        self.unary(|m, f| {
+            let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
+            m.forall_many(f, vars)
+        })
     }
 
     /// The `constrain` generalized cofactor.
@@ -683,10 +699,7 @@ impl Bdd {
     ///
     /// Panics if `care` is the constant-false function.
     pub fn constrain(&self, care: &Bdd) -> Bdd {
-        self.assert_same_mgr(care);
-        let (f, c) = (self.node_id(), care.node_id());
-        let id = self.session.lock().constrain(f, c);
-        self.session.wrap(id)
+        self.binary(care, BddManager::constrain)
     }
 
     /// The `restrict` generalized cofactor.
@@ -695,10 +708,7 @@ impl Bdd {
     ///
     /// Panics if `care` is the constant-false function.
     pub fn restrict(&self, care: &Bdd) -> Bdd {
-        self.assert_same_mgr(care);
-        let (f, c) = (self.node_id(), care.node_id());
-        let id = self.session.lock().restrict(f, c);
-        self.session.wrap(id)
+        self.binary(care, BddManager::restrict)
     }
 
     /// Safe (never-growing) don't-care minimization.
@@ -707,10 +717,7 @@ impl Bdd {
     ///
     /// Panics if `care` is the constant-false function.
     pub fn li_compact(&self, care: &Bdd) -> Bdd {
-        self.assert_same_mgr(care);
-        let (f, c) = (self.node_id(), care.node_id());
-        let id = self.session.lock().li_compact(f, c);
-        self.session.wrap(id)
+        self.binary(care, BddManager::li_compact)
     }
 
     /// Minato–Morreale ISOP for the interval `[self, upper]`.
@@ -892,6 +899,42 @@ mod tests {
         .unwrap();
         assert!(f.eval(&[true, true, false]));
         assert_eq!(session.num_vars(), 3);
+    }
+
+    #[test]
+    fn concurrent_ops_on_one_session_keep_their_results() {
+        // Two threads share one session whose GC runs at every safe point.
+        // An operation's result must be rooted before another thread's
+        // safe point can sweep it.
+        let session = BddSession::with_config(8, 64, BddConfig::new().gc_min_nodes(1));
+        let workers: Vec<_> = (0..2u32)
+            .map(|t| {
+                let session = session.clone();
+                std::thread::spawn(move || {
+                    for round in 0..4000u32 {
+                        let mut f = session.zero();
+                        let mut parity = [false; 8];
+                        for k in 0..4 {
+                            let v = ((round + t + k * 3) % 8) as usize;
+                            f = f.xor(&session.var(Var(v as u32)));
+                            parity[v] ^= true;
+                        }
+                        let assignment: Vec<bool> = (0..8).map(|i| (round >> i) & 1 == 1).collect();
+                        let want = parity
+                            .iter()
+                            .zip(&assignment)
+                            .filter(|(p, a)| **p && **a)
+                            .count()
+                            % 2
+                            == 1;
+                        assert_eq!(f.eval(&assignment), want, "thread {t} round {round}");
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 
     #[test]

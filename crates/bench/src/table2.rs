@@ -208,6 +208,18 @@ mod tests {
     }
 
     #[test]
+    fn repeated_runs_report_identical_solver_metrics() {
+        let metrics = |m: &SolverMetrics| (m.cubes, m.literals, m.algebraic_literals, m.area);
+        let first = run(2);
+        let second = run(2);
+        assert_eq!(first.len(), second.len());
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(metrics(&a.gyocro), metrics(&b.gyocro), "{} gyocro", a.name);
+            assert_eq!(metrics(&a.brel), metrics(&b.brel), "{} brel", a.name);
+        }
+    }
+
+    #[test]
     fn rows_carry_consistent_metrics() {
         let rows = run(3);
         assert_eq!(rows.len(), 3);

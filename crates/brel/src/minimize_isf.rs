@@ -78,8 +78,11 @@ impl IsfMinimizer {
         }
         let result = match self.kind {
             MinimizerKind::Isop => {
-                let isop = lower.isop_interval(&upper);
-                Bdd::from_node_id(lower.manager(), isop.function)
+                let (l, u) = (lower.node_id(), upper.node_id());
+                lower.manager().apply(|m| {
+                    let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
+                    m.isop(l, u).function
+                })
             }
             MinimizerKind::Constrain => {
                 let care = lower.or(&upper.complement());

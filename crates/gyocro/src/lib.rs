@@ -12,7 +12,9 @@
 //! once all the other outputs are fixed, and runs an ESPRESSO-style
 //! reduce–expand–irredundant pass on the output's two-level cover inside
 //! that interval. The loop stops when a full pass over the outputs no
-//! longer improves the `(cubes, literals)` cost.
+//! longer improves the `(cubes, literals)` cost. Each reduce, expand and
+//! irredundant pass costs O(n) BDD ORs per output for a cover of `n` cubes
+//! (see `brel_sop::minimize`).
 //!
 //! This is exactly the kind of local search whose weakness Section 9.1 of
 //! the paper illustrates (Fig. 10): because every move keeps all but one

@@ -3,7 +3,7 @@
 use brel_bdd::Var;
 use brel_core::QuickSolver;
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
-use brel_sop::minimize::{expand, irredundant, reduce, Interval};
+use brel_sop::minimize::{reduce_expand_irredundant, Interval};
 use brel_sop::{Cover, MultiCover};
 
 /// How aggressively cubes are expanded.
@@ -113,27 +113,13 @@ impl GyocroSolver {
                 let isf = constrained.projection(i);
                 let interval = Interval::new(isf.on().clone(), isf.dc());
                 let mut cover = covers[i].clone();
-                match self.config.expand_mode {
-                    ExpandMode::MultiLiteral => {
-                        for _ in 0..self.config.max_inner_iterations {
-                            let before = (cover.num_cubes(), cover.num_literals());
-                            reduce(&mut cover, &interval, &mgr, &input_vars);
-                            expand(&mut cover, &interval, &mgr, &input_vars);
-                            irredundant(&mut cover, &interval, &mgr, &input_vars);
-                            let after = (cover.num_cubes(), cover.num_literals());
-                            if after >= before {
-                                break;
-                            }
-                        }
-                    }
-                    ExpandMode::SingleLiteral => {
-                        // Herb-style: a single reduce/expand/irredundant pass
-                        // per output per outer pass.
-                        reduce(&mut cover, &interval, &mgr, &input_vars);
-                        expand(&mut cover, &interval, &mgr, &input_vars);
-                        irredundant(&mut cover, &interval, &mgr, &input_vars);
-                    }
-                }
+                let iterations = match self.config.expand_mode {
+                    ExpandMode::MultiLiteral => self.config.max_inner_iterations,
+                    // Herb-style: a single reduce/expand/irredundant pass per
+                    // output per outer pass.
+                    ExpandMode::SingleLiteral => 1,
+                };
+                reduce_expand_irredundant(&mut cover, &interval, &mgr, &input_vars, iterations);
                 // Keep the new cover only if it is still a valid
                 // implementation and does not worsen this output.
                 if interval.admits(&cover, &mgr, &input_vars) {

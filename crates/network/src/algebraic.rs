@@ -16,6 +16,7 @@
 //! [`optimize`] chains the first three passes until the literal count stops
 //! improving.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use brel_sop::{Cover, Cube, CubeValue};
@@ -241,7 +242,11 @@ pub fn extract_common_cubes(net: &mut Network) -> Result<usize, NetworkError> {
                 }
             }
         }
-        let Some((&(lit_a, lit_b), &count)) = counts.iter().max_by_key(|(_, &c)| c) else {
+        // The most frequent divisor; ties go to the smallest literal pair, so
+        // the choice does not depend on the map's iteration order.
+        let Some((&(lit_a, lit_b), &count)) =
+            counts.iter().max_by_key(|&(&pair, &c)| (c, Reverse(pair)))
+        else {
             break;
         };
         // Extracting saves (count - 1) literals minus the 2 literals of the
@@ -495,6 +500,32 @@ mod tests {
         assert!(created >= 1);
         assert!(net.literal_count() < before);
         assert!(functional_equivalence(&reference, &net));
+    }
+
+    #[test]
+    fn common_cube_extraction_breaks_ties_on_the_smallest_literal_pair() {
+        // a·b and c·d each occur three times: a tie the pass must break the
+        // same way on every run.
+        let mut net = Network::new("tie");
+        let ins: Vec<SignalId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| net.add_input(n).unwrap())
+            .collect();
+        for name in ["n1", "n2", "n3"] {
+            let n = net
+                .add_node(name, ins.clone(), cover(4, &["--11", "11--"]))
+                .unwrap();
+            net.add_output(n);
+        }
+        for _ in 0..16 {
+            let mut run = net.clone();
+            assert_eq!(extract_common_cubes(&mut run).unwrap(), 2);
+            let first = run.signal("__cx1").unwrap();
+            let SignalKind::Internal { fanins, .. } = run.kind(first) else {
+                panic!()
+            };
+            assert_eq!(fanins, &ins[..2], "a·b is extracted first");
+        }
     }
 
     #[test]

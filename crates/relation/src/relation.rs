@@ -501,7 +501,7 @@ impl BooleanRelation {
         }
         // Levels are read under the same lock the build holds: a reorder
         // only runs at a safe point, never while the lock is held.
-        let root = space.mgr().with(|mgr| {
+        let chi = space.mgr().apply(|mgr| {
             let mut by_level: Vec<Var> = inputs.iter().chain(outputs).copied().collect();
             by_level.sort_unstable_by_key(|&v| mgr.var_level(v));
             let mut bit_of = vec![0; mgr.num_vars()];
@@ -529,7 +529,7 @@ impl BooleanRelation {
         });
         Ok(BooleanRelation {
             space: space.clone(),
-            chi: Bdd::from_node_id(space.mgr(), root),
+            chi,
         })
     }
 }

@@ -218,8 +218,17 @@ impl Cube {
     ///
     /// Panics if `vars` is shorter than the cube width.
     pub fn to_bdd_with_vars(&self, mgr: &BddSession, vars: &[Var]) -> Bdd {
-        let literals: Vec<(Var, bool)> = self
-            .values
+        mgr.cube(&self.literals_with_vars(vars))
+    }
+
+    /// The cube's literals as `(variable, polarity)` pairs, mapping position
+    /// `i` to `vars[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is shorter than the cube width.
+    pub fn literals_with_vars(&self, vars: &[Var]) -> Vec<(Var, bool)> {
+        self.values
             .iter()
             .enumerate()
             .filter_map(|(i, v)| match v {
@@ -227,8 +236,7 @@ impl Cube {
                 CubeValue::One => Some((vars[i], true)),
                 CubeValue::DontCare => None,
             })
-            .collect();
-        mgr.cube(&literals)
+            .collect()
     }
 
     /// Renders the cube in `{0,1,-}` notation.

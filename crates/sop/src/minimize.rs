@@ -7,6 +7,12 @@
 //! implement those three operations for a single-output cover, using BDDs as
 //! the oracle for validity checks (a cube may expand only while it stays
 //! inside `On ∪ Dc`; a cover is valid only while it still covers `On`).
+//!
+//! Each pass is linear in the number of cubes `n`: `reduce` and
+//! `irredundant` build every cube's BDD once and form "all the other cubes"
+//! as a running prefix OR joined with a precomputed suffix OR, so a pass
+//! costs O(n) BDD ORs per output. `expand` tests each candidate cube with
+//! one restriction of the upper bound, without building the cube's BDD.
 
 use brel_bdd::{Bdd, BddSession, Var};
 
@@ -49,7 +55,10 @@ impl Interval {
 /// while the cube stays inside `interval.upper`. Literals are tried in
 /// ascending variable order, matching the greedy single-variable expansion
 /// described for Herb/gyocro in the paper.
-pub fn expand(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
+///
+/// A candidate cube `c` is tested as `upper|c ≡ 1`: one restriction of
+/// `upper` by the cube's literals.
+pub fn expand(cover: &mut Cover, interval: &Interval, _mgr: &BddSession, vars: &[Var]) {
     let upper = &interval.upper;
     let width = cover.width();
     let cubes: Vec<Cube> = cover
@@ -63,8 +72,10 @@ pub fn expand(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[
                 }
                 let mut candidate = best.clone();
                 candidate.set(v, CubeValue::DontCare);
-                let cbdd = candidate.to_bdd_with_vars(mgr, vars);
-                if cbdd.is_subset_of(upper) {
+                if upper
+                    .restrict_assignment(&candidate.literals_with_vars(vars))
+                    .is_one()
+                {
                     best = candidate;
                 }
             }
@@ -76,68 +87,76 @@ pub fn expand(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[
 }
 
 /// Reduces every cube to the smallest cube that still covers the part of
-/// `interval.on` not covered by the other cubes. Cubes that become empty
-/// are dropped.
+/// `interval.on` not covered by the other cubes (the already-reduced
+/// versions of the earlier ones, the original later ones). Cubes whose
+/// required part is empty are kept as they are for `irredundant` to judge.
 pub fn reduce(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
     let width = cover.width();
-    let cubes: Vec<Cube> = cover.cubes().to_vec();
-    let mut result: Vec<Cube> = Vec::new();
+    let cubes = cover.cubes();
+    let bdds: Vec<Bdd> = cubes
+        .iter()
+        .map(|c| c.to_bdd_with_vars(mgr, vars))
+        .collect();
+    let suffix = suffix_ors(mgr, &bdds);
+    // `prefix` is the OR of the reduced cubes so far.
+    let mut prefix = mgr.zero();
+    let mut result: Vec<Cube> = Vec::with_capacity(cubes.len());
     for (i, cube) in cubes.iter().enumerate() {
-        // Required part: on-set minterms inside this cube not covered by the
-        // other cubes (taking already-reduced versions for the earlier ones).
-        let mut others = mgr.zero();
-        for (j, other) in cubes.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let c = if j < result.len() { &result[j] } else { other };
-            others = others.or(&c.to_bdd_with_vars(mgr, vars));
-        }
-        let cube_bdd = cube.to_bdd_with_vars(mgr, vars);
-        let required = interval.on.and(&cube_bdd).diff(&others);
-        if required.is_zero() {
-            // Keep the cube untouched; irredundant removal will decide later.
-            result.push(cube.clone());
-            continue;
-        }
-        // Smallest enclosing cube of `required` within this cube.
+        let others = prefix.or(&suffix[i + 1]);
+        let required = interval.on.and(&bdds[i]).diff(&others);
         let mut reduced = cube.clone();
-        for (pos, &var) in vars.iter().enumerate().take(width) {
-            if reduced.value(pos) != CubeValue::DontCare {
-                continue;
-            }
-            let req0 = required.cofactor(var, false);
-            let req1 = required.cofactor(var, true);
-            if req0.is_zero() {
-                reduced.set(pos, CubeValue::One);
-            } else if req1.is_zero() {
-                reduced.set(pos, CubeValue::Zero);
+        if !required.is_zero() {
+            // Smallest enclosing cube of `required` within this cube.
+            for (pos, &var) in vars.iter().enumerate().take(width) {
+                if reduced.value(pos) != CubeValue::DontCare {
+                    continue;
+                }
+                if required.cofactor(var, false).is_zero() {
+                    reduced.set(pos, CubeValue::One);
+                } else if required.cofactor(var, true).is_zero() {
+                    reduced.set(pos, CubeValue::Zero);
+                }
             }
         }
+        prefix = if reduced == *cube {
+            prefix.or(&bdds[i])
+        } else {
+            prefix.or(&reduced.to_bdd_with_vars(mgr, vars))
+        };
         result.push(reduced);
     }
     *cover = Cover::from_cubes(width, result).expect("reduce preserves the width");
 }
 
-/// Removes cubes not needed to cover `interval.on`.
+/// Removes cubes not needed to cover `interval.on`, visiting them in order:
+/// a cube goes when the cubes kept so far and the cubes after it cover
+/// `on` without it.
 pub fn irredundant(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
     cover.remove_contained_cubes();
-    let mut i = 0;
-    while i < cover.num_cubes() {
-        let mut others = mgr.zero();
-        for (j, c) in cover.cubes().iter().enumerate() {
-            if j != i {
-                others = others.or(&c.to_bdd_with_vars(mgr, vars));
-            }
-        }
-        if interval.on.is_subset_of(&others) {
-            let mut cubes = cover.cubes().to_vec();
-            cubes.remove(i);
-            *cover = Cover::from_cubes(cover.width(), cubes).expect("same width");
-        } else {
-            i += 1;
+    let bdds: Vec<Bdd> = cover
+        .cubes()
+        .iter()
+        .map(|c| c.to_bdd_with_vars(mgr, vars))
+        .collect();
+    let suffix = suffix_ors(mgr, &bdds);
+    let mut kept_or = mgr.zero();
+    let mut kept: Vec<Cube> = Vec::with_capacity(bdds.len());
+    for (i, cube) in cover.cubes().iter().enumerate() {
+        if !interval.on.is_subset_of(&kept_or.or(&suffix[i + 1])) {
+            kept_or = kept_or.or(&bdds[i]);
+            kept.push(cube.clone());
         }
     }
+    *cover = Cover::from_cubes(cover.width(), kept).expect("irredundant preserves the width");
+}
+
+/// `suffix[k]` is the OR of `bdds[k..]`; `suffix[bdds.len()]` is 0.
+fn suffix_ors(mgr: &BddSession, bdds: &[Bdd]) -> Vec<Bdd> {
+    let mut suffix = vec![mgr.zero(); bdds.len() + 1];
+    for k in (0..bdds.len()).rev() {
+        suffix[k] = bdds[k].or(&suffix[k + 1]);
+    }
+    suffix
 }
 
 /// Runs the reduce–expand–irredundant loop until the `(cubes, literals)`
@@ -179,6 +198,205 @@ mod tests {
             rows.iter().map(|r| Cube::parse(r).unwrap()).collect(),
         )
         .unwrap()
+    }
+
+    /// The quadratic `reduce` the linear pass replaced: rebuilds the other
+    /// cubes' OR from scratch for every cube.
+    fn reference_reduce(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
+        let width = cover.width();
+        let cubes: Vec<Cube> = cover.cubes().to_vec();
+        let mut result: Vec<Cube> = Vec::new();
+        for (i, cube) in cubes.iter().enumerate() {
+            let mut others = mgr.zero();
+            for (j, other) in cubes.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let c = if j < result.len() { &result[j] } else { other };
+                others = others.or(&c.to_bdd_with_vars(mgr, vars));
+            }
+            let cube_bdd = cube.to_bdd_with_vars(mgr, vars);
+            let required = interval.on.and(&cube_bdd).diff(&others);
+            if required.is_zero() {
+                result.push(cube.clone());
+                continue;
+            }
+            let mut reduced = cube.clone();
+            for (pos, &var) in vars.iter().enumerate().take(width) {
+                if reduced.value(pos) != CubeValue::DontCare {
+                    continue;
+                }
+                let req0 = required.cofactor(var, false);
+                let req1 = required.cofactor(var, true);
+                if req0.is_zero() {
+                    reduced.set(pos, CubeValue::One);
+                } else if req1.is_zero() {
+                    reduced.set(pos, CubeValue::Zero);
+                }
+            }
+            result.push(reduced);
+        }
+        *cover = Cover::from_cubes(width, result).unwrap();
+    }
+
+    /// The `expand` that built every candidate cube and an `implies` node.
+    fn reference_expand(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
+        let width = cover.width();
+        let cubes: Vec<Cube> = cover
+            .cubes()
+            .iter()
+            .map(|cube| {
+                let mut best = cube.clone();
+                for v in 0..width {
+                    if best.value(v) == CubeValue::DontCare {
+                        continue;
+                    }
+                    let mut candidate = best.clone();
+                    candidate.set(v, CubeValue::DontCare);
+                    if candidate
+                        .to_bdd_with_vars(mgr, vars)
+                        .is_subset_of(&interval.upper)
+                    {
+                        best = candidate;
+                    }
+                }
+                best
+            })
+            .collect();
+        *cover = Cover::from_cubes(width, cubes).unwrap();
+        cover.remove_contained_cubes();
+    }
+
+    /// The quadratic `irredundant` the linear pass replaced.
+    fn reference_irredundant(
+        cover: &mut Cover,
+        interval: &Interval,
+        mgr: &BddSession,
+        vars: &[Var],
+    ) {
+        cover.remove_contained_cubes();
+        let mut i = 0;
+        while i < cover.num_cubes() {
+            let mut others = mgr.zero();
+            for (j, c) in cover.cubes().iter().enumerate() {
+                if j != i {
+                    others = others.or(&c.to_bdd_with_vars(mgr, vars));
+                }
+            }
+            if interval.on.is_subset_of(&others) {
+                let mut cubes = cover.cubes().to_vec();
+                cubes.remove(i);
+                *cover = Cover::from_cubes(cover.width(), cubes).unwrap();
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// SplitMix64: a self-contained seeded stream for the oracle below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn random_cube(rng: &mut SplitMix, width: usize) -> Cube {
+        Cube::new(
+            (0..width)
+                .map(|_| match rng.below(3) {
+                    0 => CubeValue::Zero,
+                    1 => CubeValue::One,
+                    _ => CubeValue::DontCare,
+                })
+                .collect(),
+        )
+    }
+
+    fn random_cover(rng: &mut SplitMix, width: usize, max_cubes: u64) -> Cover {
+        let n = rng.below(max_cubes + 1) as usize;
+        let mut cubes: Vec<Cube> = Vec::with_capacity(n + 2);
+        for _ in 0..n {
+            cubes.push(random_cube(rng, width));
+        }
+        // Duplicate a cube, or add one the others already cover.
+        if !cubes.is_empty() {
+            match rng.below(3) {
+                0 => {
+                    let k = rng.below(cubes.len() as u64) as usize;
+                    cubes.push(cubes[k].clone());
+                }
+                1 => {
+                    let k = rng.below(cubes.len() as u64) as usize;
+                    let mut inner = cubes[k].clone();
+                    for pos in 0..width {
+                        if inner.value(pos) == CubeValue::DontCare && rng.below(2) == 0 {
+                            inner.set(pos, CubeValue::One);
+                        }
+                    }
+                    cubes.insert(rng.below(cubes.len() as u64 + 1) as usize, inner);
+                }
+                _ => {}
+            }
+        }
+        Cover::from_cubes(width, cubes).unwrap()
+    }
+
+    fn texts(cover: &Cover) -> Vec<String> {
+        cover.cubes().iter().map(Cube::to_text).collect()
+    }
+
+    type Pass = fn(&mut Cover, &Interval, &BddSession, &[Var]);
+
+    #[test]
+    fn linear_passes_match_the_quadratic_reference_cube_for_cube() {
+        let mut rng = SplitMix(0x5EED_C0DE);
+        for case in 0..500 {
+            let width = 1 + case % 7;
+            let mgr = BddSession::new(width);
+            let vs = vars(width);
+            // The cover to optimize; an independent random dc; and an onset
+            // that is the cover's function, a random one, or empty.
+            let start = random_cover(&mut rng, width, 7);
+            let dc = random_cover(&mut rng, width, 3).to_bdd(&mgr);
+            let on = match case % 4 {
+                0 => mgr.zero(),
+                1 => random_cover(&mut rng, width, 5).to_bdd(&mgr),
+                _ => start.to_bdd(&mgr),
+            };
+            let interval = Interval::new(on, &dc);
+            let passes: [(&str, Pass, Pass); 3] = [
+                ("reduce", reduce, reference_reduce),
+                ("expand", expand, reference_expand),
+                ("irredundant", irredundant, reference_irredundant),
+            ];
+            // Each pass alone on the start cover, then the chained loop step.
+            let mut chained = start.clone();
+            let mut chained_ref = start.clone();
+            for (name, new, old) in passes {
+                let mut got = start.clone();
+                let mut want = start.clone();
+                new(&mut got, &interval, &mgr, &vs);
+                old(&mut want, &interval, &mgr, &vs);
+                assert_eq!(texts(&got), texts(&want), "case {case}: {name} alone");
+                new(&mut chained, &interval, &mgr, &vs);
+                old(&mut chained_ref, &interval, &mgr, &vs);
+                assert_eq!(
+                    texts(&chained),
+                    texts(&chained_ref),
+                    "case {case}: {name} in the loop"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@ use crate::cube::{Cube, CubeValue};
 use crate::multi::MultiCover;
 use crate::SopError;
 
+/// Largest `.i` or `.o` count [`PlaFile::parse`] accepts. The reader
+/// allocates per-input names and per-output covers from the header alone,
+/// so a header above this bound is rejected before anything is allocated.
+pub const MAX_PLA_WIDTH: usize = 1 << 16;
+
 /// Contents of a PLA description: the onset and don't-care set covers of a
 /// multiple-output function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +48,9 @@ impl PlaFile {
     /// # Errors
     ///
     /// Returns [`SopError::Parse`] on malformed input (unknown directives
-    /// are ignored; missing `.i`/`.o` headers, rows of the wrong width or
-    /// rows with invalid characters are errors).
+    /// are ignored; missing `.i`/`.o` headers, headers above
+    /// [`MAX_PLA_WIDTH`], rows of the wrong width or rows with invalid
+    /// characters are errors).
     pub fn parse(text: &str) -> Result<Self, SopError> {
         let mut num_inputs: Option<usize> = None;
         let mut num_outputs: Option<usize> = None;
@@ -62,10 +68,10 @@ impl PlaFile {
                 let directive = parts.next().unwrap_or("");
                 match directive {
                     "i" => {
-                        num_inputs = Some(parse_usize(parts.next(), lineno)?);
+                        num_inputs = Some(parse_width(parts.next(), lineno)?);
                     }
                     "o" => {
-                        num_outputs = Some(parse_usize(parts.next(), lineno)?);
+                        num_outputs = Some(parse_width(parts.next(), lineno)?);
                     }
                     "ilb" => {
                         input_names = Some(parts.map(str::to_string).collect());
@@ -196,9 +202,18 @@ impl PlaFile {
     }
 }
 
-fn parse_usize(tok: Option<&str>, lineno: usize) -> Result<usize, SopError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| SopError::Parse(format!("line {}: expected a number", lineno + 1)))
+/// Parses an `.i`/`.o` count, rejecting one above [`MAX_PLA_WIDTH`].
+fn parse_width(tok: Option<&str>, lineno: usize) -> Result<usize, SopError> {
+    let n: usize = tok
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| SopError::Parse(format!("line {}: expected a number", lineno + 1)))?;
+    if n > MAX_PLA_WIDTH {
+        return Err(SopError::Parse(format!(
+            "line {}: {n} exceeds the maximum width {MAX_PLA_WIDTH}",
+            lineno + 1
+        )));
+    }
+    Ok(n)
 }
 
 /// Checks whether a cube value is a don't care (helper shared with tests).
@@ -209,6 +224,18 @@ pub fn is_dont_care(v: CubeValue) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_headers_are_parse_errors() {
+        for text in [".i 1\n.o 4000000000\n", ".i 4000000000\n.o 1\n"] {
+            assert!(matches!(PlaFile::parse(text), Err(SopError::Parse(_))));
+        }
+        let at_bound = format!(".i 1\n.o {MAX_PLA_WIDTH}\n");
+        assert_eq!(
+            PlaFile::parse(&at_bound).unwrap().num_outputs,
+            MAX_PLA_WIDTH
+        );
+    }
 
     const SAMPLE: &str = "\
 # two-output sample
