@@ -9,13 +9,13 @@
 //! `u32` arena indices (the node data itself lives in the arena, so a probe
 //! costs one extra cache line at most).
 //!
-//! The operation cache is shared by `ite` and every tagged unary or
-//! quantification operation. It is *lossy*: a colliding insert simply
-//! overwrites the previous entry. Losing an entry only costs a recompute,
-//! never correctness. This mirrors the classical BDD-package design
-//! (CUDD's "computed table") and is what lets `cofactor`, `exists_many` and
-//! friends persist results *across* calls instead of allocating a fresh
-//! memo table per call.
+//! The operation cache is shared by `ite` and every tagged unary,
+//! quantification, generalized-cofactor and ISOP operation. It is
+//! *lossy*: a colliding insert simply overwrites the previous entry.
+//! Losing an entry only costs a recompute, never correctness. This
+//! mirrors the classical BDD-package design (CUDD's "computed table") and
+//! is what lets `cofactor`, `exists_many` and friends persist results
+//! *across* calls instead of allocating a fresh memo table per call.
 //!
 //! Earlier kernel generations argued cache safety from an append-only
 //! arena ("nodes are never garbage collected, so a cached result can never
@@ -25,9 +25,12 @@
 //! anything flushes the operation cache and rebuilds the unique table from
 //! the survivors**, so no entry from a previous epoch survives into one
 //! where its slots may have been reused. Dynamic reordering (see
-//! [`crate::reorder`]) deliberately does *not* flush: the in-place level
-//! swap preserves the Boolean function denoted by every node id, and cache
-//! entries relate ids as functions.
+//! [`crate::reorder`]) keeps most entries: the in-place level swap
+//! preserves the Boolean function denoted by every node id, and entries of
+//! `ite`, quantification, cofactors and renaming relate ids as functions.
+//! The generalized cofactors and ISOP are the exception — their result is
+//! one of many implementations of an interval, chosen by walking the
+//! order — so every order change drops exactly those entries.
 //!
 //! Reclamation also means the unique table must support deletion: removal
 //! marks the slot with a tombstone that probing walks over and insertion
@@ -398,7 +401,20 @@ pub(crate) enum OpTag {
     Restrict = 7,
     RestrictCube = 8,
     LiCompact = 9,
+    Isop = 10,
 }
+
+/// Tags whose cached result depends on the variable order, not only on
+/// the operand functions. `ite`, quantification, cofactors and renaming
+/// compute order-free functions; the generalized cofactors and ISOP pick
+/// one implementation of an interval by walking the order, so an order
+/// change must drop them ([`OpCache::drop_order_dependent`]).
+const ORDER_DEPENDENT_TAGS: [u32; 4] = [
+    OpTag::Constrain as u32,
+    OpTag::Restrict as u32,
+    OpTag::LiCompact as u32,
+    OpTag::Isop as u32,
+];
 
 /// Sentinel tag for an empty cache slot.
 const TAG_EMPTY: u32 = u32::MAX;
@@ -508,6 +524,17 @@ impl OpCache {
     /// Drops every entry, keeping the slot count and counters.
     pub(crate) fn clear(&mut self) {
         self.slots.fill(EMPTY_SLOT);
+    }
+
+    /// Drops the entries whose result depends on the variable order,
+    /// keeping the rest, the slot count and the counters. Called whenever
+    /// the order changes.
+    pub(crate) fn drop_order_dependent(&mut self) {
+        for slot in self.slots.iter_mut() {
+            if ORDER_DEPENDENT_TAGS.contains(&slot.tag) {
+                *slot = EMPTY_SLOT;
+            }
+        }
     }
 
     /// Restores the cold-start state: minimum slot count, auto-growth

@@ -5,9 +5,18 @@
 //! prime and irredundant cover whose function lies within the interval.
 //! This is the default ISF minimizer of the BREL solver (Section 7.5) and
 //! provides the cube/literal counts reported in Tables 1 and 2.
+//!
+//! The recursion is computed once, on functions only
+//! ([`BddManager::isop_function`]), and memoized in the shared operation
+//! cache under its own tag, as CUDD's `cuddBddIsop` does. The solver's ISF
+//! minimizer reads nothing else. [`BddManager::isop`] derives the cubes by
+//! walking the same recursion a second time: every step reads its three
+//! sub-results back from the cache, so the walk only pays for the cubes it
+//! emits. Unlike `ite` or quantification, an ISOP result depends on the
+//! variable order, so a reorder drops the cached entries (see
+//! [`crate::reorder`]).
 
-use std::collections::HashMap;
-
+use crate::cache::OpTag;
 use crate::manager::{BddManager, NodeId, Var};
 
 /// A cube produced by ISOP generation: a conjunction of literals, stored as
@@ -33,20 +42,6 @@ impl IsopCube {
     /// Number of literals in the cube.
     pub fn num_literals(&self) -> usize {
         self.literals.len()
-    }
-
-    /// Returns a copy of the cube extended with one more literal.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the variable already appears in the cube.
-    fn with_literal(&self, var: Var, positive: bool) -> Self {
-        debug_assert!(self.literals.iter().all(|&(v, _)| v != var));
-        let mut literals = Vec::with_capacity(self.literals.len() + 1);
-        literals.push((var, positive));
-        literals.extend_from_slice(&self.literals);
-        literals.sort();
-        IsopCube { literals }
     }
 
     /// Evaluates the cube under a complete assignment indexed by variable.
@@ -97,6 +92,21 @@ impl IsopResult {
     }
 }
 
+/// One Minato–Morreale step on a non-terminal interval: the top variable
+/// and the three sub-intervals, each with its (cached) ISOP function.
+struct IsopStep {
+    var: Var,
+    /// `[l0 ∧ ¬u1, u0]`: minterms only the negative literal can cover.
+    neg: (NodeId, NodeId),
+    /// `[l1 ∧ ¬u0, u1]`: minterms only the positive literal can cover.
+    pos: (NodeId, NodeId),
+    /// `[(l0 ∧ ¬f0) ∨ (l1 ∧ ¬f1), u0 ∧ u1]`: the rest, covered without `var`.
+    rest: (NodeId, NodeId),
+    f0: NodeId,
+    f1: NodeId,
+    fd: NodeId,
+}
+
 impl BddManager {
     /// Computes a prime irredundant cover for the interval `[lower, upper]`
     /// using the Minato–Morreale algorithm.
@@ -105,65 +115,96 @@ impl BddManager {
     ///
     /// Panics if the interval is empty (`lower ⊄ upper`).
     pub fn isop(&mut self, lower: NodeId, upper: NodeId) -> IsopResult {
+        let function = self.isop_function(lower, upper);
+        let mut cubes = Vec::new();
+        self.isop_walk(lower, upper, &mut Vec::new(), &mut cubes);
+        IsopResult { cubes, function }
+    }
+
+    /// The function of the cover [`BddManager::isop`] returns for
+    /// `[lower, upper]`, without building the cubes. Memoized in the
+    /// operation cache, so repeated and overlapping intervals are cheap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is empty (`lower ⊄ upper`).
+    pub fn isop_function(&mut self, lower: NodeId, upper: NodeId) -> NodeId {
         let implication = self.implies(lower, upper);
         assert!(
             implication.is_one(),
             "isop: lower bound must imply the upper bound"
         );
-        let mut memo = HashMap::new();
-        let (cubes, function) = self.isop_rec(lower, upper, &mut memo);
-        IsopResult { cubes, function }
+        self.isop_rec(lower, upper)
     }
 
-    fn isop_rec(
+    fn isop_rec(&mut self, lower: NodeId, upper: NodeId) -> NodeId {
+        if lower.is_zero() {
+            return NodeId::ZERO;
+        }
+        if upper.is_one() {
+            return NodeId::ONE;
+        }
+        if let Some(r) = self.cache.lookup(OpTag::Isop, lower.0, upper.0, 0) {
+            return r;
+        }
+        let step = self.isop_step(lower, upper);
+        let branch = self.mk(step.var, step.f0, step.f1);
+        let r = self.or(branch, step.fd);
+        self.cache.insert(OpTag::Isop, lower.0, upper.0, 0, r);
+        r
+    }
+
+    fn isop_step(&mut self, lower: NodeId, upper: NodeId) -> IsopStep {
+        let top = self.level(lower).min(self.level(upper));
+        let var = self.level_var(top);
+        let (l0, l1) = self.cofactors_at(lower, var);
+        let (u0, u1) = self.cofactors_at(upper, var);
+        // `ite(g, 0, f)` is `f ∧ ¬g` in one cached step.
+        let neg = (self.ite(u1, NodeId::ZERO, l0), u0);
+        let pos = (self.ite(u0, NodeId::ZERO, l1), u1);
+        let f0 = self.isop_rec(neg.0, neg.1);
+        let f1 = self.isop_rec(pos.0, pos.1);
+        let rest0 = self.ite(f0, NodeId::ZERO, l0);
+        let rest1 = self.ite(f1, NodeId::ZERO, l1);
+        let rest = (self.or(rest0, rest1), self.and(u0, u1));
+        let fd = self.isop_rec(rest.0, rest.1);
+        IsopStep {
+            var,
+            neg,
+            pos,
+            rest,
+            f0,
+            f1,
+            fd,
+        }
+    }
+
+    /// Emits the cubes of `[lower, upper]`'s cover in the recursion's
+    /// order (negative branch, positive branch, rest). `prefix` holds the
+    /// literals of the enclosing branches.
+    fn isop_walk(
         &mut self,
         lower: NodeId,
         upper: NodeId,
-        memo: &mut HashMap<(NodeId, NodeId), (Vec<IsopCube>, NodeId)>,
-    ) -> (Vec<IsopCube>, NodeId) {
+        prefix: &mut Vec<(Var, bool)>,
+        cubes: &mut Vec<IsopCube>,
+    ) {
         if lower.is_zero() {
-            return (Vec::new(), NodeId::ZERO);
+            return;
         }
         if upper.is_one() {
-            return (vec![IsopCube::tautology()], NodeId::ONE);
+            let mut literals = prefix.clone();
+            literals.sort_unstable();
+            cubes.push(IsopCube { literals });
+            return;
         }
-        if let Some(r) = memo.get(&(lower, upper)) {
-            return r.clone();
+        let step = self.isop_step(lower, upper);
+        for (branch, positive) in [(step.neg, false), (step.pos, true)] {
+            prefix.push((step.var, positive));
+            self.isop_walk(branch.0, branch.1, prefix, cubes);
+            prefix.pop();
         }
-        let top = self.level(lower).min(self.level(upper));
-        let v = self.level_var(top);
-        let (l0, l1) = self.cofactors_at(lower, v);
-        let (u0, u1) = self.cofactors_at(upper, v);
-
-        // Minterms that can only be covered with the negative literal of v.
-        let not_u1 = self.not(u1);
-        let lv0 = self.and(l0, not_u1);
-        // Minterms that can only be covered with the positive literal of v.
-        let not_u0 = self.not(u0);
-        let lv1 = self.and(l1, not_u0);
-
-        let (cubes0, f0) = self.isop_rec(lv0, u0, memo);
-        let (cubes1, f1) = self.isop_rec(lv1, u1, memo);
-
-        // Remaining onset not yet covered, which may use cubes without v.
-        let nf0 = self.not(f0);
-        let rest0 = self.and(l0, nf0);
-        let nf1 = self.not(f1);
-        let rest1 = self.and(l1, nf1);
-        let l_rest = self.or(rest0, rest1);
-        let u_rest = self.and(u0, u1);
-        let (cubes_d, fd) = self.isop_rec(l_rest, u_rest, memo);
-
-        let mut cubes = Vec::with_capacity(cubes0.len() + cubes1.len() + cubes_d.len());
-        cubes.extend(cubes0.iter().map(|c| c.with_literal(v, false)));
-        cubes.extend(cubes1.iter().map(|c| c.with_literal(v, true)));
-        cubes.extend(cubes_d.iter().cloned());
-
-        let branch = self.mk(v, f0, f1);
-        let function = self.or(branch, fd);
-        let result = (cubes, function);
-        memo.insert((lower, upper), result.clone());
-        result
+        self.isop_walk(step.rest.0, step.rest.1, prefix, cubes);
     }
 
     fn cofactors_at(&mut self, f: NodeId, v: Var) -> (NodeId, NodeId) {
@@ -182,7 +223,167 @@ impl BddManager {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+
+    fn with_literal(cube: &IsopCube, var: Var, positive: bool) -> IsopCube {
+        let mut literals = cube.literals.clone();
+        literals.push((var, positive));
+        literals.sort();
+        IsopCube { literals }
+    }
+
+    type ReferenceMemo = HashMap<(NodeId, NodeId), (Vec<IsopCube>, NodeId)>;
+
+    /// The cube-building recursion the walk replaced: every level builds
+    /// its own cube list, re-sorts each cube as it gains a literal, and
+    /// memoizes whole cube lists in a per-call map.
+    fn isop_reference(m: &mut BddManager, lower: NodeId, upper: NodeId) -> IsopResult {
+        assert!(m.implies(lower, upper).is_one());
+        let (cubes, function) = isop_reference_rec(m, lower, upper, &mut HashMap::new());
+        IsopResult { cubes, function }
+    }
+
+    fn isop_reference_rec(
+        m: &mut BddManager,
+        lower: NodeId,
+        upper: NodeId,
+        memo: &mut ReferenceMemo,
+    ) -> (Vec<IsopCube>, NodeId) {
+        if lower.is_zero() {
+            return (Vec::new(), NodeId::ZERO);
+        }
+        if upper.is_one() {
+            return (vec![IsopCube::tautology()], NodeId::ONE);
+        }
+        if let Some(r) = memo.get(&(lower, upper)) {
+            return r.clone();
+        }
+        let top = m.level(lower).min(m.level(upper));
+        let v = m.level_var(top);
+        let (l0, l1) = m.cofactors_at(lower, v);
+        let (u0, u1) = m.cofactors_at(upper, v);
+        let not_u1 = m.not(u1);
+        let lv0 = m.and(l0, not_u1);
+        let not_u0 = m.not(u0);
+        let lv1 = m.and(l1, not_u0);
+        let (cubes0, f0) = isop_reference_rec(m, lv0, u0, memo);
+        let (cubes1, f1) = isop_reference_rec(m, lv1, u1, memo);
+        let nf0 = m.not(f0);
+        let rest0 = m.and(l0, nf0);
+        let nf1 = m.not(f1);
+        let rest1 = m.and(l1, nf1);
+        let l_rest = m.or(rest0, rest1);
+        let u_rest = m.and(u0, u1);
+        let (cubes_d, fd) = isop_reference_rec(m, l_rest, u_rest, memo);
+        let mut cubes = Vec::new();
+        cubes.extend(cubes0.iter().map(|c| with_literal(c, v, false)));
+        cubes.extend(cubes1.iter().map(|c| with_literal(c, v, true)));
+        cubes.extend(cubes_d.iter().cloned());
+        let branch = m.mk(v, f0, f1);
+        let function = m.or(branch, fd);
+        memo.insert((lower, upper), (cubes.clone(), function));
+        (cubes, function)
+    }
+
+    /// SplitMix64: a deterministic stream for the seeded oracles.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A random function of `n` variables from its truth table, minterm
+    /// `i` set with probability `density / 8`.
+    fn random_function(m: &mut BddManager, n: usize, density: u64, rng: &mut SplitMix) -> NodeId {
+        let mut f = NodeId::ZERO;
+        for bits in 0..(1u32 << n) {
+            if rng.next() % 8 >= density {
+                continue;
+            }
+            let lits: Vec<(Var, bool)> = (0..n)
+                .map(|i| (Var(i as u32), bits & (1 << i) != 0))
+                .collect();
+            let minterm = IsopCube { literals: lits }.to_bdd(m);
+            f = m.or(f, minterm);
+        }
+        f
+    }
+
+    /// A random interval `[lower, upper]` of `n` variables; one in eight
+    /// has `lower = 0` and one in eight `upper = 1`.
+    fn random_interval(m: &mut BddManager, n: usize, rng: &mut SplitMix) -> (NodeId, NodeId) {
+        let a = random_function(m, n, 1 + rng.next() % 6, rng);
+        let b = random_function(m, n, 1 + rng.next() % 6, rng);
+        let lower = if rng.next().is_multiple_of(8) {
+            NodeId::ZERO
+        } else {
+            m.and(a, b)
+        };
+        let upper = if rng.next().is_multiple_of(8) {
+            NodeId::ONE
+        } else {
+            m.or(a, b)
+        };
+        (lower, upper)
+    }
+
+    #[test]
+    fn walk_matches_the_reference_recursion_cube_for_cube() {
+        let mut rng = SplitMix(0x15_0f);
+        let mut checked = 0;
+        for width in 1..=8usize {
+            // One manager per width keeps the op cache warm across
+            // intervals, so cached sub-results from earlier calls are
+            // exercised too.
+            let mut m = BddManager::new(width);
+            let count = if width <= 6 { 450 } else { 300 };
+            for _ in 0..count {
+                let (lower, upper) = random_interval(&mut m, width, &mut rng);
+                let reference = isop_reference(&mut m, lower, upper);
+                let walked = m.isop(lower, upper);
+                assert_eq!(walked.cubes, reference.cubes, "width {width}");
+                assert_eq!(walked.function, reference.function, "width {width}");
+                assert_eq!(m.isop_function(lower, upper), reference.function);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3000);
+    }
+
+    #[test]
+    fn cached_isop_follows_the_order_after_swaps_and_sifting() {
+        let mut rng = SplitMix(0x50_f7);
+        let mut m = BddManager::new(6);
+        let intervals: Vec<(NodeId, NodeId)> = (0..40)
+            .map(|_| random_interval(&mut m, 6, &mut rng))
+            .collect();
+        for &(l, u) in &intervals {
+            m.roots.retain(l);
+            m.roots.retain(u);
+        }
+        let check = |m: &mut BddManager, stage: &str| {
+            for &(l, u) in &intervals {
+                let expected = isop_reference(m, l, u);
+                assert_eq!(m.isop_function(l, u), expected.function, "{stage}");
+                assert_eq!(m.isop(l, u).cubes, expected.cubes, "{stage}");
+            }
+        };
+        check(&mut m, "identity order");
+        for level in [0, 2, 1, 4, 3] {
+            m.swap_adjacent_levels(level);
+            check(&mut m, "after a manual swap");
+        }
+        m.reorder_sift();
+        check(&mut m, "after sifting");
+    }
 
     fn all_assignments(n: usize) -> impl Iterator<Item = Vec<bool>> {
         (0..(1u32 << n)).map(move |bits| (0..n).map(|i| bits & (1 << i) != 0).collect())
@@ -286,9 +487,9 @@ mod tests {
     #[test]
     fn cube_to_bdd_round_trip() {
         let mut m = BddManager::new(4);
-        let cube = IsopCube::tautology()
-            .with_literal(Var(2), false)
-            .with_literal(Var(0), true);
+        let cube = IsopCube {
+            literals: vec![(Var(0), true), (Var(2), false)],
+        };
         let f = cube.to_bdd(&mut m);
         for asg in all_assignments(4) {
             assert_eq!(m.eval(f, &asg), cube.eval(&asg));
@@ -301,9 +502,9 @@ mod tests {
         // longer matches the level order; to_bdd must still build a valid
         // ordered chain.
         let mut m = BddManager::new(4);
-        let cube = IsopCube::tautology()
-            .with_literal(Var(2), false)
-            .with_literal(Var(0), true);
+        let cube = IsopCube {
+            literals: vec![(Var(0), true), (Var(2), false)],
+        };
         m.swap_adjacent_levels(0); // order is now x1 x0 x2 x3
         m.swap_adjacent_levels(1); // order is now x1 x2 x0 x3
         let f = cube.to_bdd(&mut m);

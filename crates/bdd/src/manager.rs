@@ -16,9 +16,9 @@
 //! The memory layer is CUDD-style (see [`crate::cache`]): the unique table
 //! is open-addressed with an Fx-style hash over `(var, lo, hi)`, and one
 //! fixed-size lossy direct-mapped operation cache is shared by `ite` and
-//! the tagged operations (`cofactor`, quantification, renaming and the
-//! generalized cofactors), which persist results across calls instead of
-//! allocating a memo table per call.
+//! the tagged operations (`cofactor`, quantification, renaming, the
+//! generalized cofactors and ISOP), which persist results across calls
+//! instead of allocating a memo table per call.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

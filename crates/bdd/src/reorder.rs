@@ -20,9 +20,17 @@
 //! roots are untouched. The rewritten keys cannot collide: two distinct
 //! canonical nodes denote distinct functions, and rewriting preserves
 //! functions. Old `y`-children that lose their last reference simply stay
-//! in the arena (and unique table) as garbage until the next sweep; the
-//! operation cache also survives, because its entries relate node ids as
-//! *functions*, which the swap preserves.
+//! in the arena (and unique table) as garbage until the next sweep.
+//!
+//! Most of the operation cache survives too, because `ite`,
+//! quantification, cofactor and rename entries relate node ids as
+//! *functions*, which the swap preserves. ISOP and the generalized
+//! cofactors are order-dependent: their result is one implementation of an
+//! interval, picked by walking the order, so a stale entry would hand out
+//! the choice an earlier order made. Every order change therefore drops
+//! those entries — after each public [`BddManager::swap_adjacent_levels`]
+//! and once at the end of a [`BddManager::reorder_sift`] pass (automatic
+//! reordering runs the same pass).
 //!
 //! Complexity note: a swap scans the whole arena for `x`-labelled nodes
 //! and each sifting step re-marks the live set, so a pass costs
@@ -39,12 +47,20 @@ impl BddManager {
     /// Exchanges the variables at levels `upper` and `upper + 1` by
     /// rewriting the affected nodes in place. Every live node id keeps its
     /// function; dead nodes created by the swap are reclaimed by the next
-    /// sweep.
+    /// sweep. Order-dependent cache entries are dropped.
     ///
     /// # Panics
     ///
     /// Panics if `upper + 1` is not a valid level.
     pub fn swap_adjacent_levels(&mut self, upper: u32) {
+        self.swap_levels_in_place(upper);
+        self.cache.drop_order_dependent();
+    }
+
+    /// The swap itself, leaving the operation cache to the caller: a
+    /// sifting pass swaps hundreds of times and drops the order-dependent
+    /// entries once at its end.
+    fn swap_levels_in_place(&mut self, upper: u32) {
         let x = self.level2var[upper as usize];
         let y = self.level2var[upper as usize + 1];
         let end = self.nodes.len();
@@ -126,7 +142,7 @@ impl BddManager {
     /// an intermediate sweep reclaims it (free slots are then reused, so
     /// the arena stops growing for the rest of the pass).
     fn sift_step(&mut self, upper: u32) -> usize {
-        self.swap_adjacent_levels(upper);
+        self.swap_levels_in_place(upper);
         let size = self.reachable_nodes();
         if self.live_nodes() > 4 * size + 4096 {
             self.collect_garbage();
@@ -172,11 +188,11 @@ impl BddManager {
         }
         // …and settle at the best level seen.
         while cur < best_level {
-            self.swap_adjacent_levels(cur);
+            self.swap_levels_in_place(cur);
             cur += 1;
         }
         while cur > best_level {
-            self.swap_adjacent_levels(cur - 1);
+            self.swap_levels_in_place(cur - 1);
             cur -= 1;
         }
     }
@@ -187,7 +203,8 @@ impl BddManager {
     /// behind. Returns the number of live decision nodes afterwards.
     ///
     /// Node ids of reachable nodes keep their functions, so `Bdd` handles
-    /// and cached results stay valid; sizes of individual functions may
+    /// and order-free cached results stay valid (order-dependent ones are
+    /// dropped); sizes of individual functions may
     /// change (that is the point), so callers that cache size-derived
     /// costs must recompute them.
     pub fn reorder_sift(&mut self) -> usize {
@@ -204,6 +221,7 @@ impl BddManager {
             for v in vars {
                 self.sift_one(v);
             }
+            self.cache.drop_order_dependent();
             self.gc.reorder_passes += 1;
         }
         self.collect_garbage();

@@ -7,7 +7,7 @@
 //! greedy elimination of non-essential variables, and selects ISOP with
 //! variable elimination as the default.
 
-use brel_bdd::Bdd;
+use brel_bdd::{Bdd, BddManager, NodeId};
 use brel_relation::Isf;
 
 /// The underlying don't-care exploitation method.
@@ -22,6 +22,32 @@ pub enum MinimizerKind {
     Restrict,
     /// Safe (never-growing) BDD minimization, in the spirit of LICompact.
     LiCompact,
+}
+
+impl MinimizerKind {
+    /// Picks a function in the non-empty interval `[lower, upper]`.
+    fn pick(self, m: &mut BddManager, lower: NodeId, upper: NodeId) -> NodeId {
+        let cofactor: fn(&mut BddManager, NodeId, NodeId) -> NodeId = match self {
+            MinimizerKind::Isop => {
+                let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
+                return m.isop_function(lower, upper);
+            }
+            MinimizerKind::Constrain => BddManager::constrain,
+            MinimizerKind::Restrict => BddManager::restrict,
+            MinimizerKind::LiCompact => BddManager::li_compact,
+        };
+        let not_upper = m.not(upper);
+        let care = m.or(lower, not_upper);
+        if care.is_zero() {
+            return lower;
+        }
+        let candidate = cofactor(m, lower, care);
+        // Generalized cofactors guarantee agreement on the care set but may
+        // stray outside the interval on the don't-care set only in
+        // pathological orderings; clamp back into the interval to be safe.
+        let widened = m.or(candidate, lower);
+        m.and(widened, upper)
+    }
 }
 
 /// An ISF minimizer: a [`MinimizerKind`] plus the optional non-essential
@@ -62,62 +88,30 @@ impl IsfMinimizer {
 
     /// Minimizes the ISF: returns a completely specified function lying in
     /// the interval `[on, on ∪ dc]`.
+    ///
+    /// Once the interval's node ids are resolved, the whole minimization —
+    /// the elimination pre-pass, the strategy and the clamp — runs on raw
+    /// node ids in one [`brel_bdd::BddSession::apply`].
     pub fn minimize(&self, isf: &Isf) -> Bdd {
-        let (mut lower, mut upper) = (isf.on().clone(), isf.upper());
-        if self.eliminate_non_essential {
-            // Greedily drop variables (top to bottom of the order) as long as
-            // the interval [∃z lower, ∀z upper] stays non-empty.
-            for &z in isf.space().input_vars() {
-                let lower_q = lower.exists(&[z]);
-                let upper_q = upper.forall(&[z]);
-                if lower_q.is_subset_of(&upper_q) {
-                    lower = lower_q;
-                    upper = upper_q;
+        let (on, dc) = (isf.on().node_id(), isf.dc().node_id());
+        let inputs = isf.space().input_vars();
+        isf.space().mgr().apply(|m| {
+            let (mut lower, mut upper) = (on, m.or(on, dc));
+            if self.eliminate_non_essential {
+                // Greedily drop variables (top to bottom of the order) as
+                // long as the interval [∃z lower, ∀z upper] stays non-empty.
+                for &z in inputs {
+                    let (lower_q, upper_q) = (m.exists(lower, z), m.forall(upper, z));
+                    if m.implies(lower_q, upper_q).is_one() {
+                        lower = lower_q;
+                        upper = upper_q;
+                    }
                 }
             }
-        }
-        let result = match self.kind {
-            MinimizerKind::Isop => {
-                let (l, u) = (lower.node_id(), upper.node_id());
-                lower.manager().apply(|m| {
-                    let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
-                    m.isop(l, u).function
-                })
-            }
-            MinimizerKind::Constrain => {
-                let care = lower.or(&upper.complement());
-                if care.is_zero() {
-                    lower.clone()
-                } else {
-                    Self::clamp(lower.constrain(&care), &lower, &upper)
-                }
-            }
-            MinimizerKind::Restrict => {
-                let care = lower.or(&upper.complement());
-                if care.is_zero() {
-                    lower.clone()
-                } else {
-                    Self::clamp(lower.restrict(&care), &lower, &upper)
-                }
-            }
-            MinimizerKind::LiCompact => {
-                let care = lower.or(&upper.complement());
-                if care.is_zero() {
-                    lower.clone()
-                } else {
-                    Self::clamp(lower.li_compact(&care), &lower, &upper)
-                }
-            }
-        };
-        debug_assert!(lower.is_subset_of(&result) && result.is_subset_of(&upper));
-        result
-    }
-
-    /// Generalized cofactors guarantee agreement on the care set but may
-    /// stray outside the interval on the don't-care set only in pathological
-    /// orderings; clamp back into the interval to be safe.
-    fn clamp(candidate: Bdd, lower: &Bdd, upper: &Bdd) -> Bdd {
-        candidate.or(lower).and(upper)
+            let result = self.kind.pick(m, lower, upper);
+            debug_assert!(m.implies(lower, result).is_one() && m.implies(result, upper).is_one());
+            result
+        })
     }
 
     /// The four strategy combinations compared in Table 1 of the paper, in
@@ -158,6 +152,85 @@ impl IsfMinimizer {
 mod tests {
     use super::*;
     use brel_relation::RelationSpace;
+
+    /// The handle-based minimizer the one-lock version replaced: every
+    /// quantification, test and connective is its own handle operation.
+    fn minimize_reference(strategy: &IsfMinimizer, isf: &Isf) -> Bdd {
+        let (mut lower, mut upper) = (isf.on().clone(), isf.upper());
+        if strategy.eliminate_non_essential {
+            for &z in isf.space().input_vars() {
+                let lower_q = lower.exists(&[z]);
+                let upper_q = upper.forall(&[z]);
+                if lower_q.is_subset_of(&upper_q) {
+                    lower = lower_q;
+                    upper = upper_q;
+                }
+            }
+        }
+        let clamp = |candidate: Bdd| candidate.or(&lower).and(&upper);
+        let care = lower.or(&upper.complement());
+        match strategy.kind {
+            MinimizerKind::Isop => {
+                let (l, u) = (lower.node_id(), upper.node_id());
+                isf.space().mgr().apply(|m| m.isop(l, u).function)
+            }
+            _ if care.is_zero() => lower.clone(),
+            MinimizerKind::Constrain => clamp(lower.constrain(&care)),
+            MinimizerKind::Restrict => clamp(lower.restrict(&care)),
+            MinimizerKind::LiCompact => clamp(lower.li_compact(&care)),
+        }
+    }
+
+    /// SplitMix64: a deterministic stream for the seeded oracle.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A random ISF over the inputs of `space`: every input vertex is on,
+    /// off or don't care.
+    fn random_isf(space: &RelationSpace, rng: &mut SplitMix) -> Isf {
+        let n = space.num_inputs();
+        let (mut on, mut dc) = (space.mgr().zero(), space.mgr().zero());
+        let (on_share, dc_share) = (rng.next() % 5, rng.next() % 5);
+        for bits in 0..(1u32 << n) {
+            let literals: Vec<_> = (0..n)
+                .map(|i| (space.input_var(i), bits & (1 << i) != 0))
+                .collect();
+            let roll = rng.next() % 8;
+            if roll < on_share {
+                on = on.or(&space.mgr().cube(&literals));
+            } else if roll < on_share + dc_share {
+                dc = dc.or(&space.mgr().cube(&literals));
+            }
+        }
+        Isf::new(space, on, dc)
+    }
+
+    #[test]
+    fn one_lock_minimizer_matches_the_handle_reference_node_for_node() {
+        let mut rng = SplitMix(0x0157_f00d);
+        for inputs in 1..=5 {
+            let space = RelationSpace::new(inputs, 2);
+            for _ in 0..60 {
+                let isf = random_isf(&space, &mut rng);
+                for (name, strategy) in IsfMinimizer::table1_strategies() {
+                    assert_eq!(
+                        strategy.minimize(&isf),
+                        minimize_reference(&strategy, &isf),
+                        "{name} on {inputs} inputs"
+                    );
+                }
+            }
+        }
+    }
 
     fn sample_isf(space: &RelationSpace) -> Isf {
         let a = space.input(0);

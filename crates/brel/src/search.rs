@@ -7,17 +7,22 @@
 //! the semantics — this module factors that policy out:
 //!
 //! * a [`Subproblem`] is one pending node: a subrelation, its depth, the
-//!   lower bound inherited from its parent's MISF-minimized candidate cost
-//!   (constraining a relation further can never beat a candidate obtained
-//!   with strictly more flexibility, the invariant the cost pruning of §7.3
-//!   already relies on) and its admission number `seq`;
+//!   priority inherited from its parent's MISF-minimized candidate cost
+//!   (the field is named `lower_bound`, but it is a heuristic, not a
+//!   bound: the heuristic ISF minimizer can return a costlier candidate
+//!   for a relation with more flexibility than for one of its
+//!   subrelations, so a subtree can hold solutions cheaper than its
+//!   parent's candidate) and its admission number `seq`;
 //! * one frontier stores the pending subproblems, ordered by
-//!   `(bound-or-0, seq)`: [`SearchStrategy::Fifo`] pops the lowest `seq`
-//!   (the paper's partial-BFS order and the default — batch fingerprints
-//!   are unchanged), [`SearchStrategy::Dfs`] the highest (it dives on the
-//!   most recently split half), and [`SearchStrategy::BestFirst`] the
-//!   lowest `(lower_bound, seq)`, dropping popped nodes that can no longer
-//!   beat the incumbent (dominance pruning);
+//!   `(priority-or-0, seq)`: [`SearchStrategy::Fifo`] pops the lowest
+//!   `seq` (the paper's partial-BFS order and the default — batch
+//!   fingerprints are unchanged), [`SearchStrategy::Dfs`] the highest (it
+//!   dives on the most recently split half), and
+//!   [`SearchStrategy::BestFirst`] the lowest `(lower_bound, seq)`,
+//!   dropping popped nodes whose priority no longer beats the incumbent.
+//!   Because the priority is not a bound, that dominance drop — like the
+//!   cost pruning of §7.3 — is inadmissible: it can discard a subtree
+//!   holding a better solution, so no strategy is exact;
 //! * an [`Explorer`] owns the incumbent, statistics, trace and frontier.
 //!   Its transition is [`Explorer::pop`] (the stop checks and dominance)
 //!   followed by [`Explorer::commit`] of the node's [`Expansion`]
@@ -56,8 +61,9 @@ pub enum SearchStrategy {
     /// Depth-first: dives on the most recently split subrelation, reaching
     /// deep incumbents quickly with a small frontier.
     Dfs,
-    /// Best-first: pops the pending subproblem with the lowest lower bound,
-    /// with dominance pruning against the incumbent.
+    /// Best-first: pops the pending subproblem with the lowest inherited
+    /// priority, with (inadmissible) dominance pruning against the
+    /// incumbent.
     BestFirst,
 }
 
@@ -105,8 +111,12 @@ pub struct Subproblem {
     pub relation: BooleanRelation,
     /// Distance from the root relation (number of splits on the path).
     pub depth: usize,
-    /// Lower bound on the cost of any solution in this subtree: the parent's
-    /// MISF-minimized candidate cost (0 for the root).
+    /// Search priority: the parent's MISF-minimized candidate cost (0 for
+    /// the root). Despite the name it is *not* a lower bound on the cost
+    /// of the solutions in this subtree — the ISF minimizer is heuristic,
+    /// so a subrelation can have a cheaper compatible function than its
+    /// parent's candidate — and best-first's dominance drop on it is
+    /// inadmissible.
     pub lower_bound: u64,
     /// Admission number: 0 for the root, then one more per subproblem the
     /// frontier admits (negative split half first). A pure function of the
@@ -475,8 +485,8 @@ impl Explorer {
                 subproblem.depth as u64,
             );
             if self.is_dominated(&subproblem) {
-                // Dominance: the bound recorded at split time can no longer
-                // beat the (since improved) incumbent. Counted and traced
+                // Dominance: the priority recorded at split time can no
+                // longer beat the (since improved) incumbent. Counted and traced
                 // separately from candidate-cost prunes — this node was
                 // never minimized, so there is no Explored event for it.
                 self.stats.pruned_dominated += 1;
@@ -494,9 +504,10 @@ impl Explorer {
     }
 
     /// Whether [`Explorer::pop`] drops `subproblem` unexplored: under
-    /// best-first, its inherited lower bound can no longer beat the
-    /// incumbent. Always `false` for FIFO and DFS, which keep the paper's
-    /// exploration order exactly.
+    /// best-first, its inherited priority can no longer beat the
+    /// incumbent. The priority is not a true bound, so the drop can lose a
+    /// better solution. Always `false` for FIFO and DFS, which keep the
+    /// paper's exploration order exactly.
     pub fn is_dominated(&self, subproblem: &Subproblem) -> bool {
         self.frontier.strategy == SearchStrategy::BestFirst
             && subproblem.lower_bound >= self.best_cost

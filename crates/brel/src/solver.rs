@@ -190,11 +190,12 @@ pub enum TraceEvent {
         best_cost: u64,
     },
     /// A pending subproblem was dropped at pop time because its inherited
-    /// lower bound could no longer beat the incumbent (best-first dominance
-    /// pruning). Unlike [`TraceEvent::PrunedByCost`] the node was never
+    /// priority could no longer beat the incumbent (best-first dominance
+    /// pruning; the priority is a heuristic, not a true lower bound). Unlike [`TraceEvent::PrunedByCost`] the node was never
     /// minimized, so no [`TraceEvent::Explored`] precedes this event.
     PrunedDominated {
-        /// The subproblem's inherited lower bound.
+        /// The subproblem's inherited priority (see
+        /// [`crate::Subproblem::lower_bound`]).
         lower_bound: u64,
         /// Cost of the best solution at that time.
         best_cost: u64,
@@ -222,7 +223,7 @@ pub struct SolveStats {
     /// minimized candidate could not beat the incumbent).
     pub pruned_by_cost: usize,
     /// Number of pending subproblems dropped unexplored at pop time by
-    /// best-first dominance pruning (their inherited lower bound could not
+    /// best-first dominance pruning (their inherited priority could not
     /// beat the incumbent). Always 0 for FIFO/DFS.
     pub pruned_dominated: usize,
     /// Number of subrelations skipped by symmetry pruning.

@@ -153,11 +153,12 @@ pub(crate) fn execute_with(
         "backend {} returned an incompatible function",
         kind.name()
     );
+    let cover = function.to_multicover();
     let report = SolutionReport {
         backend: kind,
         cost: cost.to_cost_fn().cost(&function),
-        cubes: function.num_cubes(),
-        literals: function.num_literals(),
+        cubes: cover.num_cubes(),
+        literals: cover.num_literals(),
         explored: stats.explored,
         splits: stats.splits,
         frontier_peak: stats.frontier_peak,

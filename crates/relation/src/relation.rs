@@ -211,31 +211,25 @@ impl BooleanRelation {
     /// (`(R ↓ yᵢ)(x) = {0, 1}` in the paper's notation). These are the only
     /// candidates for the `Split` operation (Theorem 5.2).
     pub fn projection_flexible_inputs(&self, output: usize) -> Bdd {
-        let yi = self.space.output_var(output);
-        let others: Vec<Var> = self
-            .space
-            .output_vars()
-            .iter()
-            .copied()
-            .filter(|&v| v != yi)
-            .collect();
-        let can1 = self
-            .chi
-            .and(&self.space.output(output))
-            .exists(&others)
-            .exists(&[yi]);
-        let can0 = self
-            .chi
-            .and(&self.space.output(output).complement())
-            .exists(&others)
-            .exists(&[yi]);
-        can0.and(&can1)
+        self.can_take(output, false)
+            .and(&self.can_take(output, true))
     }
 
     /// Projection of the relation onto output `i` as an ISF
     /// (Definition 5.1): the onset are inputs that can only map to 1, the
     /// offset those that can only map to 0, the rest is don't care.
     pub fn projection(&self, output: usize) -> Isf {
+        let can0 = self.can_take(output, false);
+        let can1 = self.can_take(output, true);
+        let on = can1.diff(&can0);
+        let dc = can1.and(&can0);
+        Isf::new(&self.space, on, dc)
+    }
+
+    /// The inputs at which output `i` can take `value`:
+    /// `∃ other outputs. χ|yᵢ=value`, one cofactor and one quantification
+    /// under one session lock.
+    fn can_take(&self, output: usize, value: bool) -> Bdd {
         let yi = self.space.output_var(output);
         let others: Vec<Var> = self
             .space
@@ -244,19 +238,11 @@ impl BooleanRelation {
             .copied()
             .filter(|&v| v != yi)
             .collect();
-        let can1 = self
-            .chi
-            .and(&self.space.output(output))
-            .exists(&others)
-            .exists(&[yi]);
-        let can0 = self
-            .chi
-            .and(&self.space.output(output).complement())
-            .exists(&others)
-            .exists(&[yi]);
-        let on = can1.diff(&can0);
-        let dc = can1.and(&can0);
-        Isf::new(&self.space, on, dc)
+        let chi = self.chi.node_id();
+        self.space.mgr().apply(|m| {
+            let slice = m.cofactor(chi, yi, value);
+            m.exists_many(slice, &others)
+        })
     }
 
     /// The MISF over-approximation of the relation obtained by projecting
@@ -666,6 +652,52 @@ mod tests {
                                   // y2: 00 -> 0, 01 -> 0, 10 -> {0,1}, 11 -> {0,1}
         assert_eq!(p1.values_at(&bits("10")).unwrap(), (true, true));
         assert_eq!(p1.values_at(&bits("11")).unwrap(), (true, true));
+    }
+
+    #[test]
+    fn projection_helper_matches_the_conjoin_and_quantify_formula() {
+        // A SplitMix64 stream picks random pair sets over 1..=4 inputs and
+        // 1..=3 outputs; each output vertex joins a row with probability 3/8.
+        let mut state = 0x9e37_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let vertex = |bits: usize, width: usize| (0..width).map(|i| bits & (1 << i) != 0).collect();
+        for round in 0..120 {
+            let (ni, no) = (1 + round % 4, 1 + round % 3);
+            let space = RelationSpace::new(ni, no);
+            let mut pairs = Vec::new();
+            for x in 0..(1usize << ni) {
+                for y in 0..(1usize << no) {
+                    if next() % 8 < 3 {
+                        pairs.push((vertex(x, ni), vertex(y, no)));
+                    }
+                }
+            }
+            let r = BooleanRelation::from_pairs(&space, &pairs).unwrap();
+            for i in 0..no {
+                let yi = space.output_var(i);
+                let others: Vec<Var> = space
+                    .output_vars()
+                    .iter()
+                    .copied()
+                    .filter(|&v| v != yi)
+                    .collect();
+                for value in [false, true] {
+                    let literal = if value {
+                        space.output(i)
+                    } else {
+                        space.output(i).complement()
+                    };
+                    let formula = r.chi.and(&literal).exists(&others).exists(&[yi]);
+                    assert_eq!(r.can_take(i, value), formula, "round {round}");
+                }
+            }
+        }
     }
 
     #[test]
