@@ -1,62 +1,22 @@
-//! The solver daemon and its load-test harness.
+//! The solver daemon.
 //!
-//! Usage: `cargo run --release -p brel-bench --bin brel_serve -- [flags]`
+//! Usage: `cargo run --release -p brel-bench --bin brel_serve -- --listen ADDR [--workers N]`
 //!
-//! Modes (pick one):
+//! * `--listen ADDR` bind `ADDR`, print the bound address, serve until a
+//!   `shutdown` frame arrives, drain, exit 0
+//! * `--workers N`   daemon worker threads (default: up to 4)
 //!
-//! * `--listen ADDR` run as a daemon: bind `ADDR`, print the bound
-//!   address, serve until a `shutdown` frame arrives, drain, exit 0
-//! * `--selftest`    boot in-process daemons and drive the full synthetic
-//!   workload against them (load, forced mid-stream cancel, forced
-//!   shedding, chaos, serial replay), self-gate every phase, and write
-//!   the measurements to `--out`
-//! * `--smoke`       the CI-sized selftest: 8 clients, 2 jobs each, one
-//!   forced cancel, one forced-shed phase, chaos, and the serial-replay
-//!   determinism gate
-//!
-//! Harness flags:
-//!
-//! * `--workers N`     daemon worker threads (default: up to 4)
-//! * `--clients N`     concurrent load-phase clients (default: 8)
-//! * `--rounds N`      jobs per load-phase client (default: 6; smoke: 2)
-//! * `--chaos SEED`    fault-plan seed for the chaos phase (default: 9)
-//! * `--fingerprint N` fail unless the serial replay's total winner cost
-//!   equals `N` (CI passes 81, the smoke-corpus anchor)
-//! * `--out PATH`      write the harness report as pretty JSON
-//! * `--trace-out PATH` write a Chrome trace of the whole harness
-//! * `--obs-report`    print the phase report and the unified metrics
-//!   registry (`serve.*`, `reuse.*`) to stderr
-//!
-//! Every phase boots its own daemon so the per-phase stats gates are
-//! exact: admitted == completed after every drain, sheds only where the
-//! harness forced them, quarantines only in the chaos phase.
+//! The serving contracts (cancel, shedding, chaos drain, serial replay
+//! against the batch engine) are pinned by `tests/serve_oracle.rs`; the
+//! daemon's latency and throughput are measured by `layerbench`.
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use brel_bench::engine_batch::{self, CorpusOptions};
-use brel_benchdata::random_relation::random_well_defined_relation;
-use brel_engine::{BackendKind, FaultPlan, JobBudget, JobSpec, Json, RelationSpec};
-use brel_obs::{MetricsRegistry, RecordingCollector};
-use brel_serve::{
-    drive, percentile_us, AdmissionConfig, Client, DrainReport, Frame, LoadOptions, LoadReport,
-    ServeConfig, Server, Submit,
-};
+use brel_serve::{ServeConfig, Server};
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
-    let mut selftest = false;
-    let mut smoke = false;
     let mut workers: Option<usize> = None;
-    let mut clients = 8usize;
-    let mut rounds: Option<usize> = None;
-    let mut chaos_seed = 9u64;
-    let mut fingerprint: Option<u64> = None;
-    let mut out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut obs_report = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -65,114 +25,24 @@ fn main() -> ExitCode {
                 Some(addr) => listen = Some(addr),
                 None => return usage("--listen needs an address"),
             },
-            "--selftest" => selftest = true,
-            "--smoke" => smoke = true,
             "--workers" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => workers = Some(n),
                 None => return usage("--workers needs a number"),
             },
-            "--clients" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => clients = Some(n).filter(|n| *n > 0).unwrap_or(1),
-                None => return usage("--clients needs a number"),
-            },
-            "--rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => rounds = Some(n),
-                None => return usage("--rounds needs a number"),
-            },
-            "--chaos" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => chaos_seed = seed,
-                None => return usage("--chaos needs a seed"),
-            },
-            "--fingerprint" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fingerprint = Some(n),
-                None => return usage("--fingerprint needs a number"),
-            },
-            "--out" => match args.next() {
-                Some(path) => out = Some(path),
-                None => return usage("--out needs a path"),
-            },
-            "--trace-out" => match args.next() {
-                Some(path) => trace_out = Some(path),
-                None => return usage("--trace-out needs a path"),
-            },
-            "--obs-report" => obs_report = true,
             other => return usage(&format!("unknown flag `{other}`")),
         }
     }
-
-    if listen.is_some() as usize + selftest as usize + smoke as usize != 1 {
-        return usage("pick exactly one of --listen, --selftest, --smoke");
-    }
-
-    let collector = (trace_out.is_some() || obs_report).then(|| {
-        let collector = Arc::new(RecordingCollector::new());
-        brel_obs::install(collector.clone());
-        collector
-    });
-
-    if let Some(addr) = listen {
-        return run_daemon(&addr, workers);
-    }
-
-    let mut harness = Harness {
-        workers: workers.unwrap_or_else(default_workers),
-        clients,
-        rounds: rounds.unwrap_or(if smoke { 2 } else { 6 }),
-        chaos_seed,
-        fingerprint,
-        failures: Vec::new(),
-        registry: MetricsRegistry::new(),
+    let Some(addr) = listen else {
+        return usage("--listen is required");
     };
-    let report = harness.run();
 
-    if let Some(collector) = &collector {
-        if let Some(path) = &trace_out {
-            if let Err(e) = std::fs::write(path, collector.chrome_trace()) {
-                eprintln!("brel_serve: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("brel_serve: wrote trace to {path}");
-        }
-        if obs_report {
-            eprint!("{}", collector.phase_report().render());
-            eprint!("{}", harness.registry.render());
-        }
-    }
-
-    let rendered = report.render_pretty();
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("brel_serve: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("brel_serve: wrote report to {path}");
-        }
-        None => println!("{rendered}"),
-    }
-
-    if harness.failures.is_empty() {
-        eprintln!("brel_serve: all gates OK");
-        ExitCode::SUCCESS
-    } else {
-        for failure in &harness.failures {
-            eprintln!("brel_serve: gate failed — {failure}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2)
-}
-
-/// Daemon mode: serve until a `shutdown` frame drains us.
-fn run_daemon(addr: &str, workers: Option<usize>) -> ExitCode {
     let config = ServeConfig {
-        addr: addr.to_string(),
-        workers: workers.unwrap_or_else(default_workers),
+        addr: addr.clone(),
+        workers: workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get().min(4))
+                .unwrap_or(2)
+        }),
         ..ServeConfig::default()
     };
     let server = match Server::start(config) {
@@ -197,535 +67,8 @@ fn run_daemon(addr: &str, workers: Option<usize>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-struct Harness {
-    workers: usize,
-    clients: usize,
-    rounds: usize,
-    chaos_seed: u64,
-    fingerprint: Option<u64>,
-    failures: Vec<String>,
-    registry: MetricsRegistry,
-}
-
-impl Harness {
-    fn run(&mut self) -> Json {
-        let load = self.load_phase();
-        let cancel = self.cancel_phase();
-        let shed = self.shed_phase();
-        let chaos = self.chaos_phase();
-        let replay = self.replay_phase();
-        Json::object(vec![
-            (
-                "config",
-                Json::object(vec![
-                    ("workers", Json::UInt(self.workers as u64)),
-                    ("clients", Json::UInt(self.clients as u64)),
-                    ("rounds", Json::UInt(self.rounds as u64)),
-                    ("chaos_seed", Json::UInt(self.chaos_seed)),
-                ]),
-            ),
-            ("load", load),
-            ("cancel", cancel),
-            ("shed", shed),
-            ("chaos", chaos),
-            ("replay", replay),
-            (
-                "gates",
-                Json::object(vec![
-                    ("passed", Json::Bool(self.failures.is_empty())),
-                    (
-                        "failures",
-                        Json::Array(self.failures.iter().map(Json::str).collect()),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    fn gate(&mut self, ok: bool, what: &str) {
-        if !ok {
-            self.failures.push(what.to_string());
-        }
-    }
-
-    fn start(&self, config: ServeConfig) -> (SocketAddr, JoinHandle<DrainReport>) {
-        let server = Server::start(config).expect("bind an ephemeral port");
-        let addr = server.addr();
-        (
-            addr,
-            std::thread::spawn(move || server.run_until_shutdown()),
-        )
-    }
-
-    fn drain(
-        &mut self,
-        addr: SocketAddr,
-        handle: JoinHandle<DrainReport>,
-        phase: &str,
-    ) -> DrainReport {
-        let mut client = Client::connect(addr).expect("connect for shutdown");
-        client.shutdown_and_wait().expect("drain stats");
-        let drain = handle.join().expect("server threads join cleanly");
-        self.gate(
-            drain.stats.admitted == drain.stats.completed,
-            &format!(
-                "{phase}: drain must complete every admitted job ({} admitted, {} completed)",
-                drain.stats.admitted, drain.stats.completed
-            ),
-        );
-        self.gate(
-            drain.stats.inflight == 0 && drain.stats.queue_depth == 0,
-            &format!("{phase}: drain must leave no inflight or queued work"),
-        );
-        self.registry.absorb_delta("serve", &drain.stats.metrics());
-        self.registry
-            .absorb_delta("reuse", &drain.stats.reuse_metrics());
-        drain
-    }
-
-    /// Mixed open-loop load: N clients, cycled deadlines, opportunistic
-    /// mid-stream cancels, shed-then-retry. Produces the latency
-    /// distributions the report records.
-    fn load_phase(&mut self) -> Json {
-        let (addr, handle) = self.start(ServeConfig {
-            workers: self.workers,
-            ..ServeConfig::default()
-        });
-        let corpus = engine_batch::corpus(&CorpusOptions::smoke());
-        let options = LoadOptions {
-            clients: self.clients,
-            jobs_per_client: self.rounds,
-            deadlines_ms: vec![None, Some(400), Some(40)],
-            cancel_every: 5,
-            retry_after_shed: true,
-        };
-        let load = drive(addr, &corpus, &options);
-        let drain = self.drain(addr, handle, "load");
-
-        self.gate(load.io_errors == 0, "load: no client I/O errors");
-        self.gate(
-            load.finals == load.admitted,
-            "load: every admitted job returned a final frame",
-        );
-        self.gate(
-            load.incumbents >= load.admitted,
-            "load: anytime streaming sent at least one incumbent per job",
-        );
-        self.gate(
-            drain.stats.admitted >= (self.clients * self.rounds) as u64 - load.shed,
-            "load: the daemon admitted the driven workload",
-        );
-        load_to_json(&load, &drain)
-    }
-
-    /// The forced mid-stream cancel and the `max_cost` early-stop: both
-    /// must come back `degraded` carrying the best streamed incumbent.
-    fn cancel_phase(&mut self) -> Json {
-        let (addr, handle) = self.start(ServeConfig {
-            workers: self.workers,
-            ..ServeConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-
-        let outcome = client
-            .solve(&long_job(11), "cancel-phase", None, None, true)
-            .expect("cancel solve");
-        let first_cost = outcome.incumbents.first().map_or(0, |(cost, _)| *cost);
-        let report = outcome.final_report.clone();
-        self.gate(
-            report
-                .as_ref()
-                .is_some_and(|r| r.degraded && r.outcome == "degraded"),
-            "cancel: a mid-stream cancel degrades instead of killing",
-        );
-        self.gate(
-            report
-                .as_ref()
-                .and_then(|r| r.fault.as_deref())
-                .is_some_and(|f| f.contains("cancelled")),
-            "cancel: the final records the cancellation fault",
-        );
-        self.gate(
-            report
-                .as_ref()
-                .and_then(|r| r.cost)
-                .is_some_and(|c| c <= first_cost),
-            "cancel: the final carries an incumbent no worse than the first streamed one",
-        );
-
-        // Early stop by cost target: the first incumbent at or under
-        // `max_cost` cancels the search server-side.
-        let early = client
-            .solve(&long_job(13), "cancel-phase", None, Some(u64::MAX), false)
-            .expect("max-cost solve");
-        let early_report = early.final_report.clone();
-        self.gate(
-            early_report.as_ref().is_some_and(|r| r.degraded),
-            "cancel: a reached max_cost target stops the search early",
-        );
-
-        let drain = self.drain(addr, handle, "cancel");
-        self.gate(
-            drain.stats.cancelled >= 2,
-            "cancel: both stops are accounted as cancellations",
-        );
-        Json::object(vec![
-            (
-                "first_incumbent_us",
-                Json::UInt(outcome.first_incumbent_us.unwrap_or(0)),
-            ),
-            ("first_incumbent_cost", Json::UInt(first_cost)),
-            (
-                "final_cost",
-                report
-                    .as_ref()
-                    .and_then(|r| r.cost)
-                    .map_or(Json::Null, Json::UInt),
-            ),
-            (
-                "outcome",
-                report
-                    .as_ref()
-                    .map_or(Json::Null, |r| Json::str(&r.outcome)),
-            ),
-            (
-                "max_cost_outcome",
-                early_report
-                    .as_ref()
-                    .map_or(Json::Null, |r| Json::str(&r.outcome)),
-            ),
-            ("incumbents", Json::UInt(outcome.incumbents.len() as u64)),
-        ])
-    }
-
-    /// Forced load-shedding on a deliberately tiny daemon: one worker,
-    /// queue capacity 1, one job per client. Exercises all three
-    /// non-draining shed reasons and the jittered backoff contract.
-    fn shed_phase(&mut self) -> Json {
-        let (addr, handle) = self.start(ServeConfig {
-            workers: 1,
-            admission: AdmissionConfig {
-                capacity: 1,
-                per_client: 1,
-                ..AdmissionConfig::default()
-            },
-            ..ServeConfig::default()
-        });
-        let backoff = AdmissionConfig::default().backoff_ms;
-        let mut sheds: Vec<(String, u64)> = Vec::new();
-
-        // The hog occupies the only worker with an unbounded job.
-        let mut hog = Client::connect(addr).expect("connect hog");
-        hog.send(&Frame::Submit(Submit {
-            client: "hog".to_string(),
-            job: long_job(17),
-            deadline_ms: None,
-            max_cost: None,
-        }))
-        .expect("submit hog");
-        let hog_ticket = match recv_skipping_incumbents(&mut hog) {
-            Frame::Admitted { job, .. } => job,
-            other => panic!("hog admission, got {other:?}"),
-        };
-
-        // Same client again: the per-client budget sheds it.
-        hog.send(&Frame::Submit(Submit {
-            client: "hog".to_string(),
-            job: quick_job("hog-encore", 31),
-            deadline_ms: None,
-            max_cost: None,
-        }))
-        .expect("submit encore");
-        match recv_skipping_incumbents(&mut hog) {
-            Frame::Rejected {
-                reason,
-                retry_after_ms,
-            } => sheds.push((reason, retry_after_ms)),
-            other => panic!("expected client-budget shed, got {other:?}"),
-        }
-
-        // A second client fills the queue (capacity 1)...
-        let mut queued = Client::connect(addr).expect("connect queued");
-        queued
-            .send(&Frame::Submit(Submit {
-                client: "queued".to_string(),
-                job: quick_job("queued-job", 32),
-                deadline_ms: None,
-                max_cost: None,
-            }))
-            .expect("submit queued");
-        assert!(matches!(
-            recv_skipping_incumbents(&mut queued),
-            Frame::Admitted { .. }
-        ));
-
-        // ...so a zero-deadline submission is infeasible...
-        let mut hasty = Client::connect(addr).expect("connect hasty");
-        let hasty_outcome = hasty
-            .solve(&quick_job("hasty-job", 33), "hasty", Some(0), None, false)
-            .expect("hasty solve");
-        if let Some((reason, retry_after_ms)) = hasty_outcome.rejected.clone() {
-            sheds.push((reason, retry_after_ms));
-        }
-
-        // ...and a fourth client finds the queue full.
-        let mut late = Client::connect(addr).expect("connect late");
-        let late_outcome = late
-            .solve(&quick_job("late-job", 34), "late", None, None, false)
-            .expect("late solve");
-        if let Some((reason, retry_after_ms)) = late_outcome.rejected.clone() {
-            sheds.push((reason, retry_after_ms));
-        }
-
-        // Unblock the worker and let the queued job finish.
-        hog.cancel(hog_ticket).expect("cancel hog");
-        let hog_final = wait_for_final(&mut hog, hog_ticket);
-        let queued_final = match recv_skipping_incumbents(&mut queued) {
-            Frame::Final(report) => report,
-            other => panic!("queued final, got {other:?}"),
-        };
-
-        let drain = self.drain(addr, handle, "shed");
-        let reasons: Vec<&str> = sheds.iter().map(|(reason, _)| reason.as_str()).collect();
-        self.gate(
-            reasons == ["client-budget", "infeasible-deadline", "queue-full"],
-            &format!("shed: all three shed reasons observed, got {reasons:?}"),
-        );
-        self.gate(
-            sheds
-                .iter()
-                .all(|(_, hint)| *hint >= backoff && *hint <= 2 * backoff),
-            "shed: every retry hint honours the jittered backoff window",
-        );
-        self.gate(
-            hog_final.degraded && queued_final.outcome == "solved",
-            "shed: the cancelled hog degrades and the queued job still solves",
-        );
-        self.gate(drain.stats.shed == 3, "shed: the daemon counted the sheds");
-        Json::object(vec![
-            (
-                "sheds",
-                Json::Array(
-                    sheds
-                        .iter()
-                        .map(|(reason, hint)| {
-                            Json::object(vec![
-                                ("reason", Json::str(reason)),
-                                ("retry_after_ms", Json::UInt(*hint)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "backoff_window_ms",
-                Json::Array(vec![Json::UInt(backoff), Json::UInt(2 * backoff)]),
-            ),
-        ])
-    }
-
-    /// The chaos phase: a seeded fault plan armed inside the daemon. The
-    /// injected faults must stay contained to their targets and every
-    /// quarantined session must surface in the final stats.
-    fn chaos_phase(&mut self) -> Json {
-        let corpus = engine_batch::corpus(&CorpusOptions::smoke());
-        let names: Vec<&str> = corpus.iter().map(|j| j.name.as_str()).collect();
-        let plan = Arc::new(FaultPlan::seeded(self.chaos_seed, &names));
-        let targets: Vec<String> = plan.targets().iter().map(|t| t.to_string()).collect();
-
-        let (addr, handle) = self.start(ServeConfig {
-            workers: self.workers,
-            fault_plan: Some(Arc::clone(&plan)),
-            ..ServeConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-        let mut non_solved = Vec::new();
-        for job in &corpus {
-            let outcome = client
-                .solve(job, "chaos", None, None, false)
-                .expect("chaos solve");
-            let report = outcome.final_report.expect("chaos final");
-            if report.outcome != "solved" {
-                self.gate(
-                    report.cost.is_some(),
-                    &format!(
-                        "chaos: faulted job {} keeps a recovered solution",
-                        report.name
-                    ),
-                );
-                non_solved.push(report.name.clone());
-            }
-        }
-        let drain = self.drain(addr, handle, "chaos");
-
-        let mut expected = targets.clone();
-        expected.sort();
-        let mut actual = non_solved.clone();
-        actual.sort();
-        self.gate(
-            actual == expected,
-            &format!("chaos: only targeted jobs fault (targets {expected:?}, got {actual:?})"),
-        );
-        self.gate(
-            plan.num_fired() == plan.injections().len(),
-            "chaos: every injection fired",
-        );
-        self.gate(
-            drain.stats.quarantines >= 1,
-            "chaos: the injected panic quarantined a session and the stats report it",
-        );
-        Json::object(vec![
-            ("seed", Json::UInt(self.chaos_seed)),
-            (
-                "targets",
-                Json::Array(targets.iter().map(Json::str).collect()),
-            ),
-            ("injections_fired", Json::UInt(plan.num_fired() as u64)),
-            (
-                "non_solved",
-                Json::Array(non_solved.iter().map(Json::str).collect()),
-            ),
-            ("quarantines", Json::UInt(drain.stats.quarantines)),
-        ])
-    }
-
-    /// The determinism gate: a single-worker daemon fed the smoke corpus
-    /// serially must produce finals byte-identical (timing-free) to the
-    /// batch engine's reports, with the pinned corpus fingerprint.
-    fn replay_phase(&mut self) -> Json {
-        let corpus = engine_batch::corpus(&CorpusOptions::smoke());
-        let (addr, handle) = self.start(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-        let mut served = Vec::new();
-        for job in &corpus {
-            let outcome = client
-                .solve(job, "replay", None, None, false)
-                .expect("replay solve");
-            served.push(outcome.final_report.expect("replay final"));
-        }
-        self.drain(addr, handle, "replay");
-
-        let batch = engine_batch::run(&corpus, 1);
-        let mut identical = served.len() == batch.jobs.len();
-        for (ticket, (from_serve, from_batch)) in served.iter().zip(&batch.jobs).enumerate() {
-            let reference = brel_serve::FinalReport::from_report(ticket as u64, from_batch, 0, 0);
-            if from_serve.deterministic_json().render() != reference.deterministic_json().render() {
-                identical = false;
-            }
-        }
-        self.gate(
-            identical,
-            "replay: serial daemon output is byte-identical to the batch engine",
-        );
-        let total_cost: u64 = served.iter().filter_map(|r| r.cost).sum();
-        let batch_cost = batch.total_winner_cost();
-        self.gate(
-            total_cost == batch_cost,
-            "replay: served winner costs sum to the batch fingerprint",
-        );
-        if let Some(expected) = self.fingerprint {
-            self.gate(
-                total_cost == expected,
-                &format!("replay: fingerprint drift — total winner cost {total_cost}, expected {expected}"),
-            );
-        }
-        Json::object(vec![
-            ("jobs", Json::UInt(served.len() as u64)),
-            ("total_winner_cost", Json::UInt(total_cost)),
-            ("byte_identical", Json::Bool(identical)),
-        ])
-    }
-}
-
-fn load_to_json(load: &LoadReport, drain: &DrainReport) -> Json {
-    Json::object(vec![
-        ("submitted", Json::UInt(load.submitted)),
-        ("admitted", Json::UInt(load.admitted)),
-        ("shed", Json::UInt(load.shed)),
-        ("finals", Json::UInt(load.finals)),
-        ("degraded", Json::UInt(load.degraded)),
-        ("cancelled_finals", Json::UInt(load.cancelled_finals)),
-        ("cancels_sent", Json::UInt(load.cancels_sent)),
-        ("incumbents", Json::UInt(load.incumbents)),
-        ("io_errors", Json::UInt(load.io_errors)),
-        ("admission_us", latency_json(&load.admission_us)),
-        ("first_incumbent_us", latency_json(&load.first_incumbent_us)),
-        (
-            "server",
-            Json::object(
-                drain
-                    .stats
-                    .metrics()
-                    .iter()
-                    .map(|(name, value)| (*name, Json::UInt(*value)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn latency_json(samples: &[u64]) -> Json {
-    Json::object(vec![
-        ("samples", Json::UInt(samples.len() as u64)),
-        ("p50", Json::UInt(percentile_us(samples, 50.0))),
-        ("p99", Json::UInt(percentile_us(samples, 99.0))),
-    ])
-}
-
-/// An unbounded single-backend BREL job: streams incumbents until it is
-/// cancelled, never finishing on its own within harness timescales.
-fn long_job(seed: u64) -> JobSpec {
-    let (_space, relation) = random_well_defined_relation(7, 4, 0.4, seed);
-    let mut job = JobSpec::single(
-        format!("long{seed}"),
-        RelationSpec::from_relation(&relation).expect("random spaces are enumerable"),
-        BackendKind::Brel,
-    );
-    job.budget = JobBudget {
-        max_explored: None,
-        fifo_capacity: None,
-        ..JobBudget::default()
-    };
-    job
-}
-
-/// A small default-budget portfolio job that solves in milliseconds.
-fn quick_job(name: &str, seed: u64) -> JobSpec {
-    let (_space, relation) = random_well_defined_relation(3, 2, 0.3, seed);
-    JobSpec::portfolio(
-        name,
-        RelationSpec::from_relation(&relation).expect("random spaces are enumerable"),
-    )
-}
-
-fn recv_skipping_incumbents(client: &mut Client) -> Frame {
-    loop {
-        match client.recv().expect("frame") {
-            Frame::Incumbent { .. } => {}
-            other => return other,
-        }
-    }
-}
-
-fn wait_for_final(client: &mut Client, ticket: u64) -> brel_serve::FinalReport {
-    loop {
-        match client.recv().expect("frame") {
-            Frame::Final(report) if report.job == ticket => return report,
-            Frame::Incumbent { .. } | Frame::Final(_) => {}
-            other => panic!("expected final for {ticket}, got {other:?}"),
-        }
-    }
-}
-
 fn usage(error: &str) -> ExitCode {
     eprintln!("brel_serve: {error}");
-    eprintln!(
-        "usage: brel_serve (--listen ADDR | --selftest | --smoke) [--workers N] \
-         [--clients N] [--rounds N] [--chaos SEED] [--fingerprint N] [--out PATH] \
-         [--trace-out PATH] [--obs-report]"
-    );
+    eprintln!("usage: brel_serve --listen ADDR [--workers N]");
     ExitCode::FAILURE
 }

@@ -7,13 +7,9 @@
 //! corpus is fanned out over a worker pool and every job races the full
 //! backend portfolio.
 
-use std::sync::Arc;
-
 use brel_benchdata::random_relation::random_well_defined_relation;
 use brel_benchdata::table2 as family;
-use brel_engine::{
-    BatchReport, Engine, FaultPlan, JobSpec, RelationSpec, SearchStrategy, WideOptions,
-};
+use brel_engine::{BatchReport, JobSpec, RelationSpec, SearchStrategy};
 
 /// Shape of the mixed corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,40 +83,6 @@ pub fn corpus(options: &CorpusOptions) -> Vec<JobSpec> {
     jobs
 }
 
-/// Runs a corpus through the engine with the given worker count (warm
-/// per-worker sessions and the cross-job subrelation cache on, the engine
-/// default).
-pub fn run(jobs: &[JobSpec], num_workers: usize) -> BatchReport {
-    Engine::with_workers(num_workers).solve_batch(jobs)
-}
-
-/// Runs a corpus with cross-job reuse disabled: one cold BDD manager per
-/// job, the pre-redesign behaviour. The deterministic output must equal
-/// [`run`]'s — only wall clocks move.
-pub fn run_cold(jobs: &[JobSpec], num_workers: usize) -> BatchReport {
-    Engine::with_workers(num_workers)
-        .with_reuse(false)
-        .solve_batch(jobs)
-}
-
-/// Runs a corpus in wide mode: jobs go one at a time and the worker pool
-/// runs a work-stealing search inside each BREL solve.
-pub fn run_wide(jobs: &[JobSpec], num_workers: usize, options: WideOptions) -> BatchReport {
-    Engine::with_workers(num_workers)
-        .with_wide(options)
-        .solve_batch(jobs)
-}
-
-/// Stable provenance tag of the default mixed corpus ([`corpus`]), logged
-/// next to every bench number measured on it so a JSON consumer can tell
-/// which corpus a wide-vs-sequential comparison ran on.
-pub const DEFAULT_CORPUS_NAME: &str = "table2+rand5x3";
-
-/// Stable provenance tag of [`hard_corpus`], logged next to every bench
-/// number measured on it so a JSON consumer can tell which corpus a
-/// wide-vs-sequential comparison ran on.
-pub const HARD_CORPUS_NAME: &str = "hard-rand7x4";
-
 /// The checked-in hard-relation workload: seeded random 7-input/4-output
 /// relations with heavy output flexibility and a deep exploration budget,
 /// sized so the *sequential* explorer needs on the order of a second — a
@@ -146,10 +108,11 @@ pub fn hard_corpus() -> Vec<JobSpec> {
         .collect()
 }
 
-/// Minimum corpus size for a seeded chaos run: [`FaultPlan::seeded`]
-/// places its three fault kinds on *distinct* jobs, so a smaller corpus
-/// would silently arm fewer injections and the chaos gates ("all
-/// injections fired") would pass vacuously.
+/// Minimum corpus size for a seeded chaos run:
+/// [`brel_engine::FaultPlan::seeded`] places its three fault kinds on
+/// *distinct* jobs, so a smaller corpus would silently arm fewer
+/// injections and the chaos gates ("all injections fired") would pass
+/// vacuously.
 pub const MIN_CHAOS_JOBS: usize = 3;
 
 /// Checks that a corpus is large enough for a seeded chaos run. Returns
@@ -163,15 +126,6 @@ pub fn chaos_corpus_error(num_jobs: usize) -> Option<String> {
              raise --instances/--random"
         )
     })
-}
-
-/// Runs a corpus with an armed fault plan: the engine fires the plan's
-/// injections into the matching jobs and classifies the outcomes. Plans are
-/// armed-once, so callers must build a fresh plan per run.
-pub fn run_chaos(jobs: &[JobSpec], num_workers: usize, plan: Arc<FaultPlan>) -> BatchReport {
-    Engine::with_workers(num_workers)
-        .with_fault_plan(plan)
-        .solve_batch(jobs)
 }
 
 /// Renders the batch as a human-readable table: one line per job with every
@@ -258,6 +212,7 @@ pub fn render(report: &BatchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brel_engine::{Engine, WideOptions};
 
     #[test]
     fn smoke_corpus_mixes_family_and_random_jobs() {
@@ -297,8 +252,8 @@ mod tests {
             random_relations: 2,
             ..CorpusOptions::smoke()
         });
-        let one = run(&jobs, 1);
-        let two = run(&jobs, 2);
+        let one = Engine::with_workers(1).solve_batch(&jobs);
+        let two = Engine::with_workers(2).solve_batch(&jobs);
         assert_eq!(one.num_solved(), jobs.len());
         assert_eq!(one.to_json(false), two.to_json(false));
         assert_eq!(one.to_csv(false), two.to_csv(false));
@@ -314,7 +269,7 @@ mod tests {
         };
         let jobs = corpus(&options);
         assert!(jobs.iter().all(|j| j.strategy == SearchStrategy::BestFirst));
-        let report = run(&jobs, 2);
+        let report = Engine::with_workers(2).solve_batch(&jobs);
         assert!(report
             .to_json(false)
             .contains("\"strategy\": \"best-first\""));
@@ -333,8 +288,12 @@ mod tests {
             lookahead: 4,
             ..WideOptions::default()
         };
-        let one = run_wide(&jobs, 1, options);
-        let two = run_wide(&jobs, 2, options);
+        let one = Engine::with_workers(1)
+            .with_wide(options)
+            .solve_batch(&jobs);
+        let two = Engine::with_workers(2)
+            .with_wide(options)
+            .solve_batch(&jobs);
         assert_eq!(one.num_solved(), jobs.len());
         assert_eq!(one.to_json(false), two.to_json(false));
         assert_eq!(one.to_csv(false), two.to_csv(false));
@@ -348,8 +307,8 @@ mod tests {
             random_relations: 2,
             ..CorpusOptions::smoke()
         });
-        let warm = run(&jobs, 2);
-        let cold = run_cold(&jobs, 2);
+        let warm = Engine::with_workers(2).solve_batch(&jobs);
+        let cold = Engine::with_workers(2).with_reuse(false).solve_batch(&jobs);
         assert_eq!(warm.to_json(false), cold.to_json(false));
         assert_eq!(warm.to_csv(false), cold.to_csv(false));
         assert_eq!(cold.reuse.warm_reuses, 0);
@@ -366,7 +325,7 @@ mod tests {
             random_relations: 1,
             ..CorpusOptions::smoke()
         });
-        let report = run(&jobs, 2);
+        let report = Engine::with_workers(2).solve_batch(&jobs);
         let text = render(&report);
         for job in &jobs {
             assert!(text.contains(&job.name));

@@ -4,8 +4,8 @@
 //! prose experiment of the paper's evaluation. Each module exposes a `run`
 //! function returning structured rows plus a `render` helper producing the
 //! table in the same layout as the paper; the `--bin` targets print the
-//! tables and the Criterion benches (in `benches/`) time the underlying
-//! kernels.
+//! tables. Timing lives in `layerbench/`, which measures every layer from
+//! the BDD kernel to the daemon.
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|
@@ -14,12 +14,11 @@
 //! | Table 3 (mux-latch decomposition) | [`table3`] | `table3_decomposition` |
 //! | §7.7 symmetry experiment | [`symmetry_ablation`] | `symmetry_ablation` |
 //! | Parallel portfolio batch run | [`engine_batch`] | `engine_batch` |
-//! | BDD-kernel perf trajectory | [`bdd_kernel`] | `bdd_kernel` |
-//! | Search-strategy comparison | [`search_strategies`] | `search_strategies` |
+//! | Solver daemon (`--listen`) | — | `brel_serve` |
 //!
 //! The table binaries accept `--json` to emit their rows through the shared
-//! `brel-engine` serializer (for `BENCH_*.json` perf trajectories); the
-//! `engine_batch` binary fans the corpora over a `brel-engine` worker pool.
+//! `brel-engine` serializer; the `engine_batch` binary fans the corpora
+//! over a `brel-engine` worker pool.
 
 #![warn(missing_docs)]
 
@@ -28,9 +27,7 @@ use brel_network::{Network, SignalId};
 use brel_relation::MultiOutputFunction;
 use brel_sop::Cover;
 
-pub mod bdd_kernel;
 pub mod engine_batch;
-pub mod search_strategies;
 pub mod symmetry_ablation;
 pub mod table1;
 pub mod table2;

@@ -101,19 +101,37 @@ pub struct RelationSpec {
 }
 
 impl RelationSpec {
-    /// Builds a spec from explicit rows, validating every vertex arity up
-    /// front so that [`RelationSpec::rehydrate`] cannot fail later on a
-    /// worker thread. The rows are canonicalized on the way in.
+    /// The widest input or output vector a spec may declare. It equals
+    /// the enumeration limit of [`BooleanRelation::to_rows`], so every
+    /// spec [`RelationSpec::from_relation`] produces is within it. The
+    /// bound is checked before rehydration allocates a space, so a
+    /// hostile width (say, 4 billion inputs and no rows) is an error
+    /// instead of an allocation abort.
+    pub const MAX_WIDTH: usize = 16;
+
+    /// Builds a spec from explicit rows, validating both widths and every
+    /// vertex arity up front so that [`RelationSpec::rehydrate`] cannot
+    /// fail later on a worker thread. The rows are canonicalized on the
+    /// way in.
     ///
     /// # Errors
     ///
-    /// Returns [`RelationError::DimensionMismatch`] if any vertex has the
-    /// wrong arity.
+    /// Returns [`RelationError::TooLarge`] if either width exceeds
+    /// [`RelationSpec::MAX_WIDTH`], and
+    /// [`RelationError::DimensionMismatch`] if any vertex has the wrong
+    /// arity.
     pub fn new(
         num_inputs: usize,
         num_outputs: usize,
         rows: Vec<RelationRow>,
     ) -> Result<Self, RelationError> {
+        let widest = num_inputs.max(num_outputs);
+        if widest > Self::MAX_WIDTH {
+            return Err(RelationError::TooLarge {
+                vars: widest,
+                limit: Self::MAX_WIDTH,
+            });
+        }
         for (input, outputs) in &rows {
             if input.len() != num_inputs {
                 return Err(RelationError::DimensionMismatch {
@@ -316,6 +334,26 @@ mod tests {
         assert!(RelationSpec::new(2, 2, vec![(vec![true], vec![])]).is_err());
         assert!(RelationSpec::new(2, 2, vec![(vec![true, false], vec![vec![true]])]).is_err());
         assert!(RelationSpec::new(2, 2, vec![(vec![true, false], vec![])]).is_ok());
+    }
+
+    #[test]
+    fn spec_widths_are_bounded_before_anything_is_allocated() {
+        let max = RelationSpec::MAX_WIDTH;
+        assert!(RelationSpec::new(max, max, vec![]).is_ok());
+        for (inputs, outputs) in [(max + 1, 1), (1, max + 1), (4_000_000_000, 1)] {
+            assert_eq!(
+                RelationSpec::new(inputs, outputs, vec![]),
+                Err(RelationError::TooLarge {
+                    vars: inputs.max(outputs),
+                    limit: max,
+                })
+            );
+        }
+        // The widest relation `from_relation` can export is accepted.
+        let space = RelationSpace::new(max, 1);
+        let exported = RelationSpec::from_relation(&BooleanRelation::full(&space)).unwrap();
+        let rows = exported.rows().to_vec();
+        assert_eq!(RelationSpec::new(max, 1, rows).unwrap(), exported);
     }
 
     #[test]

@@ -1,10 +1,5 @@
-//! A blocking protocol client and the synthetic load driver.
-//!
-//! [`Client`] is the nuts-and-bolts side: connect, submit, stream, cancel,
-//! drain. [`drive`] is the load harness — N client threads hammering a
-//! daemon with a corpus under mixed deadlines, opportunistic mid-stream
-//! cancels and backoff-respecting retry behaviour, producing the latency
-//! samples `BENCH_serve.json` records.
+//! A blocking protocol client: connect, submit, stream, cancel, drain.
+//! The serving tests and `layerbench`'s closed-loop clients build on it.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -198,191 +193,4 @@ fn unexpected(frame: &Frame) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("unexpected frame: {frame:?}"),
     )
-}
-
-/// Shape of one synthetic load run.
-#[derive(Debug, Clone)]
-pub struct LoadOptions {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Submissions per client (cycling through the corpus).
-    pub jobs_per_client: usize,
-    /// Deadlines cycled across submissions (`None` = unbounded).
-    pub deadlines_ms: Vec<Option<u64>>,
-    /// Cancel after the first incumbent on every Nth submission
-    /// (0 = never).
-    pub cancel_every: usize,
-    /// On a shed, retry once after the server's backoff hint
-    /// (exercises the backoff contract end to end).
-    pub retry_after_shed: bool,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            clients: 8,
-            jobs_per_client: 4,
-            deadlines_ms: vec![None, Some(400), Some(100)],
-            cancel_every: 5,
-            retry_after_shed: true,
-        }
-    }
-}
-
-/// Aggregated results of one load run.
-#[derive(Debug, Clone, Default)]
-pub struct LoadReport {
-    /// Total submissions sent (retries included).
-    pub submitted: u64,
-    /// Admissions.
-    pub admitted: u64,
-    /// Sheds observed.
-    pub shed: u64,
-    /// Final frames received.
-    pub finals: u64,
-    /// Finals carrying a degraded winner.
-    pub degraded: u64,
-    /// Finals whose fault marks a cooperative cancellation.
-    pub cancelled_finals: u64,
-    /// Mid-stream cancels the driver sent.
-    pub cancels_sent: u64,
-    /// Incumbent frames streamed to the drivers.
-    pub incumbents: u64,
-    /// Client-measured admission latencies, microseconds.
-    pub admission_us: Vec<u64>,
-    /// Client-measured first-incumbent latencies, microseconds.
-    pub first_incumbent_us: Vec<u64>,
-    /// I/O errors client threads hit (0 in a healthy run).
-    pub io_errors: u64,
-}
-
-impl LoadReport {
-    fn merge(&mut self, other: LoadReport) {
-        self.submitted += other.submitted;
-        self.admitted += other.admitted;
-        self.shed += other.shed;
-        self.finals += other.finals;
-        self.degraded += other.degraded;
-        self.cancelled_finals += other.cancelled_finals;
-        self.cancels_sent += other.cancels_sent;
-        self.incumbents += other.incumbents;
-        self.admission_us.extend(other.admission_us);
-        self.first_incumbent_us.extend(other.first_incumbent_us);
-        self.io_errors += other.io_errors;
-    }
-}
-
-/// Runs the synthetic load: `options.clients` threads, each with its own
-/// connection and client id, submitting `jobs_per_client` jobs from the
-/// corpus (round-robin, offset per client) under the cycled deadlines.
-pub fn drive(addr: SocketAddr, corpus: &[JobSpec], options: &LoadOptions) -> LoadReport {
-    assert!(!corpus.is_empty(), "load driver needs a non-empty corpus");
-    let threads: Vec<_> = (0..options.clients)
-        .map(|client_index| {
-            let corpus = corpus.to_vec();
-            let options = options.clone();
-            std::thread::spawn(move || drive_one(addr, &corpus, &options, client_index))
-        })
-        .collect();
-    let mut merged = LoadReport::default();
-    for thread in threads {
-        if let Ok(report) = thread.join() {
-            merged.merge(report);
-        }
-    }
-    merged
-}
-
-fn drive_one(
-    addr: SocketAddr,
-    corpus: &[JobSpec],
-    options: &LoadOptions,
-    client_index: usize,
-) -> LoadReport {
-    let mut report = LoadReport::default();
-    let client_id = format!("client-{client_index}");
-    let Ok(mut client) = Client::connect(addr) else {
-        report.io_errors += 1;
-        return report;
-    };
-    for submission in 0..options.jobs_per_client {
-        let job = &corpus[(client_index + submission) % corpus.len()];
-        let deadline_ms = if options.deadlines_ms.is_empty() {
-            None
-        } else {
-            options.deadlines_ms[submission % options.deadlines_ms.len()]
-        };
-        let cancel = options.cancel_every != 0
-            && (client_index + submission).is_multiple_of(options.cancel_every);
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            report.submitted += 1;
-            match client.solve(job, &client_id, deadline_ms, None, cancel) {
-                Ok(outcome) => {
-                    report.admission_us.push(outcome.admission_us);
-                    if let Some((_, retry_after_ms)) = outcome.rejected {
-                        report.shed += 1;
-                        if options.retry_after_shed && attempts == 1 {
-                            std::thread::sleep(Duration::from_millis(retry_after_ms));
-                            continue;
-                        }
-                        break;
-                    }
-                    report.admitted += 1;
-                    report.incumbents += outcome.incumbents.len() as u64;
-                    if cancel && !outcome.incumbents.is_empty() {
-                        report.cancels_sent += 1;
-                    }
-                    if let Some(us) = outcome.first_incumbent_us {
-                        report.first_incumbent_us.push(us);
-                    }
-                    if let Some(final_report) = outcome.final_report {
-                        report.finals += 1;
-                        if final_report.degraded {
-                            report.degraded += 1;
-                        }
-                        if final_report
-                            .fault
-                            .as_deref()
-                            .is_some_and(|f| f.contains("cancelled"))
-                        {
-                            report.cancelled_finals += 1;
-                        }
-                    }
-                    break;
-                }
-                Err(_) => {
-                    report.io_errors += 1;
-                    break;
-                }
-            }
-        }
-    }
-    report
-}
-
-/// Percentile over an unsorted sample set (nearest-rank); 0 for empty.
-pub fn percentile_us(samples: &[u64], pct: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples = [50u64, 10, 40, 20, 30];
-        assert_eq!(percentile_us(&samples, 50.0), 30);
-        assert_eq!(percentile_us(&samples, 99.0), 50);
-        assert_eq!(percentile_us(&samples, 1.0), 10);
-        assert_eq!(percentile_us(&[], 99.0), 0);
-    }
 }

@@ -23,8 +23,9 @@
 //!   shutdown is a drain: stop admitting, cancel cooperatively, emit a
 //!   `final` frame for every admitted job, join every thread, exit.
 //!
-//! [`client`] holds the blocking client and the synthetic load driver the
-//! `brel_serve` benchmark binary builds on.
+//! [`client`] holds the blocking client the serving tests and the
+//! `layerbench` serve workload build on; the `brel_serve` binary runs the
+//! daemon.
 //!
 //! Anytime semantics carry through end to end: every improvement the
 //! search finds is streamed to the submitting client as an `incumbent`
@@ -40,7 +41,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use client::{drive, percentile_us, Client, LoadOptions, LoadReport, SolveOutcome};
+pub use client::{Client, SolveOutcome};
 pub use protocol::{
     read_frame, write_frame, FinalReport, Frame, FrameReader, StatsSnapshot, Submit,
     MAX_FRAME_BYTES,

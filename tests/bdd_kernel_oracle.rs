@@ -13,14 +13,18 @@
 //! The lifecycle oracles at the bottom of this file additionally pin the
 //! node-lifecycle machinery: the solver must produce node-for-node
 //! identical solutions under an aggressively collecting kernel, sifting
-//! must preserve semantics and canonicity, and a sweep must evict every
-//! cached result so no stale hit can resurrect a reclaimed `NodeId`.
+//! must preserve semantics and canonicity, a sweep must evict every
+//! cached result so no stale hit can resurrect a reclaimed `NodeId`,
+//! collection must cut a churning workload's peak at least 3x, and every
+//! Table-1 ISF strategy must stay sound under constant sweeps and sifting.
 
 use proptest::prelude::*;
 
-use brel_suite::bdd::{Bdd, BddConfig, BddManager, BddSession, NodeId, Var};
+use brel_suite::bdd::{Bdd, BddConfig, BddManager, BddSession, GcStats, NodeId, Var};
 use brel_suite::benchdata::random_relation::random_well_defined_relation_with;
-use brel_suite::brel::{BrelConfig, BrelSolver};
+use brel_suite::benchdata::table2;
+use brel_suite::brel::{BrelConfig, BrelSolver, IsfMinimizer};
+use brel_suite::relation::RelationSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -458,5 +462,106 @@ fn sweep_evicts_cached_results_and_recycles_slots_safely() {
     for (bits, &expected) in truth.iter().enumerate() {
         let asg: Vec<bool> = (0..6).map(|k| bits & (1 << k) != 0).collect();
         assert_eq!(x3.eval(&asg), expected);
+    }
+}
+
+/// One churn round: derives a round-salted function from the int9
+/// characteristic (xor with a fresh input polarity cube, then output
+/// abstraction) and drops it. Each round builds distinct nodes, so an
+/// append-only arena grows linearly while a collecting one stays near the
+/// GC threshold.
+fn churn_round(space: &RelationSpace, chi: &Bdd, round: u32) -> usize {
+    let lits: Vec<(Var, bool)> = space
+        .input_vars()
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, (round >> (i % 16)) & 1 == 1))
+        .collect();
+    let cube = space.mgr().cube(&lits);
+    let salted = chi.xor(&cube);
+    let abstracted = salted.exists(space.output_vars());
+    salted.size() + abstracted.size()
+}
+
+/// Runs 256 churn rounds on a fresh int9 manager and reports the
+/// lifecycle counters of the churn phase alone. The config is explicit
+/// (the `BREL_BDD_*` environment cannot override it) and keeps sifting
+/// off in both modes: a sift ends with a sweep, which would silently
+/// collect the append-only baseline. Counters and the peak gauge start
+/// after construction, so collections while building the relation do not
+/// leak into the comparison.
+fn churn_int9(auto_gc: bool) -> GcStats {
+    let instance = table2::instance("int9").expect("known instance");
+    let config = BddConfig::new()
+        .auto_gc(auto_gc)
+        .gc_min_nodes(1024)
+        .auto_reorder(false);
+    let (space, relation) = table2::generate_with_config(&instance, config);
+    let mgr = space.mgr().clone();
+    mgr.reset_peak_live_nodes();
+    let base = mgr.gc_stats();
+    let chi = relation.characteristic().clone();
+    let total: usize = (0..256).map(|round| churn_round(&space, &chi, round)).sum();
+    assert!(total > 0);
+    mgr.gc_stats().delta_since(&base)
+}
+
+/// On the churn workload the collecting kernel's peak live node count is
+/// at least 3x below the append-only kernel's.
+#[test]
+fn gc_churn_peak_drops_at_least_3x_vs_append_only() {
+    let append_only = churn_int9(false);
+    let collected = churn_int9(true);
+    assert_eq!(append_only.collections, 0);
+    assert!(collected.collections > 0);
+    assert!(collected.nodes_reclaimed > 0);
+    assert!(
+        append_only.peak_live_nodes >= 3 * collected.peak_live_nodes,
+        "peak {} (append-only) vs {} (GC): expected >= 3x reduction",
+        append_only.peak_live_nodes,
+        collected.peak_live_nodes
+    );
+}
+
+/// The eight Table-1 ISF strategies (ISOP, Constrain, Restrict and
+/// LICompact, each with and without variable elimination) on family
+/// instances built in a session with a 256-node GC floor and automatic
+/// sifting: each strategy's pick for every output projection lies in its
+/// interval, and BREL driven by the strategy, as Table 1 runs it, returns
+/// a compatible function while sweeps and sifting passes move the order
+/// under the generalized-cofactor cache entries.
+#[test]
+fn table1_strategies_stay_sound_under_a_tiny_gc_floor_and_auto_reorder() {
+    let hostile = BddConfig::new().gc_min_nodes(256).auto_reorder(true);
+    for instance in table2::instances().into_iter().take(3) {
+        for (name, minimizer) in IsfMinimizer::table1_strategies() {
+            let (space, relation) = table2::generate_with_config(&instance, hostile);
+            for output in 0..space.num_outputs() {
+                let isf = relation.projection(output);
+                assert!(
+                    isf.admits(&minimizer.minimize(&isf)),
+                    "{name} left the interval of {} output {output}",
+                    instance.name
+                );
+            }
+            let config = BrelConfig {
+                minimizer,
+                ..BrelConfig::table2()
+            };
+            let solution = BrelSolver::new(config)
+                .solve(&relation)
+                .expect("family relations are well defined");
+            assert!(
+                relation.is_compatible(&solution.function),
+                "{name} returned an incompatible function on {}",
+                instance.name
+            );
+            let gc = space.gc_stats();
+            assert!(
+                gc.reorder_passes > 0 && gc.collections > 0,
+                "{name} on {}: the hostile config must force sweeps and sifting, got {gc:?}",
+                instance.name
+            );
+        }
     }
 }

@@ -136,11 +136,18 @@ fn batches_are_byte_identical_across_1_2_and_8_workers() {
 
 #[test]
 fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
-    // The acceptance criterion: `--strategy best-first` output must be
-    // deterministic at every worker count, in both engine modes.
+    // The acceptance criterion: `--strategy best-first` (and `dfs`)
+    // output must be deterministic at every worker count, in both engine
+    // modes.
+    for strategy in [SearchStrategy::BestFirst, SearchStrategy::Dfs] {
+        assert_strategy_is_worker_count_invariant(strategy);
+    }
+}
+
+fn assert_strategy_is_worker_count_invariant(strategy: SearchStrategy) {
     let jobs: Vec<JobSpec> = mixed_batch()
         .into_iter()
-        .map(|j| j.with_strategy(SearchStrategy::BestFirst))
+        .map(|j| j.with_strategy(strategy))
         .collect();
 
     // Job-parallel (narrow) mode.
@@ -148,9 +155,9 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
         .into_iter()
         .map(|w| Engine::with_workers(w).solve_batch(&jobs).to_json(false))
         .collect();
-    assert_eq!(narrow[0], narrow[1], "narrow: 1 vs 2 workers");
-    assert_eq!(narrow[0], narrow[2], "narrow: 1 vs 8 workers");
-    assert!(narrow[0].contains("\"strategy\": \"best-first\""));
+    assert_eq!(narrow[0], narrow[1], "{strategy} narrow: 1 vs 2 workers");
+    assert_eq!(narrow[0], narrow[2], "{strategy} narrow: 1 vs 8 workers");
+    assert!(narrow[0].contains(&format!("\"strategy\": \"{strategy}\"")));
 
     // Wide mode (parallel frontier expansion inside each BREL solve).
     let options = WideOptions {
@@ -166,8 +173,8 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
                 .to_json(false)
         })
         .collect();
-    assert_eq!(wide[0], wide[1], "wide: 1 vs 2 workers");
-    assert_eq!(wide[0], wide[2], "wide: 1 vs 8 workers");
+    assert_eq!(wide[0], wide[1], "{strategy} wide: 1 vs 2 workers");
+    assert_eq!(wide[0], wide[2], "{strategy} wide: 1 vs 8 workers");
 
     // Wide CSV agrees too, and every job still solves.
     let wide_csv: Vec<String> = [1usize, 8]
@@ -179,19 +186,22 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
                 .to_csv(false)
         })
         .collect();
-    assert_eq!(wide_csv[0], wide_csv[1], "wide CSV: 1 vs 8 workers");
+    assert_eq!(
+        wide_csv[0], wide_csv[1],
+        "{strategy} wide CSV: 1 vs 8 workers"
+    );
 
     // One wide runner taking the jobs serially matches the 1-worker batch.
     let serial = run_serially(&jobs, Some(options));
     assert_eq!(
         wide[0],
         serial.to_json(false),
-        "wide: 1 worker vs runner (JSON)"
+        "{strategy} wide: 1 worker vs runner (JSON)"
     );
     assert_eq!(
         wide_csv[0],
         serial.to_csv(false),
-        "wide: 1 worker vs runner (CSV)"
+        "{strategy} wide: 1 worker vs runner (CSV)"
     );
 
     let report = Engine::with_workers(2)
@@ -200,7 +210,7 @@ fn best_first_batches_are_byte_identical_across_1_2_and_8_workers() {
     assert_eq!(report.num_solved(), jobs.len());
     // Wide mode still escapes the quick solver's local minimum on fig10.
     let fig10 = report.jobs.iter().find(|j| j.name == "fig10").unwrap();
-    assert_eq!(fig10.winning().unwrap().cost, 2);
+    assert_eq!(fig10.winning().unwrap().cost, 2, "{strategy}");
     assert_eq!(fig10.winning().unwrap().backend, BackendKind::Brel);
 }
 

@@ -1,10 +1,11 @@
 //! Oracle tests for the engine's fault-tolerance layer: a seeded
 //! [`FaultPlan`] must fire completely and deterministically, targeted jobs
 //! must come back with structured non-`solved` outcomes and recovered
-//! solutions, untargeted jobs must be byte-identical to a no-fault run at
-//! every worker count in both narrow and wide mode with reuse on or off,
-//! and a faulted job must never leave an entry in the solved-subrelation
-//! cache for a later duplicate to be served from.
+//! solutions, faulted sessions must be quarantined, untargeted jobs must
+//! be byte-identical to a no-fault run at every worker count in both
+//! narrow and wide mode with reuse on or off, and a faulted job must
+//! never leave an entry in the solved-subrelation cache for a later
+//! duplicate to be served from.
 
 use std::sync::Arc;
 
@@ -90,6 +91,8 @@ proptest! {
                     .solve_batch(&jobs);
                 prop_assert_eq!(plan.num_fired(), plan.injections().len(),
                     "{} of {} injections fired", plan.num_fired(), plan.injections().len());
+                prop_assert!(chaos.reuse.quarantines >= 1,
+                    "no session quarantined at {} workers, reuse {}", workers, reuse);
                 let output = (chaos.to_json(false), chaos.to_csv(false));
                 match &reference {
                     Some(r) => prop_assert_eq!(&output, r,
@@ -124,6 +127,8 @@ proptest! {
                 .with_fault_plan(plan.clone())
                 .solve_batch(&jobs);
             prop_assert_eq!(plan.num_fired(), plan.injections().len());
+            prop_assert!(chaos.reuse.quarantines >= 1,
+                "no session quarantined in wide mode at {} workers", workers);
             let json = chaos.to_json(false);
             match &reference {
                 Some(r) => prop_assert_eq!(&json, r, "wide chaos drift at {} workers", workers),

@@ -17,8 +17,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use brel_suite::benchdata::random_relation::random_well_defined_relation;
 use brel_suite::benchdata::table2;
-use brel_suite::engine::{Engine, JobSpec, RelationSpec, WideOptions};
+use brel_suite::engine::{Engine, JobSpec, Json, RelationSpec, WideOptions};
 use brel_suite::obs::{self, Category, RecordingCollector};
+use brel_suite::serve::json;
 
 /// Serializes the tests of this binary: each installs/uninstalls the
 /// process-global collector. `into_inner` because the panic test poisons
@@ -42,178 +43,6 @@ fn small_batch() -> Vec<JobSpec> {
     jobs
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON value + recursive-descent parser, enough to round-trip
-// the trace exporter's output (objects, arrays, strings, unsigned ints).
-// The point of hand-rolling it: the oracle must not share code with the
-// exporter it checks.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum J {
-    Obj(Vec<(String, J)>),
-    Arr(Vec<J>),
-    Str(String),
-    Num(u64),
-}
-
-impl J {
-    fn get(&self, key: &str) -> Option<&J> {
-        match self {
-            J::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            J::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            J::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> u8 {
-        self.bytes[self.pos]
-    }
-
-    fn bump(&mut self) -> u8 {
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.peek().is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.skip_ws();
-        assert_eq!(
-            self.bump(),
-            b,
-            "expected {:?} at byte {}",
-            b as char,
-            self.pos
-        );
-    }
-
-    fn value(&mut self) -> J {
-        self.skip_ws();
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => J::Str(self.string()),
-            b'0'..=b'9' => self.number(),
-            other => panic!("unexpected byte {:?} at {}", other as char, self.pos),
-        }
-    }
-
-    fn object(&mut self) -> J {
-        self.expect(b'{');
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == b'}' {
-            self.bump();
-            return J::Obj(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string();
-            self.expect(b':');
-            fields.push((key, self.value()));
-            self.skip_ws();
-            match self.bump() {
-                b',' => continue,
-                b'}' => return J::Obj(fields),
-                other => panic!("bad object separator {:?}", other as char),
-            }
-        }
-    }
-
-    fn array(&mut self) -> J {
-        self.expect(b'[');
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == b']' {
-            self.bump();
-            return J::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            self.skip_ws();
-            match self.bump() {
-                b',' => continue,
-                b']' => return J::Arr(items),
-                other => panic!("bad array separator {:?}", other as char),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        assert_eq!(self.bump(), b'"', "expected string at byte {}", self.pos);
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                b'"' => return out,
-                b'\\' => match self.bump() {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex: String = (0..4).map(|_| self.bump() as char).collect();
-                        let code = u32::from_str_radix(&hex, 16).expect("hex escape");
-                        out.push(char::from_u32(code).expect("scalar value"));
-                    }
-                    other => panic!("unsupported escape {:?}", other as char),
-                },
-                byte => out.push(byte as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> J {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.peek().is_ascii_digit() {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        J::Num(text.parse().expect("u64 number"))
-    }
-}
-
-fn parse_json(text: &str) -> J {
-    let mut parser = Parser::new(text);
-    let value = parser.value();
-    parser.skip_ws();
-    assert_eq!(parser.pos, parser.bytes.len(), "trailing bytes after JSON");
-    value
-}
-
 #[test]
 fn chrome_trace_is_well_formed_with_monotone_tracks() {
     let _lock = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -228,40 +57,46 @@ fn chrome_trace_is_well_formed_with_monotone_tracks() {
     obs::uninstall();
     assert_eq!(report.num_solved(), 3);
 
+    // The strict protocol parser shares no code with the trace writer
+    // it checks, so the oracle stays independent of the exporter.
     let trace = collector.chrome_trace();
-    let root = parse_json(&trace);
-    let J::Arr(events) = root.get("traceEvents").expect("traceEvents").clone() else {
-        panic!("traceEvents is not an array");
-    };
+    let root = json::parse(&trace).expect("the trace is well-formed JSON");
+    let events = root
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents is an array");
     assert!(!events.is_empty(), "the traced batch recorded no events");
 
     // Track names arrive as thread_name metadata; the wide workers must
     // be pinned to their own stable tracks.
     let mut names = Vec::new();
     let mut last_ts: std::collections::BTreeMap<u64, u64> = Default::default();
-    for event in &events {
-        let ph = event.get("ph").and_then(J::as_str).expect("ph");
-        let tid = event.get("tid").and_then(J::as_num).expect("tid");
-        assert_eq!(event.get("pid").and_then(J::as_num), Some(1));
+    for event in events {
+        let ph = event.get("ph").and_then(Json::as_str).expect("ph");
+        let tid = event.get("tid").and_then(Json::as_u64).expect("tid");
+        assert_eq!(event.get("pid").and_then(Json::as_u64), Some(1));
         match ph {
             "M" => {
-                assert_eq!(event.get("name").and_then(J::as_str), Some("thread_name"));
+                assert_eq!(
+                    event.get("name").and_then(Json::as_str),
+                    Some("thread_name")
+                );
                 let args = event.get("args").expect("metadata args");
-                names.push(args.get("name").and_then(J::as_str).unwrap().to_string());
+                names.push(args.get("name").and_then(Json::as_str).unwrap().to_string());
             }
             "X" => {
-                let ts = event.get("ts").and_then(J::as_num).expect("ts");
-                event.get("dur").and_then(J::as_num).expect("dur");
-                event.get("cat").and_then(J::as_str).expect("cat");
-                event.get("name").and_then(J::as_str).expect("name");
+                let ts = event.get("ts").and_then(Json::as_u64).expect("ts");
+                event.get("dur").and_then(Json::as_u64).expect("dur");
+                event.get("cat").and_then(Json::as_str).expect("cat");
+                event.get("name").and_then(Json::as_str).expect("name");
                 // Per-track timestamps never decrease in file order, so
                 // viewers need no repair pass.
                 let prev = last_ts.insert(tid, ts).unwrap_or(0);
                 assert!(ts >= prev, "track {tid}: ts {ts} after {prev}");
             }
             "i" => {
-                event.get("ts").and_then(J::as_num).expect("ts");
-                assert_eq!(event.get("s").and_then(J::as_str), Some("t"));
+                event.get("ts").and_then(Json::as_u64).expect("ts");
+                assert_eq!(event.get("s").and_then(Json::as_str), Some("t"));
             }
             other => panic!("unexpected event phase {other:?}"),
         }
@@ -290,6 +125,23 @@ fn chrome_trace_is_well_formed_with_monotone_tracks() {
     // The barrier-synchronous rounds are gone for good.
     assert_eq!(phase.total_us("barrier_wait"), 0);
     assert_eq!(phase.total_us("round"), 0);
+    // A portfolio job rehydrates twice: once for its quick and gyocro
+    // attempts and once for the wide seed. A steal copies its subproblem
+    // by structural import and never rehydrates.
+    let count = |name: &str| -> u64 {
+        phase
+            .rows
+            .iter()
+            .filter(|row| row.name == name)
+            .map(|row| row.count)
+            .sum()
+    };
+    assert!(
+        count("rehydrate") <= 2 * count("wide_solve"),
+        "{} rehydrations across {} wide solves",
+        count("rehydrate"),
+        count("wide_solve")
+    );
 }
 
 #[test]

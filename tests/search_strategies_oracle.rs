@@ -9,7 +9,7 @@ use brel_core::{
     BrelConfig, BrelSolver, CostFn, CostFunction, ExploreStatus, Explorer, QuickSolver,
     SearchStrategy,
 };
-use brel_suite::benchdata::random_well_defined_relation;
+use brel_suite::benchdata::{figures, random_well_defined_relation};
 
 /// Strategy: a seed plus small dimensions for a random well-defined
 /// relation (kept small enough that exact mode terminates quickly).
@@ -112,6 +112,29 @@ proptest! {
             prop_assert!(result.is_ok(), "{strategy} errored: {:?}", result.err());
         }
     }
+}
+
+/// The paper's Section 9.1 local-minimum relation in exact mode: every
+/// strategy proves the cost-2 optimum, and best-first's bounding gets
+/// there with no more explored subrelations than FIFO.
+#[test]
+fn every_strategy_reaches_the_fig10_optimum_and_best_first_explores_no_more_than_fifo() {
+    let (_space, fig10) = figures::fig10();
+    let explored: Vec<(SearchStrategy, usize)> = SearchStrategy::all()
+        .into_iter()
+        .map(|strategy| {
+            let solution = BrelSolver::new(BrelConfig::exact().with_strategy(strategy))
+                .solve(&fig10)
+                .unwrap();
+            assert_eq!(solution.cost, 2, "{strategy} missed the fig10 optimum");
+            (strategy, solution.stats.explored)
+        })
+        .collect();
+    let of = |wanted| explored.iter().find(|(s, _)| *s == wanted).unwrap().1;
+    assert!(
+        of(SearchStrategy::BestFirst) <= of(SearchStrategy::Fifo),
+        "best-first explored more than FIFO on fig10: {explored:?}"
+    );
 }
 
 mod wide_invariance {

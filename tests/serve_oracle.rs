@@ -3,15 +3,24 @@
 //! disconnect must free its worker promptly (counted as a cancellation),
 //! and a drain shutdown under chaos must emit a final frame for every
 //! admitted job and report every quarantined session in the final stats.
+//! A reached `max_cost` target stops a search early, overload is shed
+//! with one of three reasons and a backoff hint, a hostile frame is an
+//! error reply instead of a crash, and a 1-worker daemon replays the
+//! smoke corpus byte-identically to the batch engine.
 
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use brel_bench::engine_batch::{corpus, CorpusOptions};
 use brel_suite::benchdata::random_well_defined_relation;
-use brel_suite::engine::{BackendKind, FaultPlan, JobBudget, JobSpec, RelationSpec};
-use brel_suite::serve::{Client, DrainReport, Frame, ServeConfig, Server, Submit};
+use brel_suite::engine::{BackendKind, Engine, FaultPlan, JobBudget, JobSpec, RelationSpec};
+use brel_suite::serve::{
+    read_frame, AdmissionConfig, Client, DrainReport, FinalReport, Frame, ServeConfig, Server,
+    Submit,
+};
 
 /// Spawns a server and hands back its address plus the drain handle; the
 /// handle resolving proves every server thread was joined.
@@ -321,5 +330,212 @@ fn wide_server_streams_strictly_decreasing_incumbents() {
 
     client.shutdown_and_wait().unwrap();
     let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+}
+
+/// Reads frames until one that is not an incumbent arrives.
+fn recv_skipping_incumbents(client: &mut Client) -> Frame {
+    loop {
+        match client.recv().unwrap() {
+            Frame::Incumbent { .. } => {}
+            other => return other,
+        }
+    }
+}
+
+/// Submits without waiting for the admission decision.
+fn submit(client: &mut Client, client_id: &str, job: JobSpec, deadline_ms: Option<u64>) {
+    client
+        .send(&Frame::Submit(Submit {
+            client: client_id.to_string(),
+            job,
+            deadline_ms,
+            max_cost: None,
+        }))
+        .unwrap();
+}
+
+/// The serial-replay determinism gate: a 1-worker daemon fed the smoke
+/// corpus one job at a time streams at least one incumbent per job and
+/// sends finals whose timing-free view is byte-identical to the batch
+/// engine's reports, pinned to the smoke corpus's cost fingerprint.
+#[test]
+fn serial_replay_matches_the_batch_engine_byte_for_byte() {
+    let jobs = corpus(&CorpusOptions::smoke());
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let served: Vec<FinalReport> = jobs
+        .iter()
+        .map(|job| {
+            let outcome = client.solve(job, "replay", None, None, false).unwrap();
+            assert!(
+                !outcome.incumbents.is_empty(),
+                "{} streamed no incumbent",
+                job.name
+            );
+            outcome.final_report.expect("every replayed job finishes")
+        })
+        .collect();
+    client.shutdown_and_wait().unwrap();
+    let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+
+    let batch = Engine::with_workers(1).solve_batch(&jobs);
+    assert_eq!(served.len(), batch.jobs.len());
+    for (ticket, (from_serve, from_batch)) in served.iter().zip(&batch.jobs).enumerate() {
+        let reference = FinalReport::from_report(ticket as u64, from_batch, 0, 0);
+        assert_eq!(
+            from_serve.deterministic_json().render(),
+            reference.deterministic_json().render(),
+            "served job {} differs from the batch engine",
+            from_serve.name
+        );
+    }
+    let total: u64 = served.iter().filter_map(|r| r.cost).sum();
+    assert_eq!(total, batch.total_winner_cost());
+    assert_eq!(total, 81, "smoke-corpus cost fingerprint");
+}
+
+/// A cost target every incumbent meets stops the search server-side at
+/// the first one: the final comes back degraded, carrying the best
+/// incumbent streamed, and the stop counts as a cancellation.
+#[test]
+fn reached_max_cost_stops_the_search_early_with_the_best_incumbent() {
+    let (addr, handle) = start(ServeConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let outcome = client
+        .solve(&long_job(13), "oracle", None, Some(u64::MAX), false)
+        .unwrap();
+    let report = outcome
+        .final_report
+        .expect("early-stopped job gets a final");
+    assert!(report.degraded, "a reached target truncates the search");
+    assert_eq!(report.outcome, "degraded");
+    let best = outcome.incumbents.iter().map(|(cost, _)| *cost).min();
+    assert!(best.is_some(), "the target is met by a streamed incumbent");
+    assert_eq!(report.cost, best, "the final carries the best incumbent");
+
+    client.shutdown_and_wait().unwrap();
+    let drain = handle.join().unwrap();
+    assert!(drain.stats.cancelled >= 1, "{:?}", drain.stats);
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+}
+
+/// Forced shedding on a 1-worker daemon with queue capacity 1 and one job
+/// per client: the per-client budget, an infeasible deadline and a full
+/// queue each shed a submission over TCP with a jittered backoff hint,
+/// and the daemon counts exactly those three sheds.
+#[test]
+fn all_three_shed_reasons_carry_a_backoff_hint() {
+    let admission = AdmissionConfig {
+        capacity: 1,
+        per_client: 1,
+        ..AdmissionConfig::default()
+    };
+    let backoff = admission.backoff_ms;
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        admission,
+        ..ServeConfig::default()
+    });
+    let mut sheds = Vec::new();
+    let mut record = |frame: Frame| match frame {
+        Frame::Rejected {
+            reason,
+            retry_after_ms,
+        } => sheds.push((reason, retry_after_ms)),
+        other => panic!("expected a shed, got {other:?}"),
+    };
+
+    // The hog occupies the only worker with an unbounded job; a second
+    // submission from the same client exceeds its budget of one.
+    let mut hog = Client::connect(addr).unwrap();
+    submit(&mut hog, "hog", long_job(17), None);
+    let hog_ticket = match hog.recv().unwrap() {
+        Frame::Admitted { job, .. } => job,
+        other => panic!("expected the hog's admission, got {other:?}"),
+    };
+    // Its first incumbent shows it has left the queue for the worker.
+    assert!(matches!(hog.recv().unwrap(), Frame::Incumbent { .. }));
+    submit(&mut hog, "hog", quick_job("hog-encore", 31), None);
+    record(recv_skipping_incumbents(&mut hog));
+
+    // A second client fills the queue...
+    let mut queued = Client::connect(addr).unwrap();
+    submit(&mut queued, "queued", quick_job("queued-job", 32), None);
+    assert!(matches!(queued.recv().unwrap(), Frame::Admitted { .. }));
+
+    // ...so a zero deadline cannot be met behind it...
+    let mut hasty = Client::connect(addr).unwrap();
+    submit(&mut hasty, "hasty", quick_job("hasty-job", 33), Some(0));
+    record(hasty.recv().unwrap());
+
+    // ...and a fourth client finds the queue full.
+    let mut late = Client::connect(addr).unwrap();
+    submit(&mut late, "late", quick_job("late-job", 34), None);
+    record(late.recv().unwrap());
+
+    let reasons: Vec<&str> = sheds.iter().map(|(reason, _)| reason.as_str()).collect();
+    assert_eq!(
+        reasons,
+        ["client-budget", "infeasible-deadline", "queue-full"]
+    );
+    for (reason, hint) in &sheds {
+        assert!(
+            (backoff..=2 * backoff).contains(hint),
+            "{reason}: hint {hint} ms outside [{backoff}, {}]",
+            2 * backoff
+        );
+    }
+
+    // Unblock the worker: the hog degrades and the queued job solves.
+    hog.cancel(hog_ticket).unwrap();
+    match recv_skipping_incumbents(&mut hog) {
+        Frame::Final(report) => assert!(report.degraded, "{report:?}"),
+        other => panic!("expected the hog's final, got {other:?}"),
+    }
+    match recv_skipping_incumbents(&mut queued) {
+        Frame::Final(report) => assert_eq!(report.outcome, "solved"),
+        other => panic!("expected the queued final, got {other:?}"),
+    }
+    late.shutdown_and_wait().unwrap();
+    let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.shed, 3, "{:?}", drain.stats);
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+}
+
+/// A 130-byte submit frame declaring four billion inputs and no rows is
+/// answered with an `error` frame instead of aborting the daemon on the
+/// allocation, and the daemon serves the next job.
+#[test]
+fn hostile_relation_width_is_an_error_frame_and_the_daemon_keeps_serving() {
+    let (addr, handle) = start(ServeConfig::default());
+    let body = r#"{"type": "submit", "client": "hostile", "job": {"name": "huge", "relation": {"inputs": 4000000000, "outputs": 1, "rows": []}}}"#;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    match read_frame(&mut stream).unwrap() {
+        Frame::Error { message } => assert!(message.contains("limit is 16"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    let mut polite = Client::connect(addr).unwrap();
+    let outcome = polite
+        .solve(&quick_job("after-hostile", 5), "polite", None, None, false)
+        .unwrap();
+    assert_eq!(outcome.final_report.unwrap().outcome, "solved");
+    let drain = {
+        polite.shutdown_and_wait().unwrap();
+        handle.join().unwrap()
+    };
+    assert_eq!(drain.stats.admitted, 1);
     assert_eq!(drain.stats.admitted, drain.stats.completed);
 }
