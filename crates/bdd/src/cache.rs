@@ -1,5 +1,5 @@
 //! The kernel's memory layer: a CUDD-style open-addressed unique table and
-//! a fixed-size, lossy, direct-mapped operation cache.
+//! a lossy, direct-mapped operation cache.
 //!
 //! Both structures replace the `std::collections::HashMap`s of the first
 //! kernel generation. SipHash (std's default hasher) is a DoS-hardened
@@ -439,15 +439,28 @@ const EMPTY_SLOT: CacheSlot = CacheSlot {
 /// The lossy, direct-mapped operation cache shared by every memoized
 /// kernel operation.
 ///
-/// The slot count starts small and doubles (clearing the table — entries
-/// are disposable) whenever the insert volume outgrows it, up to
-/// [`OpCache::MAX_SLOTS`]; small managers therefore stay cheap while
-/// solver-scale managers converge to a large cache within a few resizes.
+/// A cold cache — fresh, or rewound by [`OpCache::reset`] — holds
+/// [`OpCache::MIN_SLOTS`] slots, sized for the working set of one
+/// portfolio solve rather than for the relation's χ: the solver's
+/// intermediate functions outnumber χ's nodes many times over, so a cache
+/// sized like the unique table would thrash from the first split. From
+/// there it grows by CUDD's `minHit` rule: once the hits since the last
+/// resize exceed [`OpCache::MIN_HIT_PERCENT`] percent of the lookups since
+/// then, the entries are evidently being reused, so the table doubles in
+/// place, keeping every entry. Growth stops at [`OpCache::MAX_SLOTS`]: a
+/// table much past the CPU's L2 turns every probe into a memory stall,
+/// which costs more than the recomputations it saves.
 #[derive(Debug)]
 pub(crate) struct OpCache {
-    slots: Box<[CacheSlot]>,
+    /// The table. Its length is the slot count; its allocation is kept
+    /// across resets, so a session that grew once re-grows in place.
+    slots: Vec<CacheSlot>,
     mask: usize,
-    grow_at: u64,
+    /// Hits since the last resize.
+    window_hits: u64,
+    /// Misses since the last resize, plus the arming offset (see
+    /// [`OpCache::arm`]).
+    window_misses: u64,
     /// `true` once the size was pinned by an explicit resize; pinned
     /// caches never auto-grow (the eviction stress tests rely on this).
     fixed: bool,
@@ -458,10 +471,18 @@ pub(crate) struct OpCache {
 }
 
 impl OpCache {
-    const MIN_SLOTS: usize = 1 << 8;
-    const MAX_SLOTS: usize = 1 << 20;
-    /// Resize once inserts exceed this multiple of the slot count.
-    const GROWTH_PRESSURE: u64 = 4;
+    /// The cold slot count: the knee of a sweep over the engine's
+    /// default corpus (README, "Operation cache"). Larger floors save
+    /// little more work, and every session reset refills the table.
+    const MIN_SLOTS: usize = 1 << 13;
+    /// The growth cap (and the largest size [`OpCache::resize`] installs),
+    /// four times the floor. Uncapped growth reached 2^20 slots (20 MiB)
+    /// on the hard corpus, whose every GC sweep then cleared 20 MiB, and
+    /// ran it over 3x slower than this cap.
+    const MAX_SLOTS: usize = 1 << 15;
+    /// CUDD's `minHit`: the cache doubles once hits exceed this percentage
+    /// of the lookups since the last resize.
+    const MIN_HIT_PERCENT: u64 = 30;
 
     pub(crate) fn new() -> Self {
         Self::with_slots(Self::MIN_SLOTS)
@@ -469,32 +490,43 @@ impl OpCache {
 
     /// A cache with `slots` slots (rounded up to a power of two).
     pub(crate) fn with_slots(slots: usize) -> Self {
-        let capacity = slots.clamp(2, Self::MAX_SLOTS).next_power_of_two();
-        OpCache {
-            slots: vec![EMPTY_SLOT; capacity].into_boxed_slice(),
-            mask: capacity - 1,
-            grow_at: capacity as u64 * Self::GROWTH_PRESSURE,
+        let mut cache = OpCache {
+            slots: Vec::new(),
+            mask: 0,
+            window_hits: 0,
+            window_misses: 0,
             fixed: false,
             lookups: 0,
             hits: 0,
             inserts: 0,
             evictions: 0,
-        }
+        };
+        cache.replace_slots(slots);
+        cache
     }
 
     #[inline]
-    fn index(&self, tag: OpTag, a: u32, b: u32, c: u32) -> usize {
+    fn index(&self, tag: u32, a: u32, b: u32, c: u32) -> usize {
         (hash3(a, b, c).wrapping_add((tag as u64).wrapping_mul(FX_SEED))) as usize & self.mask
     }
 
     #[inline]
     pub(crate) fn lookup(&mut self, tag: OpTag, a: u32, b: u32, c: u32) -> Option<NodeId> {
         self.lookups += 1;
-        let slot = &self.slots[self.index(tag, a, b, c)];
+        let slot = &self.slots[self.index(tag as u32, a, b, c)];
         if slot.tag == tag as u32 && slot.a == a && slot.b == b && slot.c == c {
             self.hits += 1;
+            self.window_hits += 1;
             Some(NodeId(slot.result))
         } else {
+            self.window_misses += 1;
+            if self.window_hits * (100 - Self::MIN_HIT_PERCENT)
+                > self.window_misses * Self::MIN_HIT_PERCENT
+                && !self.fixed
+                && self.slots.len() < Self::MAX_SLOTS
+            {
+                self.double();
+            }
             None
         }
     }
@@ -502,10 +534,7 @@ impl OpCache {
     #[inline]
     pub(crate) fn insert(&mut self, tag: OpTag, a: u32, b: u32, c: u32, result: NodeId) {
         self.inserts += 1;
-        if !self.fixed && self.inserts >= self.grow_at && self.slots.len() < Self::MAX_SLOTS {
-            self.grow(self.slots.len() * 2);
-        }
-        let i = self.index(tag, a, b, c);
+        let i = self.index(tag as u32, a, b, c);
         let slot = &mut self.slots[i];
         if slot.tag != TAG_EMPTY
             && (slot.tag != tag as u32 || slot.a != a || slot.b != b || slot.c != c)
@@ -537,19 +566,13 @@ impl OpCache {
         }
     }
 
-    /// Restores the cold-start state: minimum slot count, auto-growth
-    /// re-enabled, next growth re-armed at the same per-session insert
-    /// distance a fresh cache would use. Counters survive (session resets
-    /// report deltas), so a reset cache behaves — and reports — exactly
-    /// like a cold one for the operations that follow.
+    /// Restores the cold-start state: [`OpCache::MIN_SLOTS`] empty slots,
+    /// auto-growth re-enabled and the growth window re-armed as in a fresh
+    /// cache. Counters survive (session resets report deltas), so a reset
+    /// cache behaves — and reports — exactly like a cold one for the
+    /// operations that follow.
     pub(crate) fn reset(&mut self) {
-        if self.slots.len() == Self::MIN_SLOTS {
-            self.slots.fill(EMPTY_SLOT);
-        } else {
-            self.slots = vec![EMPTY_SLOT; Self::MIN_SLOTS].into_boxed_slice();
-            self.mask = Self::MIN_SLOTS - 1;
-        }
-        self.grow_at = self.inserts + Self::MIN_SLOTS as u64 * Self::GROWTH_PRESSURE;
+        self.replace_slots(Self::MIN_SLOTS);
         self.fixed = false;
     }
 
@@ -558,15 +581,44 @@ impl OpCache {
     /// counters survive. Exposed for the eviction stress tests, which hold
     /// a tiny cache under sustained insert pressure.
     pub(crate) fn resize(&mut self, slots: usize) {
-        self.grow(slots);
+        self.replace_slots(slots);
         self.fixed = true;
     }
 
-    fn grow(&mut self, slots: usize) {
+    /// Empties the table at `slots` slots (clamped, rounded up to a power
+    /// of two), reusing the allocation, and re-arms the growth window.
+    fn replace_slots(&mut self, slots: usize) {
         let capacity = slots.clamp(2, Self::MAX_SLOTS).next_power_of_two();
-        self.slots = vec![EMPTY_SLOT; capacity].into_boxed_slice();
+        self.slots.clear();
+        self.slots.resize(capacity, EMPTY_SLOT);
         self.mask = capacity - 1;
-        self.grow_at = self.inserts + capacity as u64 * Self::GROWTH_PRESSURE;
+        self.arm();
+    }
+
+    /// Doubles the table in place, keeping every live entry: the entry in
+    /// old slot `i` hashes to `i` or `i + len` under the wider mask, and
+    /// the upper half starts empty, so each move lands on a free slot.
+    fn double(&mut self) {
+        let len = self.slots.len();
+        self.slots.resize(len * 2, EMPTY_SLOT);
+        self.mask = len * 2 - 1;
+        for i in 0..len {
+            let slot = self.slots[i];
+            if slot.tag != TAG_EMPTY && self.index(slot.tag, slot.a, slot.b, slot.c) != i {
+                self.slots[i + len] = slot;
+                self.slots[i] = EMPTY_SLOT;
+            }
+        }
+        self.arm();
+    }
+
+    /// Starts a new growth window. As in CUDD, the miss count starts at
+    /// `slots · minHit + 1` rather than zero, so a fresh table must earn
+    /// a sizeable number of hits before it can grow again.
+    fn arm(&mut self) {
+        self.window_hits = 0;
+        self.window_misses =
+            self.slots.len() as u64 * Self::MIN_HIT_PERCENT / (100 - Self::MIN_HIT_PERCENT) + 1;
     }
 
     pub(crate) fn slot_count(&self) -> usize {
@@ -697,13 +749,75 @@ mod tests {
     }
 
     #[test]
-    fn op_cache_grows_under_pressure() {
-        let mut cache = OpCache::with_slots(2);
-        let before = cache.slot_count();
+    fn op_cache_grows_on_hits_and_keeps_its_entries() {
+        let mut cache = OpCache::with_slots(64);
         for k in 0..256u32 {
-            cache.insert(OpTag::Ite, k, 0, 0, NodeId(k));
+            cache.insert(OpTag::Ite, k, 1, 2, NodeId(k + 10));
         }
-        assert!(cache.slot_count() > before);
+        // Inserts alone never grow the cache: only reuse earns slots.
+        assert_eq!(cache.slot_count(), 64);
+        let resident: Vec<CacheSlot> = cache
+            .slots
+            .iter()
+            .copied()
+            .filter(|slot| slot.tag != TAG_EMPTY)
+            .collect();
+        let (inserts, evictions) = (cache.inserts(), cache.evictions());
+        // Hits on one resident entry, then misses (where the rule is
+        // checked) until the hit share of the window triggers a doubling.
+        let hot = resident[0];
+        for _ in 0..100 {
+            let _ = cache.lookup(OpTag::Ite, hot.a, hot.b, hot.c);
+        }
+        let mut misses = 0;
+        while cache.slot_count() == 64 {
+            assert_eq!(cache.lookup(OpTag::Exists, 0, 0, 0), None);
+            misses += 1;
+            assert!(misses < 1000, "a hit-heavy window must grow the cache");
+        }
+        assert_eq!(cache.slot_count(), 128);
+        // Every entry resident before the doubling still hits after the
+        // rehash, and the doubling counted as neither insert nor eviction.
+        for slot in &resident {
+            assert_eq!(
+                cache.lookup(OpTag::Ite, slot.a, slot.b, slot.c),
+                Some(NodeId(slot.result))
+            );
+        }
+        assert_eq!((cache.inserts(), cache.evictions()), (inserts, evictions));
+        // A pinned cache never grows, however hot it runs.
+        cache.resize(4);
+        cache.insert(OpTag::Ite, 0, 1, 2, NodeId(3));
+        for _ in 0..1000 {
+            assert_eq!(cache.lookup(OpTag::Ite, 0, 1, 2), Some(NodeId(3)));
+            let _ = cache.lookup(OpTag::Exists, 9, 9, 9);
+        }
+        assert_eq!(cache.slot_count(), 4);
+    }
+
+    #[test]
+    fn op_cache_reset_restores_the_cold_state() {
+        let state = |c: &OpCache| (c.slots.len(), c.window_hits, c.window_misses, c.fixed);
+        let cold = OpCache::new();
+        let mut cache = OpCache::new();
+        // Grow once, then leave a hot hit window open at the reset.
+        cache.insert(OpTag::Ite, 1, 2, 3, NodeId(4));
+        while cache.slot_count() == OpCache::MIN_SLOTS {
+            for _ in 0..1000 {
+                let _ = cache.lookup(OpTag::Ite, 1, 2, 3);
+            }
+            let _ = cache.lookup(OpTag::Exists, 0, 0, 0);
+        }
+        for _ in 0..1000 {
+            let _ = cache.lookup(OpTag::Ite, 1, 2, 3);
+        }
+        cache.reset();
+        assert_eq!(state(&cache), state(&cold));
+        assert_eq!(cache.lookup(OpTag::Ite, 1, 2, 3), None, "entries dropped");
+        // A pinned cache is unpinned by the reset too.
+        cache.resize(4);
+        cache.reset();
+        assert_eq!(state(&cache), state(&cold));
     }
 
     #[test]
@@ -718,14 +832,14 @@ mod tests {
             cache_lookups: 25,
             cache_hits: 9,
             num_nodes: 50,
-            cache_slots: 256,
+            cache_slots: 8192,
             ..CacheStats::default()
         };
         let delta = now.delta_since(&earlier);
         assert_eq!(delta.cache_lookups, 15);
         assert_eq!(delta.cache_hits, 5);
         assert_eq!(delta.num_nodes, 50);
-        assert_eq!(delta.cache_slots, 256);
+        assert_eq!(delta.cache_slots, 8192);
         assert!((delta.cache_hit_rate() - 5.0 / 15.0).abs() < 1e-12);
         assert_eq!(CacheStats::default().cache_hit_rate(), 0.0);
         assert_eq!(CacheStats::default().unique_load_factor(), 0.0);

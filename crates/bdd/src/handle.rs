@@ -978,15 +978,32 @@ mod tests {
 
     #[test]
     fn reset_matches_cold_gauges() {
-        let warm = BddSession::with_config(4, 2048, BddConfig::new());
-        {
-            let mut junk = Vec::new();
-            for i in 0..4u32 {
-                junk.push(warm.var(i).xor(&warm.var((i + 1) % 4)));
+        // A workload of repeated conjunctions over sums of products: the
+        // repeats hit the op cache often enough that it grows.
+        fn workload(session: &BddSession, rounds: usize) {
+            let terms: Vec<Bdd> = (0..8u32)
+                .map(|i| session.var(i).and(&session.var((i + 3) % 8)))
+                .collect();
+            let sums: Vec<Bdd> = (0..8)
+                .map(|i| terms[i].or(&terms[(i + 1) % 8]).xor(&terms[(i + 5) % 8]))
+                .collect();
+            for _ in 0..rounds {
+                for (i, f) in sums.iter().enumerate() {
+                    let _ = f.and(&sums[(i + 2) % 8]).or(&terms[i]);
+                }
             }
+            // Growth is checked on a miss: end on fresh work.
+            let _ = sums.iter().fold(session.zero(), |acc, f| acc.xor(f));
         }
-        assert!(warm.reset(4, 2048, BddConfig::new()));
-        let cold = BddSession::with_config(4, 2048, BddConfig::new());
+        let warm = BddSession::with_config(8, 2048, BddConfig::new());
+        let cold_slots = warm.cache_stats().cache_slots;
+        workload(&warm, 400);
+        assert!(
+            warm.cache_stats().cache_slots > cold_slots,
+            "the workload must grow the op cache before the reset"
+        );
+        assert!(warm.reset(8, 2048, BddConfig::new()));
+        let cold = BddSession::with_config(8, 2048, BddConfig::new());
         let (ws, cs) = (warm.cache_stats(), cold.cache_stats());
         assert_eq!(ws.unique_len, cs.unique_len);
         assert_eq!(ws.unique_capacity, cs.unique_capacity);
@@ -996,10 +1013,20 @@ mod tests {
             warm.gc_stats().var_order_hash,
             cold.gc_stats().var_order_hash
         );
-        // And the two sessions now produce identical gauge trajectories.
-        let wf = warm.var(0).and(&warm.var(3));
-        let cf = cold.var(0).and(&cold.var(3));
-        assert_eq!(wf.size(), cf.size());
+        // And the two sessions now do identical kernel work for the same
+        // follow-up ops, growth included: every counter delta and gauge
+        // agrees, after a short run (a carried-over growth window would
+        // grow the warm cache early) and after a long one.
+        for rounds in [1, 400] {
+            workload(&warm, rounds);
+            workload(&cold, rounds);
+            assert_eq!(
+                warm.cache_stats().delta_since(&ws),
+                cold.cache_stats().delta_since(&cs),
+                "after {rounds} rounds"
+            );
+        }
+        assert!(cold.cache_stats().cache_slots > cold_slots);
         assert_eq!(warm.num_nodes(), cold.num_nodes());
     }
 

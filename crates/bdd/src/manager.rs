@@ -271,8 +271,9 @@ impl BddManager {
     }
 
     /// Replaces the operation cache with one of `slots` slots (rounded to a
-    /// power of two; entries are dropped, counters survive). Primarily for
-    /// tests that pin a tiny cache to stress the lossy-eviction path.
+    /// power of two, at most 2^15; entries are dropped, counters survive)
+    /// and pins that size until the next [`BddManager::reset`]. Primarily
+    /// for tests that pin a tiny cache to stress the lossy-eviction path.
     pub fn resize_op_cache(&mut self, slots: usize) {
         self.cache.resize(slots);
     }

@@ -8,7 +8,7 @@
 //! variant is in the cache.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 use brel_bdd::Bdd;
@@ -101,33 +101,73 @@ pub fn canonical_rows(rows: &[RelationRow]) -> Vec<RelationRow> {
         .collect()
 }
 
-/// The input-support mask of canonical rows: bit `i` is set iff the
-/// relation actually depends on input `i`. Input `i` is *non-support* when
-/// every pair of input vertices differing only in bit `i` has the same
-/// image (a missing vertex counts as an empty image); such a column is
-/// noise for caching purposes — two subrelations equal up to irrelevant
-/// input columns solve identically.
-///
-/// `rows` must be canonical (see [`canonical_rows`]): unique input
-/// vertices with sorted images, so images compare by slice equality.
-pub fn input_support_mask(num_inputs: usize, rows: &[RelationRow]) -> u64 {
-    let by_input: HashMap<&[bool], &[Vec<bool>]> = rows
-        .iter()
-        .map(|(input, image)| (input.as_slice(), image.as_slice()))
-        .collect();
-    let mut mask = 0u64;
-    for i in 0..num_inputs.min(64) {
-        let depends = rows.iter().any(|(input, image)| {
-            let mut partner = input.clone();
-            partner[i] = !partner[i];
-            let partner_image = by_input.get(partner.as_slice()).copied().unwrap_or(&[]);
-            partner_image != image.as_slice()
-        });
+/// The `(input, output)` pairs of `rows` packed into `u64` bit patterns
+/// (see [`pack`]), sorted and deduplicated. This form is canonical by
+/// construction: row order, repeated inputs, duplicate pairs and image
+/// order all vanish in one sort, and an empty image leaves no pair.
+fn packed_pairs(rows: &[RelationRow]) -> Vec<(u64, u64)> {
+    let mut pairs = Vec::with_capacity(rows.iter().map(|(_, outputs)| outputs.len()).sum());
+    for (input, outputs) in rows {
+        let x = pack(input);
+        pairs.extend(outputs.iter().map(|output| (x, pack(output))));
+    }
+    // Canonical rows arrive already in this order, which the sort detects
+    // in one linear pass.
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// [`input_support_mask`] of sorted, deduplicated packed pairs.
+fn support_mask(num_inputs: usize, pairs: &[(u64, u64)]) -> u64 {
+    let image = |x: u64| {
+        let start = pairs.partition_point(|p| p.0 < x);
+        let len = pairs[start..].partition_point(|p| p.0 == x);
+        pairs[start..start + len].iter().map(|p| p.1)
+    };
+    let mut mask = 0;
+    for i in 0..num_inputs {
+        let flip = 1u64 << (num_inputs - 1 - i);
+        // A missing partner has the empty image, which no present input has.
+        let depends = pairs
+            .chunk_by(|p, q| p.0 == q.0)
+            .any(|run| !run.iter().map(|p| p.1).eq(image(run[0].0 ^ flip)));
         if depends {
             mask |= 1 << i;
         }
     }
     mask
+}
+
+/// Packs a vertex into a bit pattern, component 0 in the most significant
+/// of the low `bits.len()` bits, so packed vertices of one width compare
+/// like the `Vec<bool>`s they came from.
+fn pack(bits: &[bool]) -> u64 {
+    assert!(bits.len() <= 64, "vertex wider than 64 bits");
+    bits.iter().fold(0, |acc, &bit| acc << 1 | bit as u64)
+}
+
+/// Keeps the components of the packed `width`-wide vertex `x` whose bit is
+/// set in the input mask `mask`, packed in the same order.
+fn project(x: u64, width: usize, mask: u64) -> u64 {
+    (0..width)
+        .filter(|&i| mask >> i & 1 == 1)
+        .fold(0, |acc, i| acc << 1 | (x >> (width - 1 - i) & 1))
+}
+
+/// The input-support mask of a row list: bit `i` is set iff the relation
+/// actually depends on input `i`. Input `i` is *non-support* when every
+/// pair of input vertices differing only in bit `i` has the same image (a
+/// missing vertex counts as an empty image); such a column is noise for
+/// caching purposes — two subrelations equal up to irrelevant input
+/// columns solve identically. Rows need not be canonical.
+///
+/// # Panics
+///
+/// Panics if `num_inputs` or a vertex width exceeds 64.
+pub fn input_support_mask(num_inputs: usize, rows: &[RelationRow]) -> u64 {
+    assert!(num_inputs <= 64, "support masks cover at most 64 inputs");
+    support_mask(num_inputs, &packed_pairs(rows))
 }
 
 /// A 64-bit fingerprint of the relation a row list describes, invariant
@@ -137,19 +177,29 @@ pub fn input_support_mask(num_inputs: usize, rows: &[RelationRow]) -> u64 {
 /// so relations that ignore *different* columns do not collide), and the
 /// result is hashed together with the space dimensions. The engine keys
 /// its cross-job solved-subrelation cache on this value.
+///
+/// The work runs on rows packed into `u64` bit patterns: one sort of the
+/// `(input, output)` pairs canonicalizes, a binary search finds each
+/// flipped partner for the support mask, and one more sort and dedup of
+/// the projected pairs merges the rows that differed only in non-support
+/// columns.
+///
+/// # Panics
+///
+/// Panics if either width exceeds 64.
 pub fn relation_fingerprint(num_inputs: usize, num_outputs: usize, rows: &[RelationRow]) -> u64 {
-    let canonical = canonical_rows(rows);
-    let mask = input_support_mask(num_inputs, &canonical);
-    let projected: BTreeSet<(Vec<bool>, Vec<Vec<bool>>)> = canonical
-        .into_iter()
-        .map(|(input, image)| {
-            let kept: Vec<bool> = (0..num_inputs)
-                .filter(|&i| i >= 64 || mask & (1 << i) != 0)
-                .map(|i| input[i])
-                .collect();
-            (kept, image)
-        })
+    assert!(
+        num_inputs <= 64 && num_outputs <= 64,
+        "fingerprints cover at most 64 inputs and 64 outputs"
+    );
+    let pairs = packed_pairs(rows);
+    let mask = support_mask(num_inputs, &pairs);
+    let mut projected: Vec<(u64, u64)> = pairs
+        .iter()
+        .map(|&(x, y)| (project(x, num_inputs, mask), y))
         .collect();
+    projected.sort_unstable();
+    projected.dedup();
     let mut hasher = DefaultHasher::new();
     num_inputs.hash(&mut hasher);
     num_outputs.hash(&mut hasher);

@@ -148,15 +148,18 @@ pub(crate) fn execute_with(
     // Snapshot before the compatibility check so the verification's own
     // kernel traffic never leaks into the attributed counters.
     let after = relation.space().mgr().stats_snapshot();
-    assert!(
-        relation.is_compatible(&function),
-        "backend {} returned an incompatible function",
-        kind.name()
-    );
-    let cover = function.to_multicover();
+    let (score, cover) = {
+        let _span = brel_obs::span(brel_obs::Category::Engine, "verify");
+        assert!(
+            relation.is_compatible(&function),
+            "backend {} returned an incompatible function",
+            kind.name()
+        );
+        (cost.to_cost_fn().cost(&function), function.to_multicover())
+    };
     let report = SolutionReport {
         backend: kind,
-        cost: cost.to_cost_fn().cost(&function),
+        cost: score,
         cubes: cover.num_cubes(),
         literals: cover.num_literals(),
         explored: stats.explored,

@@ -168,6 +168,9 @@ impl Runner {
         let injections: Vec<&FaultInjection> = plan
             .as_deref()
             .map_or_else(Vec::new, |p| p.for_job(&job.name));
+        // The cache key and lookup get their own span, so a trace separates
+        // them from the solve and from the job's bookkeeping.
+        let lookup_span = brel_obs::span(brel_obs::Category::Session, "subrel_lookup");
         let cache = self.cache.clone().map(|c| (c, job.relation.fingerprint()));
         // A job with pending injections must actually execute so the fault
         // fires; fired injections are inert, so later duplicates hit as usual.
@@ -191,6 +194,7 @@ impl Runner {
                 self.cache_misses += 1;
             }
         }
+        drop(lookup_span);
         let deadline = job
             .fault
             .deadline_ms

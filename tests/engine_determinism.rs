@@ -1,8 +1,10 @@
 //! Determinism of the batch engine: the same batch solved with 1, 2 and 8
 //! workers must yield byte-identical `SolutionReport` sequences in job-id
 //! order (timing-free serializations compared byte for byte), and so must
-//! the same jobs run one at a time through a single `Runner`.
+//! the same jobs run one at a time through a single `Runner`. Kernel work
+//! is deterministic too, so the smoke corpus pins it exactly.
 
+use brel_bench::engine_batch::{corpus, CorpusOptions};
 use brel_suite::benchdata::random_relation::random_well_defined_relation;
 use brel_suite::benchdata::table2;
 use brel_suite::engine::{
@@ -315,4 +317,41 @@ fn budget_and_step_deadline_at_the_same_count_stop_alike_in_both_modes() {
             }
         }
     }
+}
+
+/// The smoke corpus on one worker does a fixed amount of kernel work: op
+/// cache inserts and unique-table lookups are pure functions of the op
+/// sequence and the cache geometry, so they are pinned exactly, like the
+/// cost fingerprint 81. A change to the op cache's size or growth rule, or
+/// to how many ops a solver issues, moves them; update the pin only with
+/// a measured reason.
+#[test]
+fn smoke_corpus_kernel_work_is_pinned() {
+    let report = Engine::with_workers(1).solve_batch(&corpus(&CorpusOptions::smoke()));
+    assert_eq!(
+        report.total_winner_cost(),
+        81,
+        "smoke-corpus cost fingerprint"
+    );
+    let (inserts, unique_lookups) = report.jobs.iter().flat_map(|job| &job.attempts).fold(
+        (0, 0),
+        |(inserts, lookups), attempt| {
+            (
+                inserts + attempt.cache.cache_inserts,
+                lookups + attempt.cache.unique_lookups,
+            )
+        },
+    );
+    // Debug builds also run the solvers' `debug_assert!` self-checks
+    // (compatibility, interval containment) through the same kernel.
+    let pinned = if cfg!(debug_assertions) {
+        (23_817, 27_525)
+    } else {
+        (21_718, 25_669)
+    };
+    assert_eq!(
+        (inserts, unique_lookups),
+        pinned,
+        "(op-cache inserts, unique-table lookups)"
+    );
 }

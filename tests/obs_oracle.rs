@@ -1,6 +1,6 @@
 //! Oracle tests for the `brel-obs` observability layer.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. the Chrome trace export is well-formed JSON whose per-track
 //!    timestamps never decrease (so Perfetto renders it without repair);
@@ -8,7 +8,9 @@
 //!    instrumented code panics (RAII across unwinding);
 //! 3. tracing is write-only: a fully traced batch produces byte-identical
 //!    timing-free output to an untraced one, at 1/2/8 workers, in narrow
-//!    and wide mode, warm and cold.
+//!    and wide mode, warm and cold;
+//! 4. a job's wall time is explained: at least 90% of a wide solve, and
+//!    of a narrow job, falls in named nested phases.
 //!
 //! The collector is process-global, so the tests serialize on a mutex
 //! (`cargo test` runs the functions of one binary concurrently).
@@ -141,6 +143,39 @@ fn chrome_trace_is_well_formed_with_monotone_tracks() {
         "{} rehydrations across {} wide solves",
         count("rehydrate"),
         count("wide_solve")
+    );
+}
+
+#[test]
+fn narrow_job_time_is_attributed_to_its_phases() {
+    let _lock = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let collector = Arc::new(RecordingCollector::new());
+    obs::install(collector.clone());
+    let report = Engine::with_workers(1).solve_batch(&small_batch());
+    obs::uninstall();
+    assert_eq!(report.num_solved(), 3);
+
+    // A narrow job's time lives in its nested phases: the cache key and
+    // lookup, rehydration, each backend, and the post-solve verification
+    // and scoring. Its own self time (bookkeeping) stays under 10%.
+    let phase = collector.phase_report();
+    let worker = phase.track_with("job").expect("pool worker track");
+    let row = |name: &str| worker.rows.iter().find(|row| row.name == name);
+    let job = row("job").expect("job row");
+    assert_eq!(job.count, 3);
+    for (name, count) in [
+        ("subrel_lookup", 3),
+        ("rehydrate", 3),
+        ("backend", 9),
+        ("verify", 9),
+    ] {
+        assert_eq!(row(name).map(|r| r.count), Some(count), "{name}");
+    }
+    let attributed = job.total_us - job.self_us;
+    assert!(
+        attributed * 100 >= job.total_us * 90,
+        "only {attributed} of {} us attributed",
+        job.total_us
     );
 }
 
