@@ -236,9 +236,8 @@ impl BddSession {
     /// through the root retain.
     ///
     /// This is the safe way to wrap a raw result. A raw id is unrooted
-    /// until it is retained: with [`BddSession::with`] followed by
-    /// [`Bdd::from_node_id`] the lock is released in between, and another
-    /// thread's GC safe point on this session can sweep the node first.
+    /// until it is retained: once the lock that computed it is released,
+    /// another thread's GC safe point on this session can sweep the node.
     /// The same non-reentrancy contract as [`BddSession::with`] applies.
     pub fn apply(&self, op: impl FnOnce(&mut BddManager) -> NodeId) -> Bdd {
         let slot = {
@@ -566,18 +565,12 @@ impl Bdd {
     /// The raw node identifier the handle currently resolves to.
     ///
     /// The id is only stable until the next [`BddSession::compact`];
-    /// operations that sweep or reorder preserve it. Re-wrap a raw id
-    /// promptly with [`Bdd::from_node_id`] if it must survive further
-    /// handle operations — unrooted ids are subject to garbage collection.
+    /// operations that sweep or reorder preserve it. It is not rooted:
+    /// return a result built from it through [`BddSession::apply`] if it
+    /// must survive further handle operations — unrooted ids are subject
+    /// to garbage collection.
     pub fn node_id(&self) -> NodeId {
         self.session.lock().roots.node_of(self.slot)
-    }
-
-    /// Rebuilds a handle from a raw node id of the same manager. The id
-    /// must still be live: prefer [`BddSession::apply`] for a result that
-    /// was computed under a lock released since.
-    pub fn from_node_id(session: &BddSession, id: NodeId) -> Bdd {
-        session.wrap(id)
     }
 
     /// Returns `true` for the constant-false function.

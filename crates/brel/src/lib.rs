@@ -20,8 +20,9 @@
 //! * the [`search`] core it is built on — one frontier ordered by the
 //!   [`SearchStrategy`] ([`SearchStrategy::Fifo`]/[`SearchStrategy::Dfs`]/
 //!   [`SearchStrategy::BestFirst`] with dominance pruning) and the
-//!   incremental, anytime [`Explorer`] (pop/commit, step/pause/resume on
-//!   budgets);
+//!   incremental, anytime [`Explorer`] (pop/commit, one `step` at a
+//!   time), which reports every transition once, as a `brel_obs` search
+//!   event;
 //! * customizable [`cost`] functions (sum of BDD sizes, sum of squares,
 //!   cube/literal counts, arbitrary closures);
 //! * the ISF minimization strategies compared in Table 1
@@ -59,8 +60,8 @@ pub use equation::{BooleanSystem, Equation, EquationOperator};
 pub use minimize_isf::{IsfMinimizer, MinimizerKind};
 pub use quick::QuickSolver;
 pub use search::{
-    expand, CancelToken, Expansion, ExploreStatus, Explorer, SearchStrategy, SplitExpansion,
-    StepOutcome, Subproblem,
+    expand, CancelToken, Expansion, Explorer, SearchStrategy, SplitExpansion, StepOutcome,
+    Subproblem,
 };
-pub use solver::{BrelConfig, BrelSolver, Solution, SolveStats, TraceEvent};
+pub use solver::{BrelConfig, BrelSolver, Solution, SolveStats};
 pub use symmetry::{canonical_rows, input_support_mask, relation_fingerprint, SymmetryCache};

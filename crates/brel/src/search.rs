@@ -7,35 +7,54 @@
 //! the semantics — this module factors that policy out:
 //!
 //! * a [`Subproblem`] is one pending node: a subrelation, its depth, the
-//!   priority inherited from its parent's MISF-minimized candidate cost
-//!   (the field is named `lower_bound`, but it is a heuristic, not a
-//!   bound: the heuristic ISF minimizer can return a costlier candidate
-//!   for a relation with more flexibility than for one of its
-//!   subrelations, so a subtree can hold solutions cheaper than its
+//!   `priority` inherited from its parent's MISF-minimized candidate cost
+//!   (a heuristic, not a bound: the heuristic ISF minimizer can return a
+//!   costlier candidate for a relation with more flexibility than for one
+//!   of its subrelations, so a subtree can hold solutions cheaper than its
 //!   parent's candidate) and its admission number `seq`;
 //! * one frontier stores the pending subproblems, ordered by
 //!   `(priority-or-0, seq)`: [`SearchStrategy::Fifo`] pops the lowest
 //!   `seq` (the paper's partial-BFS order and the default — batch
 //!   fingerprints are unchanged), [`SearchStrategy::Dfs`] the highest (it
 //!   dives on the most recently split half), and
-//!   [`SearchStrategy::BestFirst`] the lowest `(lower_bound, seq)`,
-//!   dropping popped nodes whose priority no longer beats the incumbent.
-//!   Because the priority is not a bound, that dominance drop — like the
-//!   cost pruning of §7.3 — is inadmissible: it can discard a subtree
-//!   holding a better solution, so no strategy is exact;
-//! * an [`Explorer`] owns the incumbent, statistics, trace and frontier.
-//!   Its transition is [`Explorer::pop`] (the stop checks and dominance)
+//!   [`SearchStrategy::BestFirst`] the lowest `(priority, seq)`, dropping
+//!   popped nodes whose priority no longer beats the incumbent. Because
+//!   the priority is not a bound, that dominance drop — like the cost
+//!   pruning of §7.3 — is inadmissible: it can discard a subtree holding a
+//!   better solution, so no strategy is exact;
+//! * an [`Explorer`] owns the incumbent, statistics and frontier. Its
+//!   transition is [`Explorer::pop`] (the stop checks and dominance)
 //!   followed by [`Explorer::commit`] of the node's [`Expansion`]
 //!   (counters, cost prune, incumbent, child admission). It is
-//!   *incremental*: [`Explorer::step`] explores one subproblem,
-//!   [`Explorer::run_budget`] explores up to a per-call step budget and can
-//!   be resumed, turning the solver into an anytime optimizer — the best
-//!   compatible solution is available after every step;
+//!   *incremental*: [`Explorer::step`] explores one subproblem, so a loop
+//!   over `step` can pause and resume anywhere, turning the solver into an
+//!   anytime optimizer — the best compatible solution is available after
+//!   every step. [`Explorer::run`] is that loop run to its stop;
 //! * [`expand`] is the pure per-node transition (minimize → classify →
 //!   quick-seed → split) between a pop and its commit. The engine's wide
 //!   mode runs it on worker threads and commits the results through one
 //!   `Explorer` in pop order, so wide and sequential runs agree by
 //!   construction.
+//!
+//! # Events
+//!
+//! The explorer reports its transitions as `brel_obs` instant events in
+//! the [`brel_obs::Category::Search`] category, one event exactly where
+//! the matching [`SolveStats`] counter moves (so a recording of one solve
+//! rebuilds the Fig. 6 walk and its counters):
+//!
+//! | Event | Args | Counter |
+//! |---|---|---|
+//! | `explored` | `index`, `candidate_cost`, `compatible` | `explored` |
+//! | `improved` | `cost` (the quick seed included) | `improvements` |
+//! | `pruned_by_cost` | `candidate_cost`, `best_cost` | `pruned_by_cost` |
+//! | `pruned_dominated` | `priority`, `best_cost` | `pruned_dominated` |
+//! | `split` | `output`, `vertex` (packed, ≤ 64 inputs) | `splits` |
+//! | `skipped_by_symmetry` | — | `skipped_by_symmetry` |
+//! | `fifo_drop` | — | `dropped_by_fifo` |
+//!
+//! `frontier_pop` and `frontier_push` (arg `depth`) trace the frontier
+//! traffic and match no counter.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -48,8 +67,8 @@ use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
 use crate::cost::{CostFn, CostFunction};
 use crate::minimize_isf::IsfMinimizer;
 use crate::quick::QuickSolver;
-use crate::solver::{BrelConfig, Solution, SolveStats, TraceEvent};
-use crate::symmetry::SymmetryCache;
+use crate::solver::{BrelConfig, Solution, SolveStats};
+use crate::symmetry::{pack, SymmetryCache};
 
 /// Which frontier discipline drives the exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -112,12 +131,11 @@ pub struct Subproblem {
     /// Distance from the root relation (number of splits on the path).
     pub depth: usize,
     /// Search priority: the parent's MISF-minimized candidate cost (0 for
-    /// the root). Despite the name it is *not* a lower bound on the cost
-    /// of the solutions in this subtree — the ISF minimizer is heuristic,
-    /// so a subrelation can have a cheaper compatible function than its
-    /// parent's candidate — and best-first's dominance drop on it is
-    /// inadmissible.
-    pub lower_bound: u64,
+    /// the root). It is *not* a lower bound on the cost of the solutions
+    /// in this subtree — the ISF minimizer is heuristic, so a subrelation
+    /// can have a cheaper compatible function than its parent's candidate
+    /// — and best-first's dominance drop on it is inadmissible.
+    pub priority: u64,
     /// Admission number: 0 for the root, then one more per subproblem the
     /// frontier admits (negative split half first). A pure function of the
     /// search, so it names the subproblem across threads and runs.
@@ -126,10 +144,11 @@ pub struct Subproblem {
 
 /// The pending subproblems, keyed so that the next one to explore is
 /// always the first entry: FIFO on `(0, seq)`, DFS on `(0, !seq)` (highest
-/// `seq` first, the top of a stack) and best-first on `(lower_bound, seq)`
-/// (insertion order among equal bounds, so it degrades to FIFO when every
-/// bound is equal). Order only: budgets, capacity and pruning stay in the
-/// [`Explorer`], so every strategy shares the same split/prune semantics.
+/// `seq` first, the top of a stack) and best-first on `(priority, seq)`
+/// (insertion order among equal priorities, so it degrades to FIFO when
+/// every priority is equal). Order only: budgets, capacity and pruning
+/// stay in the [`Explorer`], so every strategy shares the same
+/// split/prune semantics.
 #[derive(Debug)]
 struct Frontier {
     strategy: SearchStrategy,
@@ -146,18 +165,18 @@ impl Frontier {
         }
     }
 
-    fn push(&mut self, relation: BooleanRelation, depth: usize, lower_bound: u64) {
+    fn push(&mut self, relation: BooleanRelation, depth: usize, priority: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = match self.strategy {
             SearchStrategy::Fifo => (0, seq),
             SearchStrategy::Dfs => (0, !seq),
-            SearchStrategy::BestFirst => (lower_bound, seq),
+            SearchStrategy::BestFirst => (priority, seq),
         };
         let subproblem = Subproblem {
             relation,
             depth,
-            lower_bound,
+            priority,
             seq,
         };
         self.entries.insert(key, subproblem);
@@ -332,22 +351,8 @@ pub enum StepOutcome {
     DeadlineExpired,
 }
 
-/// Why [`Explorer::run_budget`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreStatus {
-    /// The frontier is empty; the incumbent is optimal within the explored
-    /// space (globally optimal in exact mode).
-    Complete,
-    /// The configured `max_explored` budget is spent.
-    BudgetExhausted,
-    /// The per-call step budget is spent; call `run_budget` again to resume.
-    Paused,
-    /// The configured `step_deadline` expired (fault-policy truncation).
-    DeadlineExpired,
-}
-
 /// The incremental branch-and-bound exploration: owns the frontier, the
-/// incumbent, statistics and trace, and advances one subproblem at a time.
+/// incumbent and statistics, and advances one subproblem at a time.
 /// A compatible incumbent (seeded by the quick solver) is available after
 /// construction and only ever improves — pausing at any point yields a
 /// valid anytime solution.
@@ -362,7 +367,6 @@ pub struct Explorer {
     best: MultiOutputFunction,
     best_cost: u64,
     stats: SolveStats,
-    trace: Vec<TraceEvent>,
 }
 
 impl Explorer {
@@ -382,15 +386,12 @@ impl Explorer {
         let gc_before = relation.space().mgr().gc_stats();
         let quick = QuickSolver::new().with_minimizer(config.minimizer);
         let mut stats = SolveStats::default();
-        let mut trace = Vec::new();
 
         // Seed: the quick solver guarantees a compatible incumbent.
         let best = quick.solve(relation)?;
         let best_cost = config.cost.cost(&best);
         stats.improvements += 1;
-        if config.trace {
-            trace.push(TraceEvent::Improved { cost: best_cost });
-        }
+        brel_obs::event!(brel_obs::Category::Search, "improved", "cost" => best_cost);
 
         let mut frontier = Frontier::new(config.strategy);
         frontier.push(relation.clone(), 0, 0);
@@ -409,7 +410,6 @@ impl Explorer {
             best,
             best_cost,
             stats,
-            trace,
         })
     }
 
@@ -428,12 +428,12 @@ impl Explorer {
             Err(stop) => return Ok(stop),
         };
         // The per-node span: one `expand` per explored subproblem, tagged
-        // with its depth and the bound it carried out of the frontier.
+        // with its depth and the priority it carried out of the frontier.
         let _span = brel_obs::span!(
             brel_obs::Category::Search,
             "expand",
             "depth" => subproblem.depth,
-            "bound" => subproblem.lower_bound,
+            "priority" => subproblem.priority,
             "index" => self.stats.explored,
         );
         let expansion = expand(
@@ -478,25 +478,24 @@ impl Explorer {
                 }
             }
             let subproblem = self.frontier.pop().expect("frontier is non-empty");
-            brel_obs::event_with(
+            brel_obs::event!(
                 brel_obs::Category::Search,
                 "frontier_pop",
-                "depth",
-                subproblem.depth as u64,
+                "depth" => subproblem.depth,
             );
             if self.is_dominated(&subproblem) {
                 // Dominance: the priority recorded at split time can no
-                // longer beat the (since improved) incumbent. Counted and traced
-                // separately from candidate-cost prunes — this node was
-                // never minimized, so there is no Explored event for it.
+                // longer beat the (since improved) incumbent. Counted and
+                // reported separately from candidate-cost prunes — this
+                // node was never minimized, so no `explored` event
+                // precedes it.
                 self.stats.pruned_dominated += 1;
-                brel_obs::event(brel_obs::Category::Search, "pruned_dominated");
-                if self.config.trace {
-                    self.trace.push(TraceEvent::PrunedDominated {
-                        lower_bound: subproblem.lower_bound,
-                        best_cost: self.best_cost,
-                    });
-                }
+                brel_obs::event!(
+                    brel_obs::Category::Search,
+                    "pruned_dominated",
+                    "priority" => subproblem.priority,
+                    "best_cost" => self.best_cost,
+                );
                 continue;
             }
             return Ok(subproblem);
@@ -509,8 +508,7 @@ impl Explorer {
     /// better solution. Always `false` for FIFO and DFS, which keep the
     /// paper's exploration order exactly.
     pub fn is_dominated(&self, subproblem: &Subproblem) -> bool {
-        self.frontier.strategy == SearchStrategy::BestFirst
-            && subproblem.lower_bound >= self.best_cost
+        self.frontier.strategy == SearchStrategy::BestFirst && subproblem.priority >= self.best_cost
     }
 
     /// Commits the expansion of a popped subproblem: counts it, prunes it
@@ -528,25 +526,24 @@ impl Explorer {
         self.stats.explored += 1;
         let candidate_cost = expansion.candidate_cost;
         let compatible = expansion.compatible;
-        if self.config.trace {
-            self.trace.push(TraceEvent::Explored {
-                index,
-                candidate_cost,
-                compatible,
-            });
-        }
+        brel_obs::event!(
+            brel_obs::Category::Search,
+            "explored",
+            "index" => index,
+            "candidate_cost" => candidate_cost,
+            "compatible" => compatible,
+        );
 
         // Prune by cost: constraining the relation further cannot beat a
         // candidate obtained with strictly more flexibility.
         if candidate_cost >= self.best_cost {
             self.stats.pruned_by_cost += 1;
-            brel_obs::event(brel_obs::Category::Search, "pruned_by_cost");
-            if self.config.trace {
-                self.trace.push(TraceEvent::PrunedByCost {
-                    candidate_cost,
-                    best_cost: self.best_cost,
-                });
-            }
+            brel_obs::event!(
+                brel_obs::Category::Search,
+                "pruned_by_cost",
+                "candidate_cost" => candidate_cost,
+                "best_cost" => self.best_cost,
+            );
             return StepOutcome::Explored {
                 candidate_cost,
                 compatible,
@@ -574,13 +571,19 @@ impl Explorer {
         let split = expansion
             .split
             .expect("expand splits every unpruned incompatible candidate");
-        if self.config.trace {
-            self.trace.push(TraceEvent::Split {
-                vertex: split.vertex.clone(),
-                output: split.output,
-            });
-        }
         self.stats.splits += 1;
+        // The vertex rides along packed like a fingerprint row, component
+        // 0 first, whenever it fits one argument.
+        if split.vertex.len() <= 64 {
+            brel_obs::event!(
+                brel_obs::Category::Search,
+                "split",
+                "output" => split.output,
+                "vertex" => pack(&split.vertex),
+            );
+        } else {
+            brel_obs::event!(brel_obs::Category::Search, "split", "output" => split.output);
+        }
         for child in [split.negative, split.positive] {
             debug_assert!(
                 child.is_well_defined(),
@@ -592,9 +595,6 @@ impl Explorer {
             {
                 self.stats.skipped_by_symmetry += 1;
                 brel_obs::event(brel_obs::Category::Search, "skipped_by_symmetry");
-                if self.config.trace {
-                    self.trace.push(TraceEvent::SkippedBySymmetry);
-                }
                 continue;
             }
             if let Some(cap) = self.config.fifo_capacity {
@@ -604,11 +604,10 @@ impl Explorer {
                     continue;
                 }
             }
-            brel_obs::event_with(
+            brel_obs::event!(
                 brel_obs::Category::Search,
                 "frontier_push",
-                "depth",
-                (subproblem.depth + 1) as u64,
+                "depth" => subproblem.depth + 1,
             );
             self.frontier
                 .push(child, subproblem.depth + 1, candidate_cost);
@@ -625,42 +624,23 @@ impl Explorer {
         self.best = function;
         self.best_cost = cost;
         self.stats.improvements += 1;
-        brel_obs::event_with(brel_obs::Category::Search, "improved", "cost", cost);
-        if self.config.trace {
-            self.trace.push(TraceEvent::Improved { cost });
-        }
+        brel_obs::event!(brel_obs::Category::Search, "improved", "cost" => cost);
     }
 
-    /// Runs until the frontier is exhausted or the configured `max_explored`
-    /// budget is spent.
+    /// Steps until the search stops and returns the [`StepOutcome`] that
+    /// stopped it: [`StepOutcome::Exhausted`],
+    /// [`StepOutcome::BudgetExhausted`] or [`StepOutcome::DeadlineExpired`].
+    /// The last two leave the frontier intact, so raising the budget in
+    /// [`Explorer::config_mut`] and running again resumes the search.
     ///
     /// # Errors
     ///
     /// Propagates errors from [`Explorer::step`].
-    pub fn run(&mut self) -> Result<ExploreStatus, RelationError> {
-        self.run_budget(None)
-    }
-
-    /// Runs until exhaustion, the configured `max_explored` budget, or (when
-    /// `max_steps` is set) after exploring that many further subproblems —
-    /// the anytime knob: pause, inspect [`Explorer::best_cost`], resume.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Explorer::step`].
-    pub fn run_budget(&mut self, max_steps: Option<usize>) -> Result<ExploreStatus, RelationError> {
-        let mut steps = 0usize;
+    pub fn run(&mut self) -> Result<StepOutcome, RelationError> {
         loop {
-            if let Some(max) = max_steps {
-                if steps >= max {
-                    return Ok(ExploreStatus::Paused);
-                }
-            }
             match self.step()? {
-                StepOutcome::Explored { .. } => steps += 1,
-                StepOutcome::Exhausted => return Ok(ExploreStatus::Complete),
-                StepOutcome::BudgetExhausted => return Ok(ExploreStatus::BudgetExhausted),
-                StepOutcome::DeadlineExpired => return Ok(ExploreStatus::DeadlineExpired),
+                StepOutcome::Explored { .. } => {}
+                stop => return Ok(stop),
             }
         }
     }
@@ -736,11 +716,6 @@ impl Explorer {
         &self.stats
     }
 
-    /// The trace recorded so far (empty unless `config.trace` is set).
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
     /// Finalizes the exploration into a [`Solution`], filling the memory
     /// accounting from the manager's lifecycle counters.
     pub fn into_solution(mut self) -> Solution {
@@ -751,7 +726,6 @@ impl Explorer {
             function: self.best,
             cost: self.best_cost,
             stats: self.stats,
-            trace: self.trace,
         }
     }
 }
@@ -788,13 +762,13 @@ mod tests {
         let (_space, r) = fig10();
         let drain = |strategy: SearchStrategy| {
             let mut frontier = Frontier::new(strategy);
-            for bound in [5u64, 3, 9, 3] {
-                frontier.push(r.clone(), 0, bound);
+            for priority in [5u64, 3, 9, 3] {
+                frontier.push(r.clone(), 0, priority);
             }
-            let listed: Vec<u64> = frontier.iter().map(|s| s.lower_bound).collect();
+            let listed: Vec<u64> = frontier.iter().map(|s| s.priority).collect();
             let mut popped = Vec::new();
             while let Some(s) = frontier.pop() {
-                popped.push(s.lower_bound);
+                popped.push(s.priority);
             }
             assert_eq!(listed, popped, "{strategy}: listing is pop order");
             assert_eq!(frontier.len(), 0);
@@ -802,7 +776,7 @@ mod tests {
         };
         assert_eq!(drain(SearchStrategy::Fifo), vec![5, 3, 9, 3]);
         assert_eq!(drain(SearchStrategy::Dfs), vec![3, 9, 3, 5]);
-        // Lowest bound first, insertion order among the two 3s.
+        // Lowest priority first, insertion order among the two 3s.
         assert_eq!(drain(SearchStrategy::BestFirst), vec![3, 3, 5, 9]);
     }
 
@@ -850,14 +824,14 @@ mod tests {
         let mut last = seeded;
         let mut paused = 0;
         loop {
-            match explorer.run_budget(Some(1)).unwrap() {
-                ExploreStatus::Paused => {
+            match explorer.step().unwrap() {
+                StepOutcome::Explored { .. } => {
                     paused += 1;
                     assert!(explorer.best_cost() <= last);
                     last = explorer.best_cost();
                 }
-                ExploreStatus::Complete => break,
-                ExploreStatus::BudgetExhausted | ExploreStatus::DeadlineExpired => {
+                StepOutcome::Exhausted => break,
+                StepOutcome::BudgetExhausted | StepOutcome::DeadlineExpired => {
                     unreachable!("exact mode has no budget or deadline")
                 }
             }
@@ -880,7 +854,7 @@ mod tests {
             &r,
         )
         .unwrap();
-        assert_eq!(explorer.run().unwrap(), ExploreStatus::BudgetExhausted);
+        assert_eq!(explorer.run().unwrap(), StepOutcome::BudgetExhausted);
         assert_eq!(explorer.explored(), 1);
         assert!(!explorer.stats().complete);
         assert!(
@@ -890,7 +864,7 @@ mod tests {
         // The frontier is intact: a fresh solver with a bigger budget would
         // re-explore, but this explorer resumes where it stopped.
         explorer.config_mut().max_explored = None;
-        assert_eq!(explorer.run().unwrap(), ExploreStatus::Complete);
+        assert_eq!(explorer.run().unwrap(), StepOutcome::Exhausted);
         let solution = explorer.into_solution();
         assert_eq!(solution.cost, 2);
         assert!(solution.stats.complete);

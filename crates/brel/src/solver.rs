@@ -19,6 +19,11 @@
 //! The quick solver is run on every explored subrelation so that a
 //! compatible solution is always available even if the frontier bound or
 //! the exploration budget truncates the search (Section 7.6).
+//!
+//! A [`Solution`] carries the counters of the walk ([`SolveStats`]); the
+//! walk itself — the paper's exploration trace of Figs. 2 and 7 — is
+//! reported step by step as `brel_obs` search events (see
+//! [`crate::search`]).
 
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
 
@@ -56,8 +61,6 @@ pub struct BrelConfig {
     /// Only check symmetries for subrelations created within this depth from
     /// the root (the paper limits the check to the initial recursions).
     pub symmetry_depth: usize,
-    /// Record a step-by-step trace of the exploration.
-    pub trace: bool,
 }
 
 impl Default for BrelConfig {
@@ -71,7 +74,6 @@ impl Default for BrelConfig {
             step_deadline: None,
             use_symmetry: false,
             symmetry_depth: 4,
-            trace: false,
         }
     }
 }
@@ -155,61 +157,6 @@ impl BrelConfig {
         self.symmetry_depth = depth;
         self
     }
-
-    /// Enables trace recording.
-    pub fn with_trace(mut self, enable: bool) -> Self {
-        self.trace = enable;
-        self
-    }
-}
-
-/// One step of the recorded exploration trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A subrelation was popped from the FIFO and its MISF minimized; the
-    /// payload is the cost of the candidate function.
-    Explored {
-        /// Index of the explored subrelation (0 = the original relation).
-        index: usize,
-        /// Cost of the MISF-minimized candidate.
-        candidate_cost: u64,
-        /// Whether the candidate was compatible with the subrelation.
-        compatible: bool,
-    },
-    /// A new best compatible solution was recorded.
-    Improved {
-        /// Cost of the new best solution.
-        cost: u64,
-    },
-    /// A branch was pruned because its candidate cost could not improve on
-    /// the best known solution.
-    PrunedByCost {
-        /// Cost of the rejected candidate.
-        candidate_cost: u64,
-        /// Cost of the best solution at that time.
-        best_cost: u64,
-    },
-    /// A pending subproblem was dropped at pop time because its inherited
-    /// priority could no longer beat the incumbent (best-first dominance
-    /// pruning; the priority is a heuristic, not a true lower bound). Unlike [`TraceEvent::PrunedByCost`] the node was never
-    /// minimized, so no [`TraceEvent::Explored`] precedes this event.
-    PrunedDominated {
-        /// The subproblem's inherited priority (see
-        /// [`crate::Subproblem::lower_bound`]).
-        lower_bound: u64,
-        /// Cost of the best solution at that time.
-        best_cost: u64,
-    },
-    /// A split was performed at the given input vertex and output index.
-    Split {
-        /// The conflicting input vertex chosen (§7.4).
-        vertex: Vec<bool>,
-        /// The output chosen for the split.
-        output: usize,
-    },
-    /// A subrelation was skipped because a symmetric variant had already
-    /// been explored.
-    SkippedBySymmetry,
 }
 
 /// Statistics of one solver run.
@@ -281,8 +228,6 @@ pub struct Solution {
     pub cost: u64,
     /// Exploration statistics.
     pub stats: SolveStats,
-    /// The exploration trace (empty unless [`BrelConfig::trace`] is set).
-    pub trace: Vec<TraceEvent>,
 }
 
 /// The recursive branch-and-bound Boolean-relation solver.
@@ -304,9 +249,9 @@ impl BrelSolver {
 
     /// Solves the relation: returns the best compatible multiple-output
     /// function found within the configured budgets, exploring with the
-    /// configured [`SearchStrategy`]. Equivalent to driving an
-    /// [`Explorer`] to completion — use the explorer directly for anytime
-    /// (pause/resume) operation.
+    /// configured [`SearchStrategy`]. Exactly [`Explorer::new`],
+    /// [`Explorer::run`] and [`Explorer::into_solution`] — step an
+    /// explorer directly for anytime (pause/resume) operation.
     ///
     /// # Errors
     ///
@@ -316,17 +261,6 @@ impl BrelSolver {
         let mut explorer = Explorer::new(self.config.clone(), relation)?;
         explorer.run()?;
         Ok(explorer.into_solution())
-    }
-
-    /// Creates an incremental [`Explorer`] over the relation with this
-    /// solver's configuration (the anytime entry point).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::NotWellDefined`] if the relation is not well
-    /// defined (no compatible function exists).
-    pub fn explorer(&self, relation: &BooleanRelation) -> Result<Explorer, RelationError> {
-        Explorer::new(self.config.clone(), relation)
     }
 }
 
@@ -391,14 +325,9 @@ mod tests {
             "000 : {00, 10}\n001 : {01, 10}\n010 : {01, 10}\n011 : {11}\n100 : {00, 10}\n101 : {01, 10}\n110 : {11}\n111 : {01, 11}",
         )
         .unwrap();
-        let config = BrelConfig::exact().with_trace(true);
-        let sol = BrelSolver::new(config).solve(&r).unwrap();
+        let sol = BrelSolver::new(BrelConfig::exact()).solve(&r).unwrap();
         assert!(r.is_compatible(&sol.function));
         assert!(sol.stats.splits >= 1);
-        assert!(sol
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Split { .. })));
     }
 
     #[test]
@@ -465,8 +394,7 @@ mod tests {
             .with_fifo_capacity(Some(5))
             .with_symmetry(true)
             .with_symmetry_depth(2)
-            .with_max_explored(Some(3))
-            .with_trace(true);
+            .with_max_explored(Some(3));
         let clone = config.clone();
         assert_eq!(clone.minimizer, config.minimizer);
         assert_eq!(clone.strategy, SearchStrategy::Dfs);
@@ -474,7 +402,6 @@ mod tests {
         assert!(clone.use_symmetry);
         assert_eq!(clone.symmetry_depth, 2);
         assert_eq!(clone.max_explored, Some(3));
-        assert!(clone.trace);
         // The clone is a working configuration, not just a field copy.
         let space = RelationSpace::new(2, 2);
         let r = fig1(&space);
@@ -527,7 +454,7 @@ mod tests {
 
     #[test]
     fn step_deadline_truncates_with_the_incumbent_kept() {
-        use crate::search::{ExploreStatus, Explorer, StepOutcome};
+        use crate::search::{Explorer, StepOutcome};
         let space = RelationSpace::with_names(&["a", "b"], &["x", "y"]);
         let r = BooleanRelation::from_table(
             &space,
@@ -538,10 +465,7 @@ mod tests {
         // before the cost-2 optimum can be proved.
         let config = BrelConfig::exact().with_step_deadline(Some(1));
         let mut explorer = Explorer::new(config, &r).unwrap();
-        assert!(matches!(
-            explorer.run().unwrap(),
-            ExploreStatus::DeadlineExpired
-        ));
+        assert_eq!(explorer.run().unwrap(), StepOutcome::DeadlineExpired);
         assert_eq!(explorer.explored(), 1);
         assert!(r.is_compatible(explorer.best()));
         assert!(!explorer.stats().complete);

@@ -52,16 +52,18 @@ impl SymmetryCache {
         self.seen.is_empty()
     }
 
-    /// Records `relation` and reports whether it (or an output-permuted
-    /// variant of it) had already been recorded. Only first-order output
-    /// symmetries (single swaps of two output variables) are considered,
-    /// matching the implementation choices described in the paper.
+    /// Records `relation` and reports whether an output-permuted variant of
+    /// it had already been recorded. Only first-order output symmetries
+    /// (single swaps of two output variables) are considered, matching the
+    /// implementation choices described in the paper.
+    ///
+    /// A relation equal to a recorded one is not looked for: in the solver
+    /// it cannot occur. Two distinct nodes of the split tree differ at
+    /// their last common ancestor's split on `(x, yᵢ)` — one forbids
+    /// `yᵢ = 1` at `x`, the other `yᵢ = 0` — so they could only be equal
+    /// if both had an empty image at `x`, which Theorem 5.2 rules out.
     pub fn check_and_insert(&mut self, relation: &BooleanRelation) -> bool {
         let chi = relation.characteristic();
-        if self.seen.contains(chi) {
-            self.hits += 1;
-            return true;
-        }
         let outputs = relation.space().output_vars();
         for i in 0..outputs.len() {
             for j in (i + 1)..outputs.len() {
@@ -142,7 +144,7 @@ fn support_mask(num_inputs: usize, pairs: &[(u64, u64)]) -> u64 {
 /// Packs a vertex into a bit pattern, component 0 in the most significant
 /// of the low `bits.len()` bits, so packed vertices of one width compare
 /// like the `Vec<bool>`s they came from.
-fn pack(bits: &[bool]) -> u64 {
+pub(crate) fn pack(bits: &[bool]) -> u64 {
     assert!(bits.len() <= 64, "vertex wider than 64 bits");
     bits.iter().fold(0, |acc, &bit| acc << 1 | bit as u64)
 }
@@ -230,15 +232,6 @@ mod tests {
         );
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn identical_relation_is_a_hit() {
-        let space = RelationSpace::new(1, 1);
-        let r = BooleanRelation::full(&space);
-        let mut cache = SymmetryCache::new();
-        assert!(!cache.check_and_insert(&r));
-        assert!(cache.check_and_insert(&r));
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub struct StaggerPlan {
 
 /// Where one subproblem's speculative expansion stands. A subproblem that
 /// [`Explorer::pop`] drops as dominated keeps its speculation until the
-/// search ends — which is at once: best-first pops the lowest bound, so
+/// search ends — which is at once: best-first pops the lowest priority, so
 /// once the head is dominated every pending subproblem is, and `pop`
 /// drains the frontier.
 enum Speculation {
@@ -175,7 +175,7 @@ struct RunContext<'a> {
 struct Claimed {
     seq: usize,
     depth: usize,
-    lower_bound: u64,
+    priority: u64,
     relation: BooleanRelation,
     /// The incumbent cost when the subproblem was claimed.
     snapshot: u64,
@@ -321,7 +321,7 @@ fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option
             return Some(Claimed {
                 seq,
                 depth: subproblem.depth,
-                lower_bound: subproblem.lower_bound,
+                priority: subproblem.priority,
                 relation: subproblem.relation.clone(),
                 snapshot: explorer.best_cost(),
                 stolen: !own,
@@ -435,7 +435,7 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
                 brel_obs::Category::Engine,
                 "expand",
                 "depth" => task.depth,
-                "bound" => task.lower_bound,
+                "priority" => task.priority,
             );
             execute_expand(&space, &relation, &cost_fn, task.snapshot, ctx)
         };

@@ -3,13 +3,14 @@
 //!
 //! # Design
 //!
-//! Instrumentation sites call [`span`] (RAII guard), [`event`] (instant
-//! marker), or [`count`] (named counter). All three are gated on a global
-//! category bitmask held in a single `AtomicU32`: when the category is
-//! disabled the call is one relaxed atomic load and an immediate return —
-//! no clock read, no allocation, no lock. The monotonic clock is only
-//! consulted inside the enabled path, so a process that never installs a
-//! collector pays (almost) nothing for being instrumented.
+//! Instrumentation sites call [`span()`] (RAII guard), [`event()`] or
+//! [`event!`] (instant marker), or [`count`] (named counter). All are
+//! gated on a global category bitmask held in a single `AtomicU32`: when
+//! the category is disabled the call is one relaxed atomic load and an
+//! immediate return — no clock read, no allocation, no lock. The
+//! monotonic clock is only consulted inside the enabled path, so a
+//! process that never installs a collector pays (almost) nothing for
+//! being instrumented.
 //!
 //! Data flows into a pluggable [`Collector`]:
 //!
@@ -263,7 +264,7 @@ pub fn span(cat: Category, name: &'static str) -> SpanGuard {
     SpanGuard::open(cat, name)
 }
 
-/// RAII span guard returned by [`span`]; reports the completed span to
+/// RAII span guard returned by [`span()`]; reports the completed span to
 /// the collector on drop.
 #[must_use = "dropping the guard ends the span immediately"]
 pub struct SpanGuard {
@@ -335,7 +336,7 @@ impl Drop for SpanGuard {
 }
 
 /// Emits an instant event (a zero-duration marker on the thread's
-/// track). Inert when `cat` is disabled.
+/// track). Inert when `cat` is disabled. [`event!`] attaches arguments.
 #[inline]
 pub fn event(cat: Category, name: &'static str) {
     if enabled(cat) {
@@ -343,18 +344,10 @@ pub fn event(cat: Category, name: &'static str) {
     }
 }
 
-/// [`event`] with one integer argument.
-#[inline]
-pub fn event_with(cat: Category, name: &'static str, key: &'static str, value: u64) {
-    if enabled(cat) {
-        let mut args = ArgList::new();
-        args.push(key, value);
-        emit_event(cat, name, args);
-    }
-}
-
+/// The enabled path of [`event!`]; not part of the public API.
+#[doc(hidden)]
 #[inline(never)]
-fn emit_event(cat: Category, name: &'static str, args: ArgList) {
+pub fn emit_event(cat: Category, name: &'static str, args: ArgList) {
     if let Some(collector) = current_collector() {
         collector.event(EventRecord {
             cat,
@@ -392,6 +385,27 @@ pub fn disabled_span_ns() -> u64 {
     nanos / u64::from(PROBES)
 }
 
+/// Emits an instant event with up to [`ArgList::CAPACITY`] `key => value`
+/// arguments: `obs::event!(Category::Search, "improved", "cost" => c);`.
+/// The arguments are evaluated only when the category is enabled, so a
+/// disabled event costs one relaxed load however dear its arguments are.
+#[macro_export]
+macro_rules! event {
+    ($cat:expr, $name:expr $(,)?) => {
+        $crate::event($cat, $name)
+    };
+    ($cat:expr, $name:expr, $k1:literal => $v1:expr
+        $(, $k2:literal => $v2:expr $(, $k3:literal => $v3:expr)?)? $(,)?) => {{
+        let cat = $cat;
+        if $crate::enabled(cat) {
+            let mut args = $crate::ArgList::new();
+            args.push($k1, $v1 as u64);
+            $(args.push($k2, $v2 as u64); $(args.push($k3, $v3 as u64);)?)?
+            $crate::emit_event(cat, $name, args);
+        }
+    }};
+}
+
 /// Opens a span with optional `key => value` arguments:
 /// `let _g = obs::span!(Category::Engine, "round", "round" => i);`
 #[macro_export]
@@ -404,4 +418,32 @@ macro_rules! span {
         $(guard.arg($key, $value as u64);)+
         guard
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU32;
+
+    #[test]
+    fn event_macro_evaluates_its_arguments_only_when_enabled() {
+        let evaluated = AtomicU32::new(0);
+        let value = |v: u64| {
+            evaluated.fetch_add(1, Ordering::Relaxed);
+            v
+        };
+        let collector = Arc::new(RecordingCollector::with_mask(Category::Search.bit()));
+        install(collector.clone());
+        event!(Category::Engine, "off", "a" => value(1));
+        event!(Category::Search, "on", "a" => value(1), "b" => value(2), "c" => value(3));
+        event!(Category::Search, "bare");
+        uninstall();
+        assert_eq!(evaluated.load(Ordering::Relaxed), 3);
+        let events = collector.events();
+        let names: Vec<_> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["on", "bare"]);
+        let args: Vec<_> = events[0].args.iter().collect();
+        assert_eq!(args, [("a", 1), ("b", 2), ("c", 3)]);
+        assert!(events[1].args.is_empty());
+    }
 }

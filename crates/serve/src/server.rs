@@ -552,7 +552,7 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
     while let Some(mut job) = shared.queue.pop(tick) {
         let draining = shared.queue.is_draining();
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
-        brel_obs::event_with(Category::Serve, "queue_wait", "us", queue_wait_us);
+        brel_obs::event!(Category::Serve, "queue_wait", "us" => queue_wait_us);
 
         // Install the remaining wall-clock budget as the job's governor
         // deadline: a runaway solve aborts through the kernel's deadline

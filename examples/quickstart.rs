@@ -3,11 +3,16 @@
 //! The relation relates input vertex `10` to the output set `{00, 11}`,
 //! which cannot be expressed with per-output don't cares. The example walks
 //! through the recursive paradigm: the MISF over-approximation, the conflict
-//! it produces, and the solution BREL finds after splitting.
+//! it produces, and the solution BREL finds after splitting. The
+//! exploration trace is the solver's `search` event stream, recorded by a
+//! `brel_obs` collector around the solve.
 //!
 //! Run with `cargo run --example quickstart`.
 
+use std::sync::Arc;
+
 use brel_core::{BrelConfig, BrelSolver, CostFn, CostFunction, QuickSolver};
+use brel_obs::{Category, RecordingCollector};
 use brel_relation::{BooleanRelation, RelationSpace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,9 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CostFn::SumBddSize.cost(&quick)
     );
 
-    // The recursive branch-and-bound solver of Fig. 6, with a trace.
-    let config = BrelConfig::exact().with_trace(true);
-    let solution = BrelSolver::new(config).solve(&relation)?;
+    // The recursive branch-and-bound solver of Fig. 6, with its search
+    // events recorded. The collector is process-global; this program is
+    // single-threaded, so nothing else reports into it.
+    let collector = Arc::new(RecordingCollector::with_mask(Category::Search.bit()));
+    brel_obs::install(collector.clone());
+    let solved = BrelSolver::new(BrelConfig::exact()).solve(&relation);
+    brel_obs::uninstall();
+    let solution = solved?;
     println!(
         "\nBREL solution: cost = {}, explored {} subrelations, {} splits",
         solution.cost, solution.stats.explored, solution.stats.splits
@@ -59,8 +69,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(relation.is_compatible(&solution.function));
     println!("\nexploration trace:");
-    for event in &solution.trace {
-        println!("  {event:?}");
+    for event in collector.events() {
+        print!("  {}", event.name);
+        for (key, value) in event.args.iter() {
+            print!(" {key}={value}");
+        }
+        println!();
     }
     Ok(())
 }

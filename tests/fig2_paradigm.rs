@@ -2,7 +2,7 @@
 //! (Fig. 2 and Fig. 3 of the paper) on the relation of Fig. 1a.
 
 use brel_benchdata::figures;
-use brel_core::{BrelConfig, BrelSolver, IsfMinimizer, TraceEvent};
+use brel_core::{BrelConfig, BrelSolver, IsfMinimizer};
 use brel_relation::MultiOutputFunction;
 
 #[test]
@@ -61,18 +61,13 @@ fn step_d_split_partitions_and_step_e_recursion_solves() {
 #[test]
 fn full_recursive_run_records_the_paradigm_events() {
     let (_space, r) = figures::fig1();
-    let solution = BrelSolver::new(BrelConfig::exact().with_trace(true))
-        .solve(&r)
-        .unwrap();
+    let solution = BrelSolver::new(BrelConfig::exact()).solve(&r).unwrap();
     assert!(r.is_compatible(&solution.function));
-    // The trace must contain at least one exploration event and one
-    // improvement (the seeded quick solution).
-    assert!(solution
-        .trace
-        .iter()
-        .any(|e| matches!(e, TraceEvent::Explored { .. })));
-    assert!(solution
-        .trace
-        .iter()
-        .any(|e| matches!(e, TraceEvent::Improved { .. })));
+    // The run explores at least one subrelation, improves at least once
+    // (the seeded quick solution) and splits the relation at vertex 10.
+    // `tests/obs_oracle.rs` checks that the search events agree with
+    // these counters.
+    assert!(solution.stats.explored >= 1);
+    assert!(solution.stats.improvements >= 1);
+    assert!(solution.stats.splits >= 1);
 }

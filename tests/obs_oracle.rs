@@ -1,6 +1,6 @@
 //! Oracle tests for the `brel-obs` observability layer.
 //!
-//! Four contracts are pinned here:
+//! Five contracts are pinned here:
 //!
 //! 1. the Chrome trace export is well-formed JSON whose per-track
 //!    timestamps never decrease (so Perfetto renders it without repair);
@@ -10,17 +10,23 @@
 //!    timing-free output to an untraced one, at 1/2/8 workers, in narrow
 //!    and wide mode, warm and cold;
 //! 4. a job's wall time is explained: at least 90% of a wide solve, and
-//!    of a narrow job, falls in named nested phases.
+//!    of a narrow job, falls in named nested phases;
+//! 5. the search event stream agrees with the solver's counters: each
+//!    `search` event fires exactly once per step of its `SolveStats`
+//!    field, in narrow and wide mode alike.
 //!
 //! The collector is process-global, so the tests serialize on a mutex
 //! (`cargo test` runs the functions of one binary concurrently).
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use brel_suite::benchdata::random_relation::random_well_defined_relation;
-use brel_suite::benchdata::table2;
-use brel_suite::engine::{Engine, JobSpec, Json, RelationSpec, WideOptions};
+use brel_suite::benchdata::{figures, table2};
+use brel_suite::brel::{BrelConfig, BrelSolver, SearchStrategy};
+use brel_suite::engine::{BackendKind, Engine, JobSpec, Json, RelationSpec, WideOptions};
 use brel_suite::obs::{self, Category, RecordingCollector};
+use brel_suite::relation::{BooleanRelation, RelationSpace};
 use brel_suite::serve::json;
 
 /// Serializes the tests of this binary: each installs/uninstalls the
@@ -235,4 +241,113 @@ fn tracing_leaves_batch_output_byte_identical() {
             }
         }
     }
+}
+
+/// Each search event and the `SolveStats` field it must match one for
+/// one, by the field's name in `SolveStats::metrics`.
+const SEARCH_EVENTS: [(&str, &str); 7] = [
+    ("explored", "explored"),
+    ("improved", "improvements"),
+    ("pruned_by_cost", "pruned_by_cost"),
+    ("pruned_dominated", "pruned_dominated"),
+    ("split", "splits"),
+    ("skipped_by_symmetry", "skipped_by_symmetry"),
+    ("fifo_drop", "dropped_by_fifo"),
+];
+
+/// Runs `solve` under a collector armed for the search category only and
+/// returns what it produced plus the recorded events, counted by name.
+fn recording_search<T>(solve: impl FnOnce() -> T) -> (T, BTreeMap<&'static str, usize>) {
+    let collector = Arc::new(RecordingCollector::with_mask(Category::Search.bit()));
+    obs::install(collector.clone());
+    let result = solve();
+    obs::uninstall();
+    let mut counts = BTreeMap::new();
+    for event in collector.events() {
+        assert_eq!(event.cat, Category::Search);
+        *counts.entry(event.name).or_insert(0) += 1;
+    }
+    (result, counts)
+}
+
+#[test]
+fn search_events_match_the_solve_stats_counters() {
+    let _lock = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    // The two-output relation symmetric in (x, y) from the solver's
+    // symmetry-pruning test: its split halves are swaps of each other.
+    let symmetric_space = RelationSpace::with_names(&["a", "b"], &["x", "y"]);
+    let symmetric = BooleanRelation::from_table(
+        &symmetric_space,
+        "00 : {01, 10}\n01 : {01, 10}\n10 : {01, 10}\n11 : {11}",
+    )
+    .unwrap();
+    let mut cases: Vec<(String, BooleanRelation, BrelConfig)> = Vec::new();
+    let mut relations = vec![("fig10".to_string(), figures::fig10().1)];
+    relations.push(("fig7".to_string(), figures::fig7().1));
+    for seed in [3u64, 11, 29] {
+        let (_space, r) = random_well_defined_relation(4, 3, 0.3, seed);
+        relations.push((format!("rand{seed}"), r));
+    }
+    for strategy in SearchStrategy::all() {
+        for (name, r) in &relations {
+            for (label, config) in [
+                ("exact", BrelConfig::exact()),
+                ("default", BrelConfig::default()),
+                ("fifo2", BrelConfig::default().with_fifo_capacity(Some(2))),
+            ] {
+                let config = config.with_strategy(strategy);
+                cases.push((format!("{name}/{label}/{strategy}"), r.clone(), config));
+            }
+        }
+        let config = BrelConfig::exact().with_symmetry(true);
+        cases.push((
+            format!("symmetric/{strategy}"),
+            symmetric.clone(),
+            config.with_strategy(strategy),
+        ));
+    }
+
+    let mut totals: BTreeMap<&str, usize> = BTreeMap::new();
+    for (case, relation, config) in cases {
+        let (solution, counts) = recording_search(|| BrelSolver::new(config).solve(&relation));
+        let metrics = solution.unwrap().stats.metrics();
+        for (event, field) in SEARCH_EVENTS {
+            let counter = metrics.iter().find(|(name, _)| *name == field).unwrap().1;
+            let seen = counts.get(event).copied().unwrap_or(0);
+            assert_eq!(seen as u64, counter, "{case}: `{event}` events");
+            *totals.entry(event).or_insert(0) += seen;
+        }
+    }
+    // Every event fired somewhere, so no comparison above is vacuous.
+    for (event, _) in SEARCH_EVENTS {
+        assert!(totals[event] > 0, "no case emitted `{event}`: {totals:?}");
+    }
+
+    // Wide mode commits through the same explorer from any worker: the
+    // batch's explored and split events add up to its reports. Reuse is
+    // off, so no job is answered from the solved-subrelation cache.
+    let mut jobs = Vec::new();
+    for seed in [3u64, 11, 29] {
+        let (_space, r) = random_well_defined_relation(4, 3, 0.3, seed);
+        let spec = RelationSpec::from_relation(&r).unwrap();
+        for strategy in SearchStrategy::all() {
+            jobs.push(
+                JobSpec::single(format!("rand{seed}"), spec.clone(), BackendKind::Brel)
+                    .with_strategy(strategy),
+            );
+        }
+    }
+    let (report, counts) = recording_search(|| {
+        Engine::with_workers(2)
+            .with_reuse(false)
+            .with_wide(WideOptions::default())
+            .solve_batch(&jobs)
+    });
+    assert_eq!(report.num_solved(), jobs.len());
+    let attempts = || report.jobs.iter().flat_map(|job| &job.attempts);
+    let explored: usize = attempts().map(|a| a.explored).sum();
+    let splits: usize = attempts().map(|a| a.splits).sum();
+    assert!(splits > 0);
+    assert_eq!(counts.get("explored").copied().unwrap_or(0), explored);
+    assert_eq!(counts.get("split").copied().unwrap_or(0), splits);
 }

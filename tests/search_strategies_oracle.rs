@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use brel_core::{
-    BrelConfig, BrelSolver, CostFn, CostFunction, ExploreStatus, Explorer, QuickSolver,
-    SearchStrategy,
+    BrelConfig, BrelSolver, CostFn, CostFunction, Explorer, QuickSolver, SearchStrategy,
+    StepOutcome,
 };
 use brel_suite::benchdata::{figures, random_well_defined_relation};
 
@@ -83,7 +83,7 @@ proptest! {
         let one_shot = BrelSolver::new(config.clone()).solve(&r).unwrap();
         let mut explorer = Explorer::new(config, &r).unwrap();
         let mut last = explorer.best_cost();
-        while let ExploreStatus::Paused = explorer.run_budget(Some(1)).unwrap() {
+        while let StepOutcome::Explored { .. } = explorer.step().unwrap() {
             prop_assert!(explorer.best_cost() <= last, "incumbent regressed");
             last = explorer.best_cost();
         }
