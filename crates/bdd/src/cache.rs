@@ -27,7 +27,7 @@
 //! where its slots may have been reused. Dynamic reordering (see
 //! [`crate::reorder`]) keeps most entries: the in-place level swap
 //! preserves the Boolean function denoted by every node id, and entries of
-//! `ite`, quantification, cofactors and renaming relate ids as functions.
+//! `ite`, quantification and cofactors relate ids as functions.
 //! The generalized cofactors and ISOP are the exception — their result is
 //! one of many implementations of an interval, chosen by walking the
 //! order — so every order change drops exactly those entries.
@@ -302,7 +302,7 @@ impl UniqueTable {
         }
     }
 
-    /// Rebuilds the table from the arena after a sweep or compaction:
+    /// Rebuilds the table from the arena after a sweep:
     /// every non-terminal, non-free slot is reinserted; tombstones and
     /// stale entries are dropped wholesale.
     pub(crate) fn rebuild(&mut self, nodes: &[Node]) {
@@ -343,14 +343,6 @@ impl UniqueTable {
         self.tombstones = 0;
     }
 
-    /// Pre-grows the table so `additional` more nodes fit without a rehash.
-    pub(crate) fn reserve(&mut self, additional: usize, nodes: &[Node]) {
-        let capacity = capacity_for(self.len + self.tombstones + additional, Self::MIN_CAPACITY);
-        if capacity > self.slots.len() {
-            self.grow(capacity, nodes);
-        }
-    }
-
     fn grow(&mut self, new_capacity: usize, nodes: &[Node]) {
         let old = std::mem::replace(&mut self.slots, empty_slots(new_capacity));
         self.mask = new_capacity - 1;
@@ -387,7 +379,7 @@ impl UniqueTable {
 
 /// Operation tags distinguishing cache users. `ite` keys are three node
 /// ids; tagged operations reuse the `(a, b, c)` words for their own keys
-/// (node id + variable, node id + cube, node id + interned map id, …).
+/// (node id + variable, node id + cube, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub(crate) enum OpTag {
@@ -396,7 +388,6 @@ pub(crate) enum OpTag {
     Cofactor1 = 2,
     Exists = 3,
     Forall = 4,
-    Rename = 5,
     Constrain = 6,
     Restrict = 7,
     RestrictCube = 8,
@@ -405,7 +396,7 @@ pub(crate) enum OpTag {
 }
 
 /// Tags whose cached result depends on the variable order, not only on
-/// the operand functions. `ite`, quantification, cofactors and renaming
+/// the operand functions. `ite`, quantification and cofactors
 /// compute order-free functions; the generalized cofactors and ISOP pick
 /// one implementation of an interval by walking the order, so an order
 /// change must drop them ([`OpCache::drop_order_dependent`]).

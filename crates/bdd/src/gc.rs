@@ -1,5 +1,4 @@
-//! Node lifecycle: external roots, mark-and-sweep garbage collection and
-//! arena compaction.
+//! Node lifecycle: external roots and mark-and-sweep garbage collection.
 //!
 //! The first two kernel generations were append-only: every node ever
 //! created stayed in the arena for the life of the manager. That is fine
@@ -11,18 +10,13 @@
 //! * **Roots** — every [`crate::Bdd`] handle registers its node in the
 //!   manager's [`RootTable`] on creation (and on clone) and releases it on
 //!   drop. A root entry is a `(NodeId, refcount)` slot; handles refer to
-//!   the *slot*, not the node, so compaction can remap node ids without
-//!   invalidating live handles.
+//!   the *slot*, not the node.
 //! * **Mark and sweep** — [`BddManager::collect_garbage`] marks everything
 //!   reachable from the live roots and moves every other decision node to
 //!   a free list that [`BddManager::mk`] reuses. Sweeping flushes the lossy
 //!   operation cache (a cached result may point at a reclaimed slot) and
 //!   rebuilds the unique table from the survivors, so no stale entry can
 //!   resurrect a reclaimed id.
-//! * **Compaction** — [`BddManager::compact`] rebuilds the arena densely,
-//!   remapping every live node id and patching the root table in place.
-//!   Raw [`NodeId`]s held outside the root table are invalidated; `Bdd`
-//!   handles survive because they resolve through their root slot.
 //!
 //! GC is *deferred*: `mk` only flags a pending collection when the live
 //! node count crosses the growth threshold, and the sweep itself runs at a
@@ -177,18 +171,6 @@ impl RootTable {
         }
     }
 
-    /// Rewrites every live root through a compaction remap (old arena
-    /// index → new arena index).
-    pub(crate) fn remap(&mut self, map: &[u32]) {
-        for entry in &mut self.entries {
-            if entry.refs > 0 {
-                let new = map[entry.id.index()];
-                debug_assert!(new != u32::MAX, "live root was not marked");
-                entry.id = NodeId(new);
-            }
-        }
-    }
-
     /// Empties the table (keeping its allocation) so a reset session hands
     /// out slots from a clean state, exactly like a cold table would.
     ///
@@ -287,7 +269,7 @@ impl BddManager {
     }
 
     /// Number of decision nodes reachable from the live roots.
-    pub fn reachable_nodes(&self) -> usize {
+    pub(crate) fn reachable_nodes(&self) -> usize {
         self.mark_live().1
     }
 
@@ -331,66 +313,17 @@ impl BddManager {
         reclaimed
     }
 
-    /// Rebuilds the arena densely: live nodes are renumbered into a gap-free
-    /// prefix, the root table is remapped in place, and the free list is
-    /// emptied. Returns the number of decision nodes kept.
-    ///
-    /// `Bdd` handles stay valid (they resolve through the root table); any
-    /// raw [`NodeId`] held outside the root table is invalidated, as is the
-    /// operation cache. Call this after a teardown phase (for example after
-    /// engine rehydration) to hand later operations a dense, cache-friendly
-    /// arena.
-    pub fn compact(&mut self) -> usize {
-        let _span = brel_obs::span(brel_obs::Category::Kernel, "compact");
-        self.gc.pending = false;
-        let (marks, live) = self.mark_live();
-        let mut remap = vec![u32::MAX; self.nodes.len()];
-        remap[0] = 0;
-        remap[1] = 1;
-        let mut next = 2u32;
-        for (i, slot) in remap.iter_mut().enumerate().skip(2) {
-            if marks.contains(i) {
-                *slot = next;
-                next += 1;
-            }
-        }
-        let mut new_nodes: Vec<Node> = Vec::with_capacity(live + 2);
-        new_nodes.push(self.nodes[0]);
-        new_nodes.push(self.nodes[1]);
-        for i in 2..self.nodes.len() {
-            if marks.contains(i) {
-                let n = self.nodes[i];
-                new_nodes.push(Node {
-                    var: n.var,
-                    lo: NodeId(remap[n.lo.index()]),
-                    hi: NodeId(remap[n.hi.index()]),
-                });
-            }
-        }
-        let dropped = self.nodes.len() - new_nodes.len();
-        self.nodes = new_nodes;
-        self.free.clear();
-        self.cache.clear();
-        self.unique.rebuild(&self.nodes);
-        self.roots.remap(&remap);
-        self.gc.collections += 1;
-        self.gc.nodes_reclaimed += dropped as u64;
-        self.gc.next_gc_at = (live * 2).max(self.gc.min_nodes);
-        live
-    }
-
     /// The safe point of the deferred lifecycle machinery: runs a pending
     /// collection, and (when auto-reorder is on) a sifting pass once the
     /// live node count has doubled since the last one. Called by the
     /// handle layer after every completed operation, once the result is
-    /// rooted; raw-manager users can call it between operations whenever
-    /// no unrooted intermediate id is live.
+    /// rooted.
     ///
-    /// `set_auto_gc(false)` disables *both* automatic behaviours here —
+    /// [`BddConfig::auto_gc`]`(false)` disables *both* automatic behaviours here —
     /// auto-reordering sweeps as part of its pass, so letting it run on a
     /// pinned append-only manager would break the "collect only on
     /// explicit calls" contract that raw-`NodeId` holders rely on.
-    pub fn maybe_gc(&mut self) {
+    pub(crate) fn maybe_gc(&mut self) {
         if !self.gc.auto_gc {
             // A governor quota trip still gets its sweep: the quota
             // contract is "GC first, then abort", independent of the
@@ -412,11 +345,6 @@ impl BddManager {
     #[inline]
     pub fn live_nodes(&self) -> usize {
         self.nodes.len() - self.free.len()
-    }
-
-    /// Number of live external root slots.
-    pub fn live_roots(&self) -> usize {
-        self.roots.live_roots()
     }
 
     /// The lifecycle configuration currently in force (as set at

@@ -27,7 +27,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A structured kernel resource abort.
 ///
@@ -51,12 +51,6 @@ pub enum BddError {
         /// The configured deadline, in milliseconds.
         deadline_ms: u64,
     },
-    /// The session mutex is poisoned: a previous operation panicked while
-    /// holding the manager lock. Surfaced only by the *checked* session
-    /// entry points (`BddSession::try_with`); the plain handle API keeps
-    /// clearing poisoning so drops during unwinding never wedge, and the
-    /// engine's quarantine path rebuilds the session anyway.
-    Poisoned,
 }
 
 impl fmt::Display for BddError {
@@ -75,10 +69,6 @@ impl fmt::Display for BddError {
             } => write!(
                 f,
                 "deadline exceeded: {elapsed_ms} ms elapsed, deadline {deadline_ms} ms"
-            ),
-            BddError::Poisoned => write!(
-                f,
-                "session poisoned: a previous operation panicked while holding the manager lock"
             ),
         }
     }
@@ -144,14 +134,6 @@ impl ResourceGovernor {
     /// Sets the live-node quota.
     pub fn with_max_live_nodes(mut self, max: u64) -> Self {
         self.max_live_nodes = Some(max);
-        self
-    }
-
-    /// Sets the deadline to `timeout` from now.
-    pub fn with_deadline_in(mut self, timeout: Duration) -> Self {
-        self.armed_at = Instant::now();
-        self.deadline = Some(self.armed_at + timeout);
-        self.deadline_ms = timeout.as_millis() as u64;
         self
     }
 
@@ -312,7 +294,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_aborts_at_the_check_interval() {
-        let mut gov = ResourceGovernor::new().with_deadline_in(Duration::ZERO);
+        let mut gov = ResourceGovernor::new().with_deadline_at(Instant::now());
         let mut aborted = false;
         for _ in 0..=DEADLINE_CHECK_MASK {
             if let GovernorVerdict::Abort(BddError::DeadlineExceeded { .. }) = gov.note_alloc(1, 0)

@@ -15,24 +15,21 @@
 //! memory-safety fence that makes the move legal. Lock poisoning is
 //! deliberately ignored by the handle API (a panicking operation, e.g.
 //! `constrain` on an empty care set, must not wedge every subsequent
-//! handle drop); direct session users that want poisoning *surfaced*
-//! instead use [`BddSession::try_with`] / [`BddSession::is_poisoned`].
+//! handle drop).
 //!
 //! The handles are also the kernel's *rooting discipline*: every `Bdd`
 //! registers an external reference in the manager's root table when it is
 //! created (and when it is cloned) and releases it when dropped, so the
 //! garbage collector knows exactly which functions are externally alive.
 //! A `Bdd` stores a root-table *slot*, not a raw [`NodeId`]; it resolves
-//! the current id on use, which keeps handles valid across
-//! [`BddSession::compact`] (which renumbers nodes). Every operation that
+//! the current id on use. Every operation that
 //! returns a `Bdd` passes a GC safe point after the result is rooted — the
 //! only moments automatic collection or reordering actually run.
 //!
 //! Because the manager sits behind one non-reentrant lock, every mirrored
 //! operation resolves its operand node ids *before* taking the lock; the
 //! ids stay valid in between because the operand handles themselves keep
-//! them rooted (only an explicit `compact` on another thread could remap
-//! them, and sessions are not driven concurrently).
+//! them rooted.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -42,11 +39,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::cache::CacheStats;
 use crate::config::BddConfig;
 use crate::gc::GcStats;
-use crate::governor::{BddError, ResourceGovernor};
+use crate::governor::ResourceGovernor;
 use crate::isop::IsopResult;
 use crate::manager::{BddManager, NodeId, Var};
 use crate::paths::PathCube;
-use crate::symmetry::SymmetryKind;
 
 /// One coherent snapshot of every kernel counter, taken under a single
 /// lock acquisition by [`BddSession::stats_snapshot`].
@@ -102,7 +98,7 @@ impl BddSession {
     }
 
     /// Wraps an already-built raw manager in a session.
-    pub fn from_manager(manager: BddManager) -> Self {
+    fn from_manager(manager: BddManager) -> Self {
         BddSession {
             core: Arc::new(Mutex::new(manager)),
         }
@@ -114,16 +110,6 @@ impl BddSession {
     /// release their root slots.
     pub(crate) fn lock(&self) -> MutexGuard<'_, BddManager> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether a previous operation panicked while holding the manager
-    /// lock. The plain handle API deliberately keeps working on a poisoned
-    /// session (see [`BddSession::with`]); callers that want a panicked
-    /// session *surfaced* rather than silently cleared — e.g. long-running
-    /// services deciding whether to quarantine — check this flag or use
-    /// [`BddSession::try_with`].
-    pub fn is_poisoned(&self) -> bool {
-        self.core.is_poisoned()
     }
 
     /// Rewinds the session to the state a cold
@@ -139,11 +125,6 @@ impl BddSession {
     /// The lifecycle configuration currently in force.
     pub fn config(&self) -> BddConfig {
         self.lock().config()
-    }
-
-    /// Pre-grows the node arena and unique table for `additional` nodes.
-    pub fn reserve(&self, additional: usize) {
-        self.lock().reserve(additional);
     }
 
     /// The kernel's cumulative cache/unique-table counters.
@@ -189,13 +170,6 @@ impl BddSession {
         self.lock().collect_garbage()
     }
 
-    /// Compacts the arena (dense renumbering); `Bdd` handles stay valid,
-    /// raw [`NodeId`]s held outside handles do not. Returns the live node
-    /// count.
-    pub fn compact(&self) -> usize {
-        self.lock().compact()
-    }
-
     /// Runs one sifting pass of dynamic variable reordering and a final
     /// sweep; returns the live node count afterwards.
     pub fn reorder_sift(&self) -> usize {
@@ -213,17 +187,13 @@ impl BddSession {
     }
 
     /// Live external root slots (one per distinct `Bdd` lineage).
-    pub fn live_roots(&self) -> usize {
-        self.lock().live_roots()
-    }
-
-    /// The current variable order, top level first.
-    pub fn var_order(&self) -> Vec<Var> {
-        self.lock().var_order()
+    #[cfg(test)]
+    fn live_roots(&self) -> usize {
+        self.lock().roots.live_roots()
     }
 
     /// Returns `true` if two handles refer to the same underlying manager.
-    pub fn same_manager(&self, other: &BddSession) -> bool {
+    fn same_manager(&self, other: &BddSession) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
     }
 
@@ -268,30 +238,6 @@ impl BddSession {
         f(&mut self.lock())
     }
 
-    /// The checked variant of [`BddSession::with`]: refuses to run on a
-    /// poisoned session instead of silently clearing the poison flag.
-    ///
-    /// [`BddSession::with`] (and the whole handle API) intentionally
-    /// ignores poisoning so handle drops during unwinding never wedge and
-    /// the engine's quarantine path can still inspect a faulted manager.
-    /// Direct session users outside that path get no such safety net: a
-    /// panic mid-operation may have left *application-level* state (not
-    /// the manager's own invariants) inconsistent. `try_with` surfaces
-    /// that as [`BddError::Poisoned`] so the caller can rebuild instead of
-    /// computing on a session another computation died in. The same
-    /// non-reentrancy contract as [`BddSession::with`] applies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::Poisoned`] if a previous operation panicked
-    /// while holding the manager lock.
-    pub fn try_with<R>(&self, f: impl FnOnce(&mut BddManager) -> R) -> Result<R, BddError> {
-        match self.core.lock() {
-            Ok(mut guard) => Ok(f(&mut guard)),
-            Err(_) => Err(BddError::Poisoned),
-        }
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.lock().num_vars()
@@ -319,14 +265,9 @@ impl BddSession {
     }
 
     /// The complemented projection function of variable `var`.
-    pub fn nvar(&self, var: impl Into<Var>) -> Bdd {
+    fn nvar(&self, var: impl Into<Var>) -> Bdd {
         let v = var.into();
         self.apply(|m| m.literal(v, false))
-    }
-
-    /// Adds a fresh variable at the bottom of the order.
-    pub fn add_var(&self, name: impl Into<String>) -> Var {
-        self.lock().add_var(name)
     }
 
     /// Display name of a variable.
@@ -337,30 +278,6 @@ impl BddSession {
     /// Renames a variable.
     pub fn set_var_name(&self, var: Var, name: impl Into<String>) {
         self.lock().set_var_name(var, name);
-    }
-
-    /// Conjunction of an iterator of functions.
-    pub fn and_all<'a>(&self, fs: impl IntoIterator<Item = &'a Bdd>) -> Bdd {
-        let mut acc = self.one();
-        for f in fs {
-            acc = acc.and(f);
-            if acc.is_zero() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Disjunction of an iterator of functions.
-    pub fn or_all<'a>(&self, fs: impl IntoIterator<Item = &'a Bdd>) -> Bdd {
-        let mut acc = self.zero();
-        for f in fs {
-            acc = acc.or(f);
-            if acc.is_one() {
-                break;
-            }
-        }
-        acc
     }
 
     /// Builds the BDD of a cube given as `(variable, polarity)` pairs.
@@ -474,8 +391,7 @@ impl BddSession {
 /// Creating, cloning and dropping a `Bdd` registers/releases an external
 /// reference in the manager's root table, which is what keeps the function
 /// alive across garbage collections. The handle stores a root-table slot
-/// rather than a raw node id, so it stays valid across
-/// [`BddSession::compact`]. Like its session, a `Bdd` is `Send`.
+/// rather than a raw node id. Like its session, a `Bdd` is `Send`.
 pub struct Bdd {
     session: BddSession,
     slot: u32,
@@ -517,10 +433,8 @@ impl PartialEq for Bdd {
 impl Eq for Bdd {}
 
 impl Hash for Bdd {
-    /// Hashes the *current* node id. Canonicity makes this consistent with
-    /// equality, but [`BddSession::compact`] renumbers nodes — hash-keyed
-    /// collections of `Bdd`s must not be carried across a compaction (use
-    /// a `Vec` and `==`, which resolve through the root table, instead).
+    /// Hashes the current node id; canonicity makes this consistent with
+    /// equality.
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.node_id().hash(state);
     }
@@ -558,14 +472,13 @@ impl Bdd {
     }
 
     /// The session this function belongs to.
-    pub fn manager(&self) -> &BddSession {
+    pub(crate) fn manager(&self) -> &BddSession {
         &self.session
     }
 
     /// The raw node identifier the handle currently resolves to.
     ///
-    /// The id is only stable until the next [`BddSession::compact`];
-    /// operations that sweep or reorder preserve it. It is not rooted:
+    /// Operations that sweep or reorder preserve it. It is not rooted:
     /// return a result built from it through [`BddSession::apply`] if it
     /// must survive further handle operations — unrooted ids are subject
     /// to garbage collection.
@@ -581,11 +494,6 @@ impl Bdd {
     /// Returns `true` for the constant-true function.
     pub fn is_one(&self) -> bool {
         self.node_id().is_one()
-    }
-
-    /// Returns `true` if the function is a constant.
-    pub fn is_constant(&self) -> bool {
-        self.node_id().is_terminal()
     }
 
     /// DAG size (number of decision nodes); the paper's BDD-size cost.
@@ -633,21 +541,6 @@ impl Bdd {
     /// Set difference `self · ¬other`.
     pub fn diff(&self, other: &Bdd) -> Bdd {
         self.and(&other.complement())
-    }
-
-    /// If-then-else with `self` as the selector.
-    pub fn ite(&self, then_f: &Bdd, else_f: &Bdd) -> Bdd {
-        self.assert_same_mgr(then_f);
-        self.assert_same_mgr(else_f);
-        self.session.apply(|m| {
-            let (f, g, h) = (
-                m.roots.node_of(self.slot),
-                m.roots.node_of(then_f.slot),
-                m.roots.node_of(else_f.slot),
-            );
-            let _op = brel_obs::span(brel_obs::Category::KernelOp, "ite");
-            m.ite(f, g, h)
-        })
     }
 
     /// Shannon cofactor with respect to `var = value`.
@@ -713,18 +606,6 @@ impl Bdd {
         self.binary(care, BddManager::li_compact)
     }
 
-    /// Minato–Morreale ISOP for the interval `[self, upper]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` does not imply `upper`.
-    pub fn isop_interval(&self, upper: &Bdd) -> IsopResult {
-        self.assert_same_mgr(upper);
-        let (l, u) = (self.node_id(), upper.node_id());
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
-        self.session.lock().isop(l, u)
-    }
-
     /// Minato–Morreale ISOP of a completely specified function.
     pub fn isop(&self) -> IsopResult {
         let f = self.node_id();
@@ -750,16 +631,6 @@ impl Bdd {
         self.session.lock().sat_count(f, num_vars)
     }
 
-    /// All satisfying minterms over `num_vars` variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vars` exceeds [`crate::EXHAUSTIVE_VAR_LIMIT`].
-    pub fn minterms(&self, num_vars: usize) -> Vec<Vec<bool>> {
-        let f = self.node_id();
-        self.session.lock().minterms(f, num_vars)
-    }
-
     /// The cube with the fewest literals reaching the 1-terminal, or `None`
     /// if the function is unsatisfiable.
     pub fn shortest_path(&self) -> Option<PathCube> {
@@ -771,32 +642,6 @@ impl Bdd {
     pub fn pick_cube(&self) -> Option<PathCube> {
         let f = self.node_id();
         self.session.lock().pick_cube(f)
-    }
-
-    /// First-order symmetry check between two variables.
-    pub fn is_symmetric(&self, a: Var, b: Var) -> bool {
-        let f = self.node_id();
-        self.session.lock().is_symmetric(f, a, b)
-    }
-
-    /// All first-order symmetry kinds between two variables.
-    pub fn symmetries(&self, a: Var, b: Var) -> Vec<SymmetryKind> {
-        let f = self.node_id();
-        self.session.lock().symmetries(f, a, b)
-    }
-
-    /// Second-order symmetry check between two pairs of variables.
-    pub fn is_second_order_symmetric(&self, a1: Var, a2: Var, b1: Var, b2: Var) -> bool {
-        let f = self.node_id();
-        self.session
-            .lock()
-            .is_second_order_symmetric(f, a1, a2, b1, b2)
-    }
-
-    /// Graphviz rendering of this function.
-    pub fn to_dot(&self, label: &str) -> String {
-        let f = self.node_id();
-        crate::dot::to_dot(&self.session.lock(), &[f], &[label])
     }
 }
 
@@ -1035,31 +880,6 @@ mod tests {
         // The lock is poisoned now; handle traffic must still work.
         let b = session.var(1);
         assert!(a.or(&b).eval(&[true, false]));
-        drop((a, b, zero));
-        assert_eq!(session.live_roots(), 0);
-    }
-
-    #[test]
-    fn try_with_surfaces_poisoning_instead_of_clearing_it() {
-        let session = BddSession::new(2);
-        assert!(!session.is_poisoned());
-        // A healthy session runs the closure like `with` does.
-        assert_eq!(session.try_with(|m| m.num_vars()).unwrap(), 2);
-        let a = session.var(0);
-        let zero = session.zero();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = a.constrain(&zero); // panics while holding the lock
-        }));
-        assert!(result.is_err());
-        // The checked API refuses the poisoned session with a typed error…
-        assert!(session.is_poisoned());
-        assert_eq!(session.try_with(|m| m.num_vars()), Err(BddError::Poisoned));
-        // …and keeps refusing: observing the poison must not clear it.
-        assert!(session.is_poisoned());
-        assert_eq!(session.try_with(|m| m.num_vars()), Err(BddError::Poisoned));
-        // The unchecked path (engine quarantine, handle drops) still works.
-        let b = session.var(1);
-        assert!(a.or(&b).eval(&[true, false]));
         assert_eq!(session.with(|m| m.num_vars()), 2);
         drop((a, b, zero));
         assert_eq!(session.live_roots(), 0);
@@ -1119,7 +939,7 @@ mod tests {
     fn governed_session_honours_an_expired_deadline() {
         use crate::governor::{catch_resource_abort, BddError, ResourceGovernor};
         let session = BddSession::new(20);
-        session.set_governor(ResourceGovernor::new().with_deadline_in(std::time::Duration::ZERO));
+        session.set_governor(ResourceGovernor::new().with_deadline_at(std::time::Instant::now()));
         let result = catch_resource_abort(|| {
             // Enough allocations to pass several deadline-check intervals.
             let mut rooted = Vec::new();
@@ -1191,18 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn and_all_or_all() {
-        let mgr = BddSession::new(3);
-        let vars: Vec<Bdd> = (0..3).map(|i| mgr.var(i as u32)).collect();
-        let all = mgr.and_all(vars.iter());
-        let any = mgr.or_all(vars.iter());
-        assert!(all.eval(&[true, true, true]));
-        assert!(!all.eval(&[true, false, true]));
-        assert!(any.eval(&[false, true, false]));
-        assert!(!any.eval(&[false, false, false]));
-    }
-
-    #[test]
     #[should_panic]
     fn cross_manager_operations_panic() {
         let m1 = BddSession::new(1);
@@ -1265,36 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_renumbers_but_handles_survive() {
-        let mgr = BddSession::new(6);
-        let vars: Vec<Bdd> = (0..6).map(|i| mgr.var(i as u32)).collect();
-        // Interleave garbage and keepers so survivors sit at scattered ids.
-        let mut keepers = Vec::new();
-        for i in 0..4 {
-            let _junk = vars[i].xor(&vars[i + 1]).and(&vars[(i + 2) % 6]);
-            keepers.push(vars[i].iff(&vars[i + 2]));
-        }
-        let truth: Vec<Vec<bool>> = keepers
-            .iter()
-            .map(|f| {
-                (0..64u32)
-                    .map(|bits| f.eval(&(0..6).map(|k| bits & (1 << k) != 0).collect::<Vec<_>>()))
-                    .collect()
-            })
-            .collect();
-        let live = mgr.compact();
-        assert_eq!(mgr.num_nodes(), live + 2, "arena is dense after compact");
-        for (f, expected) in keepers.iter().zip(&truth) {
-            for bits in 0..64u32 {
-                let asg: Vec<bool> = (0..6).map(|k| bits & (1 << k) != 0).collect();
-                assert_eq!(f.eval(&asg), expected[bits as usize]);
-            }
-        }
-        // Handle equality still canonical after the renumbering.
-        assert_eq!(keepers[0], vars[0].iff(&vars[2]));
-    }
-
-    #[test]
     fn swap_adjacent_levels_preserves_functions() {
         let mgr = BddSession::new(4);
         let a = mgr.var(0);
@@ -1311,8 +1089,6 @@ mod tests {
                 assert_eq!(g.eval(&asg), asg[0] ^ asg[3]);
             }
         }
-        let order = mgr.var_order();
-        assert_eq!(order.len(), 4);
     }
 
     #[test]

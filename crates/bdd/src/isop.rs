@@ -27,13 +27,6 @@ pub struct IsopCube {
 }
 
 impl IsopCube {
-    /// The empty cube (the constant-true product).
-    pub fn tautology() -> Self {
-        IsopCube {
-            literals: Vec::new(),
-        }
-    }
-
     /// Literals of the cube, sorted by variable.
     pub fn literals(&self) -> &[(Var, bool)] {
         &self.literals
@@ -49,24 +42,6 @@ impl IsopCube {
         self.literals
             .iter()
             .all(|&(v, pos)| assignment[v.index()] == pos)
-    }
-
-    /// Builds the BDD of the cube.
-    pub fn to_bdd(&self, mgr: &mut BddManager) -> NodeId {
-        // The literal list is sorted by variable *index*; `mk` needs the
-        // chain built bottom-up in *level* order, and the two disagree
-        // once dynamic reordering has moved a variable.
-        let mut literals = self.literals.clone();
-        literals.sort_by_key(|&(v, _)| mgr.var_level(v));
-        let mut acc = NodeId::ONE;
-        for &(v, pos) in literals.iter().rev() {
-            acc = if pos {
-                mgr.mk(v, NodeId::ZERO, acc)
-            } else {
-                mgr.mk(v, acc, NodeId::ZERO)
-            };
-        }
-        acc
     }
 }
 
@@ -216,7 +191,7 @@ impl BddManager {
     }
 
     /// Convenience: irredundant cover of a completely specified function.
-    pub fn isop_exact(&mut self, f: NodeId) -> IsopResult {
+    pub(crate) fn isop_exact(&mut self, f: NodeId) -> IsopResult {
         self.isop(f, f)
     }
 }
@@ -255,7 +230,7 @@ mod tests {
             return (Vec::new(), NodeId::ZERO);
         }
         if upper.is_one() {
-            return (vec![IsopCube::tautology()], NodeId::ONE);
+            return (vec![IsopCube::default()], NodeId::ONE);
         }
         if let Some(r) = memo.get(&(lower, upper)) {
             return r.clone();
@@ -308,10 +283,11 @@ mod tests {
             if rng.next() % 8 >= density {
                 continue;
             }
-            let lits: Vec<(Var, bool)> = (0..n)
-                .map(|i| (Var(i as u32), bits & (1 << i) != 0))
-                .collect();
-            let minterm = IsopCube { literals: lits }.to_bdd(m);
+            let mut minterm = NodeId::ONE;
+            for i in 0..n {
+                let lit = m.literal(Var(i as u32), bits & (1 << i) != 0);
+                minterm = m.and(minterm, lit);
+            }
             f = m.or(f, minterm);
         }
         f
@@ -481,35 +457,6 @@ mod tests {
                 }
             }
             assert!(missing, "cover is redundant: cube {skip} can be dropped");
-        }
-    }
-
-    #[test]
-    fn cube_to_bdd_round_trip() {
-        let mut m = BddManager::new(4);
-        let cube = IsopCube {
-            literals: vec![(Var(0), true), (Var(2), false)],
-        };
-        let f = cube.to_bdd(&mut m);
-        for asg in all_assignments(4) {
-            assert_eq!(m.eval(f, &asg), cube.eval(&asg));
-        }
-    }
-
-    #[test]
-    fn cube_to_bdd_respects_a_reordered_level_permutation() {
-        // After swapping levels, the cube's index-sorted literal list no
-        // longer matches the level order; to_bdd must still build a valid
-        // ordered chain.
-        let mut m = BddManager::new(4);
-        let cube = IsopCube {
-            literals: vec![(Var(0), true), (Var(2), false)],
-        };
-        m.swap_adjacent_levels(0); // order is now x1 x0 x2 x3
-        m.swap_adjacent_levels(1); // order is now x1 x2 x0 x3
-        let f = cube.to_bdd(&mut m);
-        for asg in all_assignments(4) {
-            assert_eq!(m.eval(f, &asg), cube.eval(&asg));
         }
     }
 

@@ -12,19 +12,16 @@
 //!
 //! * canonical node storage with a unique table and operation caches,
 //! * the `ite` operator and the usual Boolean connectives,
-//! * cofactors, functional composition and variable swapping,
+//! * cofactors, functional composition and variable swapping (the
+//!   solver's output-symmetry pruning compares `swap_vars` results),
 //! * existential and universal quantification,
 //! * the generalized cofactors `constrain` and `restrict` (Coudert–Madre),
 //! * Minato–Morreale irredundant sum-of-products (ISOP) generation,
-//! * shortest-path (largest-cube) extraction, minterm counting and
-//!   enumeration,
-//! * first-order and second-order symmetry checks used by the solver's
-//!   symmetry pruning,
+//! * shortest-path (largest-cube) extraction and minterm counting,
 //! * a full node lifecycle: refcounted external roots, mark-and-sweep
-//!   garbage collection with a free list, arena compaction, and
-//!   sifting-based dynamic variable reordering (see [`crate::Bdd`]'s
-//!   rooting discipline and [`GcStats`]),
-//! * Graphviz export for debugging.
+//!   garbage collection with a free list, and sifting-based dynamic
+//!   variable reordering (see [`crate::Bdd`]'s rooting discipline and
+//!   [`GcStats`]).
 //!
 //! ## Sessions and handles
 //!
@@ -57,7 +54,6 @@
 
 mod cache;
 mod config;
-mod dot;
 mod gc;
 mod gencof;
 mod governor;
@@ -67,19 +63,12 @@ mod manager;
 mod paths;
 mod quant;
 mod reorder;
-mod symmetry;
 
 pub use cache::CacheStats;
 pub use config::BddConfig;
-pub use dot::to_dot;
 pub use gc::GcStats;
 pub use governor::{catch_resource_abort, quiet_resource_aborts, BddError, ResourceGovernor};
 pub use handle::{Bdd, BddSession, KernelSnapshot};
 pub use isop::{IsopCube, IsopResult};
 pub use manager::{BddManager, NodeId, Var};
 pub use paths::PathCube;
-pub use symmetry::SymmetryKind;
-
-/// The number of variables above which exhaustive truth-table style
-/// operations (such as [`Bdd::minterms`]) refuse to run.
-pub const EXHAUSTIVE_VAR_LIMIT: usize = 24;

@@ -16,12 +16,11 @@
 //! The memory layer is CUDD-style (see [`crate::cache`]): the unique table
 //! is open-addressed with an Fx-style hash over `(var, lo, hi)`, and one
 //! fixed-size lossy direct-mapped operation cache is shared by `ite` and
-//! the tagged operations (`cofactor`, quantification, renaming, the
+//! the tagged operations (`cofactor`, quantification, the
 //! generalized cofactors and ISOP), which persist results across calls
 //! instead of allocating a memo table per call.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::cache::{CacheStats, OpCache, OpTag, UniqueTable};
@@ -83,7 +82,7 @@ impl NodeId {
     pub const ONE: NodeId = NodeId(1);
 
     /// Returns `true` for the two terminal nodes.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         self.0 <= 1
     }
 
@@ -114,8 +113,8 @@ pub(crate) struct Node {
 /// Level used for terminals so that they order after every variable.
 const TERMINAL_LEVEL: u32 = u32::MAX;
 
-/// Variable marker of a reclaimed arena slot (never a valid variable: the
-/// manager refuses to allocate `u32::MAX` variables).
+/// Variable marker of a reclaimed arena slot (never a valid variable
+/// index).
 pub(crate) const FREE_VAR: u32 = u32::MAX;
 
 /// The ROBDD manager: node arena, unique table and operation caches.
@@ -144,9 +143,6 @@ pub struct BddManager {
     /// Optional resource budget enforced by `note_alloc`; see
     /// [`crate::governor`].
     pub(crate) governor: Option<ResourceGovernor>,
-    /// Interned monotone rename maps (sorted `(old, new)` pairs); the index
-    /// is the stable identity used in rename cache keys.
-    rename_maps: Vec<Vec<(Var, Var)>>,
     /// Reusable epoch-stamped visited set for `size`/`support` traversals
     /// (`RefCell`: those queries take `&self`).
     visit_scratch: RefCell<VisitScratch>,
@@ -195,7 +191,6 @@ impl BddManager {
             roots: RootTable::with_capacity(expected_roots),
             gc: GcState::new(&config),
             governor: None,
-            rename_maps: Vec::new(),
             visit_scratch: RefCell::new(VisitScratch::new()),
             var_names: (0..num_vars).map(|i| format!("x{i}")).collect(),
         };
@@ -243,7 +238,6 @@ impl BddManager {
         self.var2level = (0..num_vars as u32).collect();
         self.level2var = (0..num_vars).map(Var::from).collect();
         self.var_names = (0..num_vars).map(|i| format!("x{i}")).collect();
-        self.rename_maps.clear();
         self.visit_scratch.borrow_mut().reset();
         let counters = (
             self.gc.collections,
@@ -261,13 +255,6 @@ impl BddManager {
         // next job's session.
         self.governor = None;
         true
-    }
-
-    /// Pre-grows the arena and the unique table for `additional` more
-    /// decision nodes, so a burst of `mk` calls proceeds rehash-free.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.unique.reserve(additional, &self.nodes);
     }
 
     /// Replaces the operation cache with one of `slots` slots (rounded to a
@@ -303,17 +290,6 @@ impl BddManager {
     /// Total number of nodes allocated so far (including the two terminals).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Appends a new variable (placed at the bottom of the order) and
-    /// returns it.
-    pub fn add_var(&mut self, name: impl Into<String>) -> Var {
-        let v = Var(self.var_names.len() as u32);
-        assert!(v.0 < FREE_VAR, "variable indices exhausted");
-        self.var_names.push(name.into());
-        self.var2level.push(self.level2var.len() as u32);
-        self.level2var.push(v);
-        v
     }
 
     /// Post-allocation bookkeeping: tracks the live-node high-water mark,
@@ -397,7 +373,7 @@ impl BddManager {
     ///
     /// Panics if `level` is not a valid level.
     #[inline]
-    pub fn level_var(&self, level: u32) -> Var {
+    pub(crate) fn level_var(&self, level: u32) -> Var {
         self.level2var[level as usize]
     }
 
@@ -406,7 +382,7 @@ impl BddManager {
     /// # Panics
     ///
     /// Panics if `id` is a terminal.
-    pub fn node_var(&self, id: NodeId) -> Var {
+    pub(crate) fn node_var(&self, id: NodeId) -> Var {
         assert!(!id.is_terminal(), "terminal nodes carry no variable");
         self.nodes[id.index()].var
     }
@@ -416,7 +392,7 @@ impl BddManager {
     /// # Panics
     ///
     /// Panics if `id` is a terminal.
-    pub fn node_children(&self, id: NodeId) -> (NodeId, NodeId) {
+    pub(crate) fn node_children(&self, id: NodeId) -> (NodeId, NodeId) {
         assert!(!id.is_terminal(), "terminal nodes have no children");
         let n = &self.nodes[id.index()];
         (n.lo, n.hi)
@@ -482,7 +458,7 @@ impl BddManager {
     ///
     /// Every Boolean connective in this package is expressed via `ite`,
     /// which is memoized.
-    pub fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
+    pub(crate) fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
         // Terminal cases.
         if f.is_one() {
             return g;
@@ -544,30 +520,6 @@ impl BddManager {
     /// Implication `f → g`.
     pub fn implies(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.ite(f, g, NodeId::ONE)
-    }
-
-    /// Conjunction of a slice of functions.
-    pub fn and_many(&mut self, fs: &[NodeId]) -> NodeId {
-        let mut acc = NodeId::ONE;
-        for &f in fs {
-            acc = self.and(acc, f);
-            if acc.is_zero() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Disjunction of a slice of functions.
-    pub fn or_many(&mut self, fs: &[NodeId]) -> NodeId {
-        let mut acc = NodeId::ZERO;
-        for &f in fs {
-            acc = self.or(acc, f);
-            if acc.is_one() {
-                break;
-            }
-        }
-        acc
     }
 
     /// Cofactor of `f` with respect to `var = value`. Memoized in the
@@ -702,97 +654,6 @@ impl BddManager {
         let when_a1 = self.ite(lit_b, f11, f01);
         let when_a0 = self.ite(lit_b, f10, f00);
         self.ite(lit_a, when_a1, when_a0)
-    }
-
-    /// Renames variables of `f` according to `map`, which sends old
-    /// variables to new variables. Unmapped variables are left untouched.
-    ///
-    /// The mapping must be injective on the support of `f`; this is enforced
-    /// only through debug assertions. The implementation substitutes one
-    /// variable at a time via [`BddManager::compose`], going through fresh
-    /// intermediate literals when the ranges overlap would not be safe; for
-    /// the simple "shift outputs after inputs" renamings used by the
-    /// relation layer a direct recursive rebuild is used instead when the
-    /// map preserves the relative order of `f`'s support.
-    pub fn rename_vars(&mut self, f: NodeId, map: &HashMap<Var, Var>) -> NodeId {
-        if map.is_empty() || f.is_terminal() {
-            return f;
-        }
-        // Rename entries are only ever written by a valid monotone rebuild
-        // (of this node or an ancestor, whose support contains this
-        // node's), so for an already-registered map a persistent-cache hit
-        // short-circuits both the support walk and the recursion. Maps are
-        // registered lazily below, only once they pass the monotone check,
-        // so the registry never accumulates maps that cannot produce hits.
-        let pairs = {
-            let mut pairs: Vec<(Var, Var)> = map.iter().map(|(a, b)| (*a, *b)).collect();
-            pairs.sort_unstable();
-            pairs
-        };
-        let registered = self.rename_maps.iter().position(|m| *m == pairs);
-        if let Some(id) = registered {
-            if let Some(r) = self.cache.lookup(OpTag::Rename, f.0, id as u32, 0) {
-                return r;
-            }
-        }
-        // The direct rebuild is valid iff the map, extended with the
-        // identity on unmapped variables, is strictly increasing in *level*
-        // over the support — comparing mapped targets among themselves is
-        // not enough, because an unmapped support variable interleaving
-        // with the targets would make `mk` see out-of-order children.
-        let monotone = {
-            let mut support = self.support(f);
-            support.sort_unstable_by_key(|&v| self.var_level(v));
-            let effective: Vec<u32> = support
-                .into_iter()
-                .map(|v| self.var_level(*map.get(&v).unwrap_or(&v)))
-                .collect();
-            effective.windows(2).all(|w| w[0] < w[1])
-        };
-        if monotone {
-            let map_id = registered.unwrap_or_else(|| {
-                self.rename_maps.push(pairs);
-                self.rename_maps.len() - 1
-            });
-            return self.rename_rec(f, map, map_id as u32);
-        }
-        // General case: go through temporary variables far above all in use.
-        let base = self.var_names.len() as u32;
-        let temp_map: HashMap<Var, Var> = map
-            .keys()
-            .enumerate()
-            .map(|(i, &v)| (v, Var(base + i as u32)))
-            .collect();
-        for _ in 0..temp_map.len() {
-            self.add_var("__tmp_rename");
-        }
-        let mut acc = f;
-        for (&old, &tmp) in &temp_map {
-            let lit = self.literal(tmp, true);
-            acc = self.compose(acc, old, lit);
-        }
-        for (&old, &tmp) in &temp_map {
-            let new = map[&old];
-            let lit = self.literal(new, true);
-            acc = self.compose(acc, tmp, lit);
-        }
-        acc
-    }
-
-    fn rename_rec(&mut self, f: NodeId, map: &HashMap<Var, Var>, map_id: u32) -> NodeId {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(r) = self.cache.lookup(OpTag::Rename, f.0, map_id, 0) {
-            return r;
-        }
-        let n = self.nodes[f.index()];
-        let lo = self.rename_rec(n.lo, map, map_id);
-        let hi = self.rename_rec(n.hi, map, map_id);
-        let var = *map.get(&n.var).unwrap_or(&n.var);
-        let r = self.mk(var, lo, hi);
-        self.cache.insert(OpTag::Rename, f.0, map_id, 0, r);
-        r
     }
 
     /// Number of distinct decision nodes in the DAG rooted at `f`
@@ -1045,19 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_many() {
-        let (mut m, a, b, c) = mgr3();
-        let all = m.and_many(&[a, b, c]);
-        let any = m.or_many(&[a, b, c]);
-        assert!(m.eval(all, &[true, true, true]));
-        assert!(!m.eval(all, &[true, true, false]));
-        assert!(m.eval(any, &[false, false, true]));
-        assert!(!m.eval(any, &[false, false, false]));
-        assert_eq!(m.and_many(&[]), NodeId::ONE);
-        assert_eq!(m.or_many(&[]), NodeId::ZERO);
-    }
-
-    #[test]
     fn cofactor_shannon_expansion() {
         let (mut m, a, b, c) = mgr3();
         let f = {
@@ -1107,51 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_monotone_shift() {
-        let mut m = BddManager::new(6);
-        let a = m.literal(Var(0), true);
-        let b = m.literal(Var(1), true);
-        let f = m.and(a, b);
-        let map: HashMap<Var, Var> = [(Var(0), Var(2)), (Var(1), Var(4))].into_iter().collect();
-        let g = m.rename_vars(f, &map);
-        assert_eq!(m.support(g), vec![Var(2), Var(4)]);
-        assert!(m.eval(g, &[false, false, true, false, true, false]));
-        assert!(!m.eval(g, &[true, true, false, false, true, false]));
-    }
-
-    #[test]
-    fn rename_partial_map_crossing_unmapped_support() {
-        // {x0 -> x4} on x0·x3: the mapped targets are trivially "sorted",
-        // but the unmapped support variable x3 interleaves below the
-        // target, so the direct rebuild would hand `mk` out-of-order
-        // children. Must route through the general path and stay correct.
-        let mut m = BddManager::new(5);
-        let a = m.literal(Var(0), true);
-        let d = m.literal(Var(3), true);
-        let f = m.and(a, d);
-        let map: HashMap<Var, Var> = [(Var(0), Var(4))].into_iter().collect();
-        let g = m.rename_vars(f, &map);
-        assert_eq!(m.support(g), vec![Var(3), Var(4)]);
-        assert!(m.eval(g, &[false, false, false, true, true]));
-        assert!(!m.eval(g, &[true, false, false, true, false]));
-    }
-
-    #[test]
-    fn rename_swap_via_temporaries() {
-        let mut m = BddManager::new(2);
-        let a = m.literal(Var(0), true);
-        let nb = {
-            let b = m.literal(Var(1), true);
-            m.not(b)
-        };
-        let f = m.and(a, nb); // a · b'
-        let map: HashMap<Var, Var> = [(Var(0), Var(1)), (Var(1), Var(0))].into_iter().collect();
-        let g = m.rename_vars(f, &map); // b · a'
-        assert!(m.eval(g, &[false, true]));
-        assert!(!m.eval(g, &[true, false]));
-    }
-
-    #[test]
     fn size_counts_distinct_nodes() {
         let (mut m, a, b, c) = mgr3();
         assert_eq!(m.size(NodeId::ZERO), 0);
@@ -1181,15 +984,12 @@ mod tests {
     }
 
     #[test]
-    fn add_var_and_names() {
+    fn var_names() {
         let mut m = BddManager::new(1);
         assert_eq!(m.var_name(Var(0)), "x0");
-        let v = m.add_var("sel");
-        assert_eq!(v, Var(1));
-        assert_eq!(m.var_name(v), "sel");
         m.set_var_name(Var(0), "data");
         assert_eq!(m.var_name(Var(0)), "data");
-        assert_eq!(m.num_vars(), 2);
+        assert_eq!(m.num_vars(), 1);
     }
 
     #[test]
@@ -1202,10 +1002,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_build_identical_nodes() {
+    fn with_capacity_builds_identical_nodes() {
         let mut small = BddManager::new(4);
         let mut big = BddManager::with_capacity(4, 1 << 12);
-        big.reserve(1 << 13);
         for vars in [(0u32, 1u32), (1, 2), (2, 3), (0, 3)] {
             let (a, b) = (
                 small.literal(Var(vars.0), true),

@@ -1,5 +1,5 @@
-//! Path and minterm utilities: shortest-path cube extraction, satisfying
-//! assignment counting and enumeration.
+//! Path and minterm utilities: shortest-path cube extraction and
+//! satisfying-assignment counting.
 //!
 //! The BREL split strategy (Section 7.4) existentially abstracts the output
 //! variables from the conflict relation and then extracts the *shortest
@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use crate::manager::{BddManager, NodeId, Var};
-use crate::EXHAUSTIVE_VAR_LIMIT;
 
 /// A cube described by a partial assignment `(variable, value)`; variables
 /// not mentioned are unconstrained ("don't care" positions of the cube).
@@ -52,14 +51,6 @@ impl PathCube {
             asg[v.index()] = b;
         }
         asg
-    }
-
-    /// Completes the cube into a full minterm assigning **1** to the free
-    /// positions, as prescribed by the paper's split-vertex selection
-    /// ("the input vertex x is obtained from the incompatible input cube by
-    /// assigning the value 1 to the variables with a don't care value").
-    pub fn to_minterm_ones(&self, num_vars: usize) -> Vec<bool> {
-        self.to_minterm(num_vars, true)
     }
 }
 
@@ -221,32 +212,6 @@ impl BddManager {
         memo.insert(f, c);
         c
     }
-
-    /// Enumerates all satisfying minterms of `f` over `num_vars` variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vars` exceeds [`EXHAUSTIVE_VAR_LIMIT`].
-    pub fn minterms(&self, f: NodeId, num_vars: usize) -> Vec<Vec<bool>> {
-        assert!(
-            num_vars <= EXHAUSTIVE_VAR_LIMIT,
-            "minterm enumeration limited to {EXHAUSTIVE_VAR_LIMIT} variables"
-        );
-        let mut out = Vec::new();
-        for bits in 0..(1u64 << num_vars) {
-            let asg: Vec<bool> = (0..num_vars).map(|i| bits & (1 << i) != 0).collect();
-            if self.eval(f, &asg) {
-                out.push(asg);
-            }
-        }
-        out
-    }
-
-    /// Returns `true` if `f` and `g` denote the same function (identity of
-    /// canonical nodes).
-    pub fn equivalent(&self, f: NodeId, g: NodeId) -> bool {
-        f == g
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +225,8 @@ mod tests {
         let b = m.literal(Var(1), true);
         let c = m.literal(Var(2), true);
         // f = a·b·c + !a  : the shortest path is the single literal !a.
-        let abc = m.and_many(&[a, b, c]);
+        let ab = m.and(a, b);
+        let abc = m.and(ab, c);
         let na = m.not(a);
         let f = m.or(abc, na);
         let sp = m.shortest_path(f).expect("satisfiable");
@@ -325,7 +291,9 @@ mod tests {
         let t2 = m.xor(c, d);
         let f = m.or(t1, t2);
         let count = m.sat_count(f, 4);
-        let enumerated = m.minterms(f, 4).len() as u128;
+        let enumerated = (0..16u32)
+            .filter(|bits| m.eval(f, &(0..4).map(|i| bits & (1 << i) != 0).collect::<Vec<_>>()))
+            .count() as u128;
         assert_eq!(count, enumerated);
         assert_eq!(m.sat_count(NodeId::ONE, 4), 16);
         assert_eq!(m.sat_count(NodeId::ZERO, 4), 0);
@@ -341,7 +309,7 @@ mod tests {
     #[test]
     fn minterm_completion_with_ones() {
         let cube = PathCube::new(vec![(Var(1), false)]);
-        assert_eq!(cube.to_minterm_ones(3), vec![true, false, true]);
+        assert_eq!(cube.to_minterm(3, true), vec![true, false, true]);
         assert_eq!(cube.value_of(Var(1)), Some(false));
         assert_eq!(cube.value_of(Var(0)), None);
     }

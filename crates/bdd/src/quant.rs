@@ -120,24 +120,6 @@ impl BddManager {
         self.cache.insert(OpTag::Forall, f.0, cube.0, 0, r);
         r
     }
-
-    /// Relational product `∃vars. (f · g)`, the workhorse of image
-    /// computations. Implemented as conjunction followed by quantification;
-    /// adequate for the problem sizes of this reproduction.
-    pub fn and_exists(&mut self, f: NodeId, g: NodeId, vars: &[Var]) -> NodeId {
-        let c = self.and(f, g);
-        self.exists_many(c, vars)
-    }
-
-    /// Returns `true` if `f` is a tautology once the given variables are
-    /// existentially quantified — i.e. for every assignment to the remaining
-    /// variables there exists an assignment to `vars` satisfying `f`.
-    ///
-    /// With `vars` covering all of `f`'s support this is the consistency
-    /// check of Property 8.2 in the paper.
-    pub fn exists_is_tautology(&mut self, f: NodeId, vars: &[Var]) -> bool {
-        self.exists_many(f, vars).is_one()
-    }
 }
 
 #[cfg(test)]
@@ -228,32 +210,5 @@ mod tests {
         let exists_not = m.exists_many(nf, &vars);
         let dual = m.not(exists_not);
         assert_eq!(forall, dual);
-    }
-
-    #[test]
-    fn and_exists_equals_conjoin_then_quantify() {
-        let mut m = BddManager::new(3);
-        let a = m.literal(Var(0), true);
-        let b = m.literal(Var(1), true);
-        let c = m.literal(Var(2), true);
-        let f = m.or(a, b);
-        let g = m.iff(b, c);
-        let direct = m.and_exists(f, g, &[Var(1)]);
-        let conj = m.and(f, g);
-        let expect = m.exists_many(conj, &[Var(1)]);
-        assert_eq!(direct, expect);
-    }
-
-    #[test]
-    fn consistency_check_tautology() {
-        let mut m = BddManager::new(2);
-        // f = (a ⊕ b): for every a there is a b making it true.
-        let a = m.literal(Var(0), true);
-        let b = m.literal(Var(1), true);
-        let f = m.xor(a, b);
-        assert!(m.exists_is_tautology(f, &[Var(1)]));
-        // g = a·b: for a=0 no b works.
-        let g = m.and(a, b);
-        assert!(!m.exists_is_tautology(g, &[Var(1)]));
     }
 }

@@ -23,7 +23,7 @@
 //! in the arena (and unique table) as garbage until the next sweep.
 //!
 //! Most of the operation cache survives too, because `ite`,
-//! quantification, cofactor and rename entries relate node ids as
+//! quantification and cofactor entries relate node ids as
 //! *functions*, which the swap preserves. ISOP and the generalized
 //! cofactors are order-dependent: their result is one implementation of an
 //! interval, picked by walking the order, so a stale entry would hand out
@@ -228,10 +228,5 @@ impl BddManager {
         let live = self.live_nodes();
         self.gc.next_reorder_at = (live * 2).max(self.gc.reorder_floor());
         live
-    }
-
-    /// The current variable order, top level first.
-    pub fn var_order(&self) -> Vec<Var> {
-        self.level2var.clone()
     }
 }

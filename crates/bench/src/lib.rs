@@ -36,7 +36,7 @@ pub mod table3;
 /// Builds a combinational [`Network`] computing a multiple-output function
 /// (one SOP node per output), the bridge between solver output and the
 /// technology-mapping flow used by Tables 2 and 3.
-pub fn network_from_function(name: &str, f: &MultiOutputFunction) -> Network {
+pub(crate) fn network_from_function(name: &str, f: &MultiOutputFunction) -> Network {
     let space = f.space();
     let mut net = Network::new(name);
     let inputs: Vec<SignalId> = (0..space.num_inputs())
@@ -62,7 +62,7 @@ pub fn network_from_function(name: &str, f: &MultiOutputFunction) -> Network {
 
 /// Formats a ratio as the normalized percentages used by Table 1
 /// (1.00 = the reference strategy).
-pub fn normalized(value: f64, reference: f64) -> f64 {
+pub(crate) fn normalized(value: f64, reference: f64) -> f64 {
     if reference == 0.0 {
         1.0
     } else {

@@ -98,7 +98,7 @@ pub fn run(num_instances: usize) -> Vec<Table2Row> {
 
 /// Summary ratios over a set of rows: average BREL/gyocro ratio of the ALG
 /// and AREA columns (the paper reports an 11% and 14% average improvement).
-pub fn summary(rows: &[Table2Row]) -> (f64, f64) {
+pub(crate) fn summary(rows: &[Table2Row]) -> (f64, f64) {
     let mut alg_ratio = 0.0;
     let mut area_ratio = 0.0;
     let mut count = 0.0;

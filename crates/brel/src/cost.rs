@@ -1,4 +1,4 @@
-//! Customizable cost functions.
+//! Selectable cost functions.
 //!
 //! One of the distinguishing features of BREL over earlier heuristic solvers
 //! (Herb, gyocro) is that the objective is a *parameter*: Section 7.3 of the
@@ -8,7 +8,6 @@
 //! provided for comparison with gyocro's objective.
 
 use std::fmt;
-use std::sync::Arc;
 
 use brel_relation::MultiOutputFunction;
 
@@ -28,10 +27,9 @@ impl fmt::Debug for dyn CostFunction {
     }
 }
 
-/// The built-in cost functions plus an escape hatch for user closures.
-/// Clonable (custom closures are reference-counted), so configurations
-/// that embed a `CostFn` can be cloned wholesale, and `Send + Sync`, so an
-/// exploration can be committed from several threads.
+/// The built-in cost functions. Clonable, so configurations that embed a
+/// `CostFn` can be cloned wholesale, and `Send + Sync`, so an exploration
+/// can be committed from several threads.
 #[derive(Clone, Default)]
 pub enum CostFn {
     /// Sum of the BDD sizes of the outputs (area-oriented; the default).
@@ -46,31 +44,11 @@ pub enum CostFn {
     CubeCount,
     /// Number of literals of the ISOP covers.
     LiteralCount,
-    /// A user-provided cost function.
-    Custom {
-        /// Display name.
-        name: String,
-        /// The cost closure (shared between clones).
-        eval: Arc<dyn Fn(&MultiOutputFunction) -> u64 + Send + Sync>,
-    },
 }
 
 impl fmt::Debug for CostFn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CostFn({})", self.name())
-    }
-}
-
-impl CostFn {
-    /// Wraps a closure as a cost function.
-    pub fn custom(
-        name: impl Into<String>,
-        eval: impl Fn(&MultiOutputFunction) -> u64 + Send + Sync + 'static,
-    ) -> Self {
-        CostFn::Custom {
-            name: name.into(),
-            eval: Arc::new(eval),
-        }
     }
 }
 
@@ -82,7 +60,6 @@ impl CostFunction for CostFn {
             CostFn::SharedBddSize => f.shared_size() as u64,
             CostFn::CubeCount => f.num_cubes() as u64,
             CostFn::LiteralCount => f.num_literals() as u64,
-            CostFn::Custom { eval, .. } => eval(f),
         }
     }
 
@@ -93,7 +70,6 @@ impl CostFunction for CostFn {
             CostFn::SharedBddSize => "shared-bdd-size",
             CostFn::CubeCount => "cube-count",
             CostFn::LiteralCount => "literal-count",
-            CostFn::Custom { name, .. } => name,
         }
     }
 }
@@ -145,21 +121,6 @@ mod tests {
         let ratio_sq = sq.cost(&unbalanced) as f64 / sq.cost(&balanced) as f64;
         let ratio_lin = lin.cost(&unbalanced) as f64 / lin.cost(&balanced) as f64;
         assert!(ratio_sq > ratio_lin);
-    }
-
-    #[test]
-    fn custom_cost_function() {
-        let (_space, f) = sample();
-        let custom = CostFn::custom("support-size", |f| {
-            f.outputs().iter().map(|g| g.support().len() as u64).sum()
-        });
-        assert_eq!(custom.name(), "support-size");
-        assert_eq!(custom.cost(&f), 4);
-        assert_eq!(format!("{custom:?}"), "CostFn(support-size)");
-        // Clones share the closure and agree on every input.
-        let cloned = custom.clone();
-        assert_eq!(cloned.name(), custom.name());
-        assert_eq!(cloned.cost(&f), custom.cost(&f));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use brel_bdd::Bdd;
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError, RelationSpace};
 
-use crate::quick::QuickSolver;
 use crate::solver::{BrelConfig, BrelSolver, Solution};
 
 /// The comparison operator of a Boolean equation.
@@ -42,15 +41,6 @@ impl Equation {
         Equation {
             lhs,
             op: EquationOperator::Equal,
-            rhs,
-        }
-    }
-
-    /// Builds an inclusion equation `lhs ⊆ rhs`.
-    pub fn subset(lhs: Bdd, rhs: Bdd) -> Self {
-        Equation {
-            lhs,
-            op: EquationOperator::Subset,
             rhs,
         }
     }
@@ -130,19 +120,6 @@ impl BooleanSystem {
         self.to_relation().is_compatible(f)
     }
 
-    /// Finds a particular solution quickly (the quick, output-ordered
-    /// solver).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::Inconsistent`] if the system has no solution.
-    pub fn solve_quick(&self) -> Result<MultiOutputFunction, RelationError> {
-        if !self.is_consistent() {
-            return Err(RelationError::Inconsistent);
-        }
-        QuickSolver::new().solve(&self.to_relation())
-    }
-
     /// Finds an optimized particular solution with the BREL solver.
     ///
     /// # Errors
@@ -159,6 +136,7 @@ impl BooleanSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quick::QuickSolver;
 
     /// The system of Example 8.1 of the paper:
     /// independent {a, b}, dependent {x, y, z},
@@ -187,7 +165,7 @@ mod tests {
     fn example_81_is_consistent_and_solved() {
         let (space, system) = example81();
         assert!(system.is_consistent());
-        let solution = system.solve_quick().unwrap();
+        let solution = QuickSolver::new().solve(&system.to_relation()).unwrap();
         assert!(system.is_solution(&solution));
         // Example 8.3's particular solution: x = a·b', y = a·b? …check the
         // paper's concrete witness x = ab̄, y = āb? Rather than fixing one
@@ -235,10 +213,6 @@ mod tests {
         system.push(Equation::equal(x, a.complement()));
         assert!(!system.is_consistent());
         assert!(matches!(
-            system.solve_quick(),
-            Err(RelationError::Inconsistent)
-        ));
-        assert!(matches!(
             system.solve(BrelConfig::default()),
             Err(RelationError::Inconsistent)
         ));
@@ -251,9 +225,13 @@ mod tests {
         let x = space.output(0);
         // a ⊆ x  (x must be 1 whenever a is 1)
         let mut system = BooleanSystem::new(&space);
-        system.push(Equation::subset(a.clone(), x.clone()));
+        system.push(Equation {
+            lhs: a.clone(),
+            op: EquationOperator::Subset,
+            rhs: x.clone(),
+        });
         assert!(system.is_consistent());
-        let f = system.solve_quick().unwrap();
+        let f = QuickSolver::new().solve(&system.to_relation()).unwrap();
         // f(1) must be true.
         assert_eq!(f.eval(&[true]).unwrap(), vec![true]);
     }
@@ -271,7 +249,7 @@ mod tests {
     #[test]
     fn brel_solution_optimizes_cost() {
         let (_space, system) = example81();
-        let quick = system.solve_quick().unwrap();
+        let quick = QuickSolver::new().solve(&system.to_relation()).unwrap();
         let brel = system.solve(BrelConfig::exact()).unwrap();
         let quick_cost = quick.sum_of_sizes() as u64;
         assert!(brel.cost <= quick_cost);

@@ -202,7 +202,7 @@ mod tests {
         let (on_share, dc_share) = (rng.next() % 5, rng.next() % 5);
         for bits in 0..(1u32 << n) {
             let literals: Vec<_> = (0..n)
-                .map(|i| (space.input_var(i), bits & (1 << i) != 0))
+                .map(|i| (space.input_vars()[i], bits & (1 << i) != 0))
                 .collect();
             let roll = rng.next() % 8;
             if roll < on_share {
@@ -266,7 +266,7 @@ mod tests {
         assert!(isf.admits(&with));
         assert!(isf.admits(&without));
         assert!(with.support().len() <= without.support().len());
-        assert_eq!(with.support(), vec![space.input_var(0)]);
+        assert_eq!(with.support(), vec![space.input_vars()[0]]);
     }
 
     #[test]
@@ -274,7 +274,7 @@ mod tests {
         let space = RelationSpace::new(2, 1);
         let a = space.input(0);
         let b = space.input(1);
-        let isf = Isf::completely_specified(&space, a.xor(&b));
+        let isf = Isf::new(&space, a.xor(&b), space.mgr().zero());
         for (_, strategy) in IsfMinimizer::table1_strategies() {
             assert_eq!(strategy.minimize(&isf), a.xor(&b));
         }
@@ -285,7 +285,7 @@ mod tests {
         let space = RelationSpace::new(2, 1);
         let isf = Isf::new(&space, space.mgr().zero(), space.mgr().one());
         let f = IsfMinimizer::default().minimize(&isf);
-        assert!(f.is_constant());
+        assert!(f.is_zero() || f.is_one());
     }
 
     #[test]

@@ -676,11 +676,6 @@ impl Explorer {
         self.stats.explored
     }
 
-    /// Number of pending subproblems.
-    pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
-    }
-
     /// The pending subproblems in pop order: the first is the one
     /// [`Explorer::pop`] takes next, unless a stop check or dominance
     /// intervenes.
@@ -838,7 +833,7 @@ mod tests {
         }
         assert!(paused >= 1, "fig10 needs more than one exploration");
         assert_eq!(explorer.strategy(), SearchStrategy::BestFirst);
-        assert_eq!(explorer.frontier_len(), 0);
+        assert_eq!(explorer.pending().count(), 0);
         let solution = explorer.into_solution();
         assert_eq!(solution.cost, 2);
         assert!(solution.stats.complete);
@@ -858,7 +853,7 @@ mod tests {
         assert_eq!(explorer.explored(), 1);
         assert!(!explorer.stats().complete);
         assert!(
-            explorer.frontier_len() > 0,
+            explorer.pending().count() > 0,
             "pending work survives the pause"
         );
         // The frontier is intact: a fresh solver with a bigger budget would

@@ -151,12 +151,6 @@ impl BrelConfig {
         self.use_symmetry = enable;
         self
     }
-
-    /// Sets the depth limit of the symmetry check.
-    pub fn with_symmetry_depth(mut self, depth: usize) -> Self {
-        self.symmetry_depth = depth;
-        self
-    }
 }
 
 /// Statistics of one solver run.
@@ -388,13 +382,13 @@ mod tests {
     #[test]
     fn config_builders_compose_and_clone() {
         use crate::minimize_isf::MinimizerKind;
-        let config = BrelConfig::default()
+        let mut config = BrelConfig::default()
             .with_minimizer(IsfMinimizer::without_elimination(MinimizerKind::Restrict))
             .with_strategy(SearchStrategy::Dfs)
             .with_fifo_capacity(Some(5))
             .with_symmetry(true)
-            .with_symmetry_depth(2)
             .with_max_explored(Some(3));
+        config.symmetry_depth = 2;
         let clone = config.clone();
         assert_eq!(clone.minimizer, config.minimizer);
         assert_eq!(clone.strategy, SearchStrategy::Dfs);

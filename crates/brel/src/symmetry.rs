@@ -22,9 +22,8 @@ use brel_relation::{BooleanRelation, RelationRow};
 /// an unrelated function — a raw-id set would then report a false
 /// symmetric hit and wrongly prune a branch. Rooting the characteristic
 /// functions pins them (and their ids) for the cache's lifetime; lookups
-/// are a linear scan over handle equality, which resolves through the
-/// root table and therefore also survives arena compaction. The cache is
-/// bounded by the exploration budget, so the scan stays short.
+/// are a linear scan over handle equality. The cache is bounded by the
+/// exploration budget, so the scan stays short.
 #[derive(Debug, Default)]
 pub struct SymmetryCache {
     seen: Vec<Bdd>,

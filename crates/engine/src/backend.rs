@@ -55,7 +55,7 @@ pub struct SolutionReport {
     pub reuse: ReuseStats,
     /// `true` when the attempt is a degraded result: a step-deadline
     /// truncation's incumbent or a degradation-ladder rung run after the
-    /// primary attempt faulted (see [`crate::fault`]). Deterministic.
+    /// primary attempt faulted (see [`crate::FaultPolicy`]). Deterministic.
     pub degraded: bool,
     /// Wall-clock solve time in microseconds. Excluded from deterministic
     /// serializations (see [`crate::report`]).

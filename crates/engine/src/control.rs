@@ -69,12 +69,6 @@ impl JobControl {
         self
     }
 
-    /// The cancel token (clone it to hand the cancel side to another
-    /// thread).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
@@ -115,6 +109,5 @@ mod tests {
         assert!(!control.is_cancelled());
         token.cancel();
         assert!(control.is_cancelled());
-        assert!(control.cancel_token().is_cancelled());
     }
 }

@@ -70,7 +70,7 @@ impl Default for FaultPolicy {
 impl FaultPolicy {
     /// `true` when the policy maps onto the kernel's resource governor
     /// (a quota or wall-clock deadline is set).
-    pub fn governs(&self) -> bool {
+    pub(crate) fn governs(&self) -> bool {
         self.max_live_nodes.is_some() || self.deadline_ms.is_some()
     }
 }
@@ -145,7 +145,7 @@ pub struct InjectedPanic {
 
 impl InjectedPanic {
     /// The deterministic description carried into the job report.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         format!(
             "injected panic at expansion {} of job {}",
             self.at_expansion, self.job
@@ -182,7 +182,7 @@ impl FaultInjection {
     }
 
     /// The expansion index the fault fires at.
-    pub fn at_expansion(&self) -> usize {
+    pub(crate) fn at_expansion(&self) -> usize {
         self.at_expansion
     }
 
@@ -192,7 +192,7 @@ impl FaultInjection {
     }
 
     /// Whether the injection has fired already.
-    pub fn has_fired(&self) -> bool {
+    pub(crate) fn has_fired(&self) -> bool {
         self.fired.load(Ordering::SeqCst)
     }
 
@@ -260,7 +260,7 @@ impl FaultPlan {
     }
 
     /// The injections targeting the job named `name`.
-    pub fn for_job(&self, name: &str) -> Vec<&FaultInjection> {
+    pub(crate) fn for_job(&self, name: &str) -> Vec<&FaultInjection> {
         self.injections.iter().filter(|i| i.job == name).collect()
     }
 
@@ -313,9 +313,6 @@ impl FaultClass {
                 return match *error {
                     BddError::QuotaExceeded { .. } => FaultClass::Quota,
                     BddError::DeadlineExceeded { .. } => FaultClass::Deadline,
-                    // A poisoned session means some computation died on it:
-                    // treat it like a panic (transient, quarantine + retry).
-                    BddError::Poisoned => FaultClass::Panicked(error.to_string()),
                 };
             }
             Err(payload) => payload,
@@ -341,7 +338,6 @@ impl FaultClass {
         match error {
             BddError::QuotaExceeded { .. } => FaultClass::Quota,
             BddError::DeadlineExceeded { .. } => FaultClass::Deadline,
-            BddError::Poisoned => FaultClass::Panicked(error.to_string()),
         }
     }
 
@@ -377,7 +373,7 @@ impl FaultClass {
 /// kernel's resource aborts — which are caught and classified at the
 /// attempt boundary. Organic panics keep the previous hook's behaviour.
 /// Installed once per process; safe to call from any thread.
-pub fn quiet_fault_panics() {
+pub(crate) fn quiet_fault_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
         brel_bdd::quiet_resource_aborts();

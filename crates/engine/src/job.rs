@@ -243,7 +243,7 @@ pub struct JobSpec {
     /// the rest of the spec). Ignored by the quick and gyocro backends.
     pub strategy: SearchStrategy,
     /// The fault policy: deadlines, the live-node quota, retries and the
-    /// degradation switch (see [`crate::fault`]). The default policy is
+    /// degradation switch (see [`FaultPolicy`]). The default policy is
     /// unrestricted with fallback enabled.
     pub fault: FaultPolicy,
 }

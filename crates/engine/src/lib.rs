@@ -79,10 +79,7 @@ pub mod wide;
 pub use backend::SolutionReport;
 pub use brel_core::{CancelToken, SearchStrategy};
 pub use control::JobControl;
-pub use fault::{
-    quiet_fault_panics, FaultInjection, FaultKind, FaultPlan, FaultPolicy, InjectedPanic,
-    JobOutcome,
-};
+pub use fault::{FaultInjection, FaultKind, FaultPlan, FaultPolicy, InjectedPanic, JobOutcome};
 pub use job::{BackendKind, CostSpec, JobBudget, JobSpec, RelationSpec};
 pub use pool::{BatchReport, Engine, EngineConfig};
 pub use report::Json;

@@ -76,15 +76,6 @@ impl Json {
         }
     }
 
-    /// The numeric value widened to `f64`, for either number variant.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::UInt(n) => Some(*n as f64),
-            Json::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The boolean value, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

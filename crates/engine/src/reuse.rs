@@ -60,7 +60,7 @@ pub struct BatchReuse {
     /// Jobs that executed and (when solvable) populated the cache.
     pub subrel_cache_misses: u64,
     /// Sessions discarded after a panic or resource abort (see
-    /// [`WarmSession::quarantine`]); the next rehydration builds cold.
+    /// `WarmSession::quarantine`); the next rehydration builds cold.
     pub quarantines: u64,
 }
 
@@ -149,7 +149,7 @@ impl WarmSession {
     /// into — and the next rehydration builds a cold manager. The engine
     /// calls this on *every* classified fault (panic, quota, deadline);
     /// only clean truncations keep their session.
-    pub fn quarantine(&mut self) {
+    pub(crate) fn quarantine(&mut self) {
         self.session = None;
         self.quarantines += 1;
         brel_obs::event(brel_obs::Category::Session, "quarantine");
@@ -176,7 +176,7 @@ impl WarmSession {
     /// would fire at a point that depends on which subproblems a worker
     /// happened to execute — making BDD shapes (and thus costs) depend
     /// on steal order.
-    pub fn rehydrate_stable(
+    pub(crate) fn rehydrate_stable(
         &mut self,
         spec: &RelationSpec,
     ) -> (RelationSpace, BooleanRelation, bool) {
@@ -206,7 +206,7 @@ impl WarmSession {
     /// same steal-order-determinism reason as
     /// [`WarmSession::rehydrate_stable`]. Returns the session and
     /// whether the warm path was taken.
-    pub fn prepare(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
+    pub(crate) fn prepare(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
         let _span = brel_obs::span(brel_obs::Category::Session, "prepare");
         let config = BddConfig::from_env().auto_reorder(false);
         self.obtain(num_vars, expected_nodes, config)

@@ -632,7 +632,7 @@ pub(crate) fn search(
 mod tests {
     use super::*;
     use crate::job::{JobBudget, RelationSpec};
-    use brel_core::SearchStrategy;
+    use brel_core::{CancelToken, SearchStrategy};
     use brel_relation::{BooleanRelation, RelationSpace};
     use std::sync::{Arc, Mutex as StdMutex};
 
@@ -797,8 +797,9 @@ mod tests {
 
     #[test]
     fn cancellation_degrades_on_the_incumbent() {
-        let control = JobControl::new();
-        control.cancel_token().cancel();
+        let token = CancelToken::new();
+        let control = JobControl::new().with_cancel(token.clone());
+        token.cancel();
         let job = fig10_job();
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
         let (report, fault) = search(

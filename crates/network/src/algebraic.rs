@@ -3,14 +3,14 @@
 //!
 //! The pass pipeline is:
 //!
-//! 1. [`sweep`] — remove constant and single-literal buffer nodes by
+//! 1. `sweep` — remove constant and single-literal buffer nodes by
 //!    propagating them into their fanouts,
-//! 2. [`eliminate`] — collapse internal nodes whose elimination does not
+//! 2. `eliminate` — collapse internal nodes whose elimination does not
 //!    increase the literal count,
-//! 3. [`extract_common_cubes`] — greedy extraction of two-literal common
+//! 3. `extract_common_cubes` — greedy extraction of two-literal common
 //!    divisors (the core of `fx`/`gcx`): a cube appearing in several covers
 //!    becomes a new node and is substituted everywhere,
-//! 4. [`factored_literals`] — an algebraic factoring estimate of the literal
+//! 4. `factored_literals` — an algebraic factoring estimate of the literal
 //!    count of each node, used for the `ALG` column of Table 2.
 //!
 //! [`optimize`] chains the first three passes until the literal count stops
@@ -26,7 +26,7 @@ use crate::netlist::{Network, NetworkError, SignalId, SignalKind};
 /// Removes constant nodes and single-literal (buffer/inverter-free) nodes by
 /// substituting them into their fanouts. Returns the number of nodes
 /// removed (they remain in the signal table but become unreferenced).
-pub fn sweep(net: &mut Network) -> Result<usize, NetworkError> {
+pub(crate) fn sweep(net: &mut Network) -> Result<usize, NetworkError> {
     let order = net.topological_order()?;
     let mut removed = 0usize;
     for node in order {
@@ -87,7 +87,7 @@ fn replace_fanin_everywhere(
 /// Collapses internal nodes into their fanouts when doing so does not
 /// increase the total literal count (a simplified SIS `eliminate 0`).
 /// Returns the number of nodes eliminated.
-pub fn eliminate(net: &mut Network) -> Result<usize, NetworkError> {
+pub(crate) fn eliminate(net: &mut Network) -> Result<usize, NetworkError> {
     let order = net.topological_order()?;
     let mut eliminated = 0usize;
     for node in order {
@@ -210,7 +210,7 @@ fn collapse_into_fanouts(net: &mut Network, node: SignalId) -> Result<bool, Netw
 /// most frequent two-literal divisor becomes a new node and is substituted
 /// into every cover that contains it. Repeats until no divisor saves
 /// literals. Returns the number of new nodes created.
-pub fn extract_common_cubes(net: &mut Network) -> Result<usize, NetworkError> {
+pub(crate) fn extract_common_cubes(net: &mut Network) -> Result<usize, NetworkError> {
     // A literal is a (signal, polarity) pair; divisors are ordered pairs of
     // literals.
     type Literal = (SignalId, bool);
@@ -332,7 +332,7 @@ fn polarity(positive: bool) -> CubeValue {
 /// Estimates the factored-form literal count of a cover by recursive
 /// algebraic division by the most frequent literal — the metric SIS's
 /// `print_stats -f` style counts and the paper's `ALG` column approximates.
-pub fn factored_literals(cover: &Cover) -> usize {
+pub(crate) fn factored_literals(cover: &Cover) -> usize {
     fn recurse(cubes: &[Cube]) -> usize {
         if cubes.is_empty() {
             return 0;

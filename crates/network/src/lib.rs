@@ -4,8 +4,7 @@
 //! BREL paper uses to post-process solver output (Sections 9.2 and 10):
 //!
 //! * [`Network`] — a technology-independent network of sum-of-products
-//!   nodes with primary inputs/outputs and D flip-flops, plus a BLIF-like
-//!   text reader/writer ([`blif`]),
+//!   nodes with primary inputs/outputs and D flip-flops,
 //! * [`algebraic`] — the "algebraic script" stand-in: sweeping, elimination
 //!   of cheap nodes, greedy common-divisor (cube) extraction and factored
 //!   literal counts,
@@ -27,7 +26,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod algebraic;
-pub mod blif;
 pub mod decompose;
 pub mod library;
 pub mod mapper;

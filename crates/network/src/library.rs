@@ -206,23 +206,18 @@ impl Library {
         Library { gates }
     }
 
-    /// All gates.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
-    }
-
     /// Looks up a gate by name.
     pub fn gate(&self, name: &str) -> Option<&Gate> {
         self.gates.iter().find(|g| g.name == name)
     }
 
     /// Looks up a gate by kind.
-    pub fn gate_by_kind(&self, kind: GateKind) -> Option<&Gate> {
+    pub(crate) fn gate_by_kind(&self, kind: GateKind) -> Option<&Gate> {
         self.gates.iter().find(|g| g.kind == kind)
     }
 
     /// The widest AND/OR/NAND/NOR fan-in available for the given family.
-    pub fn max_fanin(&self, family: fn(u8) -> GateKind) -> u8 {
+    pub(crate) fn max_fanin(&self, family: fn(u8) -> GateKind) -> u8 {
         (2..=8u8)
             .filter(|&n| self.gate_by_kind(family(n)).is_some())
             .max()
@@ -261,7 +256,7 @@ mod tests {
     fn display_lists_every_gate() {
         let lib = Library::lib2_like();
         let text = lib.to_string();
-        assert_eq!(text.lines().count(), lib.gates().len());
+        assert_eq!(text.lines().count(), lib.gates.len());
         assert!(text.contains("nand2"));
     }
 }

@@ -65,13 +65,6 @@ pub struct MappedNetlist {
     pub delay: f64,
 }
 
-impl MappedNetlist {
-    /// Number of gate instances.
-    pub fn num_gates(&self) -> usize {
-        self.gates.len()
-    }
-}
-
 /// Maps the combinational part of a network onto the library.
 ///
 /// # Errors
@@ -258,7 +251,7 @@ mod tests {
         let net = two_level_net(&["11"], 2);
         let lib = Library::lib2_like();
         let mapped = map(&net, &lib, &MappingOptions::default()).unwrap();
-        assert_eq!(mapped.num_gates(), 1);
+        assert_eq!(mapped.gates.len(), 1);
         assert_eq!(mapped.gates[0].cell, "and2");
         assert!(mapped.area > 0.0);
         assert!(mapped.delay > 0.0);
@@ -272,7 +265,7 @@ mod tests {
         let a = map(&plain, &lib, &MappingOptions::default()).unwrap();
         let b = map(&inverted, &lib, &MappingOptions::default()).unwrap();
         assert!(b.area > a.area);
-        assert!(b.num_gates() > a.num_gates());
+        assert!(b.gates.len() > a.gates.len());
     }
 
     #[test]
@@ -309,7 +302,7 @@ mod tests {
         net.add_output(one);
         let lib = Library::lib2_like();
         let mapped = map(&net, &lib, &MappingOptions::default()).unwrap();
-        assert_eq!(mapped.num_gates(), 0);
+        assert_eq!(mapped.gates.len(), 0);
         assert_eq!(mapped.delay, 0.0);
     }
 
@@ -326,7 +319,7 @@ mod tests {
         let mapped = map(&net, &lib, &MappingOptions::default()).unwrap();
         let and2 = lib.gate("and2").unwrap().delay;
         assert!((mapped.delay - 2.0 * and2).abs() < 1e-9);
-        assert_eq!(mapped.num_gates(), 2);
+        assert_eq!(mapped.gates.len(), 2);
     }
 
     #[test]

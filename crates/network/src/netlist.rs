@@ -65,8 +65,6 @@ pub enum NetworkError {
     },
     /// The network contains a combinational cycle.
     CombinationalCycle,
-    /// Text parsing failed.
-    Parse(String),
 }
 
 impl fmt::Display for NetworkError {
@@ -83,7 +81,6 @@ impl fmt::Display for NetworkError {
                 "node `{node}` has {fanins} fanins but a cover of width {cover_width}"
             ),
             NetworkError::CombinationalCycle => write!(f, "combinational cycle detected"),
-            NetworkError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }
@@ -178,7 +175,7 @@ impl Network {
     ///
     /// Returns [`NetworkError::ArityMismatch`] if the widths disagree or
     /// [`NetworkError::UnknownSignal`] if `id` is not an internal node.
-    pub fn replace_node(
+    pub(crate) fn replace_node(
         &mut self,
         id: SignalId,
         fanins: Vec<SignalId>,
@@ -237,12 +234,12 @@ impl Network {
     }
 
     /// Looks up a signal by name.
-    pub fn signal(&self, name: &str) -> Option<SignalId> {
+    pub(crate) fn signal(&self, name: &str) -> Option<SignalId> {
         self.by_name.get(name).copied()
     }
 
     /// Name of a signal.
-    pub fn signal_name(&self, id: SignalId) -> &str {
+    pub(crate) fn signal_name(&self, id: SignalId) -> &str {
         &self.names[id.index()]
     }
 
@@ -252,7 +249,7 @@ impl Network {
     }
 
     /// All signal ids.
-    pub fn signals(&self) -> impl Iterator<Item = SignalId> + '_ {
+    pub(crate) fn signals(&self) -> impl Iterator<Item = SignalId> + '_ {
         (0..self.kinds.len() as u32).map(SignalId)
     }
 
@@ -274,7 +271,7 @@ impl Network {
     }
 
     /// The combinational inputs: primary inputs plus latch outputs.
-    pub fn combinational_inputs(&self) -> Vec<SignalId> {
+    pub(crate) fn combinational_inputs(&self) -> Vec<SignalId> {
         self.signals()
             .filter(|&s| {
                 matches!(
@@ -287,7 +284,7 @@ impl Network {
 
     /// The combinational outputs: primary outputs plus latch (next-state)
     /// inputs.
-    pub fn combinational_outputs(&self) -> Vec<SignalId> {
+    pub(crate) fn combinational_outputs(&self) -> Vec<SignalId> {
         let mut outs = self.primary_outputs.clone();
         for l in &self.latches {
             if !outs.contains(&l.input) {
@@ -421,7 +418,11 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NetworkError::CombinationalCycle`] on cyclic networks.
-    pub fn simulate(&self, inputs: &[bool]) -> Result<HashMap<SignalId, bool>, NetworkError> {
+    #[cfg(test)]
+    pub(crate) fn simulate(
+        &self,
+        inputs: &[bool],
+    ) -> Result<HashMap<SignalId, bool>, NetworkError> {
         let cis = self.combinational_inputs();
         let mut values: HashMap<SignalId, bool> = HashMap::new();
         for (i, &s) in cis.iter().enumerate() {

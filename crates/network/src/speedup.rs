@@ -46,8 +46,7 @@ pub fn collapse(net: &Network) -> Result<Network, NetworkError> {
     }
 
     // Latch outputs must exist before nodes that read them; create latches
-    // with placeholder inputs and patch afterwards (same trick as the BLIF
-    // reader).
+    // with placeholder inputs and patch afterwards.
     for (idx, latch) in net.latches().iter().enumerate() {
         let placeholder = out.add_constant(&format!("__collapse_ph_{idx}"), false)?;
         let q = out.add_latch(placeholder, net.signal_name(latch.output), latch.init)?;

@@ -51,7 +51,7 @@ pub struct SpanRecord {
     pub cat: Category,
     /// Static phase name (e.g. `"expand"`, `"barrier_wait"`).
     pub name: &'static str,
-    /// Track id the span ran on; see [`crate::track_names`].
+    /// Track id the span ran on; see `track_names`.
     pub track: u32,
     /// Start, microseconds since the process trace epoch.
     pub start_us: u64,
@@ -65,7 +65,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// End timestamp, microseconds since the trace epoch.
-    pub fn end_us(&self) -> u64 {
+    pub(crate) fn end_us(&self) -> u64 {
         self.start_us.saturating_add(self.dur_us)
     }
 }
@@ -153,16 +153,6 @@ impl CountingCollector {
         }
     }
 
-    /// Snapshot of the per-phase aggregates, sorted by (category, name).
-    pub fn phases(&self) -> Vec<(Category, &'static str, PhaseAgg)> {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state
-            .phases
-            .iter()
-            .map(|(&(cat, name), &agg)| (cat, name, agg))
-            .collect()
-    }
-
     /// Snapshot of the named counters (explicit [`crate::count`] calls
     /// plus one `events.<name>` count per event name), sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
@@ -218,13 +208,11 @@ struct RecordingState {
 /// aggregate [`PhaseReport`].
 ///
 /// [`Category::KernelOp`] spans (`ite`/quantify/ISOP — easily millions
-/// per solve) are by default folded into the aggregates only, keeping
-/// `trace.json` bounded; construct with [`RecordingCollector::detailed`]
-/// to keep their individual records too.
+/// per solve) are folded into the aggregates only, keeping `trace.json`
+/// bounded.
 #[derive(Default)]
 pub struct RecordingCollector {
     mask: u32,
-    kernel_op_detail: bool,
     state: Mutex<RecordingState>,
 }
 
@@ -239,17 +227,6 @@ impl RecordingCollector {
     pub fn with_mask(mask: u32) -> RecordingCollector {
         RecordingCollector {
             mask,
-            kernel_op_detail: false,
-            state: Mutex::default(),
-        }
-    }
-
-    /// Like [`RecordingCollector::new`] but keeps an individual record
-    /// for every kernel op span. Traces get large quickly.
-    pub fn detailed() -> RecordingCollector {
-        RecordingCollector {
-            mask: Category::ALL,
-            kernel_op_detail: true,
             state: Mutex::default(),
         }
     }
@@ -318,7 +295,7 @@ impl Collector for RecordingCollector {
     fn span(&self, record: SpanRecord) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.agg.absorb_span(&record);
-        if record.cat != Category::KernelOp || self.kernel_op_detail {
+        if record.cat != Category::KernelOp {
             state.spans.push(record);
         }
     }

@@ -67,7 +67,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Category {
-    /// BDD kernel lifecycle phases: GC sweep, compaction, sifting.
+    /// BDD kernel lifecycle phases: GC sweep, sifting.
     Kernel = 0,
     /// Per-operation kernel work: `ite`, quantification, ISOP. High
     /// frequency — collectors may aggregate these instead of keeping
@@ -129,7 +129,7 @@ pub fn wall_micros(start: Instant) -> u64 {
 
 /// Microseconds in `d`, saturating at `u64::MAX`.
 #[inline]
-pub fn duration_micros(d: std::time::Duration) -> u64 {
+pub(crate) fn duration_micros(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -186,7 +186,7 @@ thread_local! {
 /// Interns `name` and returns its stable track id. Repeated calls with
 /// the same name return the same id, so scoped threads respawned each
 /// round can share one logical track.
-pub fn intern_track(name: &str) -> u32 {
+pub(crate) fn intern_track(name: &str) -> u32 {
     let mut tracks = TRACKS.lock().unwrap_or_else(PoisonError::into_inner);
     if tracks.is_empty() {
         tracks.push("main".to_string());
@@ -199,7 +199,7 @@ pub fn intern_track(name: &str) -> u32 {
 }
 
 /// A snapshot of every interned track name, indexed by track id.
-pub fn track_names() -> Vec<String> {
+pub(crate) fn track_names() -> Vec<String> {
     let mut tracks = TRACKS.lock().unwrap_or_else(PoisonError::into_inner);
     if tracks.is_empty() {
         tracks.push("main".to_string());

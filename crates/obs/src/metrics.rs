@@ -26,11 +26,6 @@ impl Metric {
         self.0.store(value, Ordering::Relaxed);
     }
 
-    /// Raises the value to `value` if larger (high-watermark gauge).
-    pub fn set_max(&self, value: u64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

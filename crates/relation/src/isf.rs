@@ -2,7 +2,6 @@
 
 use brel_bdd::Bdd;
 
-use crate::error::RelationError;
 use crate::space::RelationSpace;
 
 /// An incompletely specified function over the input variables of a
@@ -25,16 +24,6 @@ impl Isf {
     /// (a minterm that must be 1 is not a don't care).
     pub fn new(space: &RelationSpace, on: Bdd, dc: Bdd) -> Self {
         let dc = dc.diff(&on);
-        Isf {
-            space: space.clone(),
-            on,
-            dc,
-        }
-    }
-
-    /// Creates a completely specified ISF (empty don't-care set).
-    pub fn completely_specified(space: &RelationSpace, on: Bdd) -> Self {
-        let dc = space.mgr().zero();
         Isf {
             space: space.clone(),
             on,
@@ -67,11 +56,6 @@ impl Isf {
         self.on.or(&self.dc)
     }
 
-    /// Returns `true` if the don't-care set is empty.
-    pub fn is_completely_specified(&self) -> bool {
-        self.dc.is_zero()
-    }
-
     /// Returns `true` if `f` implements the ISF: `on ⊆ f ⊆ on ∪ dc`.
     pub fn admits(&self, f: &Bdd) -> bool {
         self.on.is_subset_of(f) && f.is_subset_of(&self.upper())
@@ -84,9 +68,13 @@ impl Isf {
     ///
     /// Returns [`RelationError::DimensionMismatch`] if `input` has the wrong
     /// length.
-    pub fn values_at(&self, input: &[bool]) -> Result<(bool, bool), RelationError> {
+    #[cfg(test)]
+    pub(crate) fn values_at(
+        &self,
+        input: &[bool],
+    ) -> Result<(bool, bool), crate::error::RelationError> {
         if input.len() != self.space.num_inputs() {
-            return Err(RelationError::DimensionMismatch {
+            return Err(crate::error::RelationError::DimensionMismatch {
                 expected: self.space.num_inputs(),
                 found: input.len(),
             });
@@ -98,23 +86,6 @@ impl Isf {
         let in_dc = self.dc.eval(&asg);
         // (may be 0, may be 1)
         Ok((!in_on, in_on || in_dc))
-    }
-
-    /// Number of non-essential input variables: variables `z` such that the
-    /// interval `[∃z on, ∀z (on ∪ dc)]` is non-empty, meaning an
-    /// implementation independent of `z` exists (cf. Section 7.5).
-    pub fn non_essential_variables(&self) -> Vec<brel_bdd::Var> {
-        let upper = self.upper();
-        self.space
-            .input_vars()
-            .iter()
-            .copied()
-            .filter(|&z| {
-                let lower_q = self.on.exists(&[z]);
-                let upper_q = upper.forall(&[z]);
-                lower_q.is_subset_of(&upper_q)
-            })
-            .collect()
     }
 }
 
@@ -162,7 +133,6 @@ mod tests {
         let a = space.input(0);
         let isf = Isf::new(&space, a.clone(), a.clone());
         assert!(isf.dc().is_zero());
-        assert!(!isf.is_completely_specified() || isf.dc().is_zero());
     }
 
     #[test]
@@ -178,20 +148,5 @@ mod tests {
         // 00 -> must be 0
         assert_eq!(isf.values_at(&[false, false]).unwrap(), (true, false));
         assert!(isf.values_at(&[true]).is_err());
-    }
-
-    #[test]
-    fn non_essential_variable_detected() {
-        let space = RelationSpace::new(2, 1);
-        let a = space.input(0);
-        let b = space.input(1);
-        // on = a·b, dc = a·b' : output can be implemented as `a`, so b is
-        // non-essential; a is essential.
-        let on = a.and(&b);
-        let dc = a.and(&b.complement());
-        let isf = Isf::new(&space, on, dc);
-        let non_essential = isf.non_essential_variables();
-        assert!(non_essential.contains(&space.input_var(1)));
-        assert!(!non_essential.contains(&space.input_var(0)));
     }
 }

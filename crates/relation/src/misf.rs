@@ -1,8 +1,5 @@
 //! Multiple-output incompletely specified functions (MISF).
 
-use brel_bdd::Bdd;
-
-use crate::error::RelationError;
 use crate::function::MultiOutputFunction;
 use crate::isf::Isf;
 use crate::relation::BooleanRelation;
@@ -79,18 +76,6 @@ impl Misf {
             .zip(f.outputs())
             .all(|(isf, g)| isf.admits(g))
     }
-
-    /// The trivial implementation that picks the onset of each output
-    /// (don't cares resolved to 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RelationError`] from function construction (which cannot
-    /// happen for well-formed ISFs).
-    pub fn onset_implementation(&self) -> Result<MultiOutputFunction, RelationError> {
-        let outputs: Vec<Bdd> = self.outputs.iter().map(|isf| isf.on().clone()).collect();
-        MultiOutputFunction::new(&self.space, outputs)
-    }
 }
 
 #[cfg(test)]
@@ -99,6 +84,13 @@ mod tests {
 
     fn bits(s: &str) -> Vec<bool> {
         s.chars().map(|c| c == '1').collect()
+    }
+
+    /// The implementation that picks the onset of each output (don't cares
+    /// resolved to 0).
+    fn onset_implementation(misf: &Misf) -> MultiOutputFunction {
+        let outputs = misf.outputs().iter().map(|isf| isf.on().clone()).collect();
+        MultiOutputFunction::new(misf.space(), outputs).unwrap()
     }
 
     /// The two ISFs of Example 4.1 of the paper (over two inputs):
@@ -134,7 +126,7 @@ mod tests {
     fn admits_checks_every_output() {
         let space = RelationSpace::new(2, 2);
         let misf = example41(&space);
-        let good = misf.onset_implementation().unwrap();
+        let good = onset_implementation(&misf);
         assert!(misf.admits(&good));
         // An implementation violating output 0 at vertex 10 (must be 0).
         let bad = MultiOutputFunction::new(&space, vec![space.mgr().one(), good.output(1).clone()])
@@ -147,7 +139,7 @@ mod tests {
         let space = RelationSpace::new(2, 2);
         let misf = example41(&space);
         let rel = misf.to_relation();
-        let f = misf.onset_implementation().unwrap();
+        let f = onset_implementation(&misf);
         assert!(rel.is_compatible(&f));
     }
 

@@ -155,22 +155,6 @@ impl BooleanRelation {
         })
     }
 
-    /// Intersection of two relations over the same space (the natural join
-    /// over all variables, Definition 4.7).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::SpaceMismatch`] if the spaces differ.
-    pub fn intersection(&self, other: &BooleanRelation) -> Result<BooleanRelation, RelationError> {
-        if !self.space.same_space(&other.space) {
-            return Err(RelationError::SpaceMismatch);
-        }
-        Ok(BooleanRelation {
-            space: self.space.clone(),
-            chi: self.chi.and(&other.chi),
-        })
-    }
-
     /// Returns `true` if `self ⊆ other`.
     ///
     /// # Errors
@@ -188,12 +172,6 @@ impl BooleanRelation {
     pub fn is_well_defined(&self) -> bool {
         let projected = self.chi.exists(self.space.output_vars());
         projected.is_one()
-    }
-
-    /// The set of input vertices with no related output vertex (empty iff
-    /// the relation is well defined).
-    pub fn undefined_inputs(&self) -> Bdd {
-        self.chi.exists(self.space.output_vars()).complement()
     }
 
     /// Returns `true` if the relation is functional: every input vertex is
@@ -264,7 +242,7 @@ impl BooleanRelation {
 
     /// The incompatibility set `Incomp(F, R) = F \ R` as a characteristic
     /// function over inputs and outputs.
-    pub fn incompatibility(&self, f: &MultiOutputFunction) -> Bdd {
+    pub(crate) fn incompatibility(&self, f: &MultiOutputFunction) -> Bdd {
         f.characteristic().diff(&self.chi)
     }
 
@@ -614,12 +592,10 @@ mod tests {
         let r = fig1(&space);
         assert!(r.is_well_defined());
         assert!(!r.is_function());
-        assert!(r.undefined_inputs().is_zero());
         // Removing all outputs of vertex 00 breaks left-totality.
         let x00 = space.input_minterm(&bits("00")).unwrap();
         let broken = BooleanRelation::from_characteristic(&space, r.characteristic().diff(&x00));
         assert!(!broken.is_well_defined());
-        assert!(!broken.undefined_inputs().is_zero());
         assert!(!broken.is_function());
     }
 
@@ -799,18 +775,15 @@ mod tests {
     }
 
     #[test]
-    fn union_intersection_and_space_mismatch() {
+    fn union_subset_and_space_mismatch() {
         let space = RelationSpace::new(2, 2);
         let r = fig1(&space);
-        let full = BooleanRelation::full(&space);
         let empty = BooleanRelation::empty(&space);
         assert_eq!(r.union(&empty).unwrap(), r);
-        assert_eq!(r.intersection(&full).unwrap(), r);
         assert!(empty.is_subset_of(&r).unwrap());
         let other_space = RelationSpace::new(2, 2);
         let other = BooleanRelation::full(&other_space);
         assert!(r.union(&other).is_err());
-        assert!(r.intersection(&other).is_err());
         assert!(r.is_subset_of(&other).is_err());
     }
 

@@ -135,7 +135,7 @@ impl RelationSpace {
     }
 
     /// Returns `true` if both handles denote the same space.
-    pub fn same_space(&self, other: &RelationSpace) -> bool {
+    pub(crate) fn same_space(&self, other: &RelationSpace) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
@@ -168,11 +168,6 @@ impl RelationSpace {
     /// The BDD variables of the outputs, in order.
     pub fn output_vars(&self) -> &[Var] {
         &self.inner.outputs
-    }
-
-    /// The BDD variable of input `i`.
-    pub fn input_var(&self, i: usize) -> Var {
-        self.inner.inputs[i]
     }
 
     /// The BDD variable of output `j`.
@@ -284,7 +279,7 @@ impl RelationSpace {
     /// # Panics
     ///
     /// Panics if the space has more than 24 outputs.
-    pub fn enumerate_outputs(&self) -> Vec<Vec<bool>> {
+    pub(crate) fn enumerate_outputs(&self) -> Vec<Vec<bool>> {
         let m = self.num_outputs();
         assert!(m <= 24, "too many outputs for exhaustive enumeration");
         (0..(1u64 << m))
@@ -302,7 +297,7 @@ mod tests {
         let s = RelationSpace::new(3, 2);
         assert_eq!(s.num_inputs(), 3);
         assert_eq!(s.num_outputs(), 2);
-        assert_eq!(s.input_var(0), Var(0));
+        assert_eq!(s.input_vars()[0], Var(0));
         assert_eq!(s.output_var(0), Var(3));
         assert_eq!(s.output_var(1), Var(4));
         assert_eq!(s.mgr().num_vars(), 5);
@@ -313,7 +308,7 @@ mod tests {
         let s = RelationSpace::with_names(&["a", "b"], &["x"]);
         assert_eq!(s.input_name(0), "a");
         assert_eq!(s.output_name(0), "x");
-        assert_eq!(s.mgr().var_name(s.input_var(1)), "b");
+        assert_eq!(s.mgr().var_name(s.input_vars()[1]), "b");
     }
 
     #[test]

@@ -41,8 +41,8 @@ impl BooleanRelation {
     ///
     /// # Errors
     ///
-    /// Returns [`RelationError::Parse`] on malformed lines and
-    /// [`RelationError::DimensionMismatch`] if a vertex has the wrong arity.
+    /// Returns [`RelationError::Parse`] on malformed lines, including a
+    /// vertex with the wrong number of bits.
     pub fn from_table(space: &RelationSpace, text: &str) -> Result<Self, RelationError> {
         let mut pairs: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
         for raw in text.lines() {
@@ -123,10 +123,15 @@ mod tests {
     #[test]
     fn parse_errors() {
         let space = RelationSpace::new(2, 2);
-        assert!(BooleanRelation::from_table(&space, "00 {00}").is_err());
-        assert!(BooleanRelation::from_table(&space, "0 : {00}").is_err());
-        assert!(BooleanRelation::from_table(&space, "00 : {0z}").is_err());
-        assert!(BooleanRelation::from_table(&space, "00 : {000}").is_err());
+        for text in ["00 {00}", "0 : {00}", "00 : {0z}", "00 : {000}"] {
+            assert!(
+                matches!(
+                    BooleanRelation::from_table(&space, text),
+                    Err(RelationError::Parse(_))
+                ),
+                "`{text}` must be a parse error"
+            );
+        }
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub mod server;
 
 pub use client::{Client, SolveOutcome};
 pub use protocol::{
-    read_frame, write_frame, FinalReport, Frame, FrameReader, StatsSnapshot, Submit,
-    MAX_FRAME_BYTES,
+    read_frame, FinalReport, Frame, FrameReader, StatsSnapshot, Submit, MAX_FRAME_BYTES,
 };
 pub use queue::{Admission, AdmissionConfig, JobQueue, QueuedJob};
 pub use server::{DrainReport, ServeConfig, Server};

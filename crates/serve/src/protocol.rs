@@ -5,7 +5,7 @@
 //! frames are `submit`, `cancel`, `stats` and `shutdown`; server-to-client
 //! frames are `admitted`, `rejected`, `incumbent` (streamed anytime
 //! results), `final`, `stats` and `error`. The codec is total in both
-//! directions: [`Frame::to_json`] and [`Frame::from_json`] round-trip
+//! directions: [`Frame::to_json`] and `Frame::from_json` round-trip
 //! every representable frame, and malformed input surfaces as a
 //! structured error at the protocol boundary instead of a panic inside
 //! the daemon.
@@ -222,16 +222,6 @@ impl StatsSnapshot {
             ("inflight", self.inflight),
         ]
     }
-
-    /// The warm-pool pairs for the `reuse.` prefix (mirrors
-    /// [`brel_engine::BatchReuse`]'s accounting for the daemon's workers).
-    pub fn reuse_metrics(&self) -> [(&'static str, u64); 3] {
-        [
-            ("warm_reuses", self.warm_reuses),
-            ("cold_builds", self.cold_builds),
-            ("quarantines", self.quarantines),
-        ]
-    }
 }
 
 fn opt_uint(value: Option<u64>) -> Json {
@@ -325,7 +315,7 @@ impl Frame {
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
-    pub fn from_json(value: &Json) -> Result<Frame, String> {
+    pub(crate) fn from_json(value: &Json) -> Result<Frame, String> {
         let tag = value
             .get("type")
             .and_then(Json::as_str)
@@ -436,7 +426,7 @@ fn opt_string(value: &Json, key: &str) -> Option<String> {
 /// Serializes a [`JobSpec`] to its wire object. Relation rows travel as
 /// compact `input:image,image` bitstrings (e.g. `"10:00,11"`), the same
 /// 0/1 convention the table parser uses.
-pub fn job_to_json(job: &JobSpec) -> Json {
+fn job_to_json(job: &JobSpec) -> Json {
     let relation = Json::object(vec![
         ("inputs", Json::UInt(job.relation.num_inputs() as u64)),
         ("outputs", Json::UInt(job.relation.num_outputs() as u64)),
@@ -517,7 +507,7 @@ fn row_to_json(row: &RelationRow) -> Json {
 ///
 /// Returns a description of the first structural problem (missing field,
 /// bad backend/strategy/cost name, or row arity mismatch).
-pub fn job_from_json(value: &Json) -> Result<JobSpec, String> {
+fn job_from_json(value: &Json) -> Result<JobSpec, String> {
     let name = req_str(value, "name")?;
     let relation = value.get("relation").ok_or("job has no `relation`")?;
     let num_inputs = req_u64(relation, "inputs")? as usize;
@@ -639,7 +629,7 @@ fn cost_from_name(name: &str) -> Option<CostSpec> {
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
-pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
+pub(crate) fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let body = frame.to_json().render();
     let len = u32::try_from(body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
@@ -706,7 +696,7 @@ impl<R: Read> FrameReader<R> {
     ///
     /// `UnexpectedEof` when the peer closed, other I/O errors verbatim,
     /// `InvalidData` for malformed frames.
-    pub fn poll(&mut self) -> io::Result<Option<Frame>> {
+    pub(crate) fn poll(&mut self) -> io::Result<Option<Frame>> {
         loop {
             if let Some(frame) = self.try_decode()? {
                 return Ok(Some(frame));

@@ -139,7 +139,7 @@ impl JobQueue {
     /// and enqueue the `admitted` reply so it is ordered ahead of every
     /// frame the job's worker will stream. Keep it cheap and never call
     /// back into the queue from it.
-    pub fn offer(
+    pub(crate) fn offer(
         &self,
         job: QueuedJob,
         deadline_ms: Option<u64>,
@@ -222,10 +222,8 @@ impl JobQueue {
         self.ready.notify_all();
     }
 
-    /// Flips the queue into draining mode: every subsequent [`offer`]
+    /// Flips the queue into draining mode: every subsequent `offer`
     /// sheds, and workers exit once the backlog is gone.
-    ///
-    /// [`offer`]: JobQueue::offer
     pub fn drain(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.draining = true;
@@ -234,7 +232,7 @@ impl JobQueue {
     }
 
     /// Whether [`JobQueue::drain`] has been called.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -253,7 +251,7 @@ impl JobQueue {
     /// Cancel tokens of every still-queued job (the drain path cancels
     /// them so queued work degrades to its quick seed instead of running
     /// a full exploration during shutdown).
-    pub fn queued_cancel_tokens(&self) -> Vec<CancelToken> {
+    pub(crate) fn queued_cancel_tokens(&self) -> Vec<CancelToken> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

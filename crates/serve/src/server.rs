@@ -250,12 +250,6 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Whether a client's `shutdown` frame (or [`Server::shutdown`]) has
-    /// begun a drain.
-    pub fn is_draining(&self) -> bool {
-        self.shared.queue.is_draining()
-    }
-
     /// Blocks until a client requests shutdown, then drains and returns.
     pub fn run_until_shutdown(self) -> DrainReport {
         while !self.shared.queue.is_draining() {

@@ -23,14 +23,6 @@ impl Cover {
         }
     }
 
-    /// The tautological cover (a single universal cube).
-    pub fn tautology(width: usize) -> Self {
-        Cover {
-            width,
-            cubes: vec![Cube::universe(width)],
-        }
-    }
-
     /// Builds a cover from cubes.
     ///
     /// # Errors
@@ -131,12 +123,10 @@ impl Cover {
     }
 
     /// Builds the BDD of the cover using manager variables `0..width`.
-    pub fn to_bdd(&self, mgr: &BddSession) -> Bdd {
-        let mut acc = mgr.zero();
-        for c in &self.cubes {
-            acc = acc.or(&c.to_bdd(mgr));
-        }
-        acc
+    #[cfg(test)]
+    pub(crate) fn to_bdd(&self, mgr: &BddSession) -> Bdd {
+        let vars: Vec<Var> = (0..self.width).map(Var::from).collect();
+        self.to_bdd_with_vars(mgr, &vars)
     }
 
     /// Builds the BDD of the cover mapping position `i` to `vars[i]`.
@@ -233,46 +223,6 @@ impl Cover {
         };
         self.cofactor(v, false).is_tautology() && self.cofactor(v, true).is_tautology()
     }
-
-    /// Returns `true` if the cover covers the given cube (i.e. the cube
-    /// implies the cover). Checked by cofactoring the cover against the
-    /// cube and testing for tautology.
-    pub fn covers_cube(&self, cube: &Cube) -> bool {
-        let mut reduced = self.clone();
-        for (i, v) in cube.values().iter().enumerate() {
-            match v {
-                CubeValue::Zero => reduced = reduced.cofactor(i, false),
-                CubeValue::One => reduced = reduced.cofactor(i, true),
-                CubeValue::DontCare => {}
-            }
-        }
-        reduced.is_tautology()
-    }
-
-    /// Removes cubes that are covered by the rest of the cover
-    /// (multi-cube containment), yielding an irredundant cover.
-    pub fn make_irredundant(&mut self) {
-        self.remove_contained_cubes();
-        let mut i = 0;
-        while i < self.cubes.len() {
-            let cube = self.cubes[i].clone();
-            let rest = Cover {
-                width: self.width,
-                cubes: self
-                    .cubes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, c)| c.clone())
-                    .collect(),
-            };
-            if rest.covers_cube(&cube) {
-                self.cubes.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
 }
 
 impl fmt::Display for Cover {
@@ -331,7 +281,7 @@ mod tests {
 
     #[test]
     fn tautology_detection() {
-        assert!(Cover::tautology(3).is_tautology());
+        assert!(cover(3, &["---"]).is_tautology());
         assert!(!Cover::empty(3).is_tautology());
         // x + x' is a tautology
         let c = cover(1, &["0", "1"]);
@@ -358,27 +308,6 @@ mod tests {
         let mut c = cover(2, &["1-", "1-"]);
         c.remove_contained_cubes();
         assert_eq!(c.num_cubes(), 1);
-    }
-
-    #[test]
-    fn irredundant_removes_consensus_cube() {
-        // a·b + a'·c + b·c : the consensus term b·c is redundant.
-        let mut c = cover(3, &["11-", "0-1", "-11"]);
-        let mgr = BddSession::new(3);
-        let before = c.to_bdd(&mgr);
-        c.make_irredundant();
-        assert_eq!(c.num_cubes(), 2);
-        let after = c.to_bdd(&mgr);
-        assert_eq!(before, after, "irredundant must not change the function");
-    }
-
-    #[test]
-    fn covers_cube_checks() {
-        let c = cover(2, &["1-", "-1"]);
-        assert!(c.covers_cube(&Cube::parse("11").unwrap()));
-        assert!(c.covers_cube(&Cube::parse("1-").unwrap()));
-        assert!(!c.covers_cube(&Cube::parse("--").unwrap()));
-        assert!(!c.covers_cube(&Cube::parse("00").unwrap()));
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl Cube {
         Cube { values }
     }
 
-    /// Builds a cube from a minterm (a complete assignment).
-    pub fn from_minterm(assignment: &[bool]) -> Self {
-        Cube {
-            values: assignment
-                .iter()
-                .map(|&b| if b { CubeValue::One } else { CubeValue::Zero })
-                .collect(),
-        }
-    }
-
     /// Parses a cube from the usual `{0,1,-}` string notation.
     ///
     /// # Errors
@@ -148,70 +138,6 @@ impl Cube {
             })
     }
 
-    /// Intersection of two cubes, or `None` if they are disjoint.
-    pub fn intersect(&self, other: &Cube) -> Option<Cube> {
-        debug_assert_eq!(self.width(), other.width());
-        let mut values = Vec::with_capacity(self.width());
-        for (a, b) in self.values.iter().zip(other.values.iter()) {
-            let v = match (a, b) {
-                (CubeValue::DontCare, x) => *x,
-                (x, CubeValue::DontCare) => *x,
-                (x, y) if x == y => *x,
-                _ => return None,
-            };
-            values.push(v);
-        }
-        Some(Cube { values })
-    }
-
-    /// The smallest cube containing both operands (their supercube).
-    pub fn supercube(&self, other: &Cube) -> Cube {
-        debug_assert_eq!(self.width(), other.width());
-        let values = self
-            .values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(a, b)| if a == b { *a } else { CubeValue::DontCare })
-            .collect();
-        Cube { values }
-    }
-
-    /// Hamming-like distance: the number of positions in which the two
-    /// cubes have conflicting (0 vs 1) literals.
-    pub fn distance(&self, other: &Cube) -> usize {
-        debug_assert_eq!(self.width(), other.width());
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .filter(|(a, b)| {
-                matches!(
-                    (a, b),
-                    (CubeValue::Zero, CubeValue::One) | (CubeValue::One, CubeValue::Zero)
-                )
-            })
-            .count()
-    }
-
-    /// Number of minterms covered by the cube.
-    pub fn num_minterms(&self) -> u128 {
-        1u128 << (self.width() - self.num_literals())
-    }
-
-    /// Builds the BDD of the cube using manager variables `0..width`.
-    pub fn to_bdd(&self, mgr: &BddSession) -> Bdd {
-        let literals: Vec<(Var, bool)> = self
-            .values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| match v {
-                CubeValue::Zero => Some((Var(i as u32), false)),
-                CubeValue::One => Some((Var(i as u32), true)),
-                CubeValue::DontCare => None,
-            })
-            .collect();
-        mgr.cube(&literals)
-    }
-
     /// Builds the BDD of the cube mapping position `i` to `vars[i]`.
     ///
     /// # Panics
@@ -227,7 +153,7 @@ impl Cube {
     /// # Panics
     ///
     /// Panics if `vars` is shorter than the cube width.
-    pub fn literals_with_vars(&self, vars: &[Var]) -> Vec<(Var, bool)> {
+    pub(crate) fn literals_with_vars(&self, vars: &[Var]) -> Vec<(Var, bool)> {
         self.values
             .iter()
             .enumerate()
@@ -276,40 +202,6 @@ mod tests {
         assert!(c.contains(&m));
         assert!(!m.contains(&c));
         assert!(Cube::universe(3).contains(&c));
-    }
-
-    #[test]
-    fn intersect_supercube_distance() {
-        let a = Cube::parse("1-0").unwrap();
-        let b = Cube::parse("11-").unwrap();
-        let i = a.intersect(&b).unwrap();
-        assert_eq!(i.to_text(), "110");
-        let s = a.supercube(&b);
-        assert_eq!(s.to_text(), "1--");
-        let c = Cube::parse("0--").unwrap();
-        assert!(a.intersect(&c).is_none());
-        assert_eq!(a.distance(&c), 1);
-        assert_eq!(a.distance(&b), 0);
-    }
-
-    #[test]
-    fn minterm_count_and_from_minterm() {
-        let c = Cube::parse("1--").unwrap();
-        assert_eq!(c.num_minterms(), 4);
-        let m = Cube::from_minterm(&[true, false, true]);
-        assert_eq!(m.to_text(), "101");
-        assert_eq!(m.num_minterms(), 1);
-    }
-
-    #[test]
-    fn to_bdd_matches_eval() {
-        let mgr = BddSession::new(3);
-        let c = Cube::parse("0-1").unwrap();
-        let f = c.to_bdd(&mgr);
-        for bits in 0..8u32 {
-            let asg: Vec<bool> = (0..3).map(|i| bits & (1 << i) != 0).collect();
-            assert_eq!(f.eval(&asg), c.eval(&asg));
-        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`MultiCover`] — a multiple-output cover (one output column per cube),
 //! * ESPRESSO-style operations (`expand`, `reduce`, `irredundant`) against
 //!   an incompletely specified function given by BDD on/dc sets
-//!   ([`minimize`]),
-//! * a PLA-like text reader/writer ([`pla`]).
+//!   ([`minimize`]).
 //!
 //! The paper's quality metrics `CB` (cubes) and `LIT` (literals) of Table 2
 //! are computed on these covers; the gyocro baseline (`brel-gyocro`)
@@ -36,13 +35,12 @@ mod cover;
 mod cube;
 pub mod minimize;
 mod multi;
-pub mod pla;
 
 pub use cover::Cover;
 pub use cube::{Cube, CubeValue, ParseCubeError};
 pub use multi::MultiCover;
 
-/// Errors produced by cover constructors and the PLA reader.
+/// Errors produced by cover constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SopError {
     /// A cube has a different width than the cover it is inserted into.
@@ -52,8 +50,6 @@ pub enum SopError {
         /// Width of the offending cube.
         found: usize,
     },
-    /// The PLA text was malformed.
-    Parse(String),
 }
 
 impl std::fmt::Display for SopError {
@@ -65,7 +61,6 @@ impl std::fmt::Display for SopError {
                     "cube width {found} does not match cover width {expected}"
                 )
             }
-            SopError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }

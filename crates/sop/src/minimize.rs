@@ -90,7 +90,7 @@ pub fn expand(cover: &mut Cover, interval: &Interval, _mgr: &BddSession, vars: &
 /// `interval.on` not covered by the other cubes (the already-reduced
 /// versions of the earlier ones, the original later ones). Cubes whose
 /// required part is empty are kept as they are for `irredundant` to judge.
-pub fn reduce(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
+pub(crate) fn reduce(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
     let width = cover.width();
     let cubes = cover.cubes();
     let bdds: Vec<Bdd> = cubes
@@ -131,7 +131,7 @@ pub fn reduce(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[
 /// Removes cubes not needed to cover `interval.on`, visiting them in order:
 /// a cube goes when the cubes kept so far and the cubes after it cover
 /// `on` without it.
-pub fn irredundant(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
+pub(crate) fn irredundant(cover: &mut Cover, interval: &Interval, mgr: &BddSession, vars: &[Var]) {
     cover.remove_contained_cubes();
     let bdds: Vec<Bdd> = cover
         .cubes()

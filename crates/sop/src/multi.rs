@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use brel_bdd::{Bdd, BddSession, Var};
-
 use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::SopError;
@@ -67,11 +65,6 @@ impl MultiCover {
         &self.outputs[i]
     }
 
-    /// Mutable access to the cover of output `i`.
-    pub fn output_mut(&mut self, i: usize) -> &mut Cover {
-        &mut self.outputs[i]
-    }
-
     /// All output covers.
     pub fn outputs(&self) -> &[Cover] {
         &self.outputs
@@ -99,26 +92,6 @@ impl MultiCover {
     /// Evaluates every output on the assignment.
     pub fn eval(&self, assignment: &[bool]) -> Vec<bool> {
         self.outputs.iter().map(|c| c.eval(assignment)).collect()
-    }
-
-    /// Builds the BDD of each output using manager variables `0..num_inputs`.
-    pub fn to_bdds(&self, mgr: &BddSession) -> Vec<Bdd> {
-        self.outputs.iter().map(|c| c.to_bdd(mgr)).collect()
-    }
-
-    /// Builds the BDD of each output mapping position `i` to `vars[i]`.
-    pub fn to_bdds_with_vars(&self, mgr: &BddSession, vars: &[Var]) -> Vec<Bdd> {
-        self.outputs
-            .iter()
-            .map(|c| c.to_bdd_with_vars(mgr, vars))
-            .collect()
-    }
-
-    /// Applies [`Cover::make_irredundant`] to every output.
-    pub fn make_irredundant(&mut self) {
-        for c in &mut self.outputs {
-            c.make_irredundant();
-        }
     }
 }
 
@@ -167,20 +140,5 @@ mod tests {
         let err =
             MultiCover::from_outputs(vec![cover(2, &["1-"]), cover(3, &["1--"])]).unwrap_err();
         assert!(matches!(err, SopError::WidthMismatch { .. }));
-    }
-
-    #[test]
-    fn to_bdds_match_eval() {
-        let mgr = BddSession::new(2);
-        let mc =
-            MultiCover::from_outputs(vec![cover(2, &["11"]), cover(2, &["0-", "-0"])]).unwrap();
-        let bdds = mc.to_bdds(&mgr);
-        for bits in 0..4u32 {
-            let asg: Vec<bool> = (0..2).map(|i| bits & (1 << i) != 0).collect();
-            let vals = mc.eval(&asg);
-            for (f, v) in bdds.iter().zip(vals) {
-                assert_eq!(f.eval(&asg), v);
-            }
-        }
     }
 }

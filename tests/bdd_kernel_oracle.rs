@@ -202,29 +202,6 @@ proptest! {
         }
     }
 
-    /// Monotone `rename_vars` (persistently cached via interned maps)
-    /// matches the semantic variable substitution.
-    #[test]
-    fn rename_matches_semantics((nv, ops, seed) in params()) {
-        let total = nv * 2;
-        let mut m = BddManager::new(total);
-        let f = random_checked(&mut m, nv, ops, seed);
-        let map: std::collections::HashMap<Var, Var> = (0..nv as u32)
-            .map(|i| (Var(i), Var(i + nv as u32)))
-            .collect();
-        let g = m.rename_vars(f.node, &map);
-        // Renaming twice through the same interned map must hit the cache
-        // and return the identical node.
-        prop_assert_eq!(m.rename_vars(f.node, &map), g);
-        for idx in 0..f.table.len() {
-            let mut asg = vec![false; total];
-            for i in 0..nv {
-                asg[nv + i] = idx & (1 << i) != 0;
-            }
-            prop_assert_eq!(m.eval(g, &asg), f.table[idx]);
-        }
-    }
-
     /// Eviction stress: a manager pinned to a 2-slot operation cache (every
     /// insert collides almost immediately) builds the same functions as a
     /// default manager, operation for operation.

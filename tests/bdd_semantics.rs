@@ -112,7 +112,7 @@ proptest! {
             let covered = isop.cubes.iter().any(|c| c.eval(&asg));
             prop_assert_eq!(covered, f.eval(&asg));
         }
-        prop_assert!(isop.num_literals() >= isop.num_cubes() || f.is_constant());
+        prop_assert!(isop.num_literals() >= isop.num_cubes() || f.is_zero() || f.is_one());
     }
 
     /// The generalized cofactors agree with the function on the care set.

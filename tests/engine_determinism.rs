@@ -355,3 +355,26 @@ fn smoke_corpus_kernel_work_is_pinned() {
         "(op-cache inserts, unique-table lookups)"
     );
 }
+
+/// The default corpus's cost fingerprint under each search strategy, the
+/// totals `engine_batch --strategy fifo|dfs|best-first` reports: a search
+/// change that moves any of them altered results, not just speed.
+#[test]
+fn full_corpus_fingerprints_are_pinned_per_strategy() {
+    for (strategy, expected) in [
+        (SearchStrategy::Fifo, 687),
+        (SearchStrategy::Dfs, 698),
+        (SearchStrategy::BestFirst, 685),
+    ] {
+        let jobs = corpus(&CorpusOptions {
+            strategy,
+            ..CorpusOptions::full()
+        });
+        let report = Engine::with_workers(2).solve_batch(&jobs);
+        assert_eq!(
+            report.total_winner_cost(),
+            expected,
+            "{strategy:?} cost fingerprint"
+        );
+    }
+}
