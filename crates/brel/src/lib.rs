@@ -64,4 +64,4 @@ pub use search::{
     Subproblem,
 };
 pub use solver::{BrelConfig, BrelSolver, Solution, SolveStats};
-pub use symmetry::{canonical_rows, input_support_mask, relation_fingerprint, SymmetryCache};
+pub use symmetry::{input_support_mask, relation_fingerprint, SymmetryCache};

@@ -68,7 +68,7 @@ use crate::cost::{CostFn, CostFunction};
 use crate::minimize_isf::IsfMinimizer;
 use crate::quick::QuickSolver;
 use crate::solver::{BrelConfig, Solution, SolveStats};
-use crate::symmetry::{pack, SymmetryCache};
+use crate::symmetry::SymmetryCache;
 
 /// Which frontier discipline drives the exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -572,8 +572,8 @@ impl Explorer {
             .split
             .expect("expand splits every unpruned incompatible candidate");
         self.stats.splits += 1;
-        // The vertex rides along packed like a fingerprint row, component
-        // 0 first, whenever it fits one argument.
+        // The vertex rides along packed like the input of a relation's
+        // pair word, component 0 first, whenever it fits one argument.
         if split.vertex.len() <= 64 {
             brel_obs::event!(
                 brel_obs::Category::Search,
@@ -723,6 +723,12 @@ impl Explorer {
             stats: self.stats,
         }
     }
+}
+
+/// Packs a vertex into a bit pattern, component 0 in the most significant
+/// of the low `bits.len()` bits (the order of a relation's pair words).
+fn pack(bits: &[bool]) -> u64 {
+    bits.iter().fold(0, |acc, &bit| acc << 1 | bit as u64)
 }
 
 #[cfg(test)]

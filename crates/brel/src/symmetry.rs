@@ -8,11 +8,10 @@
 //! variant is in the cache.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 use brel_bdd::Bdd;
-use brel_relation::{BooleanRelation, RelationRow};
+use brel_relation::BooleanRelation;
 
 /// A cache of already-explored relations with output-symmetry lookups.
 ///
@@ -79,73 +78,52 @@ impl SymmetryCache {
     }
 }
 
-/// Canonicalizes tabular relation rows: duplicate input vertices are
-/// merged, output sets are sorted and deduplicated, rows with an empty
-/// image are dropped (a missing input vertex and an empty image denote the
-/// same thing in [`BooleanRelation::from_rows`]), and the surviving rows
-/// are sorted by input vertex. Two row lists describe the same relation
-/// iff their canonical forms are equal, which is what lets the batch
-/// engine build its cross-job cache keys — and rehydrate relations — from
-/// one deterministic representation regardless of how a spec was authored.
-pub fn canonical_rows(rows: &[RelationRow]) -> Vec<RelationRow> {
-    let mut by_input: BTreeMap<Vec<bool>, BTreeSet<Vec<bool>>> = BTreeMap::new();
-    for (input, outputs) in rows {
-        let image = by_input.entry(input.clone()).or_default();
-        for output in outputs {
-            image.insert(output.clone());
-        }
-    }
-    by_input
-        .into_iter()
-        .filter(|(_, image)| !image.is_empty())
-        .map(|(input, image)| (input, image.into_iter().collect()))
-        .collect()
-}
-
-/// The `(input, output)` pairs of `rows` packed into `u64` bit patterns
-/// (see [`pack`]), sorted and deduplicated. This form is canonical by
-/// construction: row order, repeated inputs, duplicate pairs and image
-/// order all vanish in one sort, and an empty image leaves no pair.
-fn packed_pairs(rows: &[RelationRow]) -> Vec<(u64, u64)> {
-    let mut pairs = Vec::with_capacity(rows.iter().map(|(_, outputs)| outputs.len()).sum());
-    for (input, outputs) in rows {
-        let x = pack(input);
-        pairs.extend(outputs.iter().map(|output| (x, pack(output))));
-    }
-    // Canonical rows arrive already in this order, which the sort detects
-    // in one linear pass.
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// [`input_support_mask`] of sorted, deduplicated packed pairs.
-fn support_mask(num_inputs: usize, pairs: &[(u64, u64)]) -> u64 {
+/// The input-support mask of a relation given as sorted, distinct pair
+/// words `x << num_outputs | y`, component 0 of each vertex in its most
+/// significant bit (the form `brel_engine::RelationSpec` stores): bit `i`
+/// is set iff the relation actually depends on input `i`. Input `i` is
+/// *non-support* when every pair of input vertices differing only in bit
+/// `i` has the same image (a missing vertex counts as an empty image);
+/// such a column is noise for caching purposes — two subrelations equal
+/// up to irrelevant input columns solve identically.
+///
+/// Each input vertex's image is one run of the sorted words, so a binary
+/// search finds every flipped partner.
+///
+/// # Panics
+///
+/// Panics if `num_inputs + num_outputs` exceeds 32.
+pub fn input_support_mask(num_inputs: usize, num_outputs: usize, pairs: &[u32]) -> u64 {
+    assert!(
+        num_inputs + num_outputs <= 32,
+        "pair words hold at most 32 bits"
+    );
+    debug_assert!(
+        pairs.is_sorted_by(|a, b| a < b),
+        "pairs must be sorted and distinct"
+    );
+    let x_of = |w: &u32| u64::from(*w) >> num_outputs;
     let image = |x: u64| {
-        let start = pairs.partition_point(|p| p.0 < x);
-        let len = pairs[start..].partition_point(|p| p.0 == x);
-        pairs[start..start + len].iter().map(|p| p.1)
+        let start = pairs.partition_point(|w| x_of(w) < x);
+        let len = pairs[start..].partition_point(|w| x_of(w) == x);
+        &pairs[start..start + len]
     };
+    let y_mask = (1u64 << num_outputs) - 1;
     let mut mask = 0;
     for i in 0..num_inputs {
         let flip = 1u64 << (num_inputs - 1 - i);
         // A missing partner has the empty image, which no present input has.
-        let depends = pairs
-            .chunk_by(|p, q| p.0 == q.0)
-            .any(|run| !run.iter().map(|p| p.1).eq(image(run[0].0 ^ flip)));
+        let depends = pairs.chunk_by(|a, b| x_of(a) == x_of(b)).any(|run| {
+            let partner = image(x_of(&run[0]) ^ flip);
+            !run.iter()
+                .map(|&w| u64::from(w) & y_mask)
+                .eq(partner.iter().map(|&w| u64::from(w) & y_mask))
+        });
         if depends {
             mask |= 1 << i;
         }
     }
     mask
-}
-
-/// Packs a vertex into a bit pattern, component 0 in the most significant
-/// of the low `bits.len()` bits, so packed vertices of one width compare
-/// like the `Vec<bool>`s they came from.
-pub(crate) fn pack(bits: &[bool]) -> u64 {
-    assert!(bits.len() <= 64, "vertex wider than 64 bits");
-    bits.iter().fold(0, |acc, &bit| acc << 1 | bit as u64)
 }
 
 /// Keeps the components of the packed `width`-wide vertex `x` whose bit is
@@ -156,56 +134,43 @@ fn project(x: u64, width: usize, mask: u64) -> u64 {
         .fold(0, |acc, i| acc << 1 | (x >> (width - 1 - i) & 1))
 }
 
-/// The input-support mask of a row list: bit `i` is set iff the relation
-/// actually depends on input `i`. Input `i` is *non-support* when every
-/// pair of input vertices differing only in bit `i` has the same image (a
-/// missing vertex counts as an empty image); such a column is noise for
-/// caching purposes — two subrelations equal up to irrelevant input
-/// columns solve identically. Rows need not be canonical.
+/// A 64-bit fingerprint of a relation given as sorted, distinct pair
+/// words (see [`input_support_mask`]), invariant under irrelevant input
+/// columns: non-support input columns are projected away (the support
+/// mask itself stays part of the fingerprint, so relations that ignore
+/// *different* columns do not collide), and the result is hashed together
+/// with the space dimensions. Row order, duplicate pairs and image order
+/// already vanished when the words were sorted. The engine keys its
+/// cross-job solved-subrelation cache on this value.
+///
+/// When every input is support the words are hashed as they are;
+/// otherwise one sort and dedup of the projected words merges the rows
+/// that differed only in non-support columns.
 ///
 /// # Panics
 ///
-/// Panics if `num_inputs` or a vertex width exceeds 64.
-pub fn input_support_mask(num_inputs: usize, rows: &[RelationRow]) -> u64 {
-    assert!(num_inputs <= 64, "support masks cover at most 64 inputs");
-    support_mask(num_inputs, &packed_pairs(rows))
-}
-
-/// A 64-bit fingerprint of the relation a row list describes, invariant
-/// under row order, duplicate pairs, unordered images, *and* irrelevant
-/// input columns: rows are canonicalized, non-support input columns are
-/// projected away (the support mask itself stays part of the fingerprint,
-/// so relations that ignore *different* columns do not collide), and the
-/// result is hashed together with the space dimensions. The engine keys
-/// its cross-job solved-subrelation cache on this value.
-///
-/// The work runs on rows packed into `u64` bit patterns: one sort of the
-/// `(input, output)` pairs canonicalizes, a binary search finds each
-/// flipped partner for the support mask, and one more sort and dedup of
-/// the projected pairs merges the rows that differed only in non-support
-/// columns.
-///
-/// # Panics
-///
-/// Panics if either width exceeds 64.
-pub fn relation_fingerprint(num_inputs: usize, num_outputs: usize, rows: &[RelationRow]) -> u64 {
-    assert!(
-        num_inputs <= 64 && num_outputs <= 64,
-        "fingerprints cover at most 64 inputs and 64 outputs"
-    );
-    let pairs = packed_pairs(rows);
-    let mask = support_mask(num_inputs, &pairs);
-    let mut projected: Vec<(u64, u64)> = pairs
-        .iter()
-        .map(|&(x, y)| (project(x, num_inputs, mask), y))
-        .collect();
-    projected.sort_unstable();
-    projected.dedup();
+/// Panics if `num_inputs + num_outputs` exceeds 32.
+pub fn relation_fingerprint(num_inputs: usize, num_outputs: usize, pairs: &[u32]) -> u64 {
+    let mask = input_support_mask(num_inputs, num_outputs, pairs);
     let mut hasher = DefaultHasher::new();
     num_inputs.hash(&mut hasher);
     num_outputs.hash(&mut hasher);
     mask.hash(&mut hasher);
-    projected.hash(&mut hasher);
+    if mask == (1 << num_inputs) - 1 {
+        pairs.hash(&mut hasher);
+    } else {
+        let y_mask = (1u64 << num_outputs) - 1;
+        let mut projected: Vec<u32> = pairs
+            .iter()
+            .map(|&w| {
+                let (x, y) = (u64::from(w) >> num_outputs, u64::from(w) & y_mask);
+                (project(x, num_inputs, mask) << num_outputs | y) as u32
+            })
+            .collect();
+        projected.sort_unstable();
+        projected.dedup();
+        projected.hash(&mut hasher);
+    }
     hasher.finish()
 }
 
@@ -233,92 +198,61 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    #[test]
-    fn canonical_rows_merge_sort_and_drop_empty_images() {
-        let rows: Vec<RelationRow> = vec![
-            (vec![true], vec![vec![true], vec![false]]),
-            (vec![false], vec![]),
-            (vec![true], vec![vec![true]]),
-        ];
-        let canonical = canonical_rows(&rows);
-        assert_eq!(
-            canonical,
-            vec![(vec![true], vec![vec![false], vec![true]])],
-            "duplicates merged, image sorted, empty row dropped"
-        );
+    /// Sorted, distinct pair words of `(input, output)` bit strings,
+    /// component 0 first.
+    fn words(num_outputs: usize, pairs: &[(&str, &str)]) -> Vec<u32> {
+        let bits = |text: &str| u32::from_str_radix(text, 2).unwrap();
+        let mut words: Vec<u32> = pairs
+            .iter()
+            .map(|(x, y)| bits(x) << num_outputs | bits(y))
+            .collect();
+        words.sort_unstable();
+        words.dedup();
+        words
     }
 
     #[test]
     fn support_mask_spots_irrelevant_input_columns() {
         // R over (x0, x1): image depends on x1 only.
-        let rows = canonical_rows(&[
-            (vec![false, false], vec![vec![false]]),
-            (vec![true, false], vec![vec![false]]),
-            (vec![false, true], vec![vec![true]]),
-            (vec![true, true], vec![vec![true]]),
-        ]);
-        assert_eq!(input_support_mask(2, &rows), 0b10);
+        let rows = words(1, &[("00", "0"), ("10", "0"), ("01", "1"), ("11", "1")]);
+        assert_eq!(input_support_mask(2, 1, &rows), 0b10);
         // Making the images differ across x0 flips bit 0 on.
-        let dependent = canonical_rows(&[
-            (vec![false, false], vec![vec![false]]),
-            (vec![true, false], vec![vec![true]]),
-            (vec![false, true], vec![vec![false]]),
-            (vec![true, true], vec![vec![true]]),
-        ]);
-        assert_eq!(input_support_mask(2, &dependent), 0b01);
+        let dependent = words(1, &[("00", "0"), ("10", "1"), ("01", "0"), ("11", "1")]);
+        assert_eq!(input_support_mask(2, 1, &dependent), 0b01);
         // A vertex with pairs whose flipped partner has none: that column
         // is support too (missing means empty image, not "don't know").
-        let partial = canonical_rows(&[(vec![false, false], vec![vec![false]])]);
-        assert_eq!(input_support_mask(2, &partial), 0b11);
+        let partial = words(1, &[("00", "0")]);
+        assert_eq!(input_support_mask(2, 1, &partial), 0b11);
     }
 
     #[test]
-    fn fingerprint_is_invariant_under_row_noise() {
-        let base: Vec<RelationRow> = vec![
-            (vec![false, false], vec![vec![false], vec![true]]),
-            (vec![true, false], vec![vec![true]]),
-            (vec![false, true], vec![vec![false]]),
-            (vec![true, true], vec![vec![true]]),
-        ];
+    fn fingerprint_separates_relations() {
+        let base = words(
+            1,
+            &[
+                ("00", "0"),
+                ("00", "1"),
+                ("10", "1"),
+                ("01", "0"),
+                ("11", "1"),
+            ],
+        );
         let fp = relation_fingerprint(2, 1, &base);
-        // Row permutation, image permutation, duplicate pairs: same print.
-        let noisy: Vec<RelationRow> = vec![
-            (vec![true, true], vec![vec![true]]),
-            (
-                vec![false, false],
-                vec![vec![true], vec![false], vec![true]],
-            ),
-            (vec![true, false], vec![vec![true]]),
-            (vec![false, true], vec![vec![false]]),
-        ];
-        assert_eq!(relation_fingerprint(2, 1, &noisy), fp);
+        assert_eq!(relation_fingerprint(2, 1, &base.clone()), fp);
         // A genuinely different relation: different print.
-        let other: Vec<RelationRow> = vec![
-            (vec![false, false], vec![vec![false]]),
-            (vec![true, false], vec![vec![true]]),
-            (vec![false, true], vec![vec![false]]),
-            (vec![true, true], vec![vec![true]]),
-        ];
+        let other = words(1, &[("00", "0"), ("10", "1"), ("01", "0"), ("11", "1")]);
         assert_ne!(relation_fingerprint(2, 1, &other), fp);
+        // The same words over other widths: different print.
+        assert_ne!(relation_fingerprint(1, 2, &base), fp);
     }
 
     #[test]
     fn fingerprint_normalizes_support_but_keeps_the_mask() {
         // R ignores x0; S is the same relation over x1 alone.
-        let wide: Vec<RelationRow> = vec![
-            (vec![false, false], vec![vec![false]]),
-            (vec![true, false], vec![vec![false]]),
-            (vec![false, true], vec![vec![true]]),
-            (vec![true, true], vec![vec![true]]),
-        ];
+        let wide = words(1, &[("00", "0"), ("10", "0"), ("01", "1"), ("11", "1")]);
         // The same projected rows with a *different* irrelevant column must
         // not collide: the mask participates in the hash.
-        let wide_other: Vec<RelationRow> = vec![
-            (vec![false, false], vec![vec![false]]),
-            (vec![false, true], vec![vec![false]]),
-            (vec![true, false], vec![vec![true]]),
-            (vec![true, true], vec![vec![true]]),
-        ];
+        let wide_other = words(1, &[("00", "0"), ("01", "0"), ("10", "1"), ("11", "1")]);
         assert_ne!(
             relation_fingerprint(2, 1, &wide),
             relation_fingerprint(2, 1, &wide_other)

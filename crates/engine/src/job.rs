@@ -2,12 +2,18 @@
 //!
 //! Although the redesigned BDD layer is `Send` (a [`brel_bdd::BddSession`]
 //! can cross threads), the engine still ships jobs as plain owned data — a
-//! [`RelationSpec`] (canonical tabular rows) plus solver configuration —
-//! and every worker rehydrates the relation into its own session before
-//! solving. Rehydration is deterministic and a pure function of the
-//! relation, so the same [`JobSpec`] produces the same solution on every
-//! worker and at every worker count, and the canonical rows give the
-//! cross-job cache a sound [`RelationSpec::fingerprint`] to key on.
+//! [`RelationSpec`] (the relation's pairs as sorted, packed `u32` words)
+//! plus solver configuration — and every worker rehydrates the relation
+//! into its own session before solving. Rehydration is deterministic and a
+//! pure function of the relation, so the same [`JobSpec`] produces the
+//! same solution on every worker and at every worker count, and the
+//! canonical words give the cross-job cache a sound
+//! [`RelationSpec::fingerprint`] to key on. Between the wire decoder and χ
+//! nothing allocates per vertex: decoding packs each row string into
+//! words, and rehydration and the fingerprint read the words.
+
+use std::fmt;
+use std::sync::OnceLock;
 
 use brel_core::{CostFn, SearchStrategy};
 use brel_relation::{BooleanRelation, RelationError, RelationRow, RelationSpace};
@@ -84,35 +90,64 @@ impl CostSpec {
 }
 
 /// An owned, manager-free description of a Boolean relation: the dimension
-/// of its space plus its tabular rows (see [`BooleanRelation::to_rows`]).
-/// This is the serialization boundary jobs ride across threads.
+/// of its space plus its related pairs. This is the serialization boundary
+/// jobs ride across threads and the wire.
 ///
-/// Rows are stored in *canonical* form (merged inputs, sorted images,
-/// empty images dropped, rows sorted by input vertex — see
-/// [`brel_core::canonical_rows`]): two specs describing the same relation
-/// compare equal however their rows were authored, rehydration is a pure
-/// function of the relation rather than of row order, and the engine's
-/// cross-job cache can key on [`RelationSpec::fingerprint`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The relation is stored as one packed word per `(x, y)` pair,
+/// `x << num_outputs | y`, with component 0 of each vertex in its most
+/// significant bit, sorted and deduplicated. Numeric word order is the
+/// order of *canonical* rows (merged inputs, sorted images, empty images
+/// dropped, rows sorted by input vertex), so two specs describing the same
+/// relation compare equal however their rows were authored, rehydration
+/// ([`BooleanRelation::from_packed`]) is a pure function of the relation
+/// rather than of row order, and the engine's cross-job cache can key on
+/// [`RelationSpec::fingerprint`]. [`RelationSpec::MAX_WIDTH`] bounds both
+/// widths, so a word always fits in 32 bits.
+#[derive(Clone)]
 pub struct RelationSpec {
     num_inputs: usize,
     num_outputs: usize,
-    rows: Vec<RelationRow>,
+    words: Vec<u32>,
+    /// [`RelationSpec::rows`], materialized on first call.
+    rows: OnceLock<Vec<RelationRow>>,
 }
+
+// Two widths of `MAX_WIDTH` bits each share one pair word.
+const _: () = assert!(2 * RelationSpec::MAX_WIDTH <= 32);
 
 impl RelationSpec {
     /// The widest input or output vector a spec may declare. It equals
     /// the enumeration limit of [`BooleanRelation::to_rows`], so every
-    /// spec [`RelationSpec::from_relation`] produces is within it. The
-    /// bound is checked before rehydration allocates a space, so a
-    /// hostile width (say, 4 billion inputs and no rows) is an error
-    /// instead of an allocation abort.
+    /// spec [`RelationSpec::from_relation`] produces is within it, and
+    /// an input vertex next to an output vertex fits one `u32` pair word.
+    /// The bound is checked before anything is shifted or allocated, so a
+    /// hostile width (say, 4 billion inputs) is an error instead of an
+    /// overflow or an allocation abort.
     pub const MAX_WIDTH: usize = 16;
+
+    /// Returns [`RelationError::TooLarge`] unless both widths are within
+    /// [`RelationSpec::MAX_WIDTH`]. Decoders call it before they pack a
+    /// single vertex.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::TooLarge`] if either width exceeds
+    /// [`RelationSpec::MAX_WIDTH`].
+    pub fn check_widths(num_inputs: usize, num_outputs: usize) -> Result<(), RelationError> {
+        let widest = num_inputs.max(num_outputs);
+        if widest > Self::MAX_WIDTH {
+            return Err(RelationError::TooLarge {
+                vars: widest,
+                limit: Self::MAX_WIDTH,
+            });
+        }
+        Ok(())
+    }
 
     /// Builds a spec from explicit rows, validating both widths and every
     /// vertex arity up front so that [`RelationSpec::rehydrate`] cannot
-    /// fail later on a worker thread. The rows are canonicalized on the
-    /// way in.
+    /// fail later on a worker thread. The rows are packed, sorted and
+    /// deduplicated on the way in.
     ///
     /// # Errors
     ///
@@ -125,34 +160,41 @@ impl RelationSpec {
         num_outputs: usize,
         rows: Vec<RelationRow>,
     ) -> Result<Self, RelationError> {
-        let widest = num_inputs.max(num_outputs);
-        if widest > Self::MAX_WIDTH {
-            return Err(RelationError::TooLarge {
-                vars: widest,
-                limit: Self::MAX_WIDTH,
+        Self::check_widths(num_inputs, num_outputs)?;
+        let mut words = Vec::with_capacity(rows.iter().map(|(_, image)| image.len()).sum());
+        for (input, outputs) in &rows {
+            let x = pack(num_inputs, input)?;
+            for output in outputs {
+                words.push(x << num_outputs | pack(num_outputs, output)?);
+            }
+        }
+        Ok(Self::from_words(num_inputs, num_outputs, words))
+    }
+
+    /// Builds a spec from packed pair words (`x << num_outputs | y`, in any
+    /// order, possibly repeated). Both widths are checked before any word
+    /// is read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::TooLarge`] if either width exceeds
+    /// [`RelationSpec::MAX_WIDTH`], and
+    /// [`RelationError::DimensionMismatch`] if a word has a bit at or above
+    /// position `num_inputs + num_outputs`.
+    pub fn from_packed(
+        num_inputs: usize,
+        num_outputs: usize,
+        words: Vec<u32>,
+    ) -> Result<Self, RelationError> {
+        Self::check_widths(num_inputs, num_outputs)?;
+        let width = num_inputs + num_outputs;
+        if let Some(&wide) = words.iter().find(|&&w| u64::from(w) >> width != 0) {
+            return Err(RelationError::DimensionMismatch {
+                expected: width,
+                found: (u32::BITS - wide.leading_zeros()) as usize,
             });
         }
-        for (input, outputs) in &rows {
-            if input.len() != num_inputs {
-                return Err(RelationError::DimensionMismatch {
-                    expected: num_inputs,
-                    found: input.len(),
-                });
-            }
-            for output in outputs {
-                if output.len() != num_outputs {
-                    return Err(RelationError::DimensionMismatch {
-                        expected: num_outputs,
-                        found: output.len(),
-                    });
-                }
-            }
-        }
-        Ok(RelationSpec {
-            num_inputs,
-            num_outputs,
-            rows: brel_core::canonical_rows(&rows),
-        })
+        Ok(Self::from_words(num_inputs, num_outputs, words))
     }
 
     /// Exports a live relation into a portable spec.
@@ -162,11 +204,25 @@ impl RelationSpec {
     /// Returns [`RelationError::TooLarge`] if the relation's space cannot be
     /// enumerated exhaustively.
     pub fn from_relation(relation: &BooleanRelation) -> Result<Self, RelationError> {
-        Ok(RelationSpec {
-            num_inputs: relation.space().num_inputs(),
-            num_outputs: relation.space().num_outputs(),
-            rows: brel_core::canonical_rows(&relation.to_rows()?),
-        })
+        let (num_inputs, num_outputs) = (
+            relation.space().num_inputs(),
+            relation.space().num_outputs(),
+        );
+        Self::new(num_inputs, num_outputs, relation.to_rows()?)
+    }
+
+    /// Sorts and deduplicates checked words into a spec.
+    fn from_words(num_inputs: usize, num_outputs: usize, mut words: Vec<u32>) -> Self {
+        // Words off the wire and from canonical rows arrive sorted, which
+        // the sort detects in one linear pass.
+        words.sort_unstable();
+        words.dedup();
+        RelationSpec {
+            num_inputs,
+            num_outputs,
+            words,
+            rows: OnceLock::new(),
+        }
     }
 
     /// Rebuilds the relation inside a fresh, private BDD manager: the
@@ -178,12 +234,12 @@ impl RelationSpec {
         (space, relation)
     }
 
-    /// The canonical 64-bit fingerprint of the relation these rows
-    /// describe (see [`brel_core::relation_fingerprint`]): invariant under
-    /// row order, duplicate pairs, unordered images and irrelevant input
-    /// columns. The cross-job solved-subrelation cache keys on it.
+    /// The canonical 64-bit fingerprint of the relation (see
+    /// [`brel_core::relation_fingerprint`]): invariant under row order,
+    /// duplicate pairs, unordered images and irrelevant input columns.
+    /// The cross-job solved-subrelation cache keys on it.
     pub fn fingerprint(&self) -> u64 {
-        brel_core::relation_fingerprint(self.num_inputs, self.num_outputs, &self.rows)
+        brel_core::relation_fingerprint(self.num_inputs, self.num_outputs, &self.words)
     }
 
     /// Number of input variables.
@@ -196,10 +252,73 @@ impl RelationSpec {
         self.num_outputs
     }
 
-    /// The tabular rows.
-    pub fn rows(&self) -> &[RelationRow] {
-        &self.rows
+    /// Number of related `(x, y)` pairs.
+    pub fn num_pairs(&self) -> usize {
+        self.words.len()
     }
+
+    /// The packed pair words, sorted and distinct (see [`RelationSpec`]).
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// The canonical rows: one per input vertex with a non-empty image,
+    /// sorted by input vertex, each image sorted. Materialized from the
+    /// words on first call for table-shaped readers; rehydration, the
+    /// fingerprint and the wire codec read the words.
+    pub fn rows(&self) -> &[RelationRow] {
+        self.rows.get_or_init(|| {
+            let y_mask = (1u32 << self.num_outputs) - 1;
+            self.words
+                .chunk_by(|a, b| a >> self.num_outputs == b >> self.num_outputs)
+                .map(|run| {
+                    let input = unpack(self.num_inputs, run[0] >> self.num_outputs);
+                    let image = run
+                        .iter()
+                        .map(|&w| unpack(self.num_outputs, w & y_mask))
+                        .collect();
+                    (input, image)
+                })
+                .collect()
+        })
+    }
+}
+
+impl PartialEq for RelationSpec {
+    fn eq(&self, other: &Self) -> bool {
+        (self.num_inputs, self.num_outputs, &self.words)
+            == (other.num_inputs, other.num_outputs, &other.words)
+    }
+}
+
+impl Eq for RelationSpec {}
+
+impl fmt::Debug for RelationSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RelationSpec")
+            .field("num_inputs", &self.num_inputs)
+            .field("num_outputs", &self.num_outputs)
+            .field("rows", &self.rows())
+            .finish()
+    }
+}
+
+/// Packs a `width`-bit vertex, component 0 in the most significant bit.
+fn pack(width: usize, bits: &[bool]) -> Result<u32, RelationError> {
+    if bits.len() != width {
+        return Err(RelationError::DimensionMismatch {
+            expected: width,
+            found: bits.len(),
+        });
+    }
+    Ok(bits.iter().fold(0, |acc, &bit| acc << 1 | u32::from(bit)))
+}
+
+/// The inverse of [`pack`].
+fn unpack(width: usize, bits: u32) -> Vec<bool> {
+    (0..width)
+        .map(|i| bits >> (width - 1 - i) & 1 == 1)
+        .collect()
 }
 
 /// Per-job exploration budget, mapped onto each backend's own knobs.
@@ -354,6 +473,45 @@ mod tests {
         let exported = RelationSpec::from_relation(&BooleanRelation::full(&space)).unwrap();
         let rows = exported.rows().to_vec();
         assert_eq!(RelationSpec::new(max, 1, rows).unwrap(), exported);
+    }
+
+    #[test]
+    fn spec_words_merge_sort_and_drop_empty_images() {
+        let rows = vec![
+            (vec![true], vec![vec![true], vec![false]]),
+            (vec![false], vec![]),
+            (vec![true], vec![vec![true]]),
+        ];
+        let spec = RelationSpec::new(1, 1, rows).unwrap();
+        assert_eq!(spec.words(), &[0b10, 0b11]);
+        assert_eq!(spec.num_pairs(), 2);
+        assert_eq!(
+            spec.rows(),
+            &[(vec![true], vec![vec![false], vec![true]])],
+            "duplicates merged, image sorted, empty row dropped"
+        );
+        assert_eq!(
+            RelationSpec::from_packed(1, 1, vec![0b11, 0b10, 0b11]).unwrap(),
+            spec
+        );
+    }
+
+    #[test]
+    fn packed_words_are_checked_before_use() {
+        assert_eq!(
+            RelationSpec::from_packed(1, 1, vec![0b01, 0b100]),
+            Err(RelationError::DimensionMismatch {
+                expected: 2,
+                found: 3
+            })
+        );
+        assert_eq!(
+            RelationSpec::from_packed(4_000_000_000, 1, vec![u32::MAX]),
+            Err(RelationError::TooLarge {
+                vars: 4_000_000_000,
+                limit: RelationSpec::MAX_WIDTH
+            })
+        );
     }
 
     #[test]

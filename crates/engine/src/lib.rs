@@ -11,8 +11,8 @@
 //! function of the input:
 //!
 //! * a [`JobSpec`] carries an owned, manager-free [`RelationSpec`]
-//!   (canonical tabular rows, see
-//!   [`brel_relation::BooleanRelation::to_rows`]) plus a backend list, a
+//!   (the relation's pairs as sorted, packed words, rehydrated with
+//!   [`brel_relation::BooleanRelation::from_packed`]) plus a backend list, a
 //!   [`CostSpec`] and a [`JobBudget`];
 //! * every job runs through [`Runner::run`]: each pool worker (or wide
 //!   batch, or serving worker) owns one [`Runner`], which rehydrates the

@@ -101,18 +101,35 @@ impl BatchReport {
 }
 
 /// The parallel batch-solving engine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Engine {
     config: EngineConfig,
     /// Deterministic fault-injection plan for chaos runs; `None` (the
     /// default) injects nothing and adds no overhead beyond a slice check.
     plan: Option<Arc<FaultPlan>>,
+    /// Runners between batches: their warm sessions, and the allocations
+    /// behind them, outlive one batch.
+    idle: Mutex<Vec<Runner>>,
+}
+
+impl Clone for Engine {
+    fn clone(&self) -> Self {
+        Engine {
+            config: self.config,
+            plan: self.plan.clone(),
+            idle: Mutex::default(),
+        }
+    }
 }
 
 impl Engine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine { config, plan: None }
+        Engine {
+            config,
+            plan: None,
+            idle: Mutex::default(),
+        }
     }
 
     /// Creates an engine with a fixed worker count.
@@ -127,6 +144,7 @@ impl Engine {
     /// inside each BREL solve instead of job-level parallelism).
     pub fn with_wide(mut self, options: WideOptions) -> Self {
         self.config.wide = Some(options);
+        self.idle = Mutex::default();
         self
     }
 
@@ -136,6 +154,7 @@ impl Engine {
     /// identical either way.
     pub fn with_reuse(mut self, reuse: bool) -> Self {
         self.config.reuse = reuse;
+        self.idle = Mutex::default();
         self
     }
 
@@ -145,6 +164,7 @@ impl Engine {
     /// their deterministic output is byte-identical to an uninjected run.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.plan = Some(plan);
+        self.idle = Mutex::default();
         self
     }
 
@@ -163,6 +183,11 @@ impl Engine {
     /// parallelizes the frontier of each BREL solve over its search
     /// sessions instead (the cache does not apply there: wide expansions
     /// are intermediate, not finished portfolios).
+    ///
+    /// The runners outlive the batch: the next batch on this engine starts
+    /// on their warm sessions instead of building and freeing every BDD
+    /// table again (a reset session is observationally cold, so the output
+    /// is unchanged). The solved-subrelation cache stays per batch.
     pub fn solve_batch(&self, jobs: &[JobSpec]) -> BatchReport {
         let start = Instant::now();
         let (num_workers, runners) = match self.config.wide {
@@ -178,40 +203,56 @@ impl Engine {
         let queue: Mutex<VecDeque<(usize, &JobSpec)>> =
             Mutex::new(jobs.iter().enumerate().collect());
         let totals = Mutex::new(BatchReuse::default());
+        let mut pool = std::mem::take(&mut *self.idle.lock().expect("idle runners poisoned"));
+        while pool.len() < runners {
+            pool.push(Runner::new(&self.config, self.plan.clone()));
+        }
+        let spare = pool.split_off(runners);
         let (tx, rx) = mpsc::channel::<JobReport>();
-        let mut reports: Vec<JobReport> = thread::scope(|scope| {
-            for worker in 0..runners {
-                let tx = tx.clone();
-                let queue = &queue;
-                let totals = &totals;
-                let mut runner = Runner::new(&self.config, self.plan.clone());
-                if let Some(cache) = &cache {
-                    runner = runner.with_cache(cache.clone());
-                }
-                scope.spawn(move || {
-                    let _track = brel_obs::enabled(brel_obs::Category::Engine)
-                        .then(|| brel_obs::set_track(&format!("pool-worker-{worker}")));
-                    loop {
-                        // Take the lock only to pop; the solve runs unlocked.
-                        let next = queue.lock().expect("job queue poisoned").pop_front();
-                        let Some((id, job)) = next else { break };
-                        let _job_span = brel_obs::span!(
-                            brel_obs::Category::Engine,
-                            "job",
-                            "job_id" => id,
-                        );
-                        // The receiver outlives the scope; a send can only
-                        // fail if the collector stopped early.
-                        let _ = tx.send(runner.run(id, job, None));
-                    }
-                    *totals.lock().expect("counts poisoned") += runner.counts();
-                });
-            }
+        let (mut reports, mut pool): (Vec<JobReport>, Vec<Runner>) = thread::scope(|scope| {
+            let handles: Vec<_> = pool
+                .into_iter()
+                .enumerate()
+                .map(|(worker, mut runner)| {
+                    let tx = tx.clone();
+                    let queue = &queue;
+                    let totals = &totals;
+                    runner.set_cache(cache.clone());
+                    scope.spawn(move || {
+                        let _track = brel_obs::enabled(brel_obs::Category::Engine)
+                            .then(|| brel_obs::set_track(&format!("pool-worker-{worker}")));
+                        let before = runner.counts();
+                        loop {
+                            // Take the lock only to pop; the solve runs unlocked.
+                            let next = queue.lock().expect("job queue poisoned").pop_front();
+                            let Some((id, job)) = next else { break };
+                            let _job_span = brel_obs::span!(
+                                brel_obs::Category::Engine,
+                                "job",
+                                "job_id" => id,
+                            );
+                            // The receiver outlives the scope; a send can only
+                            // fail if the collector stopped early.
+                            let _ = tx.send(runner.run(id, job, None));
+                        }
+                        *totals.lock().expect("counts poisoned") += runner.counts().since(before);
+                        runner.set_cache(None);
+                        runner
+                    })
+                })
+                .collect();
             // Drop the original sender so the channel closes once every
             // worker finishes, then drain it from this thread.
             drop(tx);
-            rx.iter().collect()
+            let reports = rx.iter().collect();
+            let pool = handles
+                .into_iter()
+                .map(|h| h.join().expect("runners catch job panics"))
+                .collect();
+            (reports, pool)
         });
+        pool.extend(spare);
+        *self.idle.lock().expect("idle runners poisoned") = pool;
         reports.sort_by_key(|r| r.job_id);
         BatchReport {
             jobs: reports,
@@ -244,6 +285,17 @@ mod tests {
         ]
     }
 
+    /// A report without its wall-clock fields and scheduling-dependent
+    /// reuse flags: what must not depend on workers, reuse or batches.
+    fn mask(j: &JobReport) -> JobReport {
+        let mut j = j.clone();
+        for attempt in &mut j.attempts {
+            attempt.wall_micros = 0;
+            attempt.reuse = Default::default();
+        }
+        j
+    }
+
     #[test]
     fn reports_come_back_in_job_id_order() {
         let batch = sample_batch();
@@ -265,16 +317,6 @@ mod tests {
         let many = Engine::with_workers(8).solve_batch(&batch);
         assert_eq!(one.jobs.len(), many.jobs.len());
         for (a, b) in one.jobs.iter().zip(&many.jobs) {
-            // Wall-clock fields and the scheduling-dependent reuse flags
-            // aside, the reports are structurally equal.
-            let mask = |j: &JobReport| {
-                let mut j = j.clone();
-                for attempt in &mut j.attempts {
-                    attempt.wall_micros = 0;
-                    attempt.reuse = Default::default();
-                }
-                j
-            };
             assert_eq!(mask(a), mask(b));
         }
     }
@@ -298,16 +340,21 @@ mod tests {
         // one: rehydration succeeds, solving is what fails).
         assert_eq!(cold.reuse.cold_builds as usize, batch.len());
         for (a, b) in warm.jobs.iter().zip(&cold.jobs) {
-            let mask = |j: &JobReport| {
-                let mut j = j.clone();
-                for attempt in &mut j.attempts {
-                    attempt.wall_micros = 0;
-                    attempt.reuse = Default::default();
-                }
-                j
-            };
             assert_eq!(mask(a), mask(b));
         }
+    }
+
+    #[test]
+    fn runners_stay_warm_across_batches() {
+        let batch = sample_batch();
+        let engine = Engine::with_workers(1);
+        let first = engine.solve_batch(&batch);
+        let second = engine.solve_batch(&batch);
+        assert_eq!(first.reuse.cold_builds, 1);
+        assert_eq!(second.reuse.cold_builds, 0, "the runners came back warm");
+        assert_eq!(second.reuse.warm_reuses as usize, batch.len());
+        let masked = |r: &BatchReport| r.jobs.iter().map(mask).collect::<Vec<_>>();
+        assert_eq!(masked(&first), masked(&second));
     }
 
     #[test]
@@ -320,14 +367,6 @@ mod tests {
             .filter(|j| j.name != "broken")
             .collect();
         let names: Vec<&str> = batch.iter().map(|j| j.name.as_str()).collect();
-        let mask = |j: &JobReport| {
-            let mut j = j.clone();
-            for attempt in &mut j.attempts {
-                attempt.wall_micros = 0;
-                attempt.reuse = Default::default();
-            }
-            j
-        };
         let mut runs = Vec::new();
         for workers in [1usize, 2, 8] {
             // Injections are armed-once, so each run arms a fresh plan.

@@ -52,8 +52,8 @@ pub struct ReuseStats {
 pub struct BatchReuse {
     /// Rehydrations that reused a warm worker session.
     pub warm_reuses: u64,
-    /// Rehydrations that had to build a fresh manager (first job of each
-    /// worker, or a failed reset).
+    /// Rehydrations that had to build a fresh manager (an engine worker's
+    /// first job, or a failed reset).
     pub cold_builds: u64,
     /// Jobs whose whole portfolio was served from the subrelation cache.
     pub subrel_cache_hits: u64,
@@ -75,6 +75,19 @@ impl BatchReuse {
             ("subrel_cache_misses", self.subrel_cache_misses),
             ("quarantines", self.quarantines),
         ]
+    }
+}
+
+impl BatchReuse {
+    /// The counters accumulated after `before` was taken.
+    pub(crate) fn since(self, before: BatchReuse) -> BatchReuse {
+        BatchReuse {
+            warm_reuses: self.warm_reuses - before.warm_reuses,
+            cold_builds: self.cold_builds - before.cold_builds,
+            subrel_cache_hits: self.subrel_cache_hits - before.subrel_cache_hits,
+            subrel_cache_misses: self.subrel_cache_misses - before.subrel_cache_misses,
+            quarantines: self.quarantines - before.quarantines,
+        }
     }
 }
 
@@ -160,12 +173,12 @@ impl WarmSession {
     /// manager when possible and building a fresh one otherwise. Returns
     /// the space, the relation, and whether the warm path was taken.
     ///
-    /// The manager is pre-sized from the row count: a characteristic
+    /// The manager is pre-sized from the pair count: a characteristic
     /// function built from `P` related pairs over `n + m` variables lands
     /// near `P · (n + m)` decision nodes in the common case. The
-    /// characteristic function is built bottom-up from the sorted rows
-    /// (see [`BooleanRelation::from_rows`]), which leaves no garbage, so
-    /// the relation goes to the backends without a sweep.
+    /// characteristic function is built bottom-up from the sorted pair
+    /// words (see [`BooleanRelation::from_packed`]), which leaves no
+    /// garbage, so the relation goes to the backends without a sweep.
     pub fn rehydrate(&mut self, spec: &RelationSpec) -> (RelationSpace, BooleanRelation, bool) {
         self.rehydrate_with(spec, BddConfig::from_env())
     }
@@ -190,12 +203,11 @@ impl WarmSession {
     ) -> (RelationSpace, BooleanRelation, bool) {
         let _span = brel_obs::span(brel_obs::Category::Session, "rehydrate");
         let num_vars = spec.num_inputs() + spec.num_outputs();
-        let pairs: usize = spec.rows().iter().map(|(_, outs)| outs.len().max(1)).sum();
-        let expected_nodes = pairs.saturating_mul(num_vars);
+        let expected_nodes = spec.num_pairs().saturating_mul(num_vars);
         let (session, warm) = self.obtain(num_vars, expected_nodes, config);
         let space = RelationSpace::from_session(session, spec.num_inputs(), spec.num_outputs());
-        let relation = BooleanRelation::from_rows(&space, spec.rows())
-            .expect("arities were validated at construction");
+        let relation = BooleanRelation::from_packed(&space, spec.words())
+            .expect("widths were validated at construction");
         (space, relation, warm)
     }
 

@@ -124,13 +124,13 @@ impl Runner {
         }
     }
 
-    /// Shares a cross-job solved-subrelation cache with other runners.
-    /// Cache hits are all-or-nothing per job (see [`crate::reuse`]), so
-    /// every cached report is the product of a full clean portfolio run
-    /// and hits never change the deterministic output.
-    pub(crate) fn with_cache(mut self, cache: Arc<ReuseState>) -> Runner {
-        self.cache = Some(cache);
-        self
+    /// Shares a cross-job solved-subrelation cache with other runners
+    /// (`None` leaves the runner uncached). Cache hits are all-or-nothing
+    /// per job (see [`crate::reuse`]), so every cached report is the
+    /// product of a full clean portfolio run and hits never change the
+    /// deterministic output.
+    pub(crate) fn set_cache(&mut self, cache: Option<Arc<ReuseState>>) {
+        self.cache = cache;
     }
 
     /// Session and cache counters of every job this runner ran so far.
@@ -762,13 +762,14 @@ mod tests {
     fn faulted_jobs_never_enter_the_subrel_cache() {
         let cache = Arc::new(ReuseState::default());
         let job = JobSpec::portfolio("fig10", fig10());
-        let faulted = warm_runner(Some(inject("fig10", 0, FaultKind::Panic)))
-            .with_cache(cache.clone())
-            .run(0, &job, None);
+        let mut faulting = warm_runner(Some(inject("fig10", 0, FaultKind::Panic)));
+        faulting.set_cache(Some(cache.clone()));
+        let faulted = faulting.run(0, &job, None);
         assert_eq!(faulted.outcome, Some(JobOutcome::Degraded));
         // The partial result must not be replayed for the clean duplicate:
         // the rerun must miss the cache and produce a full Solved report.
-        let mut runner = warm_runner(None).with_cache(cache);
+        let mut runner = warm_runner(None);
+        runner.set_cache(Some(cache));
         let clean = runner.run(1, &job, None);
         assert_eq!(clean.outcome, Some(JobOutcome::Solved));
         assert_eq!(clean.attempts.len(), 3);

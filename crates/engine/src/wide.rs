@@ -560,13 +560,7 @@ pub(crate) fn search(
     let num_inputs = job.relation.num_inputs();
     let num_outputs = job.relation.num_outputs();
     let num_vars = num_inputs + num_outputs;
-    let pairs: usize = job
-        .relation
-        .rows()
-        .iter()
-        .map(|(_, outs)| outs.len().max(1))
-        .sum();
-    let expected_nodes = pairs.saturating_mul(num_vars);
+    let expected_nodes = job.relation.num_pairs().saturating_mul(num_vars);
 
     let (first, rest) = sessions.split_at_mut(1);
     {

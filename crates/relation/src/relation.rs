@@ -435,6 +435,71 @@ impl BooleanRelation {
         )
     }
 
+    /// Builds a relation from packed pair words, one per `(x, y)` pair:
+    /// `x << m | y` for `n` inputs and `m` outputs, component 0 of each
+    /// vertex in its most significant bit. Numeric word order is then the
+    /// order of canonical rows, and the engine's portable relations are
+    /// stored this way.
+    ///
+    /// χ comes out of the same bottom-up build as
+    /// [`BooleanRelation::from_rows`], node for node, without a `Vec<bool>`
+    /// per vertex. Under the identity level order a fresh session has,
+    /// sorted, distinct words are split as they are, with no copy and no
+    /// sort; any other order (or unsorted input) maps each word's bits
+    /// through the levels into a sorted copy. Words may come in any order
+    /// and repeat.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::TooLarge`] if `n + m` exceeds 32, and
+    /// [`RelationError::DimensionMismatch`] if a word has a bit at or
+    /// above position `n + m`.
+    pub fn from_packed(space: &RelationSpace, words: &[u32]) -> Result<Self, RelationError> {
+        let (inputs, outputs) = (space.input_vars(), space.output_vars());
+        let width = inputs.len() + outputs.len();
+        if width > 32 {
+            return Err(RelationError::TooLarge {
+                vars: width,
+                limit: 32,
+            });
+        }
+        if let Some(&wide) = words.iter().find(|&&w| u64::from(w) >> width != 0) {
+            return Err(RelationError::DimensionMismatch {
+                expected: width,
+                found: (u32::BITS - wide.leading_zeros()) as usize,
+            });
+        }
+        let chi = space.mgr().apply(|mgr| {
+            let (by_level, bit_of) = key_bits(mgr, inputs, outputs);
+            // A key holds the bit of level `b` at position `width - 1 - b`,
+            // so under the identity order a word is its own key.
+            let key_of = |w: u32| {
+                let components = inputs.iter().chain(outputs).enumerate();
+                components.fold(0, |key, (c, v)| {
+                    key | (w >> (width - 1 - c) & 1) << (width - 1 - bit_of[v.index()])
+                })
+            };
+            let identity = by_level.iter().eq(inputs.iter().chain(outputs));
+            let sorted;
+            let keys = if identity && words.is_sorted_by(|a, b| a < b) {
+                words
+            } else {
+                let mut keys: Vec<u32> = words.iter().map(|&w| key_of(w)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                sorted = keys;
+                &sorted
+            };
+            build_sorted(mgr, &by_level, keys, 0, &|&key, depth| {
+                key >> (width - 1 - depth) & 1 == 1
+            })
+        });
+        Ok(BooleanRelation {
+            space: space.clone(),
+            chi,
+        })
+    }
+
     /// The one construction path behind [`BooleanRelation::from_rows`] and
     /// [`BooleanRelation::from_pairs`]: builds χ bottom-up from
     /// `(input, image)` rows with one `mk` per distinct prefix of the
@@ -466,12 +531,7 @@ impl BooleanRelation {
         // Levels are read under the same lock the build holds: a reorder
         // only runs at a safe point, never while the lock is held.
         let chi = space.mgr().apply(|mgr| {
-            let mut by_level: Vec<Var> = inputs.iter().chain(outputs).copied().collect();
-            by_level.sort_unstable_by_key(|&v| mgr.var_level(v));
-            let mut bit_of = vec![0; mgr.num_vars()];
-            for (bit, v) in by_level.iter().enumerate() {
-                bit_of[v.index()] = bit;
-            }
+            let (by_level, bit_of) = key_bits(mgr, inputs, outputs);
             // At least one word, so a space with no variables still has keys.
             let words = by_level.len().div_ceil(64).max(1);
             let mut keys = vec![0u64; num_pairs * words];
@@ -489,7 +549,9 @@ impl BooleanRelation {
             let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
             sorted.sort_unstable();
             sorted.dedup();
-            build_sorted(mgr, &by_level, &sorted, 0)
+            build_sorted(mgr, &by_level, &sorted, 0, &|key, depth| {
+                key[depth / 64] >> (63 - depth % 64) & 1 == 1
+            })
         });
         Ok(BooleanRelation {
             space: space.clone(),
@@ -507,21 +569,40 @@ fn check_width(expected: usize, found: usize) -> Result<(), RelationError> {
     }
 }
 
+/// The space's variables in level order (key bit `b` is the variable
+/// `by_level[b]`), and the key bit of each variable, indexed by variable.
+fn key_bits(mgr: &BddManager, inputs: &[Var], outputs: &[Var]) -> (Vec<Var>, Vec<usize>) {
+    let mut by_level: Vec<Var> = inputs.iter().chain(outputs).copied().collect();
+    by_level.sort_unstable_by_key(|&v| mgr.var_level(v));
+    let mut bit_of = vec![0; mgr.num_vars()];
+    for (bit, v) in by_level.iter().enumerate() {
+        bit_of[v.index()] = bit;
+    }
+    (by_level, bit_of)
+}
+
 /// Builds the function whose minterms are `keys` (sorted, distinct, and
 /// all agreeing on their first `depth` bits) over the variables
-/// `by_level[depth..]`: no keys is 0, a full-depth key is 1, and anything
-/// else splits on bit `depth` and joins the halves with one `mk`.
-fn build_sorted(mgr: &mut BddManager, by_level: &[Var], keys: &[&[u64]], depth: usize) -> NodeId {
+/// `by_level[depth..]`, where `bit(key, d)` is a key's bit for the
+/// variable `by_level[d]` and keys sort as their bit strings from `d = 0`:
+/// no keys is 0, a full-depth key is 1, and anything else splits on bit
+/// `depth` and joins the halves with one `mk`.
+fn build_sorted<K>(
+    mgr: &mut BddManager,
+    by_level: &[Var],
+    keys: &[K],
+    depth: usize,
+    bit: &impl Fn(&K, usize) -> bool,
+) -> NodeId {
     if keys.is_empty() {
         return NodeId::ZERO;
     }
     if depth == by_level.len() {
         return NodeId::ONE;
     }
-    let mask = 1 << (63 - depth % 64);
-    let split = keys.partition_point(|key| key[depth / 64] & mask == 0);
-    let lo = build_sorted(mgr, by_level, &keys[..split], depth + 1);
-    let hi = build_sorted(mgr, by_level, &keys[split..], depth + 1);
+    let split = keys.partition_point(|key| !bit(key, depth));
+    let lo = build_sorted(mgr, by_level, &keys[..split], depth + 1, bit);
+    let hi = build_sorted(mgr, by_level, &keys[split..], depth + 1, bit);
     mgr.mk(by_level[depth], lo, hi)
 }
 

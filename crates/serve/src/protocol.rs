@@ -16,7 +16,7 @@ use brel_engine::{
     BackendKind, CostSpec, FaultPolicy, JobBudget, JobReport, JobSpec, Json, RelationSpec,
     SearchStrategy,
 };
-use brel_relation::RelationRow;
+use brel_relation::RelationError;
 
 use crate::json;
 
@@ -425,15 +425,32 @@ fn opt_string(value: &Json, key: &str) -> Option<String> {
 
 /// Serializes a [`JobSpec`] to its wire object. Relation rows travel as
 /// compact `input:image,image` bitstrings (e.g. `"10:00,11"`), the same
-/// 0/1 convention the table parser uses.
+/// 0/1 convention the table parser uses: one string per input vertex,
+/// rendered straight from the spec's sorted pair words.
 fn job_to_json(job: &JobSpec) -> Json {
+    let (num_inputs, num_outputs) = (job.relation.num_inputs(), job.relation.num_outputs());
+    let x_of = |w: &u32| w >> num_outputs;
+    let rows = job
+        .relation
+        .words()
+        .chunk_by(|a, b| x_of(a) == x_of(b))
+        .map(|run| {
+            let mut text = String::with_capacity(num_inputs + run.len() * (num_outputs + 1));
+            push_bits(&mut text, x_of(&run[0]), num_inputs);
+            text.push(':');
+            for (i, &w) in run.iter().enumerate() {
+                if i > 0 {
+                    text.push(',');
+                }
+                push_bits(&mut text, w, num_outputs);
+            }
+            Json::Str(text)
+        })
+        .collect();
     let relation = Json::object(vec![
-        ("inputs", Json::UInt(job.relation.num_inputs() as u64)),
-        ("outputs", Json::UInt(job.relation.num_outputs() as u64)),
-        (
-            "rows",
-            Json::Array(job.relation.rows().iter().map(row_to_json).collect()),
-        ),
+        ("inputs", Json::UInt(num_inputs as u64)),
+        ("outputs", Json::UInt(num_outputs as u64)),
+        ("rows", Json::Array(rows)),
     ]);
     Json::object(vec![
         ("name", Json::str(&job.name)),
@@ -483,22 +500,12 @@ fn job_to_json(job: &JobSpec) -> Json {
     ])
 }
 
-fn row_to_json(row: &RelationRow) -> Json {
-    let (input, images) = row;
-    let mut text = String::with_capacity(input.len() + images.len() * (input.len() + 1));
-    for &bit in input {
-        text.push(if bit { '1' } else { '0' });
+/// Appends the low `width` bits of `bits` as `0`/`1` characters, the
+/// most significant first.
+fn push_bits(text: &mut String, bits: u32, width: usize) {
+    for i in (0..width).rev() {
+        text.push(if bits >> i & 1 == 1 { '1' } else { '0' });
     }
-    text.push(':');
-    for (i, image) in images.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        for &bit in image {
-            text.push(if bit { '1' } else { '0' });
-        }
-    }
-    Json::Str(text)
 }
 
 /// Parses a [`JobSpec`] from its wire object.
@@ -512,18 +519,19 @@ fn job_from_json(value: &Json) -> Result<JobSpec, String> {
     let relation = value.get("relation").ok_or("job has no `relation`")?;
     let num_inputs = req_u64(relation, "inputs")? as usize;
     let num_outputs = req_u64(relation, "outputs")? as usize;
-    let rows: Vec<RelationRow> = relation
+    // The widths bound every shift below.
+    RelationSpec::check_widths(num_inputs, num_outputs)
+        .map_err(|e| format!("bad relation: {e}"))?;
+    let mut words = Vec::new();
+    for row in relation
         .get("rows")
         .and_then(Json::as_array)
         .ok_or("relation has no `rows` array")?
-        .iter()
-        .map(|row| {
-            row.as_str()
-                .ok_or_else(|| "row must be a string".to_string())
-                .and_then(row_from_text)
-        })
-        .collect::<Result<_, _>>()?;
-    let relation = RelationSpec::new(num_inputs, num_outputs, rows)
+    {
+        let text = row.as_str().ok_or("row must be a string")?;
+        push_row_words(&mut words, text, num_inputs, num_outputs)?;
+    }
+    let relation = RelationSpec::from_packed(num_inputs, num_outputs, words)
         .map_err(|e| format!("bad relation: {e}"))?;
 
     let backends: Vec<BackendKind> = match value.get("backends").and_then(Json::as_array) {
@@ -585,27 +593,43 @@ fn job_from_json(value: &Json) -> Result<JobSpec, String> {
     })
 }
 
-fn row_from_text(text: &str) -> Result<RelationRow, String> {
+/// Appends the pair words `x << num_outputs | y` of one `input:image,…`
+/// row string. Empty images between commas are skipped.
+fn push_row_words(
+    words: &mut Vec<u32>,
+    text: &str,
+    num_inputs: usize,
+    num_outputs: usize,
+) -> Result<(), String> {
     let (input, images) = text
         .split_once(':')
         .ok_or_else(|| format!("row `{text}` has no `:`"))?;
-    let input = bits_from_text(input)?;
-    let images = images
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(bits_from_text)
-        .collect::<Result<_, _>>()?;
-    Ok((input, images))
+    let x = bits_to_word(input, num_inputs)? << num_outputs;
+    for image in images.split(',').filter(|s| !s.is_empty()) {
+        words.push(x | bits_to_word(image, num_outputs)?);
+    }
+    Ok(())
 }
 
-fn bits_from_text(text: &str) -> Result<Vec<bool>, String> {
-    text.chars()
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(format!("invalid bit `{other}` in row")),
-        })
-        .collect()
+/// Packs a `width`-character `0`/`1` string, its first character in the
+/// most significant bit. The caller bounds `width` by
+/// [`RelationSpec::MAX_WIDTH`].
+fn bits_to_word(text: &str, width: usize) -> Result<u32, String> {
+    if let Some(bad) = text.chars().find(|c| !matches!(c, '0' | '1')) {
+        return Err(format!("invalid bit `{bad}` in row"));
+    }
+    if text.len() != width {
+        return Err(format!(
+            "bad relation: {}",
+            RelationError::DimensionMismatch {
+                expected: width,
+                found: text.len(),
+            }
+        ));
+    }
+    Ok(text
+        .bytes()
+        .fold(0, |acc, b| acc << 1 | u32::from(b - b'0')))
 }
 
 fn backend_from_name(name: &str) -> Option<BackendKind> {

@@ -1,14 +1,20 @@
 //! Property tests of the row serialization boundary the batch engine rides
 //! on: table-text parse → `to_rows` → `from_rows` is a fixed point, the
-//! `table.rs` error paths for malformed bits and widths, and the bottom-up
+//! `table.rs` error paths for malformed bits and widths, the bottom-up
 //! χ builder behind `from_rows`/`from_pairs` checked against a reference
-//! `or`-of-minterms fold.
+//! `or`-of-minterms fold, and the engine's packed pair words checked
+//! against the canonical-rows definition, the row builder and the wire.
+
+mod common;
 
 use proptest::prelude::*;
 
 use brel_suite::bdd::Bdd;
 use brel_suite::benchdata::random_well_defined_relation;
+use brel_suite::engine::{JobSpec, RelationSpec};
 use brel_suite::relation::{BooleanRelation, RelationError, RelationRow, RelationSpace};
+use brel_suite::serve::{read_frame, Frame, Submit};
+use common::canonical_rows;
 
 /// Strategy: small dimensions, a seed, and an extra-pair probability.
 fn relation_params() -> impl Strategy<Value = (usize, usize, u64, u64)> {
@@ -154,14 +160,91 @@ proptest! {
     #[test]
     fn builder_follows_a_permuted_order((ni, no, seed, _prob) in relation_params()) {
         let space = RelationSpace::new(ni, no);
-        let mut rng = Mix(!seed);
-        space.mgr().with(|mgr| {
-            for _ in 0..3 * (ni + no) {
-                mgr.swap_adjacent_levels(rng.below((ni + no - 1) as u64) as u32);
-            }
-        });
+        scramble_levels(&space, !seed);
         assert_builder_matches_fold(&space, &random_rows(ni, no, seed));
     }
+}
+
+/// Permutes the session's variable order with random adjacent swaps.
+fn scramble_levels(space: &RelationSpace, seed: u64) {
+    let (ni, no) = (space.num_inputs(), space.num_outputs());
+    let mut rng = Mix(seed);
+    space.mgr().with(|mgr| {
+        for _ in 0..3 * (ni + no) {
+            mgr.swap_adjacent_levels(rng.below((ni + no - 1) as u64) as u32);
+        }
+    });
+}
+
+/// The spec's words agree with every row-shaped reading of the same rows:
+/// `rows()` is the canonical-rows definition, rehydrated χ is the row
+/// builder's handle in a fresh and in a reordered session, and the wire
+/// round trip returns an equal spec with an equal fingerprint.
+fn assert_spec_matches_rows(ni: usize, no: usize, rows: &[RelationRow], seed: u64) {
+    let spec = RelationSpec::new(ni, no, rows.to_vec()).unwrap();
+    let canonical = canonical_rows(rows);
+    assert_eq!(spec.rows(), canonical.as_slice());
+    let pairs: usize = canonical.iter().map(|(_, image)| image.len()).sum();
+    assert_eq!(spec.num_pairs(), pairs);
+
+    let (space, chi) = spec.rehydrate();
+    assert_eq!(chi, BooleanRelation::from_rows(&space, rows).unwrap());
+    scramble_levels(&space, seed);
+    assert_eq!(
+        BooleanRelation::from_packed(&space, spec.words()).unwrap(),
+        BooleanRelation::from_rows(&space, rows).unwrap()
+    );
+
+    let frame = Frame::Submit(Submit {
+        client: "rows".to_string(),
+        job: JobSpec::portfolio("rows", spec.clone()),
+        deadline_ms: None,
+        max_cost: None,
+    });
+    let body = frame.to_json().render();
+    let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+    wire.extend_from_slice(body.as_bytes());
+    match read_frame(&mut wire.as_slice()).unwrap() {
+        Frame::Submit(submit) => {
+            assert_eq!(submit.job.relation, spec);
+            assert_eq!(submit.job.relation.fingerprint(), spec.fingerprint());
+        }
+        other => panic!("expected a submit frame, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On unsorted rows with duplicate pairs, repeated inputs, and split
+    /// and empty images, the packed spec agrees with the row oracles.
+    #[test]
+    fn spec_words_match_the_row_oracles((ni, no, seed, _prob) in relation_params()) {
+        let mut rows = random_rows(ni, no, seed);
+        // Split one image across two rows of the same input.
+        if let Some((input, image)) = rows.first().cloned() {
+            let cut = image.len() / 2;
+            rows[0].1.truncate(cut);
+            rows.push((input, image[cut..].to_vec()));
+        }
+        assert_spec_matches_rows(ni, no, &rows, !seed);
+    }
+}
+
+/// The widest spec packs both vertices into all 32 bits of a word.
+#[test]
+fn spec_words_cover_the_width_limits() {
+    let max = RelationSpec::MAX_WIDTH;
+    let mut rng = Mix(23);
+    let rows: Vec<RelationRow> = (0..40)
+        .map(|_| (rng.vertex(max), vec![rng.vertex(max), rng.vertex(max)]))
+        .chain([(vec![true; max], vec![vec![true; max]])])
+        .collect();
+    assert_spec_matches_rows(max, max, &rows, 5);
+    assert_eq!(
+        RelationSpec::new(max, max, rows).unwrap().words().last(),
+        Some(&u32::MAX)
+    );
 }
 
 /// Keys longer than one 64-bit word: pairs that differ only beyond the

@@ -539,3 +539,70 @@ fn hostile_relation_width_is_an_error_frame_and_the_daemon_keeps_serving() {
     assert_eq!(drain.stats.admitted, 1);
     assert_eq!(drain.stats.admitted, drain.stats.completed);
 }
+
+/// Every malformed row a `submit` frame can carry is answered with an
+/// `error` frame naming the fault, and the daemon serves a polite job
+/// after each one. The last two declare widths whose pair words would
+/// overflow, next to non-empty rows, so the width check must run before
+/// any row is packed.
+#[test]
+fn hostile_wire_rows_are_error_frames_and_the_daemon_keeps_serving() {
+    let cases: [(&str, u64, u64, &str, &str); 9] = [
+        ("bad-bit", 2, 1, r#"["02:0"]"#, "invalid bit `2`"),
+        ("multibyte-bit", 2, 1, r#"["0é:0"]"#, "invalid bit `é`"),
+        ("wide-input", 2, 1, r#"["000:0"]"#, "length 2, found 3"),
+        ("wide-output", 2, 1, r#"["00:0,01"]"#, "length 1, found 2"),
+        ("no-colon", 2, 1, r#"["000"]"#, "has no `:`"),
+        (
+            "not-a-string",
+            2,
+            1,
+            r#"["00:0", 5]"#,
+            "row must be a string",
+        ),
+        (
+            "width-17",
+            17,
+            1,
+            r#"["00000000000000000:0"]"#,
+            "limit is 16",
+        ),
+        ("huge-inputs", 4_000_000_000, 1, r#"["0:0"]"#, "limit is 16"),
+        (
+            "huge-outputs",
+            1,
+            4_000_000_000,
+            r#"["0:0"]"#,
+            "limit is 16",
+        ),
+    ];
+    let (addr, handle) = start(ServeConfig::default());
+    let mut polite = Client::connect(addr).unwrap();
+    for (name, inputs, outputs, rows, expected) in cases {
+        let body = format!(
+            r#"{{"type": "submit", "client": "hostile", "job": {{"name": "{name}", "relation": {{"inputs": {inputs}, "outputs": {outputs}, "rows": {rows}}}}}}}"#
+        );
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream
+            .write_all(&(body.len() as u32).to_be_bytes())
+            .unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error { message } => {
+                assert!(message.contains(expected), "{name}: {message}")
+            }
+            other => panic!("{name}: expected an error frame, got {other:?}"),
+        }
+        let outcome = polite
+            .solve(&quick_job(name, 5), "polite", None, None, false)
+            .unwrap();
+        assert_eq!(outcome.final_report.unwrap().outcome, "solved", "{name}");
+    }
+    polite.shutdown_and_wait().unwrap();
+    let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.admitted, cases.len() as u64);
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+}

@@ -2,15 +2,17 @@
 //! fingerprint behind the engine's cross-job cache checked against its
 //! unpacked reference definition.
 
+mod common;
+
 use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use brel_benchdata::figures;
-use brel_core::{
-    canonical_rows, input_support_mask, relation_fingerprint, BrelConfig, BrelSolver, SymmetryCache,
-};
+use brel_core::{input_support_mask, BrelConfig, BrelSolver, SymmetryCache};
+use brel_engine::RelationSpec;
 use brel_relation::RelationRow;
+use common::canonical_rows;
 
 #[test]
 fn fig8_children_are_symmetric_variants_of_each_other() {
@@ -208,10 +210,15 @@ proptest! {
         ];
         let keys: Vec<ReferenceKey> =
             family.iter().map(|(i, o, rows)| reference_key(*i, *o, rows)).collect();
-        let prints: Vec<u64> =
-            family.iter().map(|(i, o, rows)| relation_fingerprint(*i, *o, rows)).collect();
-        for (a, (i, _, rows)) in family.iter().enumerate() {
-            prop_assert_eq!(input_support_mask(*i, rows), keys[a].2);
+        // The fingerprint the engine's cache keys on, over the spec's words.
+        let specs: Vec<RelationSpec> = family
+            .iter()
+            .map(|(i, o, rows)| RelationSpec::new(*i, *o, rows.clone()).unwrap())
+            .collect();
+        let prints: Vec<u64> = specs.iter().map(RelationSpec::fingerprint).collect();
+        for (a, spec) in specs.iter().enumerate() {
+            let mask = input_support_mask(spec.num_inputs(), spec.num_outputs(), spec.words());
+            prop_assert_eq!(mask, keys[a].2);
             for b in 0..family.len() {
                 prop_assert_eq!(
                     prints[a] == prints[b],
