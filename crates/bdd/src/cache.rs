@@ -24,17 +24,14 @@
 //! two sweeps every arena slot is stable, and **every sweep that reclaims
 //! anything flushes the operation cache and rebuilds the unique table from
 //! the survivors**, so no entry from a previous epoch survives into one
-//! where its slots may have been reused. Dynamic reordering (see
-//! [`crate::reorder`]) keeps most entries: the in-place level swap
-//! preserves the Boolean function denoted by every node id, and entries of
-//! `ite`, quantification and cofactors relate ids as functions.
-//! The generalized cofactors and ISOP are the exception — their result is
+//! where its slots may have been reused. The variable order never
+//! changes (see [`crate::Var`]), so an entry stays valid for its whole
+//! epoch — including the generalized cofactors and ISOP, whose result is
 //! one of many implementations of an interval, chosen by walking the
-//! order — so every order change drops exactly those entries.
+//! order.
 //!
-//! Reclamation also means the unique table must support deletion: removal
-//! marks the slot with a tombstone that probing walks over and insertion
-//! reuses; growth and the post-sweep rebuild drop tombstones wholesale.
+//! The unique table never deletes a single entry: the post-sweep rebuild
+//! reinserts the survivors wholesale.
 
 use crate::manager::Node;
 use crate::manager::{NodeId, Var, FREE_VAR};
@@ -146,20 +143,16 @@ impl CacheStats {
 
 /// Sentinel for an empty unique-table slot.
 const UNIQUE_EMPTY: u32 = u32::MAX;
-/// Sentinel for a deleted unique-table slot: probing continues past it,
-/// insertion may reuse it.
-const UNIQUE_TOMBSTONE: u32 = u32::MAX - 1;
 
 /// Open-addressed unique table: maps `(var, lo, hi)` to the canonical
 /// arena index. Slots store only the `u32` arena index; the key is read
 /// back from the node arena during probing (linear probing, power-of-two
-/// capacity, grown at 3/4 load counting tombstones).
+/// capacity, grown at 3/4 load).
 #[derive(Debug)]
 pub(crate) struct UniqueTable {
     slots: Box<[u32]>,
     mask: usize,
     len: usize,
-    tombstones: usize,
     lookups: u64,
     hits: u64,
 }
@@ -185,7 +178,6 @@ impl UniqueTable {
             slots: empty_slots(capacity),
             mask: capacity - 1,
             len: 0,
-            tombstones: 0,
             lookups: 0,
             hits: 0,
         }
@@ -204,14 +196,13 @@ impl UniqueTable {
         free: &mut Vec<u32>,
     ) -> NodeId {
         self.lookups += 1;
-        if (self.len + self.tombstones + 1) * 4 > self.slots.len() * 3 {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow(
                 capacity_for(self.len * 2, Self::MIN_CAPACITY).max(self.slots.len()),
                 nodes,
             );
         }
         let mut i = hash3(var.0, lo.0, hi.0) as usize & self.mask;
-        let mut reuse: Option<usize> = None;
         loop {
             let entry = self.slots[i];
             if entry == UNIQUE_EMPTY {
@@ -223,25 +214,14 @@ impl UniqueTable {
                     }
                     None => {
                         let id = nodes.len() as u32;
-                        debug_assert!(id < UNIQUE_TOMBSTONE, "node arena exhausted u32 indices");
+                        debug_assert!(id < UNIQUE_EMPTY, "node arena exhausted u32 indices");
                         nodes.push(node);
                         id
                     }
                 };
-                let target = reuse.unwrap_or(i);
-                if reuse.is_some() {
-                    self.tombstones -= 1;
-                }
-                self.slots[target] = id;
+                self.slots[i] = id;
                 self.len += 1;
                 return NodeId(id);
-            }
-            if entry == UNIQUE_TOMBSTONE {
-                if reuse.is_none() {
-                    reuse = Some(i);
-                }
-                i = (i + 1) & self.mask;
-                continue;
             }
             let node = &nodes[entry as usize];
             if node.var == var && node.lo == lo && node.hi == hi {
@@ -252,66 +232,15 @@ impl UniqueTable {
         }
     }
 
-    /// Inserts a node whose key is known not to be present (used by the
-    /// reorder swap after rewriting a node in place). Does not count as a
-    /// lookup.
-    pub(crate) fn insert_known(
-        &mut self,
-        var: Var,
-        lo: NodeId,
-        hi: NodeId,
-        id: NodeId,
-        nodes: &[Node],
-    ) {
-        if (self.len + self.tombstones + 1) * 4 > self.slots.len() * 3 {
-            self.grow(
-                capacity_for(self.len * 2, Self::MIN_CAPACITY).max(self.slots.len()),
-                nodes,
-            );
-        }
-        let mut i = hash3(var.0, lo.0, hi.0) as usize & self.mask;
-        loop {
-            let entry = self.slots[i];
-            if entry == UNIQUE_EMPTY || entry == UNIQUE_TOMBSTONE {
-                if entry == UNIQUE_TOMBSTONE {
-                    self.tombstones -= 1;
-                }
-                self.slots[i] = id.0;
-                self.len += 1;
-                return;
-            }
-            debug_assert!(entry != id.0, "insert_known: id already present");
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Deletes the entry of `id` (keyed `(var, lo, hi)`), leaving a
-    /// tombstone so later probes keep walking.
-    pub(crate) fn remove(&mut self, var: Var, lo: NodeId, hi: NodeId, id: NodeId) {
-        let mut i = hash3(var.0, lo.0, hi.0) as usize & self.mask;
-        loop {
-            let entry = self.slots[i];
-            assert!(entry != UNIQUE_EMPTY, "remove: node not in unique table");
-            if entry == id.0 {
-                self.slots[i] = UNIQUE_TOMBSTONE;
-                self.len -= 1;
-                self.tombstones += 1;
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
     /// Rebuilds the table from the arena after a sweep:
-    /// every non-terminal, non-free slot is reinserted; tombstones and
-    /// stale entries are dropped wholesale.
+    /// every non-terminal, non-free slot is reinserted; stale entries are
+    /// dropped wholesale.
     pub(crate) fn rebuild(&mut self, nodes: &[Node]) {
         let live = nodes.len().saturating_sub(2);
         let capacity = capacity_for(live, Self::MIN_CAPACITY);
         self.slots = empty_slots(capacity);
         self.mask = capacity - 1;
         self.len = 0;
-        self.tombstones = 0;
         for (index, node) in nodes.iter().enumerate().skip(2) {
             if node.var.0 == FREE_VAR {
                 continue;
@@ -340,15 +269,13 @@ impl UniqueTable {
             self.mask = capacity - 1;
         }
         self.len = 0;
-        self.tombstones = 0;
     }
 
     fn grow(&mut self, new_capacity: usize, nodes: &[Node]) {
         let old = std::mem::replace(&mut self.slots, empty_slots(new_capacity));
         self.mask = new_capacity - 1;
-        self.tombstones = 0;
         for &entry in old.iter() {
-            if entry == UNIQUE_EMPTY || entry == UNIQUE_TOMBSTONE {
+            if entry == UNIQUE_EMPTY {
                 continue;
             }
             let node = &nodes[entry as usize];
@@ -394,18 +321,6 @@ pub(crate) enum OpTag {
     LiCompact = 9,
     Isop = 10,
 }
-
-/// Tags whose cached result depends on the variable order, not only on
-/// the operand functions. `ite`, quantification and cofactors
-/// compute order-free functions; the generalized cofactors and ISOP pick
-/// one implementation of an interval by walking the order, so an order
-/// change must drop them ([`OpCache::drop_order_dependent`]).
-const ORDER_DEPENDENT_TAGS: [u32; 4] = [
-    OpTag::Constrain as u32,
-    OpTag::Restrict as u32,
-    OpTag::LiCompact as u32,
-    OpTag::Isop as u32,
-];
 
 /// Sentinel tag for an empty cache slot.
 const TAG_EMPTY: u32 = u32::MAX;
@@ -546,17 +461,6 @@ impl OpCache {
         self.slots.fill(EMPTY_SLOT);
     }
 
-    /// Drops the entries whose result depends on the variable order,
-    /// keeping the rest, the slot count and the counters. Called whenever
-    /// the order changes.
-    pub(crate) fn drop_order_dependent(&mut self) {
-        for slot in self.slots.iter_mut() {
-            if ORDER_DEPENDENT_TAGS.contains(&slot.tag) {
-                *slot = EMPTY_SLOT;
-            }
-        }
-    }
-
     /// Restores the cold-start state: [`OpCache::MIN_SLOTS`] empty slots,
     /// auto-growth re-enabled and the growth window re-armed as in a fresh
     /// cache. Counters survive (session resets report deltas), so a reset
@@ -674,54 +578,6 @@ mod tests {
         }
         assert_eq!(table.hits(), 1024);
         assert_eq!(table.lookups(), 2048);
-    }
-
-    #[test]
-    fn unique_table_remove_and_reinsert_through_tombstones() {
-        let mut nodes = vec![
-            Node {
-                var: Var(u32::MAX),
-                lo: NodeId::ZERO,
-                hi: NodeId::ZERO,
-            },
-            Node {
-                var: Var(u32::MAX),
-                lo: NodeId::ONE,
-                hi: NodeId::ONE,
-            },
-        ];
-        let mut free: Vec<u32> = Vec::new();
-        let mut table = UniqueTable::with_capacity(64);
-        let mut ids = Vec::new();
-        for v in 0..64u32 {
-            ids.push(table.get_or_insert(Var(v), NodeId::ZERO, NodeId::ONE, &mut nodes, &mut free));
-        }
-        // Delete every other node, leaving tombstones behind.
-        for (v, &id) in ids.iter().enumerate().step_by(2) {
-            table.remove(Var(v as u32), NodeId::ZERO, NodeId::ONE, id);
-        }
-        assert_eq!(table.len(), 32);
-        // Survivors still probe past the tombstones.
-        for (v, &id) in ids.iter().enumerate().skip(1).step_by(2) {
-            let again = table.get_or_insert(
-                Var(v as u32),
-                NodeId::ZERO,
-                NodeId::ONE,
-                &mut nodes,
-                &mut free,
-            );
-            assert_eq!(again, id);
-        }
-        // Reinsert a removed key through a free-listed arena slot.
-        free.push(ids[0].0);
-        nodes[ids[0].index()] = Node {
-            var: Var(u32::MAX),
-            lo: NodeId::ZERO,
-            hi: NodeId::ZERO,
-        };
-        let back = table.get_or_insert(Var(0), NodeId::ZERO, NodeId::ONE, &mut nodes, &mut free);
-        assert_eq!(back, ids[0], "free-listed slot is reused");
-        assert!(free.is_empty());
     }
 
     #[test]

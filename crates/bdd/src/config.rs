@@ -1,21 +1,21 @@
 //! Construction-time tuning of a BDD manager.
 //!
 //! Earlier kernel generations exposed the lifecycle knobs as ad-hoc
-//! setters on the shared handle (`set_auto_gc`, `set_gc_threshold`,
-//! `set_auto_reorder`) and read the `BREL_BDD_*` environment variables
-//! deep inside the manager constructor. Both paths are collapsed here:
-//! a [`BddConfig`] is built once — programmatically or from the
-//! environment — and consumed at session construction. The environment
-//! variables remain supported as *documented overrides* parsed in exactly
-//! one place ([`BddConfig::from_env`]):
+//! setters on the shared handle (`set_auto_gc`, `set_gc_threshold`) and
+//! read the `BREL_BDD_*` environment variables deep inside the manager
+//! constructor. Both paths are collapsed here: a [`BddConfig`] is built
+//! once — programmatically or from the environment — and consumed at
+//! session construction. One environment variable remains supported as a
+//! *documented override*, parsed in exactly one place
+//! ([`BddConfig::from_env`]):
 //!
 //! * `BREL_BDD_GC_MIN_NODES` — live-node floor of the automatic-GC
 //!   growth trigger (a plain integer).
-//! * `BREL_BDD_AUTO_REORDER` — `1` or `true` (case-insensitive) enables
-//!   automatic sifting when the live node count doubles.
 //!
-//! The CI smoke runs use them to force a tiny GC threshold and dynamic
-//! reordering through every solver path without touching call sites.
+//! The CI smoke runs use it to force a tiny GC threshold through every
+//! solver path without touching call sites. The variable order is not a
+//! setting: every manager keeps the order it was built with (see
+//! [`crate::Var`]).
 
 use std::sync::OnceLock;
 
@@ -25,23 +25,18 @@ use crate::gc::GcState;
 /// construction ([`crate::BddSession::with_config`]).
 ///
 /// The default configuration matches the historical setter defaults:
-/// automatic GC on, an 8 Ki live-node floor, automatic reordering off.
+/// automatic GC on with an 8 Ki live-node floor.
 ///
 /// ```
 /// use brel_bdd::{BddConfig, BddSession};
 ///
-/// let session = BddSession::with_config(
-///     4,
-///     1024,
-///     BddConfig::new().gc_min_nodes(256).auto_reorder(true),
-/// );
+/// let session = BddSession::with_config(4, 1024, BddConfig::new().gc_min_nodes(256));
 /// assert_eq!(session.num_vars(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BddConfig {
     pub(crate) auto_gc: bool,
     pub(crate) gc_min_nodes: usize,
-    pub(crate) auto_reorder: bool,
 }
 
 impl Default for BddConfig {
@@ -49,32 +44,29 @@ impl Default for BddConfig {
         BddConfig {
             auto_gc: true,
             gc_min_nodes: GcState::DEFAULT_MIN_NODES,
-            auto_reorder: false,
         }
     }
 }
 
 impl BddConfig {
     /// The default configuration: automatic GC on with the standard
-    /// live-node floor, automatic reordering off, environment ignored.
+    /// live-node floor, environment ignored.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The default configuration with the `BREL_BDD_GC_MIN_NODES` /
-    /// `BREL_BDD_AUTO_REORDER` environment overrides applied. This is the
-    /// configuration the convenience constructors
-    /// ([`crate::BddSession::new`], [`crate::BddSession::with_capacity`])
-    /// use, so an operator can re-tune a whole binary without a rebuild.
+    /// The default configuration with the `BREL_BDD_GC_MIN_NODES`
+    /// environment override applied. This is the configuration the
+    /// convenience constructors ([`crate::BddSession::new`],
+    /// [`crate::BddSession::with_capacity`]) use, so an operator can
+    /// re-tune a whole binary without a rebuild.
     ///
     /// The environment is read once per process and cached.
     pub fn from_env() -> Self {
-        let tuning = env_tuning();
         let mut config = Self::default();
-        if let Some(min_nodes) = tuning.gc_min_nodes {
+        if let Some(min_nodes) = env_gc_min_nodes() {
             config.gc_min_nodes = min_nodes;
         }
-        config.auto_reorder = tuning.auto_reorder;
         config
     }
 
@@ -86,36 +78,21 @@ impl BddConfig {
         self
     }
 
-    /// Sets the live-node floor of the automatic-GC growth trigger; the
-    /// auto-reorder trigger scales with it. Clamped to at least 2.
+    /// Sets the live-node floor of the automatic-GC growth trigger.
+    /// Clamped to at least 2.
     pub fn gc_min_nodes(mut self, min_nodes: usize) -> Self {
         self.gc_min_nodes = min_nodes.max(2);
         self
     }
-
-    /// Enables or disables automatic sifting when the live node count
-    /// doubles (runs at GC safe points only).
-    pub fn auto_reorder(mut self, enabled: bool) -> Self {
-        self.auto_reorder = enabled;
-        self
-    }
 }
 
-/// Process-wide lifecycle overrides read from the environment once.
-struct EnvTuning {
-    gc_min_nodes: Option<usize>,
-    auto_reorder: bool,
-}
-
-fn env_tuning() -> &'static EnvTuning {
-    static TUNING: OnceLock<EnvTuning> = OnceLock::new();
-    TUNING.get_or_init(|| EnvTuning {
-        gc_min_nodes: std::env::var("BREL_BDD_GC_MIN_NODES")
+/// The process-wide `BREL_BDD_GC_MIN_NODES` override, read once.
+fn env_gc_min_nodes() -> Option<usize> {
+    static MIN_NODES: OnceLock<Option<usize>> = OnceLock::new();
+    *MIN_NODES.get_or_init(|| {
+        std::env::var("BREL_BDD_GC_MIN_NODES")
             .ok()
-            .and_then(|v| v.parse().ok()),
-        auto_reorder: std::env::var("BREL_BDD_AUTO_REORDER")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false),
+            .and_then(|v| v.parse().ok())
     })
 }
 
@@ -125,13 +102,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_defaults() {
-        let c = BddConfig::new()
-            .auto_gc(false)
-            .gc_min_nodes(100)
-            .auto_reorder(true);
+        let c = BddConfig::new().auto_gc(false).gc_min_nodes(100);
         assert!(!c.auto_gc);
         assert_eq!(c.gc_min_nodes, 100);
-        assert!(c.auto_reorder);
     }
 
     #[test]
@@ -144,6 +117,5 @@ mod tests {
         let c = BddConfig::default();
         assert!(c.auto_gc);
         assert_eq!(c.gc_min_nodes, GcState::DEFAULT_MIN_NODES);
-        assert!(!c.auto_reorder);
     }
 }

@@ -29,20 +29,12 @@
 use crate::config::BddConfig;
 use crate::manager::{BddManager, Node, NodeId, Var, VisitedBits, FREE_VAR};
 
-/// Fx-style step used to hash the variable order (same multiplier as the
-/// unique table's hash; see `cache.rs`).
-#[inline]
-fn order_hash_step(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
 /// Counter block of the kernel's memory lifecycle.
 ///
-/// Counters (`collections`, `nodes_reclaimed`, `reorder_passes`) are
-/// cumulative and deterministic — a pure function of the operation
-/// sequence — so they participate in reproducible report output. Gauges
-/// (`live_nodes`, `peak_live_nodes`, `var_order_hash`) describe the
-/// current state.
+/// Counters (`collections`, `nodes_reclaimed`) are cumulative and
+/// deterministic — a pure function of the operation sequence — so they
+/// participate in reproducible report output. Gauges (`live_nodes`,
+/// `peak_live_nodes`) describe the current state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcStats {
     /// Mark-and-sweep collections run so far.
@@ -57,11 +49,6 @@ pub struct GcStats {
     /// High-water mark of `live_nodes` over the manager's lifetime — the
     /// actual memory bound, which GC exists to keep low.
     pub peak_live_nodes: u64,
-    /// Sifting passes run (each pass sifts every populated variable).
-    pub reorder_passes: u64,
-    /// Order-sensitive hash of the current variable order (level → var);
-    /// two managers with the same hash agree on every level.
-    pub var_order_hash: u64,
 }
 
 impl GcStats {
@@ -74,21 +61,17 @@ impl GcStats {
             nodes_reclaimed: self.nodes_reclaimed.saturating_sub(earlier.nodes_reclaimed),
             live_nodes: self.live_nodes,
             peak_live_nodes: self.peak_live_nodes,
-            reorder_passes: self.reorder_passes.saturating_sub(earlier.reorder_passes),
-            var_order_hash: self.var_order_hash,
         }
     }
 
     /// The counters as `(name, value)` pairs, for absorption into a
     /// [`brel_obs::MetricsRegistry`].
-    pub fn metrics(&self) -> [(&'static str, u64); 6] {
+    pub fn metrics(&self) -> [(&'static str, u64); 4] {
         [
             ("collections", self.collections),
             ("nodes_reclaimed", self.nodes_reclaimed),
             ("live_nodes", self.live_nodes),
             ("peak_live_nodes", self.peak_live_nodes),
-            ("reorder_passes", self.reorder_passes),
-            ("var_order_hash", self.var_order_hash),
         ]
     }
 }
@@ -198,55 +181,33 @@ pub(crate) struct GcState {
     /// Set by `mk` when the growth threshold is crossed; consumed by the
     /// next safe point.
     pub(crate) pending: bool,
-    /// Automatic sifting when the live node count doubles.
-    pub(crate) auto_reorder: bool,
-    /// Next live-node count at which a safe point runs `reorder_sift`.
-    pub(crate) next_reorder_at: usize,
     /// Cumulative counters surfaced through [`GcStats`].
     pub(crate) collections: u64,
     pub(crate) nodes_reclaimed: u64,
     pub(crate) peak_live_nodes: u64,
-    pub(crate) reorder_passes: u64,
 }
 
 impl GcState {
     /// Default automatic-GC floor: below this many live nodes a sweep is
     /// not worth its arena scan.
     pub(crate) const DEFAULT_MIN_NODES: usize = 8 * 1024;
-    /// Default floor for the auto-reorder doubling trigger.
-    pub(crate) const REORDER_MIN_NODES: usize = 2 * 1024;
 
     pub(crate) fn new(config: &BddConfig) -> Self {
-        let mut state = GcState {
+        GcState {
             auto_gc: config.auto_gc,
             min_nodes: config.gc_min_nodes,
             next_gc_at: config.gc_min_nodes,
             pending: false,
-            auto_reorder: config.auto_reorder,
-            next_reorder_at: 0,
             collections: 0,
             nodes_reclaimed: 0,
             peak_live_nodes: 0,
-            reorder_passes: 0,
-        };
-        state.next_reorder_at = state.reorder_floor();
-        state
-    }
-
-    /// Live-node floor of the auto-reorder doubling trigger. Scales down
-    /// with an aggressively small GC threshold (the test / CI-smoke
-    /// configuration), so forcing a tiny `min_nodes` really does force
-    /// sifting passes too.
-    pub(crate) fn reorder_floor(&self) -> usize {
-        Self::REORDER_MIN_NODES.min(self.min_nodes / 2).max(2)
+        }
     }
 }
 
 impl BddManager {
-    /// Marks every node reachable from the live roots; returns the mark
-    /// bitset and the number of marked decision nodes (terminals
-    /// excluded).
-    pub(crate) fn mark_live(&self) -> (VisitedBits, usize) {
+    /// Marks every node reachable from the live roots.
+    fn mark_live(&self) -> VisitedBits {
         let mut marks = VisitedBits::new(self.nodes.len());
         let mut stack: Vec<NodeId> = Vec::new();
         self.roots.for_each_root(|id| {
@@ -254,23 +215,16 @@ impl BddManager {
                 stack.push(id);
             }
         });
-        let mut count = 0usize;
         while let Some(id) = stack.pop() {
             if id.is_terminal() || !marks.insert(id.index()) {
                 continue;
             }
-            count += 1;
             let n = &self.nodes[id.index()];
             debug_assert!(n.var.0 != FREE_VAR, "root reaches a freed slot");
             stack.push(n.lo);
             stack.push(n.hi);
         }
-        (marks, count)
-    }
-
-    /// Number of decision nodes reachable from the live roots.
-    pub(crate) fn reachable_nodes(&self) -> usize {
-        self.mark_live().1
+        marks
     }
 
     /// Runs a mark-and-sweep collection *now* and returns the number of
@@ -285,7 +239,7 @@ impl BddManager {
     pub fn collect_garbage(&mut self) -> usize {
         let _span = brel_obs::span(brel_obs::Category::Kernel, "gc_sweep");
         self.gc.pending = false;
-        let (marks, _live) = self.mark_live();
+        let marks = self.mark_live();
         let mut reclaimed = 0usize;
         for i in 2..self.nodes.len() {
             if marks.contains(i) || self.nodes[i].var.0 == FREE_VAR {
@@ -314,28 +268,16 @@ impl BddManager {
     }
 
     /// The safe point of the deferred lifecycle machinery: runs a pending
-    /// collection, and (when auto-reorder is on) a sifting pass once the
-    /// live node count has doubled since the last one. Called by the
-    /// handle layer after every completed operation, once the result is
-    /// rooted.
+    /// collection. Called by the handle layer after every completed
+    /// operation, once the result is rooted.
     ///
-    /// [`BddConfig::auto_gc`]`(false)` disables *both* automatic behaviours here —
-    /// auto-reordering sweeps as part of its pass, so letting it run on a
-    /// pinned append-only manager would break the "collect only on
-    /// explicit calls" contract that raw-`NodeId` holders rely on.
+    /// Under [`BddConfig::auto_gc`]`(false)` only a governor quota trip
+    /// sweeps here: the quota contract is "GC first, then abort",
+    /// independent of the session's auto-GC tuning.
     pub(crate) fn maybe_gc(&mut self) {
-        if !self.gc.auto_gc {
-            // A governor quota trip still gets its sweep: the quota
-            // contract is "GC first, then abort", independent of the
-            // session's auto-GC tuning.
-            if self.gc.pending && self.governor.as_ref().is_some_and(|g| g.tripped()) {
-                self.collect_garbage();
-            }
-            return;
-        }
-        if self.gc.auto_reorder && self.live_nodes() >= self.gc.next_reorder_at {
-            self.reorder_sift();
-        } else if self.gc.pending {
+        if self.gc.pending
+            && (self.gc.auto_gc || self.governor.as_ref().is_some_and(|g| g.tripped()))
+        {
             self.collect_garbage();
         }
     }
@@ -353,7 +295,6 @@ impl BddManager {
         BddConfig {
             auto_gc: self.gc.auto_gc,
             gc_min_nodes: self.gc.min_nodes,
-            auto_reorder: self.gc.auto_reorder,
         }
     }
 
@@ -372,18 +313,7 @@ impl BddManager {
             nodes_reclaimed: self.gc.nodes_reclaimed,
             live_nodes: self.live_nodes() as u64,
             peak_live_nodes: self.gc.peak_live_nodes,
-            reorder_passes: self.gc.reorder_passes,
-            var_order_hash: self.var_order_hash(),
         }
-    }
-
-    /// Order-sensitive hash of the current level → variable order.
-    pub fn var_order_hash(&self) -> u64 {
-        let mut h = order_hash_step(0, self.level2var.len() as u64);
-        for v in &self.level2var {
-            h = order_hash_step(h, v.0 as u64);
-        }
-        h ^ (h >> 32)
     }
 }
 
@@ -420,15 +350,11 @@ mod tests {
             nodes_reclaimed: 250,
             live_nodes: 40,
             peak_live_nodes: 90,
-            reorder_passes: 1,
-            var_order_hash: 7,
         };
         let delta = now.delta_since(&earlier);
         assert_eq!(delta.collections, 3);
         assert_eq!(delta.nodes_reclaimed, 150);
-        assert_eq!(delta.reorder_passes, 1);
         assert_eq!(delta.live_nodes, 40);
         assert_eq!(delta.peak_live_nodes, 90);
-        assert_eq!(delta.var_order_hash, 7);
     }
 }

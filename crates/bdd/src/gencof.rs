@@ -9,7 +9,7 @@
 //! that do not appear in `f`, which avoids gratuitous support growth.
 
 use crate::cache::OpTag;
-use crate::manager::{BddManager, NodeId};
+use crate::manager::{BddManager, NodeId, Var};
 
 impl BddManager {
     /// The `constrain` generalized cofactor `f ↓ c`.
@@ -39,7 +39,7 @@ impl BddManager {
         let lf = self.level(f);
         let lc = self.level(c);
         let top = lf.min(lc);
-        let v = self.level_var(top);
+        let v = Var(top);
         let (f0, f1) = if lf == top {
             self.node_children(f)
         } else {

@@ -24,7 +24,7 @@
 //! A `Bdd` stores a root-table *slot*, not a raw [`NodeId`]; it resolves
 //! the current id on use. Every operation that
 //! returns a `Bdd` passes a GC safe point after the result is rooted — the
-//! only moments automatic collection or reordering actually run.
+//! only moments automatic collection actually runs.
 //!
 //! Because the manager sits behind one non-reentrant lock, every mirrored
 //! operation resolves its operand node ids *before* taking the lock; the
@@ -50,15 +50,15 @@ use crate::paths::PathCube;
 pub struct KernelSnapshot {
     /// Cache and unique-table counters.
     pub cache: CacheStats,
-    /// Lifecycle (GC/reorder) counters.
+    /// Lifecycle (GC) counters.
     pub gc: GcStats,
 }
 
 /// An owning, clonable, `Send` handle to a [`BddManager`].
 ///
 /// Cloning the session does not copy the node store; all clones refer to
-/// the same manager. Lifecycle tuning (automatic GC, thresholds, dynamic
-/// reordering) is fixed at construction through [`BddConfig`] — the former
+/// the same manager. Lifecycle tuning (automatic GC and its threshold) is
+/// fixed at construction through [`BddConfig`] — the former
 /// `BddMgr` knob setters are gone — and can only change wholesale through
 /// [`BddSession::reset`].
 #[derive(Clone)]
@@ -132,8 +132,8 @@ impl BddSession {
         self.lock().cache_stats()
     }
 
-    /// The kernel's lifecycle counters (collections, reclaimed nodes, peak
-    /// live nodes, reorder passes, variable-order hash).
+    /// The kernel's lifecycle counters (collections, reclaimed nodes, live
+    /// and peak live nodes).
     pub fn gc_stats(&self) -> GcStats {
         self.lock().gc_stats()
     }
@@ -168,12 +168,6 @@ impl BddSession {
     /// Runs a mark-and-sweep collection now; returns reclaimed node count.
     pub fn collect_garbage(&self) -> usize {
         self.lock().collect_garbage()
-    }
-
-    /// Runs one sifting pass of dynamic variable reordering and a final
-    /// sweep; returns the live node count afterwards.
-    pub fn reorder_sift(&self) -> usize {
-        self.lock().reorder_sift()
     }
 
     /// Re-bases the `peak_live_nodes` gauge to the current live count.
@@ -215,7 +209,7 @@ impl BddSession {
             let id = op(&mut m);
             let slot = m.roots.retain(id);
             // The GC safe point: the result is rooted, no raw intermediate
-            // id is live, so a pending sweep (or auto-reorder) may run.
+            // id is live, so a pending sweep may run.
             m.maybe_gc();
             slot
         };
@@ -312,18 +306,15 @@ impl BddSession {
     /// copy is `O(|f|)` with no apply-cache traffic and no enumeration.
     /// Importing a function of this session is just a clone.
     ///
-    /// Both sessions must order the variables of `f`'s support
-    /// identically (the engine's wide mode guarantees this: worker
-    /// sessions share the initial order and never auto-reorder). The two
-    /// locks are taken one after the other, never nested — source to read
-    /// the DAG, this session to rebuild — so concurrent imports between
-    /// any pair of sessions cannot deadlock.
+    /// Every session orders its variables by index, so the copy denotes
+    /// the same function over the same variables. The two locks are taken
+    /// one after the other, never nested — source to read the DAG, this
+    /// session to rebuild — so concurrent imports between any pair of
+    /// sessions cannot deadlock.
     ///
     /// # Panics
     ///
-    /// Panics if the sessions disagree on the number of variables, or
-    /// (in debug builds, via [`BddManager::mk`]) on the order of the
-    /// imported function's support.
+    /// Panics if the sessions disagree on the number of variables.
     pub fn import(&self, f: &Bdd) -> Bdd {
         if self.same_manager(f.manager()) {
             return f.clone();
@@ -478,7 +469,7 @@ impl Bdd {
 
     /// The raw node identifier the handle currently resolves to.
     ///
-    /// Operations that sweep or reorder preserve it. It is not rooted:
+    /// Operations that sweep preserve it. It is not rooted:
     /// return a result built from it through [`BddSession::apply`] if it
     /// must survive further handle operations — unrooted ids are subject
     /// to garbage collection.
@@ -629,6 +620,15 @@ impl Bdd {
     pub fn sat_count(&self, num_vars: usize) -> u128 {
         let f = self.node_id();
         self.session.lock().sat_count(f, num_vars)
+    }
+
+    /// Calls `visit` on every satisfying assignment over `num_vars`
+    /// variables, packed with `x0` in the most significant bit, in
+    /// ascending order; see [`BddManager::for_each_minterm`]. `visit` runs
+    /// under the session lock, so it must not touch this session.
+    pub fn for_each_minterm(&self, num_vars: usize, visit: impl FnMut(u64)) {
+        let f = self.node_id();
+        self.session.lock().for_each_minterm(f, num_vars, visit);
     }
 
     /// The cube with the fewest literals reaching the 1-terminal, or `None`
@@ -847,10 +847,6 @@ mod tests {
         assert_eq!(ws.unique_capacity, cs.unique_capacity);
         assert_eq!(ws.cache_slots, cs.cache_slots);
         assert_eq!(ws.num_nodes, cs.num_nodes);
-        assert_eq!(
-            warm.gc_stats().var_order_hash,
-            cold.gc_stats().var_order_hash
-        );
         // And the two sessions now do identical kernel work for the same
         // follow-up ops, growth included: every counter delta and gauge
         // agrees, after a short run (a carried-over growth window would
@@ -1070,53 +1066,6 @@ mod tests {
         assert!(keep.eval(&[true, true, false, false, false, false, false, false]));
         assert!(mgr.gc_stats().collections >= 1);
         assert!(mgr.gc_stats().nodes_reclaimed >= reclaimed as u64);
-    }
-
-    #[test]
-    fn swap_adjacent_levels_preserves_functions() {
-        let mgr = BddSession::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let d = mgr.var(3);
-        let f = a.and(&b).or(&c.and(&d));
-        let g = a.xor(&d);
-        for level in [0u32, 1, 2, 0, 1, 0] {
-            mgr.with(|m| m.swap_adjacent_levels(level));
-            for bits in 0..16u32 {
-                let asg: Vec<bool> = (0..4).map(|k| bits & (1 << k) != 0).collect();
-                assert_eq!(f.eval(&asg), (asg[0] && asg[1]) || (asg[2] && asg[3]));
-                assert_eq!(g.eval(&asg), asg[0] ^ asg[3]);
-            }
-        }
-    }
-
-    #[test]
-    fn reorder_sift_shrinks_an_interleaved_product() {
-        // f = x0·x3 + x1·x4 + x2·x5 under the interleaved order is the
-        // classic exponential-vs-linear sifting example.
-        let mgr = BddSession::new(6);
-        let f = {
-            let t0 = mgr.var(0).and(&mgr.var(3));
-            let t1 = mgr.var(1).and(&mgr.var(4));
-            let t2 = mgr.var(2).and(&mgr.var(5));
-            t0.or(&t1).or(&t2)
-        };
-        let before = f.size();
-        let hash_before = mgr.gc_stats().var_order_hash;
-        mgr.reorder_sift();
-        let after = f.size();
-        assert!(
-            after < before,
-            "sifting must shrink {before} nodes (got {after})"
-        );
-        assert_ne!(mgr.gc_stats().var_order_hash, hash_before);
-        assert_eq!(mgr.gc_stats().reorder_passes, 1);
-        for bits in 0..64u32 {
-            let asg: Vec<bool> = (0..6).map(|k| bits & (1 << k) != 0).collect();
-            let expected = (asg[0] && asg[3]) || (asg[1] && asg[4]) || (asg[2] && asg[5]);
-            assert_eq!(f.eval(&asg), expected);
-        }
     }
 
     #[test]

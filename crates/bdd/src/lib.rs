@@ -18,10 +18,14 @@
 //! * the generalized cofactors `constrain` and `restrict` (Coudert–Madre),
 //! * Minato–Morreale irredundant sum-of-products (ISOP) generation,
 //! * shortest-path (largest-cube) extraction and minterm counting,
-//! * a full node lifecycle: refcounted external roots, mark-and-sweep
-//!   garbage collection with a free list, and sifting-based dynamic
-//!   variable reordering (see [`crate::Bdd`]'s rooting discipline and
-//!   [`GcStats`]).
+//! * a node lifecycle: refcounted external roots and mark-and-sweep
+//!   garbage collection with a free list (see [`crate::Bdd`]'s rooting
+//!   discipline and [`GcStats`]).
+//!
+//! The variable order is fixed: a variable's index is its level (see
+//! [`Var`]). The paper orders χ(X, Y) inputs first and BREL's default cost
+//! is a BDD size under that order, so the kernel carries no dynamic
+//! reordering — a cost never depends on when a node-count trigger fired.
 //!
 //! ## Sessions and handles
 //!
@@ -30,8 +34,8 @@
 //! `Send` and moves freely between threads. Most users should use the
 //! owning, clonable [`BddSession`] together with the [`Bdd`] value type,
 //! which supports the standard Boolean operators. Lifecycle tuning
-//! (automatic GC, thresholds, dynamic reordering) is set once at session
-//! construction through the [`BddConfig`] builder:
+//! (automatic GC and its threshold) is set once at session construction
+//! through the [`BddConfig`] builder:
 //!
 //! ```
 //! use brel_bdd::BddSession;
@@ -62,7 +66,6 @@ mod isop;
 mod manager;
 mod paths;
 mod quant;
-mod reorder;
 
 pub use cache::CacheStats;
 pub use config::BddConfig;

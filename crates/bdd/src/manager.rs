@@ -30,12 +30,12 @@ use crate::governor::{GovernorVerdict, ResourceGovernor};
 
 /// Index of a BDD variable.
 ///
-/// A variable's *index* is its stable identity; its *level* (position in
-/// the global order, 0 closest to the root) is looked up through the
-/// manager's `var ↔ level` permutation and can change under dynamic
-/// reordering. Managers start with the identity order, in which the
-/// higher-level crates allocate input variables before output variables —
-/// the ordering used by the paper's characteristic functions `R(X, Y)`.
+/// The index is also the variable's *level*, its position in the order
+/// (0 closest to the root), and no operation ever permutes the order. The
+/// higher-level crates allocate input variables before output variables,
+/// which is the ordering of the paper's characteristic functions
+/// `R(X, Y)`; BREL's default cost is a BDD size under that order, so a
+/// movable order would make costs depend on when it moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
@@ -131,10 +131,6 @@ pub struct BddManager {
     pub(crate) free: Vec<u32>,
     pub(crate) unique: UniqueTable,
     pub(crate) cache: OpCache,
-    /// Variable index → current level.
-    pub(crate) var2level: Vec<u32>,
-    /// Current level → variable index.
-    pub(crate) level2var: Vec<Var>,
     /// External references; [`crate::Bdd`] handles hold slot indices into
     /// this table and resolve/retain/release through the session lock.
     pub(crate) roots: RootTable,
@@ -186,8 +182,6 @@ impl BddManager {
             free: Vec::new(),
             unique: UniqueTable::with_capacity(expected_nodes),
             cache: OpCache::new(),
-            var2level: (0..num_vars as u32).collect(),
-            level2var: (0..num_vars).map(Var::from).collect(),
             roots: RootTable::with_capacity(expected_roots),
             gc: GcState::new(&config),
             governor: None,
@@ -219,9 +213,8 @@ impl BddManager {
     /// A reset manager is *observationally identical* to a cold one: the
     /// node arena holds only the two terminals, the unique table is empty
     /// at the cold capacity for `expected_nodes`, the op cache is back at
-    /// its cold slot count with auto-growth re-armed, the variable order
-    /// is the identity with default `x{i}` names, and all GC triggers are
-    /// re-armed. Cumulative counters (cache lookups, collections, …)
+    /// its cold slot count with auto-growth re-armed, the variables carry
+    /// their default `x{i}` names, and all GC triggers are re-armed. Cumulative counters (cache lookups, collections, …)
     /// survive — per-phase consumers report deltas — and the
     /// `peak_live_nodes` gauge is re-based to the terminal-only arena.
     pub fn reset(&mut self, num_vars: usize, expected_nodes: usize, config: BddConfig) -> bool {
@@ -235,21 +228,11 @@ impl BddManager {
         self.free.clear();
         self.unique.reset(expected_nodes);
         self.cache.reset();
-        self.var2level = (0..num_vars as u32).collect();
-        self.level2var = (0..num_vars).map(Var::from).collect();
         self.var_names = (0..num_vars).map(|i| format!("x{i}")).collect();
         self.visit_scratch.borrow_mut().reset();
-        let counters = (
-            self.gc.collections,
-            self.gc.nodes_reclaimed,
-            self.gc.reorder_passes,
-        );
+        let counters = (self.gc.collections, self.gc.nodes_reclaimed);
         self.gc = GcState::new(&config);
-        (
-            self.gc.collections,
-            self.gc.nodes_reclaimed,
-            self.gc.reorder_passes,
-        ) = counters;
+        (self.gc.collections, self.gc.nodes_reclaimed) = counters;
         self.gc.peak_live_nodes = self.live_nodes() as u64;
         // A governor budgets one unit of work; it never survives into the
         // next job's session.
@@ -351,30 +334,11 @@ impl BddManager {
         &self.var_names[var.index()]
     }
 
-    /// Level of a node: its variable's position in the current order, or
-    /// `u32::MAX` for terminals.
+    /// Level of a node: its variable's index, or `u32::MAX` for
+    /// terminals (whose arena slots carry that placeholder variable).
+    #[inline]
     pub(crate) fn level(&self, id: NodeId) -> u32 {
-        if id.is_terminal() {
-            TERMINAL_LEVEL
-        } else {
-            self.var2level[self.nodes[id.index()].var.index()]
-        }
-    }
-
-    /// Current level of a variable.
-    #[inline]
-    pub fn var_level(&self, var: Var) -> u32 {
-        self.var2level[var.index()]
-    }
-
-    /// Variable currently sitting at a level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is not a valid level.
-    #[inline]
-    pub(crate) fn level_var(&self, level: u32) -> Var {
-        self.level2var[level as usize]
+        self.nodes[id.index()].var.0
     }
 
     /// Variable labelling an internal node.
@@ -402,17 +366,17 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics if `var` is ordered at or below the top variable of `lo`/`hi`
-    /// (which would violate the variable order invariant).
+    /// Panics (in debug builds) if `var` is ordered at or below the top
+    /// variable of `lo`/`hi` (which would violate the variable order
+    /// invariant).
     pub fn mk(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
         if lo == hi {
             return lo;
         }
         debug_assert!(
-            self.var_level(var) < self.level(lo) && self.var_level(var) < self.level(hi),
-            "mk would violate the variable order: var {:?} (level {}) lo-level {} hi-level {}",
+            var.0 < self.level(lo) && var.0 < self.level(hi),
+            "mk would violate the variable order: var {:?} lo-level {} hi-level {}",
             var,
-            self.var_level(var),
             self.level(lo),
             self.level(hi)
         );
@@ -478,8 +442,7 @@ impl BddManager {
         let lf = self.level(f);
         let lg = self.level(g);
         let lh = self.level(h);
-        let top = lf.min(lg).min(lh);
-        let v = self.level_var(top);
+        let v = Var(lf.min(lg).min(lh));
         let (f0, f1) = self.top_cofactors(f, v);
         let (g0, g1) = self.top_cofactors(g, v);
         let (h0, h1) = self.top_cofactors(h, v);
@@ -531,7 +494,7 @@ impl BddManager {
     }
 
     fn cofactor_rec(&mut self, f: NodeId, var: Var, value: bool) -> NodeId {
-        if f.is_terminal() || self.level(f) > self.var_level(var) {
+        if f.is_terminal() || self.level(f) > var.0 {
             return f;
         }
         let n = self.nodes[f.index()];
@@ -572,13 +535,13 @@ impl BddManager {
                 pairs.push((v, b));
             }
         }
-        pairs.sort_unstable_by_key(|&(v, _)| self.var_level(v));
+        pairs.sort_unstable_by_key(|&(v, _)| v);
         let cube = self.polarity_cube(&pairs);
         self.restrict_cube_rec(f, cube)
     }
 
     /// Builds the cube BDD of `(var, value)` literal pairs sorted by
-    /// current level (each variable at most once).
+    /// variable (each variable at most once).
     pub(crate) fn polarity_cube(&mut self, sorted_pairs: &[(Var, bool)]) -> NodeId {
         let mut acc = NodeId::ONE;
         for &(v, positive) in sorted_pairs.iter().rev() {
@@ -614,7 +577,7 @@ impl BddManager {
             return r;
         }
         let n = self.nodes[f.index()];
-        let r = if self.var_level(n.var) == self.level(cube) {
+        let r = if n.var.0 == self.level(cube) {
             let c = self.nodes[cube.index()];
             let (child, rest) = if c.lo.is_zero() {
                 (n.hi, c.hi)

@@ -148,34 +148,68 @@ impl BddManager {
         Some(PathCube::new(lits))
     }
 
+    /// Calls `visit` on every satisfying assignment of `f` over the
+    /// variables `x0..x{num_vars-1}`, packed into a word with `x0` in its
+    /// most significant bit (bit `num_vars - 1`) and `x{num_vars-1}` in
+    /// bit 0. The walk follows `f`'s paths low branch first and takes both
+    /// values of every variable a path skips, so the words arrive in
+    /// ascending order, each once, at a cost linear in their number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars` exceeds 64 or any variable in the support of
+    /// `f` has index `≥ num_vars`.
+    pub fn for_each_minterm(&self, f: NodeId, num_vars: usize, mut visit: impl FnMut(u64)) {
+        assert!(
+            num_vars <= 64,
+            "for_each_minterm: {num_vars} variables exceed a word"
+        );
+        self.minterms_rec(f, 0, num_vars, 0, &mut visit);
+    }
+
+    /// The walk behind [`BddManager::for_each_minterm`]: `prefix` holds
+    /// the values of the variables above `depth`.
+    fn minterms_rec(
+        &self,
+        f: NodeId,
+        depth: usize,
+        num_vars: usize,
+        prefix: u64,
+        visit: &mut impl FnMut(u64),
+    ) {
+        if f.is_zero() {
+            return;
+        }
+        if depth == num_vars {
+            assert!(
+                f.is_one(),
+                "for_each_minterm: support beyond {num_vars} variables"
+            );
+            visit(prefix);
+            return;
+        }
+        let (lo, hi) = if self.level(f) == depth as u32 {
+            self.node_children(f)
+        } else {
+            (f, f)
+        };
+        let bit = 1u64 << (num_vars - 1 - depth);
+        self.minterms_rec(lo, depth + 1, num_vars, prefix, visit);
+        self.minterms_rec(hi, depth + 1, num_vars, prefix | bit, visit);
+    }
+
     /// Number of satisfying assignments of `f` over the variables
-    /// `x0..x{num_vars-1}` (by index, independent of the current level
-    /// order — dynamic reordering never changes the count).
+    /// `x0..x{num_vars-1}`.
     ///
     /// # Panics
     ///
     /// Panics if any variable in the support of `f` has index `≥ num_vars`.
     pub fn sat_count(&self, f: NodeId, num_vars: usize) -> u128 {
-        // rank[l] = number of counted variables (index < num_vars) living
-        // at levels strictly above level l. Skipped-level weighting must go
-        // through this table rather than raw level differences: under a
-        // reordered permutation the levels between a node and its child
-        // may host variables outside the counted range.
-        let n_levels = self.num_vars();
-        let mut rank = vec![0u32; n_levels + 1];
-        for l in 0..n_levels {
-            rank[l + 1] = rank[l] + u32::from(self.level_var(l as u32).index() < num_vars);
-        }
-        // Terminals sit below every level; variables with index < num_vars
-        // that the manager does not even have are free as well.
-        let terminal_rank = num_vars as u32;
-        let rank_of = |id: NodeId| -> u32 {
-            if id.is_terminal() {
-                terminal_rank
-            } else {
-                rank[self.level(id) as usize]
-            }
-        };
+        // A node's rank is the number of counted variables above it: its
+        // level, or all `num_vars` for the terminals (which sit below
+        // every level). Variables with index < num_vars that the manager
+        // does not even have are free as well.
+        let rank_of = |id: NodeId| self.level(id).min(num_vars as u32);
         let mut memo: HashMap<NodeId, u128> = HashMap::new();
         let below = self.sat_count_rec(f, num_vars, &rank_of, &mut memo);
         below << rank_of(f)
@@ -278,6 +312,34 @@ mod tests {
         let minterm = cube.to_minterm(3, false);
         assert!(m.eval(f, &minterm));
         assert!(m.pick_cube(NodeId::ZERO).is_none());
+    }
+
+    #[test]
+    fn minterm_walk_lists_the_onset_in_ascending_order() {
+        let mut m = BddManager::new(5);
+        let a = m.literal(Var(0), true);
+        let c = m.literal(Var(2), true);
+        let e = m.literal(Var(4), false);
+        // Skips x1 and x3 on every path, so the walk must expand them.
+        let ac = m.xor(a, c);
+        let f = m.and(ac, e);
+        let mut words = Vec::new();
+        m.for_each_minterm(f, 5, |w| words.push(w));
+        // Bit 4 - i of a word holds x_i.
+        let expected: Vec<u64> = (0..32u64)
+            .filter(|&w| {
+                let asg: Vec<bool> = (0..5).map(|i| w >> (4 - i) & 1 == 1).collect();
+                m.eval(f, &asg)
+            })
+            .collect();
+        assert_eq!(words, expected);
+        assert_eq!(words.len() as u128, m.sat_count(f, 5));
+        let mut none = Vec::new();
+        m.for_each_minterm(NodeId::ZERO, 5, |w| none.push(w));
+        assert!(none.is_empty());
+        let mut all = 0;
+        m.for_each_minterm(NodeId::ONE, 3, |_| all += 1);
+        assert_eq!(all, 8);
     }
 
     #[test]

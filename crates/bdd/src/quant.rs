@@ -18,13 +18,12 @@ use crate::cache::OpTag;
 use crate::manager::{BddManager, NodeId, Var};
 
 impl BddManager {
-    /// Builds the positive cube of a variable set (deduplicated, ordered
-    /// by current level so the cube chain is canonical).
+    /// Builds the positive cube of a variable set (deduplicated and
+    /// sorted, so the cube chain is canonical).
     pub(crate) fn positive_cube(&mut self, vars: &[Var]) -> NodeId {
         let mut vars: Vec<Var> = vars.to_vec();
         vars.sort_unstable();
         vars.dedup();
-        vars.sort_unstable_by_key(|&v| self.var_level(v));
         let pairs: Vec<(Var, bool)> = vars.into_iter().map(|v| (v, true)).collect();
         self.polarity_cube(&pairs)
     }
@@ -74,7 +73,7 @@ impl BddManager {
             return r;
         }
         let n = self.nodes[f.index()];
-        let r = if self.var_level(n.var) == self.level(cube) {
+        let r = if n.var.0 == self.level(cube) {
             let rest = self.nodes[cube.index()].hi;
             let lo = self.exists_cube_rec(n.lo, rest);
             if lo.is_one() {
@@ -102,7 +101,7 @@ impl BddManager {
             return r;
         }
         let n = self.nodes[f.index()];
-        let r = if self.var_level(n.var) == self.level(cube) {
+        let r = if n.var.0 == self.level(cube) {
             let rest = self.nodes[cube.index()].hi;
             let lo = self.forall_cube_rec(n.lo, rest);
             if lo.is_zero() {

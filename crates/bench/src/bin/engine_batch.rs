@@ -434,7 +434,7 @@ fn counters_only_cache(cache: &brel_bdd::CacheStats) -> Vec<(&'static str, u64)>
 fn counters_only_gc(gc: &brel_bdd::GcStats) -> Vec<(&'static str, u64)> {
     gc.metrics()
         .into_iter()
-        .filter(|(name, _)| matches!(*name, "collections" | "nodes_reclaimed" | "reorder_passes"))
+        .filter(|(name, _)| matches!(*name, "collections" | "nodes_reclaimed"))
         .collect()
 }
 

@@ -32,8 +32,8 @@ pub fn random_well_defined_relation(
 
 /// Like [`random_well_defined_relation`], but the space's BDD manager is
 /// built with an explicit [`brel_bdd::BddConfig`]. Oracle tests use this to
-/// pin GC / reorder behaviour, which since the config redesign can only be
-/// chosen at construction.
+/// pin GC behaviour, which since the config redesign can only be chosen at
+/// construction.
 pub fn random_well_defined_relation_with(
     num_inputs: usize,
     num_outputs: usize,

@@ -144,8 +144,8 @@ pub fn generate(instance: &Table2Instance) -> (RelationSpace, BooleanRelation) {
 }
 
 /// Generates the relation of one instance into a space with an explicit
-/// kernel lifecycle configuration. Used by workloads that must pin GC /
-/// reorder behaviour regardless of the `BREL_BDD_*` environment (which
+/// kernel lifecycle configuration. Used by workloads that must pin GC
+/// behaviour regardless of the `BREL_BDD_GC_MIN_NODES` environment (which
 /// since the `BddConfig` redesign can only be chosen at construction).
 pub fn generate_with_config(
     instance: &Table2Instance,

@@ -44,9 +44,9 @@ pub struct SolutionReport {
     /// (a pure function of the operation sequence), so it participates in
     /// reproducible serializations, unlike `wall_micros`.
     pub cache: CacheStats,
-    /// BDD-kernel lifecycle counters attributed to this run (collections,
-    /// reclaimed nodes, reorder passes as deltas; live/peak nodes and the
-    /// variable-order hash as gauges). Deterministic, like `cache`.
+    /// BDD-kernel lifecycle counters attributed to this run (collections
+    /// and reclaimed nodes as deltas, live/peak nodes as gauges).
+    /// Deterministic, like `cache`.
     pub gc: GcStats,
     /// How this attempt was produced: warm-session rehydration and/or a
     /// cross-job cache hit. Scheduling-dependent, so excluded from

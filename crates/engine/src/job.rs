@@ -117,9 +117,8 @@ const _: () = assert!(2 * RelationSpec::MAX_WIDTH <= 32);
 
 impl RelationSpec {
     /// The widest input or output vector a spec may declare. It equals
-    /// the enumeration limit of [`BooleanRelation::to_rows`], so every
-    /// spec [`RelationSpec::from_relation`] produces is within it, and
-    /// an input vertex next to an output vertex fits one `u32` pair word.
+    /// the width limit of [`BooleanRelation::to_rows`], and an input
+    /// vertex next to an output vertex fits one `u32` pair word.
     /// The bound is checked before anything is shifted or allocated, so a
     /// hostile width (say, 4 billion inputs) is an error instead of an
     /// overflow or an allocation abort.
@@ -197,18 +196,25 @@ impl RelationSpec {
         Ok(Self::from_words(num_inputs, num_outputs, words))
     }
 
-    /// Exports a live relation into a portable spec.
+    /// Exports a live relation into a portable spec by reading χ's paths
+    /// straight into packed words ([`BooleanRelation::to_packed`]), which
+    /// arrive sorted: the cost is linear in the pairs, not in the space.
     ///
     /// # Errors
     ///
-    /// Returns [`RelationError::TooLarge`] if the relation's space cannot be
-    /// enumerated exhaustively.
+    /// Returns [`RelationError::TooLarge`] if either width exceeds
+    /// [`RelationSpec::MAX_WIDTH`].
     pub fn from_relation(relation: &BooleanRelation) -> Result<Self, RelationError> {
         let (num_inputs, num_outputs) = (
             relation.space().num_inputs(),
             relation.space().num_outputs(),
         );
-        Self::new(num_inputs, num_outputs, relation.to_rows()?)
+        Self::check_widths(num_inputs, num_outputs)?;
+        Ok(Self::from_words(
+            num_inputs,
+            num_outputs,
+            relation.to_packed()?,
+        ))
     }
 
     /// Sorts and deduplicates checked words into a spec.

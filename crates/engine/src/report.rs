@@ -244,8 +244,6 @@ impl SolutionReport {
                     ("nodes_reclaimed", Json::UInt(self.gc.nodes_reclaimed)),
                     ("live_nodes", Json::UInt(self.gc.live_nodes)),
                     ("peak_live_nodes", Json::UInt(self.gc.peak_live_nodes)),
-                    ("reorder_passes", Json::UInt(self.gc.reorder_passes)),
-                    ("var_order_hash", Json::UInt(self.gc.var_order_hash)),
                 ]),
             ),
         ];

@@ -180,31 +180,10 @@ impl WarmSession {
     /// words (see [`BooleanRelation::from_packed`]), which leaves no
     /// garbage, so the relation goes to the backends without a sweep.
     pub fn rehydrate(&mut self, spec: &RelationSpec) -> (RelationSpace, BooleanRelation, bool) {
-        self.rehydrate_with(spec, BddConfig::from_env())
-    }
-
-    /// [`WarmSession::rehydrate`] with automatic variable reordering
-    /// forced off, whatever the environment says. Wide mode uses this:
-    /// its sessions stay warm across many expansions, so a sifting pass
-    /// would fire at a point that depends on which subproblems a worker
-    /// happened to execute — making BDD shapes (and thus costs) depend
-    /// on steal order.
-    pub(crate) fn rehydrate_stable(
-        &mut self,
-        spec: &RelationSpec,
-    ) -> (RelationSpace, BooleanRelation, bool) {
-        self.rehydrate_with(spec, BddConfig::from_env().auto_reorder(false))
-    }
-
-    fn rehydrate_with(
-        &mut self,
-        spec: &RelationSpec,
-        config: BddConfig,
-    ) -> (RelationSpace, BooleanRelation, bool) {
         let _span = brel_obs::span(brel_obs::Category::Session, "rehydrate");
         let num_vars = spec.num_inputs() + spec.num_outputs();
         let expected_nodes = spec.num_pairs().saturating_mul(num_vars);
-        let (session, warm) = self.obtain(num_vars, expected_nodes, config);
+        let (session, warm) = self.obtain(num_vars, expected_nodes);
         let space = RelationSpace::from_session(session, spec.num_inputs(), spec.num_outputs());
         let relation = BooleanRelation::from_packed(&space, spec.words())
             .expect("widths were validated at construction");
@@ -214,24 +193,17 @@ impl WarmSession {
     /// Prepares a sized session *without* constructing a relation — the
     /// wide-mode entry point for workers that receive their subproblems
     /// as in-manager handles (or steal them by structural BDD import)
-    /// rather than rehydrating a spec up front. Reordering is forced off for the
-    /// same steal-order-determinism reason as
-    /// [`WarmSession::rehydrate_stable`]. Returns the session and
+    /// rather than rehydrating a spec up front. Returns the session and
     /// whether the warm path was taken.
     pub(crate) fn prepare(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
         let _span = brel_obs::span(brel_obs::Category::Session, "prepare");
-        let config = BddConfig::from_env().auto_reorder(false);
-        self.obtain(num_vars, expected_nodes, config)
+        self.obtain(num_vars, expected_nodes)
     }
 
     /// The single reset-or-build path behind [`WarmSession::rehydrate`]
-    /// and [`WarmSession::prepare`].
-    fn obtain(
-        &mut self,
-        num_vars: usize,
-        expected_nodes: usize,
-        config: BddConfig,
-    ) -> (BddSession, bool) {
+    /// and [`WarmSession::prepare`], tuned by [`BddConfig::from_env`].
+    fn obtain(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
+        let config = BddConfig::from_env();
         let mut warm = false;
         // A reset can only fail while handles from the previous job are
         // still rooted; the engine drops them before re-entering, so the
@@ -410,7 +382,6 @@ mod tests {
                 cache.cache_slots,
                 cache.num_nodes,
                 gc.live_nodes,
-                gc.var_order_hash,
             )
         };
         let mut warm = WarmSession::new();
@@ -436,8 +407,8 @@ mod tests {
         let space = RelationSpace::new(2, 1);
         let r = BooleanRelation::from_table(&space, "00:{0}\n01:{1}\n10:{1}\n11:{0}").unwrap();
         let spec = RelationSpec::from_relation(&r).unwrap();
-        let (s3, r3, was_warm) = warm.rehydrate_stable(&spec);
-        assert!(was_warm, "rehydrate_stable reuses the prepared session");
+        let (s3, r3, was_warm) = warm.rehydrate(&spec);
+        assert!(was_warm, "rehydrate reuses the prepared session");
         assert!(r3.is_well_defined());
         drop((s3, r3));
         assert_eq!(warm.counts(), (2, 1, 0));

@@ -482,12 +482,10 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// into the same [`SolutionReport`] shape as the sequential backend. This
 /// is the BREL branch of [`crate::Runner::run`] in wide mode.
 ///
-/// Under the default kernel configuration the report equals a narrow
-/// run's on every field but the wall time and the `cache`/`gc` kernel
+/// The report equals a narrow run's on every field but the wall time and the `cache`/`gc` kernel
 /// counters (scoped to the seed phase here), at every worker count: both
 /// modes commit through the same [`Explorer`] transition in the same pop
-/// order. (Wide pins automatic reordering off; narrow follows the
-/// environment.)
+/// order.
 ///
 /// It honors the job's [`crate::fault::FaultPolicy`] (the job's wall
 /// `deadline`, node quota, step deadline), cooperative cancellation and
@@ -513,11 +511,9 @@ pub(crate) fn search(
     let solve_span = brel_obs::span(brel_obs::Category::Engine, "wide_solve");
 
     // Seed on the first worker's session: the root rehydrates exactly
-    // once per solve (auto-reorder pinned off — a warm session's reorder
-    // timing would otherwise depend on what it computed before, which
-    // steal order must never influence).
+    // once per solve.
     let seed_span = brel_obs::span(brel_obs::Category::Engine, "seed");
-    let (space0, root, seed_warm) = sessions[0].rehydrate_stable(&job.relation);
+    let (space0, root, seed_warm) = sessions[0].rehydrate(&job.relation);
     let before = space0.mgr().stats_snapshot();
     let config = brel_config(job.cost, &job.budget, job.strategy, job.fault.step_deadline);
     let explorer = Explorer::new(config, &root)?;

@@ -67,7 +67,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Category {
-    /// BDD kernel lifecycle phases: GC sweep, sifting.
+    /// BDD kernel lifecycle phases: the GC sweep.
     Kernel = 0,
     /// Per-operation kernel work: `ite`, quantification, ISOP. High
     /// frequency — collectors may aggregate these instead of keeping

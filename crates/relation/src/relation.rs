@@ -362,39 +362,80 @@ impl BooleanRelation {
     /// Exports the relation as owned [`RelationRow`]s — the tabular
     /// representation used throughout the paper's examples — and the
     /// inverse of [`BooleanRelation::from_rows`]. Rows are emitted for
-    /// every input vertex in enumeration order (rows with an empty image
-    /// mark inputs on which the relation is not well defined), so
-    /// `from_rows(space, &r.to_rows()?)` reconstructs `r` exactly. This is
-    /// the serialization boundary used to move relations across BDD
-    /// managers (and threads).
+    /// every input vertex in [`RelationSpace::enumerate_inputs`] order
+    /// (rows with an empty image mark inputs on which the relation is not
+    /// well defined), each image in the same output enumeration order, so
+    /// `from_rows(space, &r.to_rows()?)` reconstructs `r` exactly. The
+    /// pairs come from one walk of χ's paths ([`BooleanRelation::to_packed`]),
+    /// so the cost is linear in the rows and pairs emitted.
     ///
     /// # Errors
     ///
-    /// Returns [`RelationError::TooLarge`] if the space cannot be
-    /// enumerated exhaustively.
+    /// Returns [`RelationError::TooLarge`] if either width exceeds 16.
     pub fn to_rows(&self) -> Result<Vec<RelationRow>, RelationError> {
-        if self.space.num_inputs() > 16 || self.space.num_outputs() > 16 {
+        let (n, m) = (self.space.num_inputs(), self.space.num_outputs());
+        if n > 16 || m > 16 {
             return Err(RelationError::TooLarge {
-                vars: self.space.num_inputs().max(self.space.num_outputs()),
+                vars: n.max(m),
                 limit: 16,
             });
         }
-        let mut rows = Vec::new();
-        for input in self.space.enumerate_inputs() {
-            let image = self.image(&input)?;
-            rows.push((input, image));
+        // Packed vertices hold component 0 in the most significant bit;
+        // the enumeration counts with component 0 in the least.
+        let reversed = |bits: u32, width: usize| match width {
+            0 => 0,
+            _ => bits.reverse_bits() >> (32 - width),
+        };
+        let vertex = |counter: u32, width: usize| -> Vec<bool> {
+            (0..width).map(|i| counter >> i & 1 == 1).collect()
+        };
+        let mut images: Vec<Vec<u32>> = vec![Vec::new(); 1 << n];
+        let y_mask = (1u32 << m) - 1;
+        for w in self.to_packed()? {
+            images[reversed(w >> m, n) as usize].push(reversed(w & y_mask, m));
         }
-        Ok(rows)
+        Ok(images
+            .into_iter()
+            .enumerate()
+            .map(|(x, mut image)| {
+                image.sort_unstable();
+                let outputs = image.into_iter().map(|y| vertex(y, m)).collect();
+                (vertex(x as u32, n), outputs)
+            })
+            .collect())
+    }
+
+    /// Exports the relation's pairs as packed words, the inverse of
+    /// [`BooleanRelation::from_packed`]: one word `x << m | y` per pair,
+    /// component 0 of each vertex in its most significant bit, sorted and
+    /// distinct. Inputs sit above outputs in every space's fixed variable
+    /// order, so one low-branch-first walk of χ's paths
+    /// ([`brel_bdd::BddManager::for_each_minterm`]) emits them already
+    /// sorted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::TooLarge`] if `n + m` exceeds 32.
+    pub fn to_packed(&self) -> Result<Vec<u32>, RelationError> {
+        let width = self.space.num_inputs() + self.space.num_outputs();
+        if width > 32 {
+            return Err(RelationError::TooLarge {
+                vars: width,
+                limit: 32,
+            });
+        }
+        let mut words = Vec::new();
+        self.chi.for_each_minterm(width, |w| words.push(w as u32));
+        Ok(words)
     }
 
     /// Copies `source` into `space` by structural BDD import
     /// ([`brel_bdd::BddSession::import`]): one `mk` per node of the
     /// characteristic function, no enumeration, no 16-variable ceiling.
-    /// Use it when `source` is at hand and both sessions order their
-    /// variables identically — the engine's wide mode ships stolen
-    /// subproblems this way. When the relation travels as data, or the
-    /// orders may differ, use [`BooleanRelation::from_rows`], which costs
-    /// one `mk` per node on the paths of the pair set.
+    /// Use it when `source` is at hand — the engine's wide mode ships
+    /// stolen subproblems this way. When the relation travels as data, use
+    /// [`BooleanRelation::from_packed`] or [`BooleanRelation::from_rows`],
+    /// which cost one `mk` per node on the paths of the pair set.
     ///
     /// # Errors
     ///
@@ -417,11 +458,10 @@ impl BooleanRelation {
     /// contribute no pairs; missing input vertices are simply unrelated.
     /// Rows may come in any order and repeat inputs or pairs.
     ///
-    /// χ is built bottom-up in the session's current variable order, with
-    /// no apply operations and no garbage, so rows are the way to move a
-    /// relation between processes, threads or differently ordered
-    /// sessions. Between two sessions with the same order,
-    /// [`BooleanRelation::import_into`] skips the rows altogether.
+    /// χ is built bottom-up, with no apply operations and no garbage, so
+    /// rows are one way to move a relation between processes or threads.
+    /// Between two live sessions, [`BooleanRelation::import_into`] skips
+    /// the rows altogether.
     ///
     /// # Errors
     ///
@@ -443,11 +483,10 @@ impl BooleanRelation {
     ///
     /// χ comes out of the same bottom-up build as
     /// [`BooleanRelation::from_rows`], node for node, without a `Vec<bool>`
-    /// per vertex. Under the identity level order a fresh session has,
-    /// sorted, distinct words are split as they are, with no copy and no
-    /// sort; any other order (or unsorted input) maps each word's bits
-    /// through the levels into a sorted copy. Words may come in any order
-    /// and repeat.
+    /// per vertex. A word's bits run in the variable order (inputs, then
+    /// outputs), so sorted, distinct words are split as they are, with no
+    /// copy; other input is sorted and deduplicated into a copy first.
+    /// Words may come in any order and repeat.
     ///
     /// # Errors
     ///
@@ -469,28 +508,18 @@ impl BooleanRelation {
                 found: (u32::BITS - wide.leading_zeros()) as usize,
             });
         }
+        let sorted;
+        let keys = if words.is_sorted_by(|a, b| a < b) {
+            words
+        } else {
+            let mut keys = words.to_vec();
+            keys.sort_unstable();
+            keys.dedup();
+            sorted = keys;
+            &sorted
+        };
         let chi = space.mgr().apply(|mgr| {
-            let (by_level, bit_of) = key_bits(mgr, inputs, outputs);
-            // A key holds the bit of level `b` at position `width - 1 - b`,
-            // so under the identity order a word is its own key.
-            let key_of = |w: u32| {
-                let components = inputs.iter().chain(outputs).enumerate();
-                components.fold(0, |key, (c, v)| {
-                    key | (w >> (width - 1 - c) & 1) << (width - 1 - bit_of[v.index()])
-                })
-            };
-            let identity = by_level.iter().eq(inputs.iter().chain(outputs));
-            let sorted;
-            let keys = if identity && words.is_sorted_by(|a, b| a < b) {
-                words
-            } else {
-                let mut keys: Vec<u32> = words.iter().map(|&w| key_of(w)).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                sorted = keys;
-                &sorted
-            };
-            build_sorted(mgr, &by_level, keys, 0, &|&key, depth| {
+            build_sorted(mgr, width, keys, 0, &|&key, depth| {
                 key >> (width - 1 - depth) & 1 == 1
             })
         });
@@ -506,13 +535,13 @@ impl BooleanRelation {
     /// pair set, so the cost is linear in the output.
     ///
     /// Every vertex width is checked before any node is built. Each pair
-    /// then becomes a packed key whose bits follow the session's current
-    /// level order (bit 0 is the topmost variable, stored at the MSB of
-    /// word 0), so lexicographic key order is the order of the BDD's
-    /// paths. The sorted, deduplicated keys are split recursively on one
-    /// level's bit at a time, and each split is one [`BddManager::mk`]
-    /// under a single session lock: no apply-cache traffic, and every
-    /// node allocated is a node of the result.
+    /// then becomes a packed key whose bit `b` is variable `b` (bit 0, the
+    /// topmost variable, is stored at the MSB of word 0), so lexicographic
+    /// key order is the order of the BDD's paths. The sorted, deduplicated
+    /// keys are split recursively on one variable's bit at a time, and
+    /// each split is one [`BddManager::mk`] under a single session lock:
+    /// no apply-cache traffic, and every node allocated is a node of the
+    /// result.
     ///
     /// [`BddManager::mk`]: brel_bdd::BddManager::mk
     fn build<'a, I>(space: &RelationSpace, rows: I) -> Result<Self, RelationError>
@@ -528,28 +557,25 @@ impl BooleanRelation {
             }
             num_pairs += images.len();
         }
-        // Levels are read under the same lock the build holds: a reorder
-        // only runs at a safe point, never while the lock is held.
-        let chi = space.mgr().apply(|mgr| {
-            let (by_level, bit_of) = key_bits(mgr, inputs, outputs);
-            // At least one word, so a space with no variables still has keys.
-            let words = by_level.len().div_ceil(64).max(1);
-            let mut keys = vec![0u64; num_pairs * words];
-            let mut chunks = keys.chunks_exact_mut(words);
-            for (input, images) in rows {
-                for output in images {
-                    let key = chunks.next().expect("one key per pair");
-                    let bits = inputs.iter().zip(input).chain(outputs.iter().zip(output));
-                    for (v, _) in bits.filter(|&(_, &b)| b) {
-                        let bit = bit_of[v.index()];
-                        key[bit / 64] |= 1 << (63 - bit % 64);
-                    }
+        let width = inputs.len() + outputs.len();
+        // At least one word, so a space with no variables still has keys.
+        let words = width.div_ceil(64).max(1);
+        let mut keys = vec![0u64; num_pairs * words];
+        let mut chunks = keys.chunks_exact_mut(words);
+        for (input, images) in rows {
+            for output in images {
+                let key = chunks.next().expect("one key per pair");
+                let bits = input.iter().chain(output).enumerate();
+                for (bit, _) in bits.filter(|&(_, &b)| b) {
+                    key[bit / 64] |= 1 << (63 - bit % 64);
                 }
             }
-            let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            build_sorted(mgr, &by_level, &sorted, 0, &|key, depth| {
+        }
+        let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let chi = space.mgr().apply(|mgr| {
+            build_sorted(mgr, width, &sorted, 0, &|key, depth| {
                 key[depth / 64] >> (63 - depth % 64) & 1 == 1
             })
         });
@@ -569,27 +595,15 @@ fn check_width(expected: usize, found: usize) -> Result<(), RelationError> {
     }
 }
 
-/// The space's variables in level order (key bit `b` is the variable
-/// `by_level[b]`), and the key bit of each variable, indexed by variable.
-fn key_bits(mgr: &BddManager, inputs: &[Var], outputs: &[Var]) -> (Vec<Var>, Vec<usize>) {
-    let mut by_level: Vec<Var> = inputs.iter().chain(outputs).copied().collect();
-    by_level.sort_unstable_by_key(|&v| mgr.var_level(v));
-    let mut bit_of = vec![0; mgr.num_vars()];
-    for (bit, v) in by_level.iter().enumerate() {
-        bit_of[v.index()] = bit;
-    }
-    (by_level, bit_of)
-}
-
 /// Builds the function whose minterms are `keys` (sorted, distinct, and
 /// all agreeing on their first `depth` bits) over the variables
-/// `by_level[depth..]`, where `bit(key, d)` is a key's bit for the
-/// variable `by_level[d]` and keys sort as their bit strings from `d = 0`:
-/// no keys is 0, a full-depth key is 1, and anything else splits on bit
-/// `depth` and joins the halves with one `mk`.
+/// `depth..width`, where `bit(key, d)` is a key's bit for variable `d` and
+/// keys sort as their bit strings from `d = 0`: no keys is 0, a full-depth
+/// key is 1, and anything else splits on bit `depth` and joins the halves
+/// with one `mk`.
 fn build_sorted<K>(
     mgr: &mut BddManager,
-    by_level: &[Var],
+    width: usize,
     keys: &[K],
     depth: usize,
     bit: &impl Fn(&K, usize) -> bool,
@@ -597,13 +611,13 @@ fn build_sorted<K>(
     if keys.is_empty() {
         return NodeId::ZERO;
     }
-    if depth == by_level.len() {
+    if depth == width {
         return NodeId::ONE;
     }
     let split = keys.partition_point(|key| !bit(key, depth));
-    let lo = build_sorted(mgr, by_level, &keys[..split], depth + 1, bit);
-    let hi = build_sorted(mgr, by_level, &keys[split..], depth + 1, bit);
-    mgr.mk(by_level[depth], lo, hi)
+    let lo = build_sorted(mgr, width, &keys[..split], depth + 1, bit);
+    let hi = build_sorted(mgr, width, &keys[split..], depth + 1, bit);
+    mgr.mk(Var::from(depth), lo, hi)
 }
 
 impl fmt::Display for BooleanRelation {

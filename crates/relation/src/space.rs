@@ -76,8 +76,9 @@ impl RelationSpace {
 
     /// Wraps an existing session — typically a freshly [`BddSession::reset`]
     /// warm worker session — as a relation space. The session must already
-    /// have exactly `num_inputs + num_outputs` variables in identity order;
-    /// they are (re)named `x0..`/`y0..`.
+    /// have exactly `num_inputs + num_outputs` variables; the first
+    /// `num_inputs` become the inputs, the rest the outputs, and they are
+    /// (re)named `x0..`/`y0..`.
     ///
     /// # Panics
     ///
@@ -145,7 +146,7 @@ impl RelationSpace {
     }
 
     /// The shared manager's lifecycle counters (collections, reclaimed
-    /// nodes, peak live nodes, reorder passes, variable-order hash).
+    /// nodes, live and peak live nodes).
     pub fn gc_stats(&self) -> GcStats {
         self.inner.mgr.gc_stats()
     }

@@ -12,11 +12,11 @@
 
 //! The lifecycle oracles at the bottom of this file additionally pin the
 //! node-lifecycle machinery: the solver must produce node-for-node
-//! identical solutions under an aggressively collecting kernel, sifting
-//! must preserve semantics and canonicity, a sweep must evict every
-//! cached result so no stale hit can resurrect a reclaimed `NodeId`,
-//! collection must cut a churning workload's peak at least 3x, and every
-//! Table-1 ISF strategy must stay sound under constant sweeps and sifting.
+//! identical solutions under an aggressively collecting kernel, a sweep
+//! must evict every cached result so no stale hit can resurrect a
+//! reclaimed `NodeId`, collection must cut a churning workload's peak at
+//! least 3x, and every Table-1 ISF strategy must stay sound under
+//! constant sweeps.
 
 use proptest::prelude::*;
 
@@ -242,11 +242,8 @@ proptest! {
         extra in 0u32..3,
     ) {
         let prob = f64::from(extra) * 0.15;
-        let append_only = BddConfig::new().auto_gc(false).auto_reorder(false);
-        let aggressive = BddConfig::new()
-            .auto_gc(true)
-            .gc_min_nodes(8)
-            .auto_reorder(false);
+        let append_only = BddConfig::new().auto_gc(false);
+        let aggressive = BddConfig::new().auto_gc(true).gc_min_nodes(8);
         let (space_a, rel_a) =
             random_well_defined_relation_with(3, 2, prob, seed, append_only);
         let (space_b, rel_b) =
@@ -272,27 +269,24 @@ proptest! {
         }
     }
 
-    /// The solver under aggressive GC *and* forced auto-reordering stays
-    /// sound: the solution is compatible, and on functional relations
-    /// (whose compatible function is unique) it is node-for-node identical
-    /// to the untouched run even though the variable order moved.
+    /// The solver under aggressive GC stays sound on functional
+    /// relations: the solution is compatible and, since a functional
+    /// relation's compatible function is unique, identical to the
+    /// append-only run's.
     #[test]
-    fn solver_under_forced_sifting_stays_sound(seed in 0u64..256) {
-        let pinned = BddConfig::new().auto_gc(false).auto_reorder(false);
-        let sifting = BddConfig::new()
-            .auto_gc(true)
-            .gc_min_nodes(32)
-            .auto_reorder(true);
+    fn solver_under_aggressive_gc_solves_functional_relations_exactly(seed in 0u64..256) {
+        let pinned = BddConfig::new().auto_gc(false);
+        let aggressive = BddConfig::new().auto_gc(true).gc_min_nodes(32);
         let (space_ref, rel_ref) =
             random_well_defined_relation_with(4, 2, 0.0, seed, pinned);
         let (space_gc, rel_gc) =
-            random_well_defined_relation_with(4, 2, 0.0, seed, sifting);
+            random_well_defined_relation_with(4, 2, 0.0, seed, aggressive);
         let solver = BrelSolver::new(BrelConfig::default());
         let sol_ref = solver.solve(&rel_ref).expect("well defined");
         let sol_gc = solver.solve(&rel_gc).expect("well defined");
         prop_assert!(
-            space_gc.gc_stats().reorder_passes > 0,
-            "the aggressive threshold must actually force sifting passes"
+            space_gc.gc_stats().collections > 0,
+            "the aggressive threshold must actually force collections"
         );
         prop_assert!(rel_gc.is_compatible(&sol_gc.function));
         for j in 0..2 {
@@ -308,80 +302,6 @@ proptest! {
             }
         }
     }
-
-    /// Sifting preserves the semantics of every rooted function and keeps
-    /// the manager canonical: rebuilding a sifted function from its truth
-    /// table under the *new* order returns the identical handle.
-    #[test]
-    fn sifting_preserves_semantics_and_canonicity((nv, ops, seed) in params()) {
-        let mgr = BddSession::new(nv);
-        let checked = random_checked_handles(&mgr, nv, ops, seed);
-        mgr.reorder_sift();
-        for (f, table) in &checked {
-            for (idx, &expected) in table.iter().enumerate() {
-                prop_assert_eq!(f.eval(&assignment(nv, idx)), expected);
-            }
-            let rebuilt = handle_from_table(&mgr, nv, table);
-            prop_assert_eq!(&rebuilt, f, "canonicity under the new order");
-            // Counting goes through the level permutation, so it must be
-            // unaffected by where sifting parked each variable.
-            let expected_count = table.iter().filter(|&&bit| bit).count() as u128;
-            prop_assert_eq!(f.sat_count(nv), expected_count);
-        }
-    }
-}
-
-/// Handle-based sibling of `random_checked`: random connectives through
-/// rooted `Bdd`s, each paired with its truth table.
-fn random_checked_handles(
-    mgr: &BddSession,
-    num_vars: usize,
-    ops: usize,
-    seed: u64,
-) -> Vec<(Bdd, Vec<bool>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rows = 1usize << num_vars;
-    let mut pool: Vec<(Bdd, Vec<bool>)> = (0..num_vars)
-        .map(|i| {
-            (
-                mgr.var(i as u32),
-                (0..rows).map(|idx| idx & (1 << i) != 0).collect(),
-            )
-        })
-        .collect();
-    for _ in 0..ops {
-        let a = pool[rng.gen_range(0..pool.len() as u32) as usize].clone();
-        let b = pool[rng.gen_range(0..pool.len() as u32) as usize].clone();
-        let entry = match rng.gen_range(0..4u32) {
-            0 => (
-                a.0.and(&b.0),
-                a.1.iter().zip(&b.1).map(|(&x, &y)| x && y).collect(),
-            ),
-            1 => (
-                a.0.or(&b.0),
-                a.1.iter().zip(&b.1).map(|(&x, &y)| x || y).collect(),
-            ),
-            2 => (
-                a.0.xor(&b.0),
-                a.1.iter().zip(&b.1).map(|(&x, &y)| x ^ y).collect(),
-            ),
-            _ => (a.0.complement(), a.1.iter().map(|&x| !x).collect()),
-        };
-        pool.push(entry);
-    }
-    pool
-}
-
-/// Rebuilds a function from its truth table through handle operations
-/// (valid under any variable order, unlike the `mk`-based reference).
-fn handle_from_table(mgr: &BddSession, num_vars: usize, table: &[bool]) -> Bdd {
-    let mut acc = mgr.zero();
-    for (idx, &bit) in table.iter().enumerate() {
-        if bit {
-            acc = acc.or(&mgr.minterm(&assignment(num_vars, idx)));
-        }
-    }
-    acc
 }
 
 /// The pinned eviction-after-sweep case: before a sweep the repeated
@@ -462,17 +382,12 @@ fn churn_round(space: &RelationSpace, chi: &Bdd, round: u32) -> usize {
 
 /// Runs 256 churn rounds on a fresh int9 manager and reports the
 /// lifecycle counters of the churn phase alone. The config is explicit
-/// (the `BREL_BDD_*` environment cannot override it) and keeps sifting
-/// off in both modes: a sift ends with a sweep, which would silently
-/// collect the append-only baseline. Counters and the peak gauge start
-/// after construction, so collections while building the relation do not
-/// leak into the comparison.
+/// (the `BREL_BDD_GC_MIN_NODES` environment cannot override it).
+/// Counters and the peak gauge start after construction, so collections
+/// while building the relation do not leak into the comparison.
 fn churn_int9(auto_gc: bool) -> GcStats {
     let instance = table2::instance("int9").expect("known instance");
-    let config = BddConfig::new()
-        .auto_gc(auto_gc)
-        .gc_min_nodes(1024)
-        .auto_reorder(false);
+    let config = BddConfig::new().auto_gc(auto_gc).gc_min_nodes(1024);
     let (space, relation) = table2::generate_with_config(&instance, config);
     let mgr = space.mgr().clone();
     mgr.reset_peak_live_nodes();
@@ -502,14 +417,13 @@ fn gc_churn_peak_drops_at_least_3x_vs_append_only() {
 
 /// The eight Table-1 ISF strategies (ISOP, Constrain, Restrict and
 /// LICompact, each with and without variable elimination) on family
-/// instances built in a session with a 256-node GC floor and automatic
-/// sifting: each strategy's pick for every output projection lies in its
-/// interval, and BREL driven by the strategy, as Table 1 runs it, returns
-/// a compatible function while sweeps and sifting passes move the order
-/// under the generalized-cofactor cache entries.
+/// instances built in a session with a 256-node GC floor: each strategy's
+/// pick for every output projection lies in its interval, and BREL driven
+/// by the strategy, as Table 1 runs it, returns a compatible function
+/// while sweeps flush the generalized-cofactor cache entries under it.
 #[test]
-fn table1_strategies_stay_sound_under_a_tiny_gc_floor_and_auto_reorder() {
-    let hostile = BddConfig::new().gc_min_nodes(256).auto_reorder(true);
+fn table1_strategies_stay_sound_under_a_tiny_gc_floor() {
+    let hostile = BddConfig::new().gc_min_nodes(256);
     for instance in table2::instances().into_iter().take(3) {
         for (name, minimizer) in IsfMinimizer::table1_strategies() {
             let (space, relation) = table2::generate_with_config(&instance, hostile);
@@ -535,8 +449,8 @@ fn table1_strategies_stay_sound_under_a_tiny_gc_floor_and_auto_reorder() {
             );
             let gc = space.gc_stats();
             assert!(
-                gc.reorder_passes > 0 && gc.collections > 0,
-                "{name} on {}: the hostile config must force sweeps and sifting, got {gc:?}",
+                gc.collections > 0,
+                "{name} on {}: the hostile config must force sweeps, got {gc:?}",
                 instance.name
             );
         }

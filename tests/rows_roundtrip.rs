@@ -2,10 +2,13 @@
 //! on: table-text parse → `to_rows` → `from_rows` is a fixed point, the
 //! `table.rs` error paths for malformed bits and widths, the bottom-up
 //! χ builder behind `from_rows`/`from_pairs` checked against a reference
-//! `or`-of-minterms fold, and the engine's packed pair words checked
+//! `or`-of-minterms fold, the path-walking export checked against χ's
+//! image of every input, and the engine's packed pair words checked
 //! against the canonical-rows definition, the row builder and the wire.
 
 mod common;
+
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -155,32 +158,28 @@ proptest! {
         assert_builder_matches_fold(&space, &random_rows(ni, no, seed));
     }
 
-    /// The same comparison after the session's variable order was
-    /// permuted: the builder must follow the levels, not the indices.
+    /// The path-walking export lists, for every input vertex in
+    /// enumeration order, exactly χ's image of it in output enumeration
+    /// order, as `image` reads it point by point.
     #[test]
-    fn builder_follows_a_permuted_order((ni, no, seed, _prob) in relation_params()) {
+    fn to_rows_lists_the_image_of_every_input((ni, no, seed, _prob) in relation_params()) {
         let space = RelationSpace::new(ni, no);
-        scramble_levels(&space, !seed);
-        assert_builder_matches_fold(&space, &random_rows(ni, no, seed));
-    }
-}
-
-/// Permutes the session's variable order with random adjacent swaps.
-fn scramble_levels(space: &RelationSpace, seed: u64) {
-    let (ni, no) = (space.num_inputs(), space.num_outputs());
-    let mut rng = Mix(seed);
-    space.mgr().with(|mgr| {
-        for _ in 0..3 * (ni + no) {
-            mgr.swap_adjacent_levels(rng.below((ni + no - 1) as u64) as u32);
+        let relation = BooleanRelation::from_rows(&space, &random_rows(ni, no, seed)).unwrap();
+        let rows = relation.to_rows().unwrap();
+        let inputs = space.enumerate_inputs();
+        prop_assert_eq!(rows.len(), inputs.len());
+        for ((input, image), expected) in rows.iter().zip(&inputs) {
+            prop_assert_eq!(input, expected);
+            prop_assert_eq!(image, &relation.image(input).unwrap());
         }
-    });
+    }
 }
 
 /// The spec's words agree with every row-shaped reading of the same rows:
 /// `rows()` is the canonical-rows definition, rehydrated χ is the row
-/// builder's handle in a fresh and in a reordered session, and the wire
-/// round trip returns an equal spec with an equal fingerprint.
-fn assert_spec_matches_rows(ni: usize, no: usize, rows: &[RelationRow], seed: u64) {
+/// builder's handle, and the wire round trip returns an equal spec with an
+/// equal fingerprint.
+fn assert_spec_matches_rows(ni: usize, no: usize, rows: &[RelationRow]) {
     let spec = RelationSpec::new(ni, no, rows.to_vec()).unwrap();
     let canonical = canonical_rows(rows);
     assert_eq!(spec.rows(), canonical.as_slice());
@@ -189,7 +188,6 @@ fn assert_spec_matches_rows(ni: usize, no: usize, rows: &[RelationRow], seed: u6
 
     let (space, chi) = spec.rehydrate();
     assert_eq!(chi, BooleanRelation::from_rows(&space, rows).unwrap());
-    scramble_levels(&space, seed);
     assert_eq!(
         BooleanRelation::from_packed(&space, spec.words()).unwrap(),
         BooleanRelation::from_rows(&space, rows).unwrap()
@@ -227,7 +225,7 @@ proptest! {
             rows[0].1.truncate(cut);
             rows.push((input, image[cut..].to_vec()));
         }
-        assert_spec_matches_rows(ni, no, &rows, !seed);
+        assert_spec_matches_rows(ni, no, &rows);
     }
 }
 
@@ -240,10 +238,40 @@ fn spec_words_cover_the_width_limits() {
         .map(|_| (rng.vertex(max), vec![rng.vertex(max), rng.vertex(max)]))
         .chain([(vec![true; max], vec![vec![true; max]])])
         .collect();
-    assert_spec_matches_rows(max, max, &rows, 5);
+    assert_spec_matches_rows(max, max, &rows);
     assert_eq!(
         RelationSpec::new(max, max, rows).unwrap().words().last(),
         Some(&u32::MAX)
+    );
+}
+
+/// Export reads χ's paths, not its space: a 16×16 relation with about a
+/// thousand pairs leaves as packed words and as rows and comes back
+/// through `from_packed` and `from_rows` to the same χ in well under a
+/// second (evaluating χ at all 2^32 points of the space would take hours).
+#[test]
+fn a_sparse_16x16_relation_exports_by_its_paths() {
+    let max = RelationSpec::MAX_WIDTH;
+    let mut rng = Mix(41);
+    let rows: Vec<RelationRow> = (0..500)
+        .map(|_| (rng.vertex(max), vec![rng.vertex(max), rng.vertex(max)]))
+        .collect();
+    let space = RelationSpace::new(max, max);
+    let relation = BooleanRelation::from_rows(&space, &rows).unwrap();
+    let start = Instant::now();
+    let spec = RelationSpec::from_relation(&relation).unwrap();
+    let from_words = BooleanRelation::from_packed(&space, spec.words()).unwrap();
+    let exported = relation.to_rows().unwrap();
+    let from_exported = BooleanRelation::from_rows(&space, &exported).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(from_words, relation);
+    assert_eq!(from_exported, relation);
+    assert_eq!(spec, RelationSpec::new(max, max, rows).unwrap());
+    assert!(spec.num_pairs() > 990, "about a thousand distinct pairs");
+    assert_eq!(exported.len(), 1 << max, "one row per input vertex");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "export and round trip took {elapsed:?}"
     );
 }
 
