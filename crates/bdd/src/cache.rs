@@ -148,17 +148,22 @@ const UNIQUE_EMPTY: u32 = u32::MAX;
 /// arena index. Slots store only the `u32` arena index; the key is read
 /// back from the node arena during probing (linear probing, power-of-two
 /// capacity, grown at 3/4 load).
+///
+/// The table is sized by use, as CUDD sizes its subtables: it starts at
+/// [`UniqueTable::MIN_CAPACITY`] slots and grows as nodes arrive; callers
+/// pass no size estimate. The slot allocation is kept across
+/// [`UniqueTable::reset`] and [`UniqueTable::rebuild`], so a warm session
+/// refills its table in place.
 #[derive(Debug)]
 pub(crate) struct UniqueTable {
-    slots: Box<[u32]>,
+    /// The slots. Their count is the capacity; the allocation may be
+    /// larger (what the table grew to before a reset or a shrinking
+    /// rebuild).
+    slots: Vec<u32>,
     mask: usize,
     len: usize,
     lookups: u64,
     hits: u64,
-}
-
-fn empty_slots(capacity: usize) -> Box<[u32]> {
-    vec![UNIQUE_EMPTY; capacity].into_boxed_slice()
 }
 
 /// Rounds a requested element count up to the power-of-two capacity that
@@ -169,18 +174,29 @@ fn capacity_for(expected: usize, minimum: usize) -> usize {
 }
 
 impl UniqueTable {
+    /// The slot count of a cold or reset table.
     const MIN_CAPACITY: usize = 256;
 
-    /// A table pre-sized for `expected` nodes.
-    pub(crate) fn with_capacity(expected: usize) -> Self {
-        let capacity = capacity_for(expected, Self::MIN_CAPACITY);
-        UniqueTable {
-            slots: empty_slots(capacity),
-            mask: capacity - 1,
+    /// An empty table of [`UniqueTable::MIN_CAPACITY`] slots.
+    pub(crate) fn new() -> Self {
+        let mut table = UniqueTable {
+            slots: Vec::new(),
+            mask: 0,
             len: 0,
             lookups: 0,
             hits: 0,
-        }
+        };
+        table.refill(Self::MIN_CAPACITY);
+        table
+    }
+
+    /// Empties the table at `capacity` slots, reusing the allocation when
+    /// it is large enough.
+    fn refill(&mut self, capacity: usize) {
+        self.slots.clear();
+        self.slots.resize(capacity, UNIQUE_EMPTY);
+        self.mask = capacity - 1;
+        self.len = 0;
     }
 
     /// Finds the canonical node `(var, lo, hi)`, allocating a fresh node
@@ -232,15 +248,12 @@ impl UniqueTable {
         }
     }
 
-    /// Rebuilds the table from the arena after a sweep:
-    /// every non-terminal, non-free slot is reinserted; stale entries are
-    /// dropped wholesale.
+    /// Rebuilds the table from the arena after a sweep, in its own
+    /// allocation: every non-terminal, non-free slot is reinserted; stale
+    /// entries are dropped wholesale.
     pub(crate) fn rebuild(&mut self, nodes: &[Node]) {
         let live = nodes.len().saturating_sub(2);
-        let capacity = capacity_for(live, Self::MIN_CAPACITY);
-        self.slots = empty_slots(capacity);
-        self.mask = capacity - 1;
-        self.len = 0;
+        self.refill(capacity_for(live, Self::MIN_CAPACITY));
         for (index, node) in nodes.iter().enumerate().skip(2) {
             if node.var.0 == FREE_VAR {
                 continue;
@@ -254,25 +267,17 @@ impl UniqueTable {
         }
     }
 
-    /// Empties the table and restores the capacity a cold
-    /// [`UniqueTable::with_capacity`]`(expected)` would have, reusing the
-    /// current allocation when the capacities already agree. Lookup/hit
-    /// counters survive (session resets report deltas). Part of the warm
-    /// session-reset path: a reset manager must be observationally
-    /// identical to a cold one, including the capacity gauge.
-    pub(crate) fn reset(&mut self, expected: usize) {
-        let capacity = capacity_for(expected, Self::MIN_CAPACITY);
-        if capacity == self.slots.len() {
-            self.slots.fill(UNIQUE_EMPTY);
-        } else {
-            self.slots = empty_slots(capacity);
-            self.mask = capacity - 1;
-        }
-        self.len = 0;
+    /// Empties the table back to the cold [`UniqueTable::MIN_CAPACITY`]
+    /// slots, keeping its allocation. Lookup/hit counters survive (session
+    /// resets report deltas). Part of the warm session-reset path: a reset
+    /// manager must be observationally identical to a cold one, including
+    /// the capacity gauge.
+    pub(crate) fn reset(&mut self) {
+        self.refill(Self::MIN_CAPACITY);
     }
 
     fn grow(&mut self, new_capacity: usize, nodes: &[Node]) {
-        let old = std::mem::replace(&mut self.slots, empty_slots(new_capacity));
+        let old = std::mem::replace(&mut self.slots, vec![UNIQUE_EMPTY; new_capacity]);
         self.mask = new_capacity - 1;
         for &entry in old.iter() {
             if entry == UNIQUE_EMPTY {
@@ -556,7 +561,7 @@ mod tests {
             },
         ];
         let mut free: Vec<u32> = Vec::new();
-        let mut table = UniqueTable::with_capacity(0);
+        let mut table = UniqueTable::new();
         let initial_capacity = table.capacity();
         // Insert enough distinct nodes to force at least one growth.
         let mut ids = Vec::new();
@@ -578,6 +583,46 @@ mod tests {
         }
         assert_eq!(table.hits(), 1024);
         assert_eq!(table.lookups(), 2048);
+    }
+
+    #[test]
+    fn reset_and_rebuild_refill_the_grown_allocation() {
+        let mut nodes = vec![
+            Node {
+                var: Var(u32::MAX),
+                lo: NodeId::ZERO,
+                hi: NodeId::ZERO,
+            };
+            2
+        ];
+        let mut free: Vec<u32> = Vec::new();
+        let mut table = UniqueTable::new();
+        for v in 0..1024u32 {
+            table.get_or_insert(Var(v), NodeId::ZERO, NodeId::ONE, &mut nodes, &mut free);
+        }
+        let grown = table.capacity();
+        let allocation = table.slots.as_ptr();
+        // A rebuild sizes the table for its live nodes, inside the same
+        // allocation; a second one, at an unchanged capacity, refills the
+        // same slots again.
+        let rebuilt = capacity_for(1024, UniqueTable::MIN_CAPACITY);
+        for _ in 0..2 {
+            table.rebuild(&nodes);
+            assert_eq!((table.capacity(), table.len()), (rebuilt, 1024));
+            assert_eq!(table.slots.as_ptr(), allocation);
+        }
+        // A reset drops to the cold capacity inside the grown allocation.
+        table.reset();
+        assert_eq!(
+            (table.capacity(), table.len()),
+            (UniqueTable::MIN_CAPACITY, 0)
+        );
+        assert_eq!(table.slots.as_ptr(), allocation);
+        assert!(table.slots.capacity() >= grown);
+        // The rewound table is fully usable.
+        let id = table.get_or_insert(Var(7), NodeId::ZERO, NodeId::ONE, &mut nodes, &mut free);
+        assert_eq!(id.0 as usize, nodes.len() - 1);
+        assert_eq!(table.len(), 1);
     }
 
     #[test]

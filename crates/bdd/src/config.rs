@@ -30,7 +30,7 @@ use crate::gc::GcState;
 /// ```
 /// use brel_bdd::{BddConfig, BddSession};
 ///
-/// let session = BddSession::with_config(4, 1024, BddConfig::new().gc_min_nodes(256));
+/// let session = BddSession::with_config(4, BddConfig::new().gc_min_nodes(256));
 /// assert_eq!(session.num_vars(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl BddConfig {
     /// The default configuration with the `BREL_BDD_GC_MIN_NODES`
     /// environment override applied. This is the configuration the
     /// convenience constructors ([`crate::BddSession::new`],
-    /// [`crate::BddSession::with_capacity`]) use, so an operator can
+    /// [`crate::BddManager::new`]) use, so an operator can
     /// re-tune a whole binary without a rebuild.
     ///
     /// The environment is read once per process and cached.

@@ -94,9 +94,13 @@ pub(crate) struct RootTable {
 }
 
 impl RootTable {
-    pub(crate) fn with_capacity(slots: usize) -> Self {
+    /// The slot count a cold table reserves; the table grows past it as
+    /// handles are taken.
+    const MIN_SLOTS: usize = 32;
+
+    pub(crate) fn new() -> Self {
         RootTable {
-            entries: Vec::with_capacity(slots),
+            entries: Vec::with_capacity(Self::MIN_SLOTS),
             free: Vec::new(),
             live: 0,
         }
@@ -323,7 +327,7 @@ mod tests {
 
     #[test]
     fn root_table_recycles_slots() {
-        let mut t = RootTable::with_capacity(4);
+        let mut t = RootTable::new();
         let a = t.retain(NodeId(5));
         let b = t.retain(NodeId(6));
         assert_ne!(a, b);

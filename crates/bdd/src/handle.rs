@@ -85,16 +85,9 @@ impl BddSession {
         Self::from_manager(BddManager::new(num_vars))
     }
 
-    /// Creates a session pre-sized for roughly `expected_nodes` decision
-    /// nodes, so bulk construction (e.g. worker-pool rehydration) proceeds
-    /// without unique-table rehashes. Tuned by [`BddConfig::from_env`].
-    pub fn with_capacity(num_vars: usize, expected_nodes: usize) -> Self {
-        Self::from_manager(BddManager::with_capacity(num_vars, expected_nodes))
-    }
-
     /// Creates a session with an explicit lifecycle configuration.
-    pub fn with_config(num_vars: usize, expected_nodes: usize, config: BddConfig) -> Self {
-        Self::from_manager(BddManager::with_config(num_vars, expected_nodes, config))
+    pub fn with_config(num_vars: usize, config: BddConfig) -> Self {
+        Self::from_manager(BddManager::with_config(num_vars, config))
     }
 
     /// Wraps an already-built raw manager in a session.
@@ -113,13 +106,13 @@ impl BddSession {
     }
 
     /// Rewinds the session to the state a cold
-    /// `BddSession::with_config(num_vars, expected_nodes, config)` would
-    /// start in, while keeping the manager's allocations warm (arena,
-    /// unique-table and op-cache slabs are reused). Returns `false` —
-    /// changing nothing — if any `Bdd` handle of this session is still
-    /// alive. See [`BddManager::reset`] for the exact guarantees.
-    pub fn reset(&self, num_vars: usize, expected_nodes: usize, config: BddConfig) -> bool {
-        self.lock().reset(num_vars, expected_nodes, config)
+    /// `BddSession::with_config(num_vars, config)` would start in, while
+    /// keeping the manager's allocations warm (arena, unique-table and
+    /// op-cache slabs are reused). Returns `false` — changing nothing — if
+    /// any `Bdd` handle of this session is still alive. See
+    /// [`BddManager::reset`] for the exact guarantees.
+    pub fn reset(&self, num_vars: usize, config: BddConfig) -> bool {
+        self.lock().reset(num_vars, config)
     }
 
     /// The lifecycle configuration currently in force.
@@ -744,7 +737,7 @@ mod tests {
         // Two threads share one session whose GC runs at every safe point.
         // An operation's result must be rooted before another thread's
         // safe point can sweep it.
-        let session = BddSession::with_config(8, 64, BddConfig::new().gc_min_nodes(1));
+        let session = BddSession::with_config(8, BddConfig::new().gc_min_nodes(1));
         let workers: Vec<_> = (0..2u32)
             .map(|t| {
                 let session = session.clone();
@@ -798,14 +791,14 @@ mod tests {
 
     #[test]
     fn reset_rewinds_to_cold_state() {
-        let session = BddSession::with_config(4, 512, BddConfig::new());
+        let session = BddSession::with_config(4, BddConfig::new());
         let junk = session.var(0).xor(&session.var(1)).or(&session.var(2));
         assert!(
-            !session.reset(4, 512, BddConfig::new()),
+            !session.reset(4, BddConfig::new()),
             "live handle blocks reset"
         );
         drop(junk);
-        assert!(session.reset(6, 512, BddConfig::new()));
+        assert!(session.reset(6, BddConfig::new()));
         assert_eq!(session.num_vars(), 6);
         assert_eq!(session.num_nodes(), 2, "only terminals survive a reset");
         assert_eq!(session.live_roots(), 0);
@@ -833,15 +826,22 @@ mod tests {
             // Growth is checked on a miss: end on fresh work.
             let _ = sums.iter().fold(session.zero(), |acc, f| acc.xor(f));
         }
-        let warm = BddSession::with_config(8, 2048, BddConfig::new());
-        let cold_slots = warm.cache_stats().cache_slots;
+        let warm = BddSession::with_config(8, BddConfig::new());
+        let (cold_slots, cold_capacity) = (
+            warm.cache_stats().cache_slots,
+            warm.cache_stats().unique_capacity,
+        );
         workload(&warm, 400);
         assert!(
             warm.cache_stats().cache_slots > cold_slots,
             "the workload must grow the op cache before the reset"
         );
-        assert!(warm.reset(8, 2048, BddConfig::new()));
-        let cold = BddSession::with_config(8, 2048, BddConfig::new());
+        assert!(
+            warm.cache_stats().unique_capacity > cold_capacity,
+            "the workload must grow the unique table before the reset"
+        );
+        assert!(warm.reset(8, BddConfig::new()));
+        let cold = BddSession::with_config(8, BddConfig::new());
         let (ws, cs) = (warm.cache_stats(), cold.cache_stats());
         assert_eq!(ws.unique_len, cs.unique_len);
         assert_eq!(ws.unique_capacity, cs.unique_capacity);
@@ -886,7 +886,7 @@ mod tests {
         use crate::governor::{catch_resource_abort, BddError, ResourceGovernor};
         // Everything stays rooted, so the quota's GC-first attempt reclaims
         // nothing and the abort must fire.
-        let session = BddSession::with_config(16, 64, BddConfig::new().gc_min_nodes(16));
+        let session = BddSession::with_config(16, BddConfig::new().gc_min_nodes(16));
         session.set_governor(ResourceGovernor::new().with_max_live_nodes(8));
         let result = catch_resource_abort(|| {
             let mut rooted = Vec::new();
@@ -914,7 +914,7 @@ mod tests {
         use crate::governor::{catch_resource_abort, ResourceGovernor};
         // The same amount of churn, but nothing stays rooted: every trip's
         // sweep reclaims the garbage, so the quota never aborts.
-        let session = BddSession::with_config(16, 64, BddConfig::new().gc_min_nodes(16));
+        let session = BddSession::with_config(16, BddConfig::new().gc_min_nodes(16));
         session.set_governor(ResourceGovernor::new().with_max_live_nodes(64));
         let result = catch_resource_abort(|| {
             for round in 0..32u32 {
@@ -960,7 +960,7 @@ mod tests {
         use crate::governor::ResourceGovernor;
         let session = BddSession::new(2);
         session.set_governor(ResourceGovernor::new().with_max_live_nodes(1));
-        assert!(session.reset(2, 64, BddConfig::new()));
+        assert!(session.reset(2, BddConfig::new()));
         // Were the governor still installed, this rooted growth past one
         // live node would abort (and poison the test with a panic).
         let a = session.var(0);
@@ -1070,7 +1070,7 @@ mod tests {
 
     #[test]
     fn auto_gc_keeps_a_churning_manager_bounded() {
-        let mgr = BddSession::with_config(10, 1024, BddConfig::new().gc_min_nodes(256));
+        let mgr = BddSession::with_config(10, BddConfig::new().gc_min_nodes(256));
         let vars: Vec<Bdd> = (0..10).map(|i| mgr.var(i as u32)).collect();
         for round in 0..200u32 {
             // A fresh function every round, immediately dropped.

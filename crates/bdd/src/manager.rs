@@ -155,34 +155,22 @@ impl fmt::Debug for BddManager {
 }
 
 impl BddManager {
-    /// Creates a manager with `num_vars` variables named `x0..x{n-1}`.
+    /// Creates a manager with `num_vars` variables named `x0..x{n-1}`,
+    /// tuned by [`BddConfig::from_env`].
     pub fn new(num_vars: usize) -> Self {
-        Self::with_capacity(num_vars, 1024)
-    }
-
-    /// Creates a manager pre-sized for roughly `expected_nodes` decision
-    /// nodes: the arena and the unique table are allocated up front, so
-    /// building a function of that size triggers no rehash. Used by the
-    /// engine's worker-pool rehydration, where the node count is known
-    /// before construction starts. Lifecycle tuning comes from
-    /// [`BddConfig::from_env`].
-    pub fn with_capacity(num_vars: usize, expected_nodes: usize) -> Self {
-        Self::with_config(num_vars, expected_nodes, BddConfig::from_env())
+        Self::with_config(num_vars, BddConfig::from_env())
     }
 
     /// Creates a manager with an explicit lifecycle configuration — the
-    /// base constructor every other constructor funnels through.
-    pub fn with_config(num_vars: usize, expected_nodes: usize, config: BddConfig) -> Self {
-        // Pre-size the root table along with the arena: external handles
-        // are far fewer than nodes, but rehydration-scale managers still
-        // skip the first few reallocation steps this way.
-        let expected_roots = (expected_nodes / 8).clamp(32, 4096);
+    /// base constructor every other constructor funnels through. Every
+    /// table starts at its minimum and grows with use.
+    pub fn with_config(num_vars: usize, config: BddConfig) -> Self {
         let mut mgr = BddManager {
-            nodes: Vec::with_capacity(expected_nodes.saturating_add(2)),
+            nodes: Vec::new(),
             free: Vec::new(),
-            unique: UniqueTable::with_capacity(expected_nodes),
+            unique: UniqueTable::new(),
             cache: OpCache::new(),
-            roots: RootTable::with_capacity(expected_roots),
+            roots: RootTable::new(),
             gc: GcState::new(&config),
             governor: None,
             visit_scratch: RefCell::new(VisitScratch::new()),
@@ -203,30 +191,29 @@ impl BddManager {
     }
 
     /// Rewinds a live-root-free manager to the state a cold
-    /// [`BddManager::with_config`]`(num_vars, expected_nodes, config)`
-    /// would start in, while keeping its allocations warm — the arena
-    /// vector, unique-table slab, op-cache slab and root-table storage are
-    /// reused instead of reallocated. `config` replaces the lifecycle
-    /// tuning. Returns `false` (doing nothing) if external roots are still
-    /// live, so callers can fall back to a fresh manager.
+    /// [`BddManager::with_config`]`(num_vars, config)` would start in,
+    /// while keeping its allocations warm — the arena vector, unique-table
+    /// slab, op-cache slab and root-table storage are reused instead of
+    /// reallocated. `config` replaces the lifecycle tuning. Returns `false`
+    /// (doing nothing) if external roots are still live, so callers can
+    /// fall back to a fresh manager.
     ///
     /// A reset manager is *observationally identical* to a cold one: the
     /// node arena holds only the two terminals, the unique table is empty
-    /// at the cold capacity for `expected_nodes`, the op cache is back at
-    /// its cold slot count with auto-growth re-armed, the variables carry
-    /// their default `x{i}` names, and all GC triggers are re-armed. Cumulative counters (cache lookups, collections, …)
-    /// survive — per-phase consumers report deltas — and the
-    /// `peak_live_nodes` gauge is re-based to the terminal-only arena.
-    pub fn reset(&mut self, num_vars: usize, expected_nodes: usize, config: BddConfig) -> bool {
+    /// at its cold capacity, the op cache is back at its cold slot count
+    /// with auto-growth re-armed, the variables carry their default `x{i}`
+    /// names, and all GC triggers are re-armed. Cumulative counters (cache
+    /// lookups, collections, …) survive — per-phase consumers report
+    /// deltas — and the `peak_live_nodes` gauge is re-based to the
+    /// terminal-only arena.
+    pub fn reset(&mut self, num_vars: usize, config: BddConfig) -> bool {
         if self.roots.live_roots() != 0 {
             return false;
         }
         self.roots.reset();
         self.nodes.truncate(2);
-        self.nodes
-            .reserve(expected_nodes.saturating_add(2) - self.nodes.len());
         self.free.clear();
-        self.unique.reset(expected_nodes);
+        self.unique.reset();
         self.cache.reset();
         self.var_names = (0..num_vars).map(|i| format!("x{i}")).collect();
         self.visit_scratch.borrow_mut().reset();
@@ -965,9 +952,19 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_builds_identical_nodes() {
-        let mut small = BddManager::new(4);
-        let mut big = BddManager::with_capacity(4, 1 << 12);
+    fn a_grown_then_reset_manager_builds_identical_nodes() {
+        let mut small = BddManager::with_config(4, BddConfig::new());
+        let mut big = BddManager::with_config(16, BddConfig::new());
+        // Enough distinct pair functions to grow the unique table.
+        for i in 0..16u32 {
+            for j in i + 1..16 {
+                let (a, b) = (big.literal(Var(i), true), big.literal(Var(j), false));
+                let _ = big.xor(a, b);
+                let _ = big.and(a, b);
+            }
+        }
+        assert!(big.cache_stats().unique_capacity > small.cache_stats().unique_capacity);
+        assert!(big.reset(4, BddConfig::new()));
         for vars in [(0u32, 1u32), (1, 2), (2, 3), (0, 3)] {
             let (a, b) = (
                 small.literal(Var(vars.0), true),
@@ -979,9 +976,13 @@ mod tests {
                 big.literal(Var(vars.1), true),
             );
             let g = big.xor(a2, b2);
-            assert_eq!(f, g, "capacity hints never change node identity");
+            assert_eq!(f, g, "a table's growth history never changes node identity");
         }
-        assert!(big.cache_stats().unique_capacity > small.cache_stats().unique_capacity);
+        assert_eq!(
+            big.cache_stats().unique_capacity,
+            small.cache_stats().unique_capacity,
+            "a reset table is back at the cold capacity"
+        );
     }
 
     #[test]

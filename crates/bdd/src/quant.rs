@@ -29,16 +29,18 @@ impl BddManager {
     }
 
     /// Existential quantification of a single variable:
-    /// `∃v. f = f|v=0 + f|v=1`.
+    /// `∃v. f = f|v=0 + f|v=1`. The one-variable cube is the positive
+    /// literal, so no variable list is built.
     pub fn exists(&mut self, f: NodeId, var: Var) -> NodeId {
-        let cube = self.positive_cube(&[var]);
+        let cube = self.literal(var, true);
         self.exists_cube_rec(f, cube)
     }
 
     /// Universal quantification of a single variable:
-    /// `∀v. f = f|v=0 · f|v=1`.
+    /// `∀v. f = f|v=0 · f|v=1`, over the same one-node cube as
+    /// [`BddManager::exists`].
     pub fn forall(&mut self, f: NodeId, var: Var) -> NodeId {
-        let cube = self.positive_cube(&[var]);
+        let cube = self.literal(var, true);
         self.forall_cube_rec(f, cube)
     }
 

@@ -42,7 +42,7 @@ pub fn random_well_defined_relation_with(
     config: brel_bdd::BddConfig,
 ) -> (RelationSpace, BooleanRelation) {
     random_in_space(
-        RelationSpace::with_config(num_inputs, num_outputs, 1024, config),
+        RelationSpace::with_config(num_inputs, num_outputs, config),
         extra_pair_prob,
         seed,
     )

@@ -153,7 +153,7 @@ pub fn generate_with_config(
 ) -> (RelationSpace, BooleanRelation) {
     generate_in_space(
         instance,
-        RelationSpace::with_config(instance.num_inputs, instance.num_outputs, 1024, config),
+        RelationSpace::with_config(instance.num_inputs, instance.num_outputs, config),
     )
 }
 

@@ -173,36 +173,31 @@ impl WarmSession {
     /// manager when possible and building a fresh one otherwise. Returns
     /// the space, the relation, and whether the warm path was taken.
     ///
-    /// The manager is pre-sized from the pair count: a characteristic
-    /// function built from `P` related pairs over `n + m` variables lands
-    /// near `P · (n + m)` decision nodes in the common case. The
-    /// characteristic function is built bottom-up from the sorted pair
-    /// words (see [`BooleanRelation::from_packed`]), which leaves no
-    /// garbage, so the relation goes to the backends without a sweep.
+    /// The manager is not presized: its tables start at their minimum and
+    /// grow with use, because χ's size is not predictable from the pair
+    /// count (on the engine's default corpus χ has 12–91 decision nodes,
+    /// where `P · (n + m)` for `P` pairs over `n + m` variables would
+    /// guess 448–245,760). The characteristic function is built bottom-up
+    /// from the sorted pair words (see [`BooleanRelation::from_packed`]),
+    /// which leaves no garbage, so the relation goes to the backends
+    /// without a sweep.
     pub fn rehydrate(&mut self, spec: &RelationSpec) -> (RelationSpace, BooleanRelation, bool) {
         let _span = brel_obs::span(brel_obs::Category::Session, "rehydrate");
-        let num_vars = spec.num_inputs() + spec.num_outputs();
-        let expected_nodes = spec.num_pairs().saturating_mul(num_vars);
-        let (session, warm) = self.obtain(num_vars, expected_nodes);
+        let (session, warm) = self.session(spec.num_inputs() + spec.num_outputs());
         let space = RelationSpace::from_session(session, spec.num_inputs(), spec.num_outputs());
         let relation = BooleanRelation::from_packed(&space, spec.words())
             .expect("widths were validated at construction");
         (space, relation, warm)
     }
 
-    /// Prepares a sized session *without* constructing a relation — the
-    /// wide-mode entry point for workers that receive their subproblems
-    /// as in-manager handles (or steal them by structural BDD import)
-    /// rather than rehydrating a spec up front. Returns the session and
+    /// A cold-equivalent session over `num_vars` variables, without a
+    /// relation in it: the reset-or-build path behind
+    /// [`WarmSession::rehydrate`], tuned by [`BddConfig::from_env`]. Wide
+    /// mode's stealing workers call it directly, since they receive their
+    /// subproblems as in-manager handles (or steal them by structural BDD
+    /// import) rather than rehydrating a spec. Returns the session and
     /// whether the warm path was taken.
-    pub(crate) fn prepare(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
-        let _span = brel_obs::span(brel_obs::Category::Session, "prepare");
-        self.obtain(num_vars, expected_nodes)
-    }
-
-    /// The single reset-or-build path behind [`WarmSession::rehydrate`]
-    /// and [`WarmSession::prepare`], tuned by [`BddConfig::from_env`].
-    fn obtain(&mut self, num_vars: usize, expected_nodes: usize) -> (BddSession, bool) {
+    pub(crate) fn session(&mut self, num_vars: usize) -> (BddSession, bool) {
         let config = BddConfig::from_env();
         let mut warm = false;
         // A reset can only fail while handles from the previous job are
@@ -212,16 +207,16 @@ impl WarmSession {
             Some(previous) => {
                 let reset_ok = {
                     let _reset = brel_obs::span(brel_obs::Category::Session, "reset");
-                    previous.reset(num_vars, expected_nodes, config)
+                    previous.reset(num_vars, config)
                 };
                 if reset_ok {
                     warm = true;
                     previous
                 } else {
-                    BddSession::with_config(num_vars, expected_nodes, config)
+                    BddSession::with_config(num_vars, config)
                 }
             }
-            None => BddSession::with_config(num_vars, expected_nodes, config),
+            None => BddSession::with_config(num_vars, config),
         };
         if self.keep_warm {
             self.session = Some(session.clone());
@@ -395,20 +390,20 @@ mod tests {
     }
 
     #[test]
-    fn prepare_reuses_the_warm_manager_like_rehydrate() {
+    fn bare_sessions_reuse_the_warm_manager_like_rehydrate() {
         let mut warm = WarmSession::new();
-        let (s1, was_warm) = warm.prepare(3, 64);
-        assert!(!was_warm, "first prepare is cold");
+        let (s1, was_warm) = warm.session(3);
+        assert!(!was_warm, "the first session is cold");
         drop(s1);
-        let (s2, was_warm) = warm.prepare(3, 64);
-        assert!(was_warm, "second prepare reuses the session");
+        let (s2, was_warm) = warm.session(3);
+        assert!(was_warm, "the second session reuses the manager");
         drop(s2);
-        // prepare and rehydrate share one warm session.
+        // Bare sessions and rehydration share one warm manager.
         let space = RelationSpace::new(2, 1);
         let r = BooleanRelation::from_table(&space, "00:{0}\n01:{1}\n10:{1}\n11:{0}").unwrap();
         let spec = RelationSpec::from_relation(&r).unwrap();
         let (s3, r3, was_warm) = warm.rehydrate(&spec);
-        assert!(was_warm, "rehydrate reuses the prepared session");
+        assert!(was_warm, "rehydrate reuses the bare session's manager");
         assert!(r3.is_well_defined());
         drop((s3, r3));
         assert_eq!(warm.counts(), (2, 1, 0));

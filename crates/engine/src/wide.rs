@@ -556,7 +556,6 @@ pub(crate) fn search(
     let num_inputs = job.relation.num_inputs();
     let num_outputs = job.relation.num_outputs();
     let num_vars = num_inputs + num_outputs;
-    let expected_nodes = job.relation.num_pairs().saturating_mul(num_vars);
 
     let (first, rest) = sessions.split_at_mut(1);
     {
@@ -572,7 +571,7 @@ pub(crate) fn search(
                 scope.spawn(move || {
                     let _track = brel_obs::enabled(brel_obs::Category::Engine)
                         .then(|| brel_obs::set_track(&format!("wide-worker-{w}")));
-                    let (session, _warm) = warm.prepare(num_vars, expected_nodes);
+                    let (session, _warm) = warm.session(num_vars);
                     let space = RelationSpace::from_session(session, num_inputs, num_outputs);
                     worker_loop(w, space, shared, ctx);
                 });

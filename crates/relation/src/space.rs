@@ -44,16 +44,8 @@ impl RelationSpace {
     /// `num_outputs` output variables (named `y0..`). Inputs are placed
     /// above outputs in the BDD variable order.
     pub fn new(num_inputs: usize, num_outputs: usize) -> Self {
-        Self::with_capacity(num_inputs, num_outputs, 1024)
-    }
-
-    /// Creates a space whose BDD manager is pre-sized for roughly
-    /// `expected_nodes` decision nodes. Batch workers use this when the
-    /// relation's size is known before rehydration, so building the
-    /// characteristic function triggers no unique-table rehash.
-    pub fn with_capacity(num_inputs: usize, num_outputs: usize, expected_nodes: usize) -> Self {
         Self::from_session(
-            BddSession::with_capacity(num_inputs + num_outputs, expected_nodes),
+            BddSession::new(num_inputs + num_outputs),
             num_inputs,
             num_outputs,
         )
@@ -61,14 +53,9 @@ impl RelationSpace {
 
     /// Creates a space with an explicit kernel lifecycle configuration
     /// (see [`BddConfig`]); the former per-manager knob setters are gone.
-    pub fn with_config(
-        num_inputs: usize,
-        num_outputs: usize,
-        expected_nodes: usize,
-        config: BddConfig,
-    ) -> Self {
+    pub fn with_config(num_inputs: usize, num_outputs: usize, config: BddConfig) -> Self {
         Self::from_session(
-            BddSession::with_config(num_inputs + num_outputs, expected_nodes, config),
+            BddSession::with_config(num_inputs + num_outputs, config),
             num_inputs,
             num_outputs,
         )

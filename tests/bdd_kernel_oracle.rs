@@ -311,7 +311,7 @@ proptest! {
 /// cache or unique-table entry can resurrect a reclaimed `NodeId`.
 #[test]
 fn sweep_evicts_cached_results_and_recycles_slots_safely() {
-    let mgr = BddSession::with_config(6, 1024, BddConfig::new().auto_gc(false));
+    let mgr = BddSession::with_config(6, BddConfig::new().auto_gc(false));
     let a = mgr.var(0);
     let b = mgr.var(1);
     let c = mgr.var(2);

@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 
-use brel_suite::bdd::{Bdd, BddManager, BddSession};
-use brel_suite::benchdata::random_well_defined_relation;
+use brel_suite::bdd::{Bdd, BddManager, BddSession, CacheStats};
+use brel_suite::benchdata::{random_well_defined_relation, table2};
+use brel_suite::brel::{BrelConfig, BrelSolver};
 use brel_suite::engine::{CostSpec, Engine, JobSpec, RelationSpec, SearchStrategy, WarmSession};
 use brel_suite::relation::RelationRow;
 
@@ -169,4 +170,69 @@ fn different_configurations_never_share_cache_entries() {
     let lits = &batch.jobs[1];
     let w = lits.winning().unwrap();
     assert_eq!(w.cost, w.literals as u64);
+}
+
+/// The spec of a named Table 2 instance, as the batch corpus builds it.
+fn table2_spec(name: &str) -> RelationSpec {
+    let instance = table2::instance(name).expect("known instance");
+    let (_space, relation) = table2::generate(&instance);
+    RelationSpec::from_relation(&relation).unwrap()
+}
+
+/// The kernel gauges a warm reset must rewind to their cold values.
+fn table_gauges(stats: &CacheStats) -> (u64, u64, u64) {
+    (stats.unique_capacity, stats.unique_len, stats.cache_slots)
+}
+
+/// Regression: kernel tables are sized by use, not by a pair-count guess.
+/// int9 has 16,384 pairs over 15 variables; presizing from
+/// `pairs × vars` = 245,760 gave its χ (93 live nodes) a 524,288-slot
+/// unique table. Cold and warm
+/// rehydrations both keep the table within 4x of what it holds.
+#[test]
+fn rehydrated_unique_tables_are_sized_by_use() {
+    let min_capacity = BddSession::new(1).cache_stats().unique_capacity;
+    let spec = table2_spec("int9");
+    let mut warm = WarmSession::new();
+    for round in ["cold", "warm"] {
+        let (space, relation, _) = warm.rehydrate(&spec);
+        let capacity = space.mgr().cache_stats().unique_capacity;
+        let live = space.gc_stats().live_nodes;
+        assert!(
+            capacity <= 4 * min_capacity.max(live),
+            "{round}: {capacity} slots for {live} live nodes"
+        );
+        drop((space, relation));
+    }
+    assert_eq!(warm.counts(), (1, 1, 0));
+}
+
+/// A session that just solved int9 and is then reset for int1 reports the
+/// same table gauges as a cold session for int1: a warm reset rewinds the
+/// unique table and the op cache to their cold sizes, whatever they grew
+/// to before.
+#[test]
+fn a_reset_after_a_larger_solve_matches_cold_gauges() {
+    let mut warm = WarmSession::new();
+    let (space, relation, _) = warm.rehydrate(&table2_spec("int9"));
+    BrelSolver::new(BrelConfig::default())
+        .solve(&relation)
+        .unwrap();
+    let solved = space.mgr().cache_stats();
+    drop((space, relation));
+
+    let int1 = table2_spec("int1");
+    let (cold_space, cold_relation, _) = WarmSession::cold().rehydrate(&int1);
+    let cold = cold_space.mgr().cache_stats();
+    assert!(
+        solved.unique_capacity > cold.unique_capacity,
+        "the int9 solve must grow the unique table past int1's cold size"
+    );
+    let (warm_space, warm_relation, was_warm) = warm.rehydrate(&int1);
+    assert!(was_warm);
+    assert_eq!(
+        table_gauges(&warm_space.mgr().cache_stats()),
+        table_gauges(&cold)
+    );
+    drop((cold_space, cold_relation, warm_space, warm_relation));
 }
