@@ -147,7 +147,7 @@ const UNIQUE_EMPTY: u32 = u32::MAX;
 /// Open-addressed unique table: maps `(var, lo, hi)` to the canonical
 /// arena index. Slots store only the `u32` arena index; the key is read
 /// back from the node arena during probing (linear probing, power-of-two
-/// capacity, grown at 3/4 load).
+/// capacity, doubled past 3/4 load; see [`capacity_for`]).
 ///
 /// The table is sized by use, as CUDD sizes its subtables: it starts at
 /// [`UniqueTable::MIN_CAPACITY`] slots and grows as nodes arrive; callers
@@ -166,11 +166,20 @@ pub(crate) struct UniqueTable {
     hits: u64,
 }
 
-/// Rounds a requested element count up to the power-of-two capacity that
-/// holds it under 3/4 load.
+/// The unique table's resize rule, stated once: the capacity is a power
+/// of two, the table holds at most 3/4 of it, an insert that would pass
+/// that load doubles the table ([`overloaded`]), and a GC rebuild sizes
+/// it to the smallest capacity that holds the live nodes under the same
+/// load (this function).
 fn capacity_for(expected: usize, minimum: usize) -> usize {
     let needed = expected.saturating_mul(4) / 3 + 1;
     needed.max(minimum).next_power_of_two()
+}
+
+/// Whether `len` entries pass the 3/4 load limit of `slots` slots (see
+/// [`capacity_for`]).
+fn overloaded(len: usize, slots: usize) -> bool {
+    len * 4 > slots * 3
 }
 
 impl UniqueTable {
@@ -212,11 +221,8 @@ impl UniqueTable {
         free: &mut Vec<u32>,
     ) -> NodeId {
         self.lookups += 1;
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow(
-                capacity_for(self.len * 2, Self::MIN_CAPACITY).max(self.slots.len()),
-                nodes,
-            );
+        if overloaded(self.len + 1, self.slots.len()) {
+            self.grow(self.slots.len() * 2, nodes);
         }
         let mut i = hash3(var.0, lo.0, hi.0) as usize & self.mask;
         loop {
@@ -562,14 +568,19 @@ mod tests {
         ];
         let mut free: Vec<u32> = Vec::new();
         let mut table = UniqueTable::new();
-        let initial_capacity = table.capacity();
-        // Insert enough distinct nodes to force at least one growth.
+        // Insert enough distinct nodes to force three growths, noting the
+        // capacity each insert leaves behind.
         let mut ids = Vec::new();
+        let mut growths = vec![(0, table.capacity())];
         for v in 0..1024u32 {
             ids.push(table.get_or_insert(Var(v), NodeId::ZERO, NodeId::ONE, &mut nodes, &mut free));
+            if table.capacity() != growths.last().unwrap().1 {
+                growths.push((v + 1, table.capacity()));
+            }
         }
-        assert!(table.capacity() > initial_capacity);
         assert_eq!(table.len(), 1024);
+        // Each growth doubles the table the insert past 3/4 load finds.
+        assert_eq!(growths, [(0, 256), (193, 512), (385, 1024), (769, 2048)]);
         // Every node is still found after rehashing.
         for (v, &id) in ids.iter().enumerate() {
             let again = table.get_or_insert(

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use brel_relation::{BooleanRelation, RelationSpace};
+use brel_relation::{vertex, BooleanRelation, RelationSpace};
 
 /// Generates a random *well-defined* Boolean relation over `num_inputs`
 /// inputs and `num_outputs` outputs.
@@ -58,25 +58,26 @@ fn random_in_space(
     assert!(num_inputs <= 16, "input space must stay enumerable");
     assert!(num_outputs <= 16, "output space must stay enumerable");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pairs: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
+    let mut words = Vec::new();
     let output_count = 1u64 << num_outputs;
-    for input in space.enumerate_inputs() {
+    // Inputs and outputs are drawn by enumeration index (component 0 in
+    // the least significant bit), the order of `enumerate_inputs`.
+    let pair = |x: u32, y: u64| {
+        vertex::from_index(x, num_inputs) << num_outputs | vertex::from_index(y as u32, num_outputs)
+    };
+    for x in 0..1u32 << num_inputs {
         // One mandatory image vertex.
         let first = rng.gen_range(0..output_count);
-        pairs.push((input.clone(), to_bits(first, num_outputs)));
+        words.push(pair(x, first));
         // Optional extra vertices.
         for candidate in 0..output_count {
             if candidate != first && rng.gen_bool(extra_pair_prob) {
-                pairs.push((input.clone(), to_bits(candidate, num_outputs)));
+                words.push(pair(x, candidate));
             }
         }
     }
-    let relation = BooleanRelation::from_pairs(&space, &pairs).expect("arities match");
+    let relation = BooleanRelation::from_packed(&space, &words).expect("the space fits a word");
     (space, relation)
-}
-
-fn to_bits(value: u64, width: usize) -> Vec<bool> {
-    (0..width).map(|i| value & (1 << i) != 0).collect()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use brel_bdd::Bdd;
-use brel_relation::BooleanRelation;
+use brel_relation::{vertex, BooleanRelation};
 
 /// A cache of already-explored relations with output-symmetry lookups.
 ///
@@ -111,7 +111,7 @@ pub fn input_support_mask(num_inputs: usize, num_outputs: usize, pairs: &[u32]) 
     let y_mask = (1u64 << num_outputs) - 1;
     let mut mask = 0;
     for i in 0..num_inputs {
-        let flip = 1u64 << (num_inputs - 1 - i);
+        let flip = u64::from(vertex::component(i, num_inputs));
         // A missing partner has the empty image, which no present input has.
         let depends = pairs.chunk_by(|a, b| x_of(a) == x_of(b)).any(|run| {
             let partner = image(x_of(&run[0]) ^ flip);
@@ -131,7 +131,9 @@ pub fn input_support_mask(num_inputs: usize, num_outputs: usize, pairs: &[u32]) 
 fn project(x: u64, width: usize, mask: u64) -> u64 {
     (0..width)
         .filter(|&i| mask >> i & 1 == 1)
-        .fold(0, |acc, i| acc << 1 | (x >> (width - 1 - i) & 1))
+        .fold(0, |acc, i| {
+            acc << 1 | u64::from(x & u64::from(vertex::component(i, width)) != 0)
+        })
 }
 
 /// A 64-bit fingerprint of a relation given as sorted, distinct pair
@@ -201,7 +203,7 @@ mod tests {
     /// Sorted, distinct pair words of `(input, output)` bit strings,
     /// component 0 first.
     fn words(num_outputs: usize, pairs: &[(&str, &str)]) -> Vec<u32> {
-        let bits = |text: &str| u32::from_str_radix(text, 2).unwrap();
+        let bits = |text: &str| vertex::parse(text).unwrap();
         let mut words: Vec<u32> = pairs
             .iter()
             .map(|(x, y)| bits(x) << num_outputs | bits(y))

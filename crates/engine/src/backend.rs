@@ -9,7 +9,7 @@ use brel_core::{
     StepOutcome,
 };
 use brel_gyocro::{GyocroConfig, GyocroSolver};
-use brel_relation::{BooleanRelation, RelationError};
+use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
 
 use crate::control::JobControl;
 use crate::fault::{FaultInjection, FaultKind, InjectedPanic};
@@ -148,20 +148,12 @@ pub(crate) fn execute_with(
     // Snapshot before the compatibility check so the verification's own
     // kernel traffic never leaks into the attributed counters.
     let after = relation.space().mgr().stats_snapshot();
-    let (score, cover) = {
-        let _span = brel_obs::span(brel_obs::Category::Engine, "verify");
-        assert!(
-            relation.is_compatible(&function),
-            "backend {} returned an incompatible function",
-            kind.name()
-        );
-        (cost.to_cost_fn().cost(&function), function.to_multicover())
-    };
+    let (score, cubes, literals) = score(kind, cost, relation, &function);
     let report = SolutionReport {
         backend: kind,
         cost: score,
-        cubes: cover.num_cubes(),
-        literals: cover.num_literals(),
+        cubes,
+        literals,
         explored: stats.explored,
         splits: stats.splits,
         frontier_peak: stats.frontier_peak,
@@ -173,6 +165,31 @@ pub(crate) fn execute_with(
         wall_micros: wall_us,
     };
     Ok((report, truncated))
+}
+
+/// Scores an attempt's winner, narrow or wide: hard-asserts that
+/// `function` is compatible with `relation` (both in one session), then
+/// returns its cost under the job's cost function and the cube and
+/// literal counts of its ISOP covers.
+///
+/// # Panics
+///
+/// Panics if the backend returned an incompatible function.
+pub(crate) fn score(
+    kind: BackendKind,
+    cost: CostSpec,
+    relation: &BooleanRelation,
+    function: &MultiOutputFunction,
+) -> (u64, usize, usize) {
+    let _span = brel_obs::span(brel_obs::Category::Engine, "verify");
+    assert!(
+        relation.is_compatible(function),
+        "backend {} returned an incompatible function",
+        kind.name()
+    );
+    let score = cost.to_cost_fn().cost(function);
+    let cover = function.to_multicover();
+    (score, cover.num_cubes(), cover.num_literals())
 }
 
 /// The exploration a BREL job asks for: its cost, strategy, budget and

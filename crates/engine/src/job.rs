@@ -10,13 +10,14 @@
 //! canonical words give the cross-job cache a sound
 //! [`RelationSpec::fingerprint`] to key on. Between the wire decoder and χ
 //! nothing allocates per vertex: decoding packs each row string into
-//! words, and rehydration and the fingerprint read the words.
+//! words ([`brel_relation::vertex`]), and rehydration and the fingerprint
+//! read the words.
 
 use std::fmt;
 use std::sync::OnceLock;
 
 use brel_core::{CostFn, SearchStrategy};
-use brel_relation::{BooleanRelation, RelationError, RelationRow, RelationSpace};
+use brel_relation::{vertex, BooleanRelation, RelationError, RelationSpace};
 
 use crate::fault::FaultPolicy;
 
@@ -94,30 +95,34 @@ impl CostSpec {
 /// jobs ride across threads and the wire.
 ///
 /// The relation is stored as one packed word per `(x, y)` pair,
-/// `x << num_outputs | y`, with component 0 of each vertex in its most
-/// significant bit, sorted and deduplicated. Numeric word order is the
-/// order of *canonical* rows (merged inputs, sorted images, empty images
-/// dropped, rows sorted by input vertex), so two specs describing the same
-/// relation compare equal however their rows were authored, rehydration
-/// ([`BooleanRelation::from_packed`]) is a pure function of the relation
-/// rather than of row order, and the engine's cross-job cache can key on
-/// [`RelationSpec::fingerprint`]. [`RelationSpec::MAX_WIDTH`] bounds both
-/// widths, so a word always fits in 32 bits.
+/// `x << num_outputs | y`, each vertex packed by [`brel_relation::vertex`]
+/// (component 0 in its most significant bit), sorted and deduplicated.
+/// Numeric word order is the order of *canonical* rows (merged inputs,
+/// sorted images, empty images dropped, rows sorted by input vertex), so
+/// two specs describing the same relation compare equal however their
+/// pairs were authored, rehydration ([`BooleanRelation::from_packed`]) is
+/// a pure function of the relation rather than of pair order, and the
+/// engine's cross-job cache can key on [`RelationSpec::fingerprint`].
+/// [`RelationSpec::MAX_WIDTH`] bounds both widths, so a word always fits
+/// in 32 bits.
 #[derive(Clone)]
 pub struct RelationSpec {
     num_inputs: usize,
     num_outputs: usize,
     words: Vec<u32>,
     /// [`RelationSpec::rows`], materialized on first call.
-    rows: OnceLock<Vec<RelationRow>>,
+    rows: OnceLock<UnpackedRows>,
 }
+
+/// The unpacked rows of [`RelationSpec::rows`].
+type UnpackedRows = Vec<(Vec<bool>, Vec<Vec<bool>>)>;
 
 // Two widths of `MAX_WIDTH` bits each share one pair word.
 const _: () = assert!(2 * RelationSpec::MAX_WIDTH <= 32);
 
 impl RelationSpec {
     /// The widest input or output vector a spec may declare. It equals
-    /// the width limit of [`BooleanRelation::to_rows`], and an input
+    /// the width limit of [`BooleanRelation::to_table`], and an input
     /// vertex next to an output vertex fits one `u32` pair word.
     /// The bound is checked before anything is shifted or allocated, so a
     /// hostile width (say, 4 billion inputs) is an error instead of an
@@ -143,36 +148,10 @@ impl RelationSpec {
         Ok(())
     }
 
-    /// Builds a spec from explicit rows, validating both widths and every
-    /// vertex arity up front so that [`RelationSpec::rehydrate`] cannot
-    /// fail later on a worker thread. The rows are packed, sorted and
-    /// deduplicated on the way in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::TooLarge`] if either width exceeds
-    /// [`RelationSpec::MAX_WIDTH`], and
-    /// [`RelationError::DimensionMismatch`] if any vertex has the wrong
-    /// arity.
-    pub fn new(
-        num_inputs: usize,
-        num_outputs: usize,
-        rows: Vec<RelationRow>,
-    ) -> Result<Self, RelationError> {
-        Self::check_widths(num_inputs, num_outputs)?;
-        let mut words = Vec::with_capacity(rows.iter().map(|(_, image)| image.len()).sum());
-        for (input, outputs) in &rows {
-            let x = pack(num_inputs, input)?;
-            for output in outputs {
-                words.push(x << num_outputs | pack(num_outputs, output)?);
-            }
-        }
-        Ok(Self::from_words(num_inputs, num_outputs, words))
-    }
-
     /// Builds a spec from packed pair words (`x << num_outputs | y`, in any
-    /// order, possibly repeated). Both widths are checked before any word
-    /// is read.
+    /// order, possibly repeated). Both widths and every word are checked
+    /// here, so [`RelationSpec::rehydrate`] cannot fail later on a worker
+    /// thread; the widths are checked before any word is read.
     ///
     /// # Errors
     ///
@@ -219,8 +198,8 @@ impl RelationSpec {
 
     /// Sorts and deduplicates checked words into a spec.
     fn from_words(num_inputs: usize, num_outputs: usize, mut words: Vec<u32>) -> Self {
-        // Words off the wire and from canonical rows arrive sorted, which
-        // the sort detects in one linear pass.
+        // Words off the wire and out of χ arrive sorted, which the sort
+        // detects in one linear pass.
         words.sort_unstable();
         words.dedup();
         RelationSpec {
@@ -268,22 +247,21 @@ impl RelationSpec {
         &self.words
     }
 
-    /// The canonical rows: one per input vertex with a non-empty image,
-    /// sorted by input vertex, each image sorted. Materialized from the
-    /// words on first call for table-shaped readers; rehydration, the
-    /// fingerprint and the wire codec read the words.
-    pub fn rows(&self) -> &[RelationRow] {
+    /// The canonical rows, unpacked: one per input vertex with a
+    /// non-empty image, sorted by input vertex, each image sorted, and
+    /// each vertex a component list ([`vertex::unpack`]). Materialized on
+    /// first call for oracles that read a relation row by row, such as the
+    /// layered benchmark's replay check (`layerbench/`); the engine, the
+    /// wire codec and rehydration read the words.
+    pub fn rows(&self) -> &[(Vec<bool>, Vec<Vec<bool>>)] {
         self.rows.get_or_init(|| {
-            let y_mask = (1u32 << self.num_outputs) - 1;
+            let (n, m) = (self.num_inputs, self.num_outputs);
+            let y_mask = (1u32 << m) - 1;
             self.words
-                .chunk_by(|a, b| a >> self.num_outputs == b >> self.num_outputs)
+                .chunk_by(|a, b| a >> m == b >> m)
                 .map(|run| {
-                    let input = unpack(self.num_inputs, run[0] >> self.num_outputs);
-                    let image = run
-                        .iter()
-                        .map(|&w| unpack(self.num_outputs, w & y_mask))
-                        .collect();
-                    (input, image)
+                    let image = run.iter().map(|&w| vertex::unpack(w & y_mask, m));
+                    (vertex::unpack(run[0] >> m, n), image.collect())
                 })
                 .collect()
         })
@@ -304,27 +282,9 @@ impl fmt::Debug for RelationSpec {
         f.debug_struct("RelationSpec")
             .field("num_inputs", &self.num_inputs)
             .field("num_outputs", &self.num_outputs)
-            .field("rows", &self.rows())
+            .field("words", &self.words)
             .finish()
     }
-}
-
-/// Packs a `width`-bit vertex, component 0 in the most significant bit.
-fn pack(width: usize, bits: &[bool]) -> Result<u32, RelationError> {
-    if bits.len() != width {
-        return Err(RelationError::DimensionMismatch {
-            expected: width,
-            found: bits.len(),
-        });
-    }
-    Ok(bits.iter().fold(0, |acc, &bit| acc << 1 | u32::from(bit)))
-}
-
-/// The inverse of [`pack`].
-fn unpack(width: usize, bits: u32) -> Vec<bool> {
-    (0..width)
-        .map(|i| bits >> (width - 1 - i) & 1 == 1)
-        .collect()
 }
 
 /// Per-job exploration budget, mapped onto each backend's own knobs.
@@ -455,19 +415,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_validates_arities_up_front() {
-        assert!(RelationSpec::new(2, 2, vec![(vec![true], vec![])]).is_err());
-        assert!(RelationSpec::new(2, 2, vec![(vec![true, false], vec![vec![true]])]).is_err());
-        assert!(RelationSpec::new(2, 2, vec![(vec![true, false], vec![])]).is_ok());
-    }
-
-    #[test]
     fn spec_widths_are_bounded_before_anything_is_allocated() {
         let max = RelationSpec::MAX_WIDTH;
-        assert!(RelationSpec::new(max, max, vec![]).is_ok());
+        assert!(RelationSpec::from_packed(max, max, vec![]).is_ok());
         for (inputs, outputs) in [(max + 1, 1), (1, max + 1), (4_000_000_000, 1)] {
             assert_eq!(
-                RelationSpec::new(inputs, outputs, vec![]),
+                RelationSpec::from_packed(inputs, outputs, vec![]),
                 Err(RelationError::TooLarge {
                     vars: inputs.max(outputs),
                     limit: max,
@@ -477,28 +430,23 @@ mod tests {
         // The widest relation `from_relation` can export is accepted.
         let space = RelationSpace::new(max, 1);
         let exported = RelationSpec::from_relation(&BooleanRelation::full(&space)).unwrap();
-        let rows = exported.rows().to_vec();
-        assert_eq!(RelationSpec::new(max, 1, rows).unwrap(), exported);
+        let words = exported.words().to_vec();
+        assert_eq!(RelationSpec::from_packed(max, 1, words).unwrap(), exported);
     }
 
     #[test]
-    fn spec_words_merge_sort_and_drop_empty_images() {
-        let rows = vec![
-            (vec![true], vec![vec![true], vec![false]]),
-            (vec![false], vec![]),
-            (vec![true], vec![vec![true]]),
-        ];
-        let spec = RelationSpec::new(1, 1, rows).unwrap();
+    fn spec_words_merge_sort_and_unpack_into_canonical_rows() {
+        let spec = RelationSpec::from_packed(1, 1, vec![0b11, 0b10, 0b11]).unwrap();
         assert_eq!(spec.words(), &[0b10, 0b11]);
         assert_eq!(spec.num_pairs(), 2);
         assert_eq!(
             spec.rows(),
             &[(vec![true], vec![vec![false], vec![true]])],
-            "duplicates merged, image sorted, empty row dropped"
+            "duplicates merged, image sorted"
         );
         assert_eq!(
-            RelationSpec::from_packed(1, 1, vec![0b11, 0b10, 0b11]).unwrap(),
-            spec
+            format!("{spec:?}"),
+            "RelationSpec { num_inputs: 1, num_outputs: 1, words: [2, 3] }"
         );
     }
 

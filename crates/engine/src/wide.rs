@@ -49,9 +49,9 @@ use brel_bdd::ResourceGovernor;
 use brel_core::{
     expand, CostFn, Expansion, Explorer, IsfMinimizer, QuickSolver, StepOutcome, Subproblem,
 };
-use brel_relation::{BooleanRelation, RelationError, RelationSpace};
+use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError, RelationSpace};
 
-use crate::backend::{brel_config, SolutionReport};
+use crate::backend::{brel_config, score, SolutionReport};
 use crate::control::JobControl;
 use crate::fault::{catch_fault, splitmix64, FaultClass, FaultInjection, FaultKind, InjectedPanic};
 use crate::job::{BackendKind, JobSpec};
@@ -478,9 +478,10 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 }
 
 /// Solves the BREL backend of `job` with work-stealing parallel search
-/// over `sessions` (one worker per session, at least one) and scores it
-/// into the same [`SolutionReport`] shape as the sequential backend. This
-/// is the BREL branch of [`crate::Runner::run`] in wide mode.
+/// over `sessions` (one worker per session, at least one) and scores its
+/// winner through the sequential backend's own compatibility check and
+/// cost ([`score`]). This is the BREL branch of [`crate::Runner::run`] in
+/// wide mode.
 ///
 /// The report equals a narrow run's on every field but the wall time and the `cache`/`gc` kernel
 /// counters (scoped to the seed phase here), at every worker count: both
@@ -523,7 +524,6 @@ pub(crate) fn search(
     // must stay byte-identical across worker counts.
     let cache = after.cache.delta_since(&before.cache);
     let gc = after.gc.delta_since(&before.gc);
-    drop(root);
     drop(seed_span);
     if let Some(control) = control {
         control.notify_incumbent(explorer.best_cost(), 0);
@@ -592,14 +592,23 @@ pub(crate) fn search(
     }
     drop(solve_span);
 
+    // The incumbent may come from a stolen expansion, whose function lives
+    // in the stealer's session: import it next to the root before the
+    // compatibility check every attempt gets.
+    let space = root.space();
+    let outputs = state.explorer.best().outputs();
+    let best = MultiOutputFunction::new(
+        space,
+        outputs.iter().map(|f| space.mgr().import(f)).collect(),
+    )?;
+    let (cost, cubes, literals) = score(BackendKind::Brel, job.cost, &root, &best);
     let stats = state.explorer.stats();
-    let cover = state.explorer.best().to_multicover();
     Ok((
         SolutionReport {
             backend: BackendKind::Brel,
-            cost: state.explorer.best_cost(),
-            cubes: cover.num_cubes(),
-            literals: cover.num_literals(),
+            cost,
+            cubes,
+            literals,
             explored: stats.explored,
             splits: stats.splits,
             frontier_peak: stats.frontier_peak,
@@ -706,6 +715,58 @@ mod tests {
                 .collect();
             assert_eq!(reports[0], reports[1], "{strategy}: threshold 0 vs 2");
             assert_eq!(reports[0], reports[2], "{strategy}: stealable vs pinned");
+        }
+    }
+
+    #[test]
+    fn stolen_winners_pass_the_compatibility_check() {
+        // With every subproblem stealable, the second worker expands much
+        // of the search, so the winner often lives in its session. Scoring
+        // imports the winner next to the root before the compatibility
+        // assert, and the result matches the one-worker solve. The
+        // relation is a seeded 4×3 one whose search improves its incumbent
+        // several times within the budget: every input gets one drawn
+        // output vertex, and each other one with probability 3/8.
+        let mut state = 15;
+        let mut words = Vec::new();
+        for x in 0..1u32 << 4 {
+            let first = (splitmix64(&mut state) % 8) as u32;
+            for y in 0..8u32 {
+                if y == first || splitmix64(&mut state) % 8 < 3 {
+                    words.push(x << 3 | y);
+                }
+            }
+        }
+        let job = JobSpec::single(
+            "flexible",
+            RelationSpec::from_packed(4, 3, words).unwrap(),
+            BackendKind::Brel,
+        )
+        .with_budget(JobBudget {
+            max_explored: Some(64),
+            fifo_capacity: None,
+            ..JobBudget::default()
+        });
+        let mask = |mut r: SolutionReport| {
+            r.wall_micros = 0;
+            r
+        };
+        let baseline = mask(solve(&job, 1, WideOptions::default()).unwrap());
+        assert!(baseline.explored > 8, "the search must branch");
+        for seed in 0..4u64 {
+            let options = WideOptions {
+                steal_threshold: 0,
+                stagger: Some(StaggerPlan {
+                    seed,
+                    max_micros: 200,
+                }),
+                ..WideOptions::default()
+            };
+            assert_eq!(
+                mask(solve(&job, 2, options).unwrap()),
+                baseline,
+                "seed {seed}"
+            );
         }
     }
 

@@ -1,5 +1,5 @@
-//! The [`Collector`] trait and its three implementations: null,
-//! counting, and recording.
+//! The [`Collector`] trait and its two implementations: null and
+//! recording.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
@@ -135,32 +135,8 @@ impl AggState {
     }
 }
 
-/// Keeps only per-phase aggregates (counts, total durations) and
-/// counters — no individual records, bounded memory.
-#[derive(Default)]
-pub struct CountingCollector {
-    mask: u32,
-    state: Mutex<AggState>,
-}
-
-impl CountingCollector {
-    /// A counting collector armed for the given category mask
-    /// (e.g. [`Category::ALL`]).
-    pub fn new(mask: u32) -> CountingCollector {
-        CountingCollector {
-            mask,
-            state: Mutex::default(),
-        }
-    }
-
-    /// Snapshot of the named counters (explicit [`crate::count`] calls
-    /// plus one `events.<name>` count per event name), sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        collect_counters(&state)
-    }
-}
-
+/// The named counters (explicit [`crate::count`] calls plus one
+/// `events.<category>.<name>` count per event name), sorted by name.
 fn collect_counters(state: &AggState) -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = state
         .counters
@@ -172,29 +148,6 @@ fn collect_counters(state: &AggState) -> Vec<(String, u64)> {
     }
     out.sort();
     out
-}
-
-impl Collector for CountingCollector {
-    fn mask(&self) -> u32 {
-        self.mask
-    }
-
-    fn span(&self, record: SpanRecord) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .absorb_span(&record);
-    }
-
-    fn event(&self, record: EventRecord) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state.events.entry((record.cat, record.name)).or_default() += 1;
-    }
-
-    fn add(&self, counter: &'static str, delta: u64) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state.counters.entry(counter).or_default() += delta;
-    }
 }
 
 #[derive(Default)]

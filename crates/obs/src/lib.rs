@@ -15,8 +15,6 @@
 //! Data flows into a pluggable [`Collector`]:
 //!
 //! * [`NullCollector`] — the default; mask `0`, records nothing.
-//! * [`CountingCollector`] — per-phase call counts and total durations
-//!   only; cheap enough for always-on aggregate accounting.
 //! * [`RecordingCollector`] — full span/event capture for export as a
 //!   Chrome trace-event JSON file ([`RecordingCollector::chrome_trace`],
 //!   loadable in Perfetto or `chrome://tracing`) and for the aggregate
@@ -52,8 +50,7 @@ mod report;
 
 pub use chrome::{chrome_trace, escape_json_into};
 pub use collector::{
-    ArgList, Collector, CountingCollector, EventRecord, NullCollector, PhaseAgg,
-    RecordingCollector, SpanRecord,
+    ArgList, Collector, EventRecord, NullCollector, PhaseAgg, RecordingCollector, SpanRecord,
 };
 pub use metrics::{Metric, MetricsRegistry};
 pub use report::{PhaseReport, PhaseRow};

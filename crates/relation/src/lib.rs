@@ -13,7 +13,9 @@
 //! * the `Split` operation that partitions the compatible functions
 //!   (Definition 5.4, Theorem 5.2),
 //! * a tabular reader/writer using the same notation as the paper's
-//!   examples.
+//!   examples,
+//! * the packed pair words relations travel as outside the BDD, whose bit
+//!   order only [`vertex`] knows.
 //!
 //! ```
 //! use brel_relation::{RelationSpace, BooleanRelation};
@@ -38,10 +40,11 @@ mod misf;
 mod relation;
 mod space;
 mod table;
+pub mod vertex;
 
 pub use error::RelationError;
 pub use function::MultiOutputFunction;
 pub use isf::Isf;
 pub use misf::Misf;
-pub use relation::{BooleanRelation, RelationRow};
+pub use relation::BooleanRelation;
 pub use space::RelationSpace;

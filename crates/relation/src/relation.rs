@@ -10,10 +10,6 @@ use crate::isf::Isf;
 use crate::misf::Misf;
 use crate::space::RelationSpace;
 
-/// One tabular row of a relation: an input vertex and the set of output
-/// vertices it is related to.
-pub type RelationRow = (Vec<bool>, Vec<Vec<bool>>);
-
 /// A Boolean relation `R ⊆ 𝔹ⁿ × 𝔹ᵐ` stored as its characteristic function
 /// `χR : 𝔹ⁿ⁺ᵐ → 𝔹` (Definitions 4.6 and 6.1 of the paper).
 #[derive(Debug, Clone)]
@@ -53,26 +49,6 @@ impl BooleanRelation {
             space: space.clone(),
             chi,
         }
-    }
-
-    /// Builds a relation from explicit `(input vertex, output vertex)` pairs,
-    /// in any order and possibly repeated, the same way as
-    /// [`BooleanRelation::from_rows`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::DimensionMismatch`] if any vertex has the
-    /// wrong arity.
-    pub fn from_pairs(
-        space: &RelationSpace,
-        pairs: &[(Vec<bool>, Vec<bool>)],
-    ) -> Result<Self, RelationError> {
-        Self::build(
-            space,
-            pairs
-                .iter()
-                .map(|(x, y)| (x.as_slice(), std::slice::from_ref(y))),
-        )
     }
 
     /// Builds the relation of a multiple-output *function* (the functional
@@ -359,52 +335,6 @@ impl BooleanRelation {
         MultiOutputFunction::new(&self.space, outputs)
     }
 
-    /// Exports the relation as owned [`RelationRow`]s — the tabular
-    /// representation used throughout the paper's examples — and the
-    /// inverse of [`BooleanRelation::from_rows`]. Rows are emitted for
-    /// every input vertex in [`RelationSpace::enumerate_inputs`] order
-    /// (rows with an empty image mark inputs on which the relation is not
-    /// well defined), each image in the same output enumeration order, so
-    /// `from_rows(space, &r.to_rows()?)` reconstructs `r` exactly. The
-    /// pairs come from one walk of χ's paths ([`BooleanRelation::to_packed`]),
-    /// so the cost is linear in the rows and pairs emitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::TooLarge`] if either width exceeds 16.
-    pub fn to_rows(&self) -> Result<Vec<RelationRow>, RelationError> {
-        let (n, m) = (self.space.num_inputs(), self.space.num_outputs());
-        if n > 16 || m > 16 {
-            return Err(RelationError::TooLarge {
-                vars: n.max(m),
-                limit: 16,
-            });
-        }
-        // Packed vertices hold component 0 in the most significant bit;
-        // the enumeration counts with component 0 in the least.
-        let reversed = |bits: u32, width: usize| match width {
-            0 => 0,
-            _ => bits.reverse_bits() >> (32 - width),
-        };
-        let vertex = |counter: u32, width: usize| -> Vec<bool> {
-            (0..width).map(|i| counter >> i & 1 == 1).collect()
-        };
-        let mut images: Vec<Vec<u32>> = vec![Vec::new(); 1 << n];
-        let y_mask = (1u32 << m) - 1;
-        for w in self.to_packed()? {
-            images[reversed(w >> m, n) as usize].push(reversed(w & y_mask, m));
-        }
-        Ok(images
-            .into_iter()
-            .enumerate()
-            .map(|(x, mut image)| {
-                image.sort_unstable();
-                let outputs = image.into_iter().map(|y| vertex(y, m)).collect();
-                (vertex(x as u32, n), outputs)
-            })
-            .collect())
-    }
-
     /// Exports the relation's pairs as packed words, the inverse of
     /// [`BooleanRelation::from_packed`]: one word `x << m | y` per pair,
     /// component 0 of each vertex in its most significant bit, sorted and
@@ -418,12 +348,7 @@ impl BooleanRelation {
     /// Returns [`RelationError::TooLarge`] if `n + m` exceeds 32.
     pub fn to_packed(&self) -> Result<Vec<u32>, RelationError> {
         let width = self.space.num_inputs() + self.space.num_outputs();
-        if width > 32 {
-            return Err(RelationError::TooLarge {
-                vars: width,
-                limit: 32,
-            });
-        }
+        check_word_width(width)?;
         let mut words = Vec::new();
         self.chi.for_each_minterm(width, |w| words.push(w as u32));
         Ok(words)
@@ -434,8 +359,8 @@ impl BooleanRelation {
     /// characteristic function, no enumeration, no 16-variable ceiling.
     /// Use it when `source` is at hand — the engine's wide mode ships
     /// stolen subproblems this way. When the relation travels as data, use
-    /// [`BooleanRelation::from_packed`] or [`BooleanRelation::from_rows`],
-    /// which cost one `mk` per node on the paths of the pair set.
+    /// [`BooleanRelation::from_packed`], which costs one `mk` per node on
+    /// the paths of the pair set.
     ///
     /// # Errors
     ///
@@ -453,55 +378,32 @@ impl BooleanRelation {
         })
     }
 
-    /// Builds a relation from `(input vertex, output vertices)` rows, the
-    /// inverse of [`BooleanRelation::to_rows`]. Rows with an empty image
-    /// contribute no pairs; missing input vertices are simply unrelated.
-    /// Rows may come in any order and repeat inputs or pairs.
-    ///
-    /// χ is built bottom-up, with no apply operations and no garbage, so
-    /// rows are one way to move a relation between processes or threads.
-    /// Between two live sessions, [`BooleanRelation::import_into`] skips
-    /// the rows altogether.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RelationError::DimensionMismatch`] if any vertex has the
-    /// wrong arity.
-    pub fn from_rows(space: &RelationSpace, rows: &[RelationRow]) -> Result<Self, RelationError> {
-        Self::build(
-            space,
-            rows.iter()
-                .map(|(input, outputs)| (input.as_slice(), outputs.as_slice())),
-        )
-    }
-
     /// Builds a relation from packed pair words, one per `(x, y)` pair:
-    /// `x << m | y` for `n` inputs and `m` outputs, component 0 of each
-    /// vertex in its most significant bit. Numeric word order is then the
-    /// order of canonical rows, and the engine's portable relations are
-    /// stored this way.
+    /// `x << m | y` for `n` inputs and `m` outputs, each vertex packed by
+    /// [`crate::vertex`]. Numeric word order is then the order of
+    /// canonical rows, and the engine's portable relations are stored
+    /// this way. Words may come in any order and repeat.
     ///
-    /// χ comes out of the same bottom-up build as
-    /// [`BooleanRelation::from_rows`], node for node, without a `Vec<bool>`
-    /// per vertex. A word's bits run in the variable order (inputs, then
-    /// outputs), so sorted, distinct words are split as they are, with no
-    /// copy; other input is sorted and deduplicated into a copy first.
-    /// Words may come in any order and repeat.
+    /// This is the one construction of χ from data, and it is linear in
+    /// the output. A word's bits run in the variable order (inputs, then
+    /// outputs), so the lexicographic order of sorted words is the order
+    /// of the BDD's paths. Sorted, distinct words are split as they are,
+    /// with no copy; other input is sorted and deduplicated into a copy
+    /// first. The words are then split recursively on one variable's bit
+    /// at a time, and each split is one [`BddManager::mk`] under a single
+    /// session lock: no apply-cache traffic, and every node allocated is
+    /// a node of the result.
     ///
     /// # Errors
     ///
     /// Returns [`RelationError::TooLarge`] if `n + m` exceeds 32, and
     /// [`RelationError::DimensionMismatch`] if a word has a bit at or
     /// above position `n + m`.
+    ///
+    /// [`BddManager::mk`]: brel_bdd::BddManager::mk
     pub fn from_packed(space: &RelationSpace, words: &[u32]) -> Result<Self, RelationError> {
-        let (inputs, outputs) = (space.input_vars(), space.output_vars());
-        let width = inputs.len() + outputs.len();
-        if width > 32 {
-            return Err(RelationError::TooLarge {
-                vars: width,
-                limit: 32,
-            });
-        }
+        let width = space.num_inputs() + space.num_outputs();
+        check_word_width(width)?;
         if let Some(&wide) = words.iter().find(|&&w| u64::from(w) >> width != 0) {
             return Err(RelationError::DimensionMismatch {
                 expected: width,
@@ -518,72 +420,23 @@ impl BooleanRelation {
             sorted = keys;
             &sorted
         };
-        let chi = space.mgr().apply(|mgr| {
-            build_sorted(mgr, width, keys, 0, &|&key, depth| {
-                key >> (width - 1 - depth) & 1 == 1
-            })
-        });
+        let chi = space.mgr().apply(|mgr| build_sorted(mgr, width, keys, 0));
         Ok(BooleanRelation {
             space: space.clone(),
             chi,
         })
     }
+}
 
-    /// The one construction path behind [`BooleanRelation::from_rows`] and
-    /// [`BooleanRelation::from_pairs`]: builds χ bottom-up from
-    /// `(input, image)` rows with one `mk` per distinct prefix of the
-    /// pair set, so the cost is linear in the output.
-    ///
-    /// Every vertex width is checked before any node is built. Each pair
-    /// then becomes a packed key whose bit `b` is variable `b` (bit 0, the
-    /// topmost variable, is stored at the MSB of word 0), so lexicographic
-    /// key order is the order of the BDD's paths. The sorted, deduplicated
-    /// keys are split recursively on one variable's bit at a time, and
-    /// each split is one [`BddManager::mk`] under a single session lock:
-    /// no apply-cache traffic, and every node allocated is a node of the
-    /// result.
-    ///
-    /// [`BddManager::mk`]: brel_bdd::BddManager::mk
-    fn build<'a, I>(space: &RelationSpace, rows: I) -> Result<Self, RelationError>
-    where
-        I: Iterator<Item = (&'a [bool], &'a [Vec<bool>])> + Clone,
-    {
-        let (inputs, outputs) = (space.input_vars(), space.output_vars());
-        let mut num_pairs = 0;
-        for (input, images) in rows.clone() {
-            check_width(inputs.len(), input.len())?;
-            for output in images {
-                check_width(outputs.len(), output.len())?;
-            }
-            num_pairs += images.len();
-        }
-        let width = inputs.len() + outputs.len();
-        // At least one word, so a space with no variables still has keys.
-        let words = width.div_ceil(64).max(1);
-        let mut keys = vec![0u64; num_pairs * words];
-        let mut chunks = keys.chunks_exact_mut(words);
-        for (input, images) in rows {
-            for output in images {
-                let key = chunks.next().expect("one key per pair");
-                let bits = input.iter().chain(output).enumerate();
-                for (bit, _) in bits.filter(|&(_, &b)| b) {
-                    key[bit / 64] |= 1 << (63 - bit % 64);
-                }
-            }
-        }
-        let mut sorted: Vec<&[u64]> = keys.chunks_exact(words).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let chi = space.mgr().apply(|mgr| {
-            build_sorted(mgr, width, &sorted, 0, &|key, depth| {
-                key[depth / 64] >> (63 - depth % 64) & 1 == 1
-            })
+/// The [`RelationError::TooLarge`] check of a pair word's `n + m` bits.
+pub(crate) fn check_word_width(width: usize) -> Result<(), RelationError> {
+    if width > 32 {
+        return Err(RelationError::TooLarge {
+            vars: width,
+            limit: 32,
         });
-        Ok(BooleanRelation {
-            space: space.clone(),
-            chi,
-        })
     }
+    Ok(())
 }
 
 /// The [`RelationError::DimensionMismatch`] check of one arity.
@@ -595,45 +448,31 @@ fn check_width(expected: usize, found: usize) -> Result<(), RelationError> {
     }
 }
 
-/// Builds the function whose minterms are `keys` (sorted, distinct, and
-/// all agreeing on their first `depth` bits) over the variables
-/// `depth..width`, where `bit(key, d)` is a key's bit for variable `d` and
-/// keys sort as their bit strings from `d = 0`: no keys is 0, a full-depth
-/// key is 1, and anything else splits on bit `depth` and joins the halves
-/// with one `mk`.
-fn build_sorted<K>(
-    mgr: &mut BddManager,
-    width: usize,
-    keys: &[K],
-    depth: usize,
-    bit: &impl Fn(&K, usize) -> bool,
-) -> NodeId {
+/// Builds the function whose minterms are the `width`-bit `keys` (sorted,
+/// distinct, and all agreeing on their bits for the variables above
+/// `depth`) over the variables `depth..width`: no keys is 0, a full-depth
+/// key is 1, and anything else splits on variable `depth`'s bit and joins
+/// the halves with one `mk`.
+fn build_sorted(mgr: &mut BddManager, width: usize, keys: &[u32], depth: usize) -> NodeId {
     if keys.is_empty() {
         return NodeId::ZERO;
     }
     if depth == width {
         return NodeId::ONE;
     }
-    let split = keys.partition_point(|key| !bit(key, depth));
-    let lo = build_sorted(mgr, width, &keys[..split], depth + 1, bit);
-    let hi = build_sorted(mgr, width, &keys[split..], depth + 1, bit);
+    let shift = width - 1 - depth;
+    let split = keys.partition_point(|key| key >> shift & 1 == 0);
+    let lo = build_sorted(mgr, width, &keys[..split], depth + 1);
+    let hi = build_sorted(mgr, width, &keys[split..], depth + 1);
     mgr.mk(Var::from(depth), lo, hi)
 }
 
+/// The table text of [`BooleanRelation::to_table`], or one summary line
+/// for a space too wide to list.
 impl fmt::Display for BooleanRelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.to_rows() {
-            Ok(rows) => {
-                for (input, outputs) in rows {
-                    let x: String = input.iter().map(|&b| if b { '1' } else { '0' }).collect();
-                    let ys: Vec<String> = outputs
-                        .iter()
-                        .map(|o| o.iter().map(|&b| if b { '1' } else { '0' }).collect())
-                        .collect();
-                    writeln!(f, "{x} : {{{}}}", ys.join(", "))?;
-                }
-                Ok(())
-            }
+        match self.to_table() {
+            Ok(table) => f.write_str(&table),
             Err(_) => writeln!(
                 f,
                 "<relation over {}+{} variables, {} pairs>",
@@ -651,18 +490,8 @@ mod tests {
 
     /// The relation of Fig. 1a of the paper.
     fn fig1(space: &RelationSpace) -> BooleanRelation {
-        BooleanRelation::from_pairs(
-            space,
-            &[
-                (vec![false, false], vec![false, false]),
-                (vec![false, true], vec![false, false]),
-                (vec![true, false], vec![false, false]),
-                (vec![true, false], vec![true, true]),
-                (vec![true, true], vec![true, false]),
-                (vec![true, true], vec![true, true]),
-            ],
-        )
-        .unwrap()
+        BooleanRelation::from_table(space, "00 : {00}\n01 : {00}\n10 : {00, 11}\n11 : {10, 11}")
+            .unwrap()
     }
 
     /// Reads a vertex like "10" into bits (index 0 first).
@@ -737,19 +566,18 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let vertex = |bits: usize, width: usize| (0..width).map(|i| bits & (1 << i) != 0).collect();
         for round in 0..120 {
             let (ni, no) = (1 + round % 4, 1 + round % 3);
             let space = RelationSpace::new(ni, no);
-            let mut pairs = Vec::new();
-            for x in 0..(1usize << ni) {
-                for y in 0..(1usize << no) {
+            let mut words = Vec::new();
+            for x in 0..1u32 << ni {
+                for y in 0..1u32 << no {
                     if next() % 8 < 3 {
-                        pairs.push((vertex(x, ni), vertex(y, no)));
+                        words.push(x << no | y);
                     }
                 }
             }
-            let r = BooleanRelation::from_pairs(&space, &pairs).unwrap();
+            let r = BooleanRelation::from_packed(&space, &words).unwrap();
             for i in 0..no {
                 let yi = space.output_var(i);
                 let others: Vec<Var> = space
@@ -883,33 +711,52 @@ mod tests {
     }
 
     #[test]
-    fn rows_round_trip_is_exact() {
+    fn packed_round_trip_is_exact() {
         let space = RelationSpace::new(2, 2);
         let r = fig1(&space);
-        let rows = r.to_rows().unwrap();
-        assert_eq!(rows.len(), 4, "one row per input vertex");
+        let words = r.to_packed().unwrap();
+        assert_eq!(words, [0b0000, 0b0100, 0b1000, 0b1011, 0b1110, 0b1111]);
         // Rehydrating into a *fresh* space (new BDD manager) preserves the
-        // relation semantically: same table, same pair count.
+        // relation: same words, same pair count.
         let fresh = RelationSpace::new(2, 2);
-        let back = BooleanRelation::from_rows(&fresh, &rows).unwrap();
+        let back = BooleanRelation::from_packed(&fresh, &words).unwrap();
         assert_eq!(back.num_pairs(), r.num_pairs());
-        assert_eq!(back.to_rows().unwrap(), rows);
-        // Round-tripping within the same space is the identity.
-        assert_eq!(BooleanRelation::from_rows(&space, &rows).unwrap(), r);
-        // A not-well-defined relation survives too: empty images round-trip.
-        let broken = BooleanRelation::from_rows(
-            &space,
-            &[(bits("00"), vec![]), (bits("11"), vec![bits("01")])],
-        )
-        .unwrap();
+        assert_eq!(back.to_packed().unwrap(), words);
+        // Round-tripping within the same space is the identity, and so is
+        // building from the words reversed and repeated.
+        assert_eq!(BooleanRelation::from_packed(&space, &words).unwrap(), r);
+        let mut shuffled: Vec<u32> = words.iter().rev().copied().collect();
+        shuffled.extend_from_slice(&words[..2]);
+        assert_eq!(BooleanRelation::from_packed(&space, &shuffled).unwrap(), r);
+        // A not-well-defined relation survives too.
+        let broken = BooleanRelation::from_packed(&space, &[0b1101]).unwrap();
         assert!(!broken.is_well_defined());
         assert_eq!(
-            BooleanRelation::from_rows(&space, &broken.to_rows().unwrap()).unwrap(),
+            BooleanRelation::from_packed(&space, &broken.to_packed().unwrap()).unwrap(),
             broken
         );
-        // Arity errors surface as DimensionMismatch.
-        assert!(BooleanRelation::from_rows(&space, &[(bits("0"), vec![])]).is_err());
-        assert!(BooleanRelation::from_rows(&space, &[(bits("00"), vec![bits("010")])]).is_err());
+        // A bit above the space is a DimensionMismatch, a space beyond one
+        // word is TooLarge.
+        assert_eq!(
+            BooleanRelation::from_packed(&space, &[0b1_0000]),
+            Err(RelationError::DimensionMismatch {
+                expected: 4,
+                found: 5
+            })
+        );
+        let wide = RelationSpace::new(17, 16);
+        let too_large = RelationError::TooLarge {
+            vars: 33,
+            limit: 32,
+        };
+        assert_eq!(
+            BooleanRelation::from_packed(&wide, &[]).unwrap_err(),
+            too_large
+        );
+        assert_eq!(
+            BooleanRelation::full(&wide).to_packed().unwrap_err(),
+            too_large
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use brel_engine::{
     BackendKind, CostSpec, FaultPolicy, JobBudget, JobReport, JobSpec, Json, RelationSpec,
     SearchStrategy,
 };
-use brel_relation::RelationError;
+use brel_relation::{vertex, RelationError};
 
 use crate::json;
 
@@ -436,13 +436,13 @@ fn job_to_json(job: &JobSpec) -> Json {
         .chunk_by(|a, b| x_of(a) == x_of(b))
         .map(|run| {
             let mut text = String::with_capacity(num_inputs + run.len() * (num_outputs + 1));
-            push_bits(&mut text, x_of(&run[0]), num_inputs);
+            vertex::write(&mut text, x_of(&run[0]), num_inputs);
             text.push(':');
             for (i, &w) in run.iter().enumerate() {
                 if i > 0 {
                     text.push(',');
                 }
-                push_bits(&mut text, w, num_outputs);
+                vertex::write(&mut text, w, num_outputs);
             }
             Json::Str(text)
         })
@@ -498,14 +498,6 @@ fn job_to_json(job: &JobSpec) -> Json {
             ]),
         ),
     ])
-}
-
-/// Appends the low `width` bits of `bits` as `0`/`1` characters, the
-/// most significant first.
-fn push_bits(text: &mut String, bits: u32, width: usize) {
-    for i in (0..width).rev() {
-        text.push(if bits >> i & 1 == 1 { '1' } else { '0' });
-    }
 }
 
 /// Parses a [`JobSpec`] from its wire object.
@@ -611,13 +603,10 @@ fn push_row_words(
     Ok(())
 }
 
-/// Packs a `width`-character `0`/`1` string, its first character in the
-/// most significant bit. The caller bounds `width` by
-/// [`RelationSpec::MAX_WIDTH`].
+/// Packs a `width`-character `0`/`1` string ([`vertex::parse`]). The
+/// caller bounds `width` by [`RelationSpec::MAX_WIDTH`].
 fn bits_to_word(text: &str, width: usize) -> Result<u32, String> {
-    if let Some(bad) = text.chars().find(|c| !matches!(c, '0' | '1')) {
-        return Err(format!("invalid bit `{bad}` in row"));
-    }
+    let word = vertex::parse(text).map_err(|bad| format!("invalid bit `{bad}` in row"))?;
     if text.len() != width {
         return Err(format!(
             "bad relation: {}",
@@ -627,9 +616,7 @@ fn bits_to_word(text: &str, width: usize) -> Result<u32, String> {
             }
         ));
     }
-    Ok(text
-        .bytes()
-        .fold(0, |acc, b| acc << 1 | u32::from(b - b'0')))
+    Ok(word)
 }
 
 fn backend_from_name(name: &str) -> Option<BackendKind> {

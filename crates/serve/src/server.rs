@@ -10,7 +10,7 @@
 //! * a cancelled or disconnected client flips the job's [`CancelToken`];
 //!   the exploration stops at the next step boundary and the client (if
 //!   still there) receives a `Final` carrying the best incumbent;
-//! * connections are reaped when idle past the configured timeout, and a
+//! * connections are reaped when idle past `IDLE_TIMEOUT` (30 s), and a
 //!   reader timeout can never desynchronize a frame mid-read
 //!   ([`crate::protocol::FrameReader`] buffers partial bytes);
 //! * shutdown is drain-style: stop admitting, cancel what is still
@@ -35,6 +35,13 @@ use brel_obs::Category;
 use crate::protocol::{Frame, FrameReader, StatsSnapshot, Submit};
 use crate::queue::{Admission, AdmissionConfig, JobQueue, QueuedJob};
 
+/// Poll tick for the accept loop, connection readers and idle worker
+/// waits.
+const POLL_TICK: Duration = Duration::from_millis(10);
+
+/// Connections idle (no complete frame) longer than this are reaped.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -45,11 +52,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
-    /// Poll tick for the accept loop, connection readers and idle worker
-    /// waits.
-    pub poll_ms: u64,
-    /// Connections idle (no complete frame) longer than this are reaped.
-    pub idle_timeout_ms: u64,
     /// Optional seeded fault plan for chaos runs: injections fire into
     /// jobs whose names the plan targets, exactly as in `engine_batch
     /// --chaos`.
@@ -70,8 +72,6 @@ impl Default for ServeConfig {
                 .map(|n| n.get().min(4))
                 .unwrap_or(2),
             admission: AdmissionConfig::default(),
-            poll_ms: 10,
-            idle_timeout_ms: 30_000,
             fault_plan: None,
             wide: None,
         }
@@ -177,10 +177,6 @@ impl Shared {
             entry.cancel.cancel();
         }
     }
-
-    fn poll_tick(&self) -> Duration {
-        Duration::from_millis(self.config.poll_ms.max(1))
-    }
 }
 
 /// A running daemon. Dropping it without [`Server::shutdown`] aborts the
@@ -253,7 +249,7 @@ impl Server {
     /// Blocks until a client requests shutdown, then drains and returns.
     pub fn run_until_shutdown(self) -> DrainReport {
         while !self.shared.queue.is_draining() {
-            std::thread::sleep(self.shared.poll_tick());
+            std::thread::sleep(POLL_TICK);
         }
         self.shutdown()
     }
@@ -331,9 +327,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 reap_finished_connections(shared);
-                std::thread::sleep(shared.poll_tick());
+                std::thread::sleep(POLL_TICK);
             }
-            Err(_) => std::thread::sleep(shared.poll_tick()),
+            Err(_) => std::thread::sleep(POLL_TICK),
         }
     }
 }
@@ -359,7 +355,7 @@ fn reap_finished_connections(shared: &Shared) {
 /// Reader side of one connection; spawns the paired writer thread.
 fn connection_loop(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.poll_tick()));
+    let _ = stream.set_read_timeout(Some(POLL_TICK));
     let writer_stream = match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -377,7 +373,6 @@ fn connection_loop(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
         });
 
     let mut reader = FrameReader::new(stream);
-    let idle_timeout = Duration::from_millis(shared.config.idle_timeout_ms.max(1));
     let mut last_activity = Instant::now();
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
@@ -389,7 +384,7 @@ fn connection_loop(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream) {
                 handle_frame(shared, conn_id, &reply, frame);
             }
             Ok(None) => {
-                if last_activity.elapsed() > idle_timeout {
+                if last_activity.elapsed() > IDLE_TIMEOUT {
                     brel_obs::count(Category::Serve, "idle_reaped", 1);
                     break;
                 }
@@ -542,8 +537,7 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
     };
     let mut runner = Runner::new(&config, shared.config.fault_plan.clone());
     let mut last_counts = BatchReuse::default();
-    let tick = shared.poll_tick();
-    while let Some(mut job) = shared.queue.pop(tick) {
+    while let Some(mut job) = shared.queue.pop(POLL_TICK) {
         let draining = shared.queue.is_draining();
         let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
         brel_obs::event!(Category::Serve, "queue_wait", "us" => queue_wait_us);

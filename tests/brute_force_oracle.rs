@@ -2,7 +2,7 @@
 //!
 //! Each relation is generated here as a plain table — the set of output
 //! vertices related to each input vertex — and reaches the solvers through
-//! `from_rows`. The oracle enumerates every compatible function (one
+//! its packed pair words (`from_packed`). The oracle enumerates every compatible function (one
 //! output vertex per input vertex), scores each with the solvers' own
 //! [`CostFn`], and checks every backend's answer pointwise against the
 //! table: f(x) ∈ R(x) for every input x, read from the table, never from
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use brel_suite::bdd::Bdd;
 use brel_suite::brel::{BrelConfig, BrelSolver, CostFn, CostFunction, QuickSolver, SearchStrategy};
 use brel_suite::gyocro::GyocroSolver;
-use brel_suite::relation::{BooleanRelation, MultiOutputFunction, RelationRow, RelationSpace};
+use brel_suite::relation::{vertex, BooleanRelation, MultiOutputFunction, RelationSpace};
 
 /// A relation as a plain table: `images[x]` lists the output vertices
 /// related to input vertex `x`. A vertex is a counter whose bit `i` is
@@ -71,16 +71,17 @@ impl Table {
     /// The relation of the table, built in a fresh space.
     fn relation(&self) -> (RelationSpace, BooleanRelation) {
         let space = RelationSpace::new(self.num_inputs, self.num_outputs);
-        let rows: Vec<RelationRow> = self
+        let (n, m) = (self.num_inputs, self.num_outputs);
+        let words: Vec<u32> = self
             .images
             .iter()
             .enumerate()
-            .map(|(x, image)| {
-                let outputs = image.iter().map(|&y| bits(y, self.num_outputs)).collect();
-                (bits(x as u32, self.num_inputs), outputs)
+            .flat_map(|(x, image)| {
+                let x = vertex::from_index(x as u32, n) << m;
+                image.iter().map(move |&y| x | vertex::from_index(y, m))
             })
             .collect();
-        let relation = BooleanRelation::from_rows(&space, &rows).expect("table widths match");
+        let relation = BooleanRelation::from_packed(&space, &words).expect("table widths match");
         (space, relation)
     }
 

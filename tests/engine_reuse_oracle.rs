@@ -10,7 +10,6 @@ use brel_suite::bdd::{Bdd, BddManager, BddSession, CacheStats};
 use brel_suite::benchdata::{random_well_defined_relation, table2};
 use brel_suite::brel::{BrelConfig, BrelSolver};
 use brel_suite::engine::{CostSpec, Engine, JobSpec, RelationSpec, SearchStrategy, WarmSession};
-use brel_suite::relation::RelationRow;
 
 // The tentpole's compile-time claim: the whole BDD handle layer crosses
 // threads, so warm sessions can live inside pool workers.
@@ -101,27 +100,19 @@ proptest! {
     }
 }
 
-/// Pinned regression: two jobs whose authored rows differ by permutation
-/// (and duplicated pairs) describe the same relation, so the second is
-/// served from the solved-subrelation cache — with a report byte-identical
-/// to recomputing it.
+/// Pinned regression: two jobs whose authored pair words differ by
+/// permutation (and duplicated pairs) describe the same relation, so the
+/// second is served from the solved-subrelation cache — with a report
+/// byte-identical to recomputing it.
 #[test]
 fn row_permuted_duplicate_jobs_hit_the_subrel_cache() {
-    // Fig. 1a of the paper, authored twice: once top-down, once bottom-up
-    // with a duplicated pair and split image lists.
-    let rows: Vec<RelationRow> = vec![
-        (vec![false, false], vec![vec![false, false]]),
-        (vec![false, true], vec![vec![false, false]]),
-        (
-            vec![true, false],
-            vec![vec![false, false], vec![true, true]],
-        ),
-        (vec![true, true], vec![vec![true, false], vec![true, true]]),
-    ];
-    let mut shuffled: Vec<RelationRow> = rows.iter().rev().cloned().collect();
-    shuffled.push((vec![true, false], vec![vec![true, true]])); // duplicate pair
-    let a = RelationSpec::new(2, 2, rows).unwrap();
-    let b = RelationSpec::new(2, 2, shuffled).unwrap();
+    // Fig. 1a of the paper (`x << 2 | y`, component 0 first), authored
+    // twice: once top-down, once bottom-up with a duplicated pair.
+    let words = vec![0b00_00, 0b01_00, 0b10_00, 0b10_11, 0b11_10, 0b11_11];
+    let mut shuffled: Vec<u32> = words.iter().rev().copied().collect();
+    shuffled.push(0b10_11); // duplicate pair
+    let a = RelationSpec::from_packed(2, 2, words).unwrap();
+    let b = RelationSpec::from_packed(2, 2, shuffled).unwrap();
     // Canonicalization makes the specs (and so their fingerprints) equal.
     assert_eq!(a, b);
     assert_eq!(a.fingerprint(), b.fingerprint());

@@ -11,8 +11,7 @@ use proptest::prelude::*;
 use brel_benchdata::figures;
 use brel_core::{input_support_mask, BrelConfig, BrelSolver, SymmetryCache};
 use brel_engine::RelationSpec;
-use brel_relation::RelationRow;
-use common::canonical_rows;
+use common::{canonical_rows, pair_words, Row};
 
 #[test]
 fn fig8_children_are_symmetric_variants_of_each_other() {
@@ -92,7 +91,7 @@ fn bits(value: usize, width: usize) -> Vec<bool> {
 
 /// A random relation over every input vertex: about a quarter of the
 /// vertices are missing, and any image may come out empty.
-fn random_rows(mix: &mut Mix, ni: usize, no: usize) -> Vec<RelationRow> {
+fn random_rows(mix: &mut Mix, ni: usize, no: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for x in 0..1usize << ni {
         if mix.below(4) != 0 {
@@ -109,8 +108,8 @@ fn random_rows(mix: &mut Mix, ni: usize, no: usize) -> Vec<RelationRow> {
 /// The same relation written differently: images split across repeated
 /// input rows, duplicated pairs, shuffled images, stray empty-image rows
 /// and a shuffled row order.
-fn noisy(mix: &mut Mix, rows: &[RelationRow]) -> Vec<RelationRow> {
-    let mut out: Vec<RelationRow> = Vec::new();
+fn noisy(mix: &mut Mix, rows: &[Row]) -> Vec<Row> {
+    let mut out: Vec<Row> = Vec::new();
     for (input, image) in rows {
         let mut image = image.clone();
         if !image.is_empty() && mix.below(2) == 0 {
@@ -127,9 +126,9 @@ fn noisy(mix: &mut Mix, rows: &[RelationRow]) -> Vec<RelationRow> {
 }
 
 /// Toggles one `(input, output)` pair: a genuinely different relation.
-fn mutate(mix: &mut Mix, ni: usize, no: usize, rows: &[RelationRow]) -> Vec<RelationRow> {
+fn mutate(mix: &mut Mix, ni: usize, no: usize, rows: &[Row]) -> Vec<Row> {
     let (x, y) = (bits(mix.below(1 << ni), ni), bits(mix.below(1 << no), no));
-    let mut out: Vec<RelationRow> = canonical_rows(rows);
+    let mut out: Vec<Row> = canonical_rows(rows);
     match out.iter_mut().find(|(input, _)| *input == x) {
         Some((_, image)) if image.contains(&y) => image.retain(|o| *o != y),
         Some((_, image)) => image.push(y),
@@ -139,7 +138,7 @@ fn mutate(mix: &mut Mix, ni: usize, no: usize, rows: &[RelationRow]) -> Vec<Rela
 }
 
 /// Inserts an irrelevant input column at position `at`.
-fn lift(rows: &[RelationRow], at: usize) -> Vec<RelationRow> {
+fn lift(rows: &[Row], at: usize) -> Vec<Row> {
     rows.iter()
         .flat_map(|(input, image)| {
             [false, true].map(|bit| {
@@ -157,7 +156,7 @@ type ReferenceKey = (usize, usize, u64, BTreeSet<(Vec<bool>, Vec<Vec<bool>>)>);
 /// canonical rows, a support mask from flipped `Vec<bool>` partners, and
 /// the set of support-projected rows. Two row lists must share a
 /// fingerprint exactly when they share this key.
-fn reference_key(ni: usize, no: usize, rows: &[RelationRow]) -> ReferenceKey {
+fn reference_key(ni: usize, no: usize, rows: &[Row]) -> ReferenceKey {
     let canonical = canonical_rows(rows);
     let by_input: HashMap<&[bool], &[Vec<bool>]> = canonical
         .iter()
@@ -197,7 +196,7 @@ proptest! {
         let base = random_rows(&mut mix, ni, no);
         let other = mutate(&mut mix, ni, no, &base);
         let at = mix.below(ni + 1);
-        let family: Vec<(usize, usize, Vec<RelationRow>)> = vec![
+        let family: Vec<(usize, usize, Vec<Row>)> = vec![
             (ni, no, base.clone()),
             (ni, no, noisy(&mut mix, &base)),
             (ni, no, other.clone()),
@@ -213,7 +212,7 @@ proptest! {
         // The fingerprint the engine's cache keys on, over the spec's words.
         let specs: Vec<RelationSpec> = family
             .iter()
-            .map(|(i, o, rows)| RelationSpec::new(*i, *o, rows.clone()).unwrap())
+            .map(|(i, o, rows)| RelationSpec::from_packed(*i, *o, pair_words(*o, rows)).unwrap())
             .collect();
         let prints: Vec<u64> = specs.iter().map(RelationSpec::fingerprint).collect();
         for (a, spec) in specs.iter().enumerate() {
