@@ -22,18 +22,19 @@
 //! keeps every kernel operation's signature infallible. The manager is
 //! structurally consistent at every abort point: `mk` only aborts *after*
 //! a node is fully inserted, and unrooted garbage is reclaimed by the next
-//! sweep. Callers that want a `Result` catch the unwind at their boundary
-//! with [`catch_resource_abort`]; foreign panics are re-raised untouched.
+//! sweep. The caller that armed the governor catches the unwind at its
+//! own isolation boundary and downcasts the payload to [`BddError`]; the
+//! engine's `catch_fault` is the one such boundary in this workspace, and
+//! it receives the engine's own deadline and injected quota aborts as the
+//! same payload.
 
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A structured kernel resource abort.
 ///
-/// Carried as the panic payload of a governor abort and surfaced as the
-/// error of [`catch_resource_abort`]; higher layers map it into their own
-/// error enums (e.g. `RelationError::ResourceExhausted`).
+/// Carried as the panic payload of a governor abort, for the caller's
+/// isolation boundary to downcast and classify.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BddError {
     /// The live-node quota was exceeded and a garbage collection could not
@@ -212,36 +213,6 @@ impl ResourceGovernor {
     }
 }
 
-/// Runs `f`, converting a governor abort (a [`BddError`] panic payload)
-/// into `Err`. Any other panic is resumed untouched — this catches the
-/// kernel's cooperative unwind, not bugs.
-pub fn catch_resource_abort<R>(f: impl FnOnce() -> R) -> Result<R, BddError> {
-    quiet_resource_aborts();
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(value) => Ok(value),
-        Err(payload) => match payload.downcast::<BddError>() {
-            Ok(error) => Err(*error),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Installs (once per process) a panic hook that suppresses the default
-/// "thread panicked" report for governor aborts — they are control flow,
-/// not bugs — while delegating every other panic to the previous hook.
-pub fn quiet_resource_aborts() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<BddError>().is_none() {
-                previous(info);
-            }
-        }));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,33 +278,6 @@ mod tests {
             aborted,
             "an expired deadline must abort within one interval"
         );
-    }
-
-    #[test]
-    fn catch_resource_abort_converts_the_typed_payload() {
-        let error = BddError::QuotaExceeded {
-            live_nodes: 7,
-            max_live_nodes: 3,
-        };
-        let caught = catch_resource_abort(|| {
-            std::panic::panic_any(BddError::QuotaExceeded {
-                live_nodes: 7,
-                max_live_nodes: 3,
-            });
-            #[allow(unreachable_code)]
-            ()
-        });
-        assert_eq!(caught, Err(error));
-        // A clean closure passes its value through.
-        assert_eq!(catch_resource_abort(|| 42), Ok(42));
-    }
-
-    #[test]
-    fn foreign_panics_are_resumed() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _ = catch_resource_abort(|| panic!("a genuine bug"));
-        }));
-        assert!(result.is_err(), "non-BddError panics must not be swallowed");
     }
 
     #[test]

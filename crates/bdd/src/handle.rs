@@ -147,7 +147,7 @@ impl BddSession {
     /// subsequent node allocation is checked against its live-node quota
     /// and deadline, and a blown budget unwinds with a typed
     /// [`crate::BddError`] payload (catch it at the work boundary with
-    /// [`crate::catch_resource_abort`]). Replaces any previous governor;
+    /// [`std::panic::catch_unwind`] and downcast). Replaces any previous governor;
     /// cleared by [`BddSession::clear_governor`] and by a session reset.
     pub fn set_governor(&self, governor: ResourceGovernor) {
         self.lock().set_governor(governor);
@@ -881,14 +881,24 @@ mod tests {
         assert_eq!(session.live_roots(), 0);
     }
 
+    /// Runs `f` and returns the governor abort it unwinds with, if any:
+    /// the catch-and-downcast every governed caller does at its boundary.
+    fn catch_abort<R>(f: impl FnOnce() -> R) -> Result<R, crate::BddError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+            *payload
+                .downcast::<crate::BddError>()
+                .expect("a governed operation unwinds only with a BddError")
+        })
+    }
+
     #[test]
     fn governed_session_aborts_when_a_sweep_cannot_help() {
-        use crate::governor::{catch_resource_abort, BddError, ResourceGovernor};
+        use crate::governor::{BddError, ResourceGovernor};
         // Everything stays rooted, so the quota's GC-first attempt reclaims
         // nothing and the abort must fire.
         let session = BddSession::with_config(16, BddConfig::new().gc_min_nodes(16));
         session.set_governor(ResourceGovernor::new().with_max_live_nodes(8));
-        let result = catch_resource_abort(|| {
+        let result = catch_abort(|| {
             let mut rooted = Vec::new();
             let mut f = session.var(0);
             for i in 1..16u32 {
@@ -911,12 +921,12 @@ mod tests {
 
     #[test]
     fn governed_session_survives_when_gc_reclaims_enough() {
-        use crate::governor::{catch_resource_abort, ResourceGovernor};
+        use crate::governor::ResourceGovernor;
         // The same amount of churn, but nothing stays rooted: every trip's
         // sweep reclaims the garbage, so the quota never aborts.
         let session = BddSession::with_config(16, BddConfig::new().gc_min_nodes(16));
         session.set_governor(ResourceGovernor::new().with_max_live_nodes(64));
-        let result = catch_resource_abort(|| {
+        let result = catch_abort(|| {
             for round in 0..32u32 {
                 let mut f = session.var(round % 16);
                 for i in 0..16u32 {
@@ -933,10 +943,10 @@ mod tests {
 
     #[test]
     fn governed_session_honours_an_expired_deadline() {
-        use crate::governor::{catch_resource_abort, BddError, ResourceGovernor};
+        use crate::governor::{BddError, ResourceGovernor};
         let session = BddSession::new(20);
         session.set_governor(ResourceGovernor::new().with_deadline_at(std::time::Instant::now()));
-        let result = catch_resource_abort(|| {
+        let result = catch_abort(|| {
             // Enough allocations to pass several deadline-check intervals.
             let mut rooted = Vec::new();
             let mut f = session.var(0);

@@ -70,7 +70,7 @@ mod quant;
 pub use cache::CacheStats;
 pub use config::BddConfig;
 pub use gc::GcStats;
-pub use governor::{catch_resource_abort, quiet_resource_aborts, BddError, ResourceGovernor};
+pub use governor::{BddError, ResourceGovernor};
 pub use handle::{Bdd, BddSession, KernelSnapshot};
 pub use isop::{IsopCube, IsopResult};
 pub use manager::{BddManager, NodeId, Var};

@@ -3,8 +3,7 @@
 //! Usage: `cargo run --release -p brel-bench --bin table1_isf [num_instances] [--json]`
 //!
 //! With `--json` the rows are emitted through the shared `brel-engine`
-//! serializer (redirect to a `BENCH_*.json` file to capture a perf
-//! trajectory).
+//! serializer.
 
 use std::process::ExitCode;
 

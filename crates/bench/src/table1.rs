@@ -86,8 +86,7 @@ pub fn render(rows: &[Table1Row]) -> String {
 }
 
 /// Serializes the rows through the shared `brel-engine` JSON writer (the
-/// `--json` output of the `table1_isf` binary, suitable for `BENCH_*.json`
-/// perf trajectories).
+/// `--json` output of the `table1_isf` binary).
 pub fn to_json(rows: &[Table1Row]) -> String {
     Json::object(vec![
         ("schema", Json::str("brel-bench/table1-v1")),

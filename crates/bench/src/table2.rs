@@ -164,8 +164,7 @@ fn metrics_json(m: &SolverMetrics) -> Json {
 }
 
 /// Serializes the rows through the shared `brel-engine` JSON writer (the
-/// `--json` output of the `table2_gyocro` binary, suitable for
-/// `BENCH_*.json` perf trajectories).
+/// `--json` output of the `table2_gyocro` binary).
 pub fn to_json(rows: &[Table2Row]) -> String {
     let (alg, area) = summary(rows);
     Json::object(vec![

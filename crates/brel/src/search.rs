@@ -286,6 +286,13 @@ pub fn expand(
         return Err(RelationError::NoSplitPoint { candidate_cost });
     };
     let (negative, positive) = relation.split(&vertex, output)?;
+    // Checked here rather than at commit, so the check's kernel work runs
+    // in the expanding session, under its governor and isolation boundary:
+    // wide mode commits under its state lock, possibly on another thread.
+    debug_assert!(
+        negative.is_well_defined() && positive.is_well_defined(),
+        "Theorem 5.2 guarantees well-definedness"
+    );
     Ok(Expansion {
         candidate,
         candidate_cost,
@@ -585,10 +592,6 @@ impl Explorer {
             brel_obs::event!(brel_obs::Category::Search, "split", "output" => split.output);
         }
         for child in [split.negative, split.positive] {
-            debug_assert!(
-                child.is_well_defined(),
-                "Theorem 5.2 guarantees well-definedness"
-            );
             if self.config.use_symmetry
                 && subproblem.depth < self.config.symmetry_depth
                 && self.symmetry.check_and_insert(&child)
@@ -643,22 +646,6 @@ impl Explorer {
                 stop => return Ok(stop),
             }
         }
-    }
-
-    /// Like [`Explorer::step`], but additionally catches a kernel resource
-    /// abort (the [`brel_bdd::ResourceGovernor`]'s cooperative unwind) at
-    /// the step boundary and surfaces it as
-    /// [`RelationError::ResourceExhausted`]. The explorer must not be
-    /// stepped again after that error — the aborted step's subproblem was
-    /// consumed — but the shared manager itself is structurally intact.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Explorer::step`] returns, plus
-    /// [`RelationError::ResourceExhausted`] on a governor abort.
-    pub fn step_guarded(&mut self) -> Result<StepOutcome, RelationError> {
-        brel_bdd::catch_resource_abort(|| self.step())
-            .unwrap_or_else(|abort| Err(RelationError::ResourceExhausted(abort)))
     }
 
     /// The best compatible solution found so far.
@@ -742,6 +729,44 @@ mod tests {
         let r = BooleanRelation::from_table(&space, "00:{00,11}\n01:{10}\n10:{01,10}\n11:{11}")
             .unwrap();
         (space, r)
+    }
+
+    #[test]
+    fn commit_does_no_kernel_work() {
+        // Wide mode commits under its state lock, on whichever thread
+        // drives the commit sequence, while the session holding the split
+        // halves may be governed by another worker's expansion. A commit
+        // that allocated could unwind with that governor's abort through
+        // the lock.
+        use brel_bdd::ResourceGovernor;
+        let (space, r) = fig10();
+        let config = BrelConfig::exact();
+        let mut explorer = Explorer::new(config.clone(), &r).unwrap();
+        let subproblem = explorer.pop().unwrap();
+        let expansion = expand(
+            &config.minimizer,
+            &config.cost,
+            &QuickSolver::new(),
+            &subproblem.relation,
+            explorer.best_cost(),
+        )
+        .unwrap();
+        assert!(expansion.split.is_some(), "the Fig. 10 root splits");
+        // Past twice the quota the governor aborts at once: any node the
+        // commit allocated would unwind here.
+        space
+            .mgr()
+            .set_governor(ResourceGovernor::new().with_max_live_nodes(1));
+        let outcome = explorer.commit(subproblem, expansion);
+        space.mgr().clear_governor();
+        assert!(matches!(
+            outcome,
+            StepOutcome::Explored {
+                compatible: false,
+                ..
+            }
+        ));
+        assert_eq!(explorer.pending().count(), 2, "both halves admitted");
     }
 
     #[test]

@@ -474,10 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn step_guarded_surfaces_a_governor_abort_as_an_error() {
+    fn a_governor_abort_unwinds_out_of_an_explorer_step() {
         use crate::search::Explorer;
         use brel_bdd::{BddError, ResourceGovernor};
-        use brel_relation::RelationError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let space = RelationSpace::new(4, 3);
         // A relation with enough structure that exploration allocates.
         let mut table = String::new();
@@ -498,18 +498,21 @@ mod tests {
         space
             .mgr()
             .set_governor(ResourceGovernor::new().with_max_live_nodes(1));
-        let mut aborted = false;
-        for _ in 0..64 {
-            match explorer.step_guarded() {
-                Ok(_) => continue,
-                Err(RelationError::ResourceExhausted(BddError::QuotaExceeded { .. })) => {
-                    aborted = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            for _ in 0..64 {
+                explorer
+                    .step()
+                    .expect("a governed step fails only by unwinding");
             }
-        }
-        assert!(aborted, "a one-node quota must abort the exploration");
+        }));
+        let payload = unwound.expect_err("a one-node quota must abort the exploration");
+        assert!(
+            matches!(
+                payload.downcast_ref::<BddError>(),
+                Some(BddError::QuotaExceeded { .. })
+            ),
+            "the abort unwinds with the kernel's typed payload"
+        );
         space.mgr().clear_governor();
         // The shared manager is structurally intact after the abort.
         assert!(r.is_well_defined());

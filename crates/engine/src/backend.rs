@@ -62,16 +62,16 @@ pub struct SolutionReport {
     pub wall_micros: u64,
 }
 
-/// The fault-policy context of one backend execution: the wall-clock
-/// deadline, the deterministic step deadline, and the fault injections
-/// aimed at this job. Empty for the non-BREL backends and ladder rungs.
+/// The fault-policy context of one BREL attempt, narrow or wide: the
+/// wall-clock deadline, the deterministic step deadline, the fault
+/// injections aimed at the job and its control surface. The runner builds
+/// it once per job; the non-BREL backends and ladder rungs run under the
+/// empty default.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExecContext<'a> {
     /// Wall-clock deadline, checked cooperatively between exploration
     /// steps (the kernel governor checks it inside `mk` as well).
     pub deadline: Option<Instant>,
-    /// The policy's `deadline_ms`, carried into the structured error.
-    pub deadline_ms: u64,
     /// Deterministic truncation: stop after this many expansions and keep
     /// the incumbent as a degraded result.
     pub step_deadline: Option<usize>,
@@ -93,10 +93,10 @@ pub(crate) struct ExecContext<'a> {
 /// # Errors
 ///
 /// Returns [`RelationError::NotWellDefined`] if the relation has no
-/// compatible function, and [`RelationError::ResourceExhausted`] when the
-/// kernel governor or the wall-clock deadline aborted the attempt.
-/// Injected panics and quota trips unwind — callers isolate attempts with
-/// [`crate::fault::catch_fault`].
+/// compatible function. Every abort unwinds instead: a kernel governor
+/// abort, an expired wall-clock deadline and an injected quota trip with a
+/// [`BddError`] payload, an injected panic with its own — callers isolate
+/// attempts with [`crate::fault::catch_fault`].
 pub(crate) fn execute_with(
     kind: BackendKind,
     cost: CostSpec,
@@ -138,8 +138,7 @@ pub(crate) fn execute_with(
                 (solution.function, stats, None)
             }
             BackendKind::Brel => {
-                let (solution, truncated) =
-                    run_brel_guarded(cost, budget, strategy, relation, ctx)?;
+                let (solution, truncated) = run_brel(cost, budget, strategy, relation, ctx)?;
                 (solution.function, solution.stats, truncated)
             }
         }
@@ -210,11 +209,11 @@ pub(crate) fn brel_config(
 }
 
 /// The BREL attempt as a fault-aware exploration loop: between steps it
-/// fires due injections, checks the wall-clock deadline, and catches the
-/// kernel governor's cooperative unwind ([`Explorer::step_guarded`]).
-/// Behaviourally identical to `BrelSolver::solve` when the context is
-/// empty, so clean runs stay byte-identical to the unguarded path.
-fn run_brel_guarded(
+/// fires due injections and checks the wall-clock deadline and
+/// cancellation. Behaviourally identical to `BrelSolver::solve` when the
+/// context is empty, so clean runs stay byte-identical to the plain
+/// solver.
+fn run_brel(
     cost: CostSpec,
     budget: &JobBudget,
     strategy: SearchStrategy,
@@ -266,15 +265,14 @@ fn run_brel_guarded(
                 }
             }
         }
-        if let Some(deadline) = ctx.deadline {
-            if Instant::now() >= deadline {
-                return Err(RelationError::ResourceExhausted(
-                    BddError::DeadlineExceeded {
-                        elapsed_ms: ctx.deadline_ms,
-                        deadline_ms: ctx.deadline_ms,
-                    },
-                ));
-            }
+        if ctx.deadline.is_some_and(|at| Instant::now() >= at) {
+            // The payload the governor raises on the same deadline inside
+            // the kernel, so both unwind to the one attempt boundary. Only
+            // the variant is classified; the numbers stay deterministic.
+            std::panic::panic_any(BddError::DeadlineExceeded {
+                elapsed_ms: 0,
+                deadline_ms: 0,
+            });
         }
         if ctx.control.is_some_and(JobControl::is_cancelled) {
             // Cooperative cancellation: truncate like a step deadline —
@@ -285,7 +283,7 @@ fn run_brel_guarded(
             });
             break;
         }
-        match explorer.step_guarded()? {
+        match explorer.step()? {
             StepOutcome::Explored { improved, .. } => {
                 if improved {
                     if let Some(control) = ctx.control {

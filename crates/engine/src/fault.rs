@@ -7,10 +7,11 @@
 //!   live-node quota mapped onto the kernel's
 //!   [`brel_bdd::ResourceGovernor`], a deterministic step deadline, a
 //!   bounded retry count for transient faults, and a degradation switch;
-//! * every backend attempt is classified: panics are caught at the attempt
-//!   boundary and folded, together with governor aborts, into a
-//!   [`FaultClass`], which decides retry/quarantine/degradation and maps to
-//!   the job-level [`JobOutcome`] taxonomy the reports carry;
+//! * every backend attempt is classified: a governor abort, an expired
+//!   wall deadline, an injected fault and an organic panic all unwind to
+//!   the one attempt boundary ([`catch_fault`]), which folds the payload
+//!   into a [`FaultClass`]; that decides retry/quarantine/degradation and
+//!   maps to the job-level [`JobOutcome`] taxonomy the reports carry;
 //! * a seeded [`FaultPlan`] injects faults (a panic, a quota trip, or a
 //!   step deadline at the Nth expansion of a named job) *deterministically*
 //!   — each injection arms exactly once, so a chaos batch produces the same
@@ -20,8 +21,9 @@
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
+use std::time::Instant;
 
-use brel_bdd::BddError;
+use brel_bdd::{BddError, BddSession, ResourceGovernor};
 
 /// Per-job fault policy: how much a job may consume and what happens when
 /// it misbehaves.
@@ -68,10 +70,21 @@ impl Default for FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// `true` when the policy maps onto the kernel's resource governor
-    /// (a quota or wall-clock deadline is set).
-    pub(crate) fn governs(&self) -> bool {
-        self.max_live_nodes.is_some() || self.deadline_ms.is_some()
+    /// The kernel governor of a BREL attempt under this policy whose wall
+    /// deadline falls at `deadline`: the live-node quota and the deadline,
+    /// or `None` when neither is set.
+    pub(crate) fn governor(&self, deadline: Option<Instant>) -> Option<ResourceGovernor> {
+        if self.max_live_nodes.is_none() && deadline.is_none() {
+            return None;
+        }
+        let mut governor = ResourceGovernor::new();
+        if let Some(max) = self.max_live_nodes {
+            governor = governor.with_max_live_nodes(max);
+        }
+        if let Some(at) = deadline {
+            governor = governor.with_deadline_at(at);
+        }
+        Some(governor)
     }
 }
 
@@ -289,7 +302,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The engine-side classification of a failed backend attempt: what the
-/// unwind payload (or governor error) proves about the failure. Decides
+/// unwind payload proves about the failure. Decides
 /// retry (panics are transient, resource aborts would just recur),
 /// quarantine, and the job outcome when no solution survives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,16 +344,6 @@ impl FaultClass {
         FaultClass::Panicked(message)
     }
 
-    /// The same classification for a governor abort that surfaced as a
-    /// structured error (through `Explorer::step_guarded`) rather than an
-    /// unwind.
-    pub(crate) fn from_resource(error: &BddError) -> FaultClass {
-        match error {
-            BddError::QuotaExceeded { .. } => FaultClass::Quota,
-            BddError::DeadlineExceeded { .. } => FaultClass::Deadline,
-        }
-    }
-
     /// Deterministic, timing-free description for the job report. No
     /// volatile numbers: the chaos gates byte-compare reports across runs.
     pub(crate) fn describe(&self) -> String {
@@ -369,17 +372,18 @@ impl FaultClass {
 }
 
 /// Suppresses the default panic-hook output (message + backtrace) for the
-/// engine's *cooperative* unwinds — injected-fault payloads and the
-/// kernel's resource aborts — which are caught and classified at the
-/// attempt boundary. Organic panics keep the previous hook's behaviour.
-/// Installed once per process; safe to call from any thread.
+/// engine's *cooperative* unwinds — [`BddError`] resource aborts (the
+/// kernel's, the wall deadline's and injected quota trips) and
+/// [`InjectedPanic`]s — which are caught and classified at the attempt
+/// boundary. Organic panics keep the previous hook's behaviour. Installed
+/// once per process; safe to call from any thread.
 pub(crate) fn quiet_fault_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
-        brel_bdd::quiet_resource_aborts();
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_some() {
+            let payload = info.payload();
+            if payload.is::<BddError>() || payload.is::<InjectedPanic>() {
                 return;
             }
             previous(info);
@@ -394,6 +398,26 @@ pub(crate) fn quiet_fault_panics() {
 pub(crate) fn catch_fault<T>(f: impl FnOnce() -> T) -> Result<T, FaultClass> {
     quiet_fault_panics();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(FaultClass::from_panic)
+}
+
+/// [`catch_fault`] with `governor` armed on `session` while `f` runs: how
+/// narrow attempts and wide expansions alike run governed. The governor is
+/// cleared on every path, faults included, so no later kernel work in the
+/// session trips a stale one.
+pub(crate) fn catch_governed<T>(
+    session: &BddSession,
+    governor: Option<ResourceGovernor>,
+    f: impl FnOnce() -> T,
+) -> Result<T, FaultClass> {
+    let governed = governor.is_some();
+    if let Some(governor) = governor {
+        session.set_governor(governor);
+    }
+    let result = catch_fault(f);
+    if governed {
+        session.clear_governor();
+    }
+    result
 }
 
 #[cfg(test)]
@@ -503,6 +527,6 @@ mod tests {
         assert_eq!(FaultKind::QuotaTrip.name(), "quota-trip");
         assert_eq!(FaultPolicy::default().retries, 0);
         assert!(FaultPolicy::default().fallback);
-        assert!(!FaultPolicy::default().governs());
+        assert!(FaultPolicy::default().governor(None).is_none());
     }
 }

@@ -100,7 +100,7 @@ impl Json {
     }
 
     /// Renders the value with two-space indentation and a trailing newline,
-    /// the format the `BENCH_*.json` artefacts are stored in.
+    /// the format of the batch and table `--json` outputs.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

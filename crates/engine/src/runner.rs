@@ -14,13 +14,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use brel_bdd::ResourceGovernor;
 use brel_core::SearchStrategy;
 use brel_relation::{BooleanRelation, RelationError, RelationSpace};
 
 use crate::backend::{execute_with, ExecContext, SolutionReport};
 use crate::control::JobControl;
-use crate::fault::{catch_fault, FaultClass, FaultInjection, FaultPlan, JobOutcome};
+use crate::fault::{
+    catch_fault, catch_governed, FaultClass, FaultInjection, FaultPlan, JobOutcome,
+};
 use crate::job::{BackendKind, JobBudget, JobSpec};
 use crate::pool::EngineConfig;
 use crate::reuse::{BatchReuse, ReuseState, ReuseStats, WarmSession};
@@ -195,10 +196,16 @@ impl Runner {
             }
         }
         drop(lookup_span);
-        let deadline = job
-            .fault
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        // The BREL attempt's context, narrow or wide, retries included.
+        let brel_ctx = ExecContext {
+            deadline: job
+                .fault
+                .deadline_ms
+                .map(|ms| Instant::now() + Duration::from_millis(ms)),
+            step_deadline: job.fault.step_deadline,
+            injections: &injections,
+            control,
+        };
         let mut hydrated: Option<Hydrated> = None;
         let mut attempts = Vec::with_capacity(job.backends.len());
         let mut error: Option<String> = None;
@@ -207,8 +214,7 @@ impl Runner {
         for &kind in &job.backends {
             let mut tries = 0u32;
             let result = loop {
-                let outcome =
-                    self.attempt_once(kind, job, &mut hydrated, deadline, &injections, control);
+                let outcome = self.attempt_once(kind, job, &mut hydrated, &brel_ctx);
                 if let AttemptOutcome::Fault(class) = outcome {
                     // The faulted manager may hold arbitrary mid-operation
                     // state: drop our handles into it, then quarantine so the
@@ -261,19 +267,16 @@ impl Runner {
 
     /// Runs `kind` once inside the panic-isolation boundary. In wide mode
     /// the BREL backend runs the work-stealing search over the search
-    /// sessions; every other attempt runs on the relation rehydrated
-    /// (lazily, once per job) into the home session, with the job's
-    /// governor armed for the BREL backend. The governor is cleared again
-    /// before returning on the clean path; a fault leaves the session to be
-    /// quarantined, which rebuilds it anyway.
+    /// sessions, governed per expansion; every other attempt runs on the
+    /// relation rehydrated (lazily, once per job) into the home session,
+    /// with the job's governor armed for the BREL backend. A fault leaves
+    /// the session to be quarantined, which rebuilds it.
     fn attempt_once(
         &mut self,
         kind: BackendKind,
         job: &JobSpec,
         hydrated: &mut Option<Hydrated>,
-        deadline: Option<Instant>,
-        injections: &[&FaultInjection],
-        control: Option<&JobControl>,
+        brel_ctx: &ExecContext<'_>,
     ) -> AttemptOutcome {
         // Fault policies, injections and job controls only target the
         // recursive BREL solve; the quick and gyocro backends are single-pass
@@ -281,31 +284,17 @@ impl Runner {
         let brel = kind == BackendKind::Brel;
         if let Some(options) = self.wide.filter(|_| brel) {
             let search = &mut self.search;
-            let outcome =
-                catch_fault(|| wide::search(job, options, search, deadline, control, injections));
+            let outcome = catch_fault(|| wide::search(job, options, search, brel_ctx));
             return AttemptOutcome::classify(outcome);
         }
         let (space, relation, was_warm) =
             hydrated.get_or_insert_with(|| self.home.rehydrate(&job.relation));
-        let ctx = ExecContext {
-            deadline: if brel { deadline } else { None },
-            deadline_ms: job.fault.deadline_ms.unwrap_or(0),
-            step_deadline: if brel { job.fault.step_deadline } else { None },
-            injections: if brel { injections } else { &[] },
-            control: if brel { control } else { None },
+        let (ctx, governor) = if brel {
+            (*brel_ctx, job.fault.governor(brel_ctx.deadline))
+        } else {
+            (ExecContext::default(), None)
         };
-        let governed = brel && job.fault.governs();
-        if governed {
-            let mut governor = ResourceGovernor::new();
-            if let Some(max) = job.fault.max_live_nodes {
-                governor = governor.with_max_live_nodes(max);
-            }
-            if let Some(at) = deadline {
-                governor = governor.with_deadline_at(at);
-            }
-            space.mgr().set_governor(governor);
-        }
-        let outcome = catch_fault(|| {
+        let outcome = catch_governed(space.mgr(), governor, || {
             execute_with(kind, job.cost, &job.budget, job.strategy, relation, &ctx).map(
                 |(mut report, truncation)| {
                     report.reuse.warm_session = *was_warm;
@@ -313,9 +302,6 @@ impl Runner {
                 },
             )
         });
-        if governed {
-            space.mgr().clear_governor();
-        }
         AttemptOutcome::classify(outcome)
     }
 
@@ -346,9 +332,6 @@ impl AttemptOutcome {
     ) -> AttemptOutcome {
         match outcome {
             Ok(Ok((report, truncation))) => AttemptOutcome::Done(report, truncation),
-            Ok(Err(RelationError::ResourceExhausted(err))) => {
-                AttemptOutcome::Fault(FaultClass::from_resource(&err))
-            }
             Ok(Err(error)) => AttemptOutcome::Error(error),
             Err(class) => AttemptOutcome::Fault(class),
         }

@@ -45,15 +45,14 @@ use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use brel_bdd::ResourceGovernor;
 use brel_core::{
     expand, CostFn, Expansion, Explorer, IsfMinimizer, QuickSolver, StepOutcome, Subproblem,
 };
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError, RelationSpace};
 
-use crate::backend::{brel_config, score, SolutionReport};
+use crate::backend::{brel_config, score, ExecContext, SolutionReport};
 use crate::control::JobControl;
-use crate::fault::{catch_fault, splitmix64, FaultClass, FaultInjection, FaultKind, InjectedPanic};
+use crate::fault::{catch_governed, splitmix64, FaultClass, FaultKind, InjectedPanic};
 use crate::job::{BackendKind, JobSpec};
 use crate::reuse::{ReuseStats, WarmSession};
 
@@ -159,13 +158,12 @@ struct Shared {
     work_ready: Condvar,
 }
 
-/// Immutable per-run context threaded to every worker.
+/// Immutable per-run context threaded to every worker: what belongs to
+/// wide mode, plus the BREL attempt's own context.
 struct RunContext<'a> {
     job: &'a JobSpec,
     options: WideOptions,
-    deadline: Option<Instant>,
-    control: Option<&'a JobControl>,
-    injections: &'a [&'a FaultInjection],
+    exec: &'a ExecContext<'a>,
 }
 
 /// A claimed subproblem, ready to execute outside the lock. `relation` is
@@ -195,7 +193,7 @@ fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
         // count — the commit sequence passes through every index, so a
         // plan aimed anywhere in the search fires deterministically,
         // before the next commit and regardless of worker count.
-        for injection in ctx.injections {
+        for injection in ctx.exec.injections {
             if injection.at_expansion() != explored || !injection.fire() {
                 continue;
             }
@@ -226,11 +224,11 @@ fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
         }
         // The wall deadline is timing-dependent by nature; determinism
         // gates use step deadlines instead.
-        if ctx.deadline.is_some_and(|at| Instant::now() >= at) {
+        if ctx.exec.deadline.is_some_and(|at| Instant::now() >= at) {
             state.degrade(|| FaultClass::Deadline.describe());
             return;
         }
-        if ctx.control.is_some_and(JobControl::is_cancelled) {
+        if ctx.exec.control.is_some_and(JobControl::is_cancelled) {
             state.degrade(|| format!("cancelled after {explored} expansions"));
             return;
         }
@@ -261,7 +259,7 @@ fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
         let head = state.head.take().expect("popped above");
         let outcome = state.explorer.commit(head, *expansion);
         if let (StepOutcome::Explored { improved: true, .. }, Some(control)) =
-            (outcome, ctx.control)
+            (outcome, ctx.exec.control)
         {
             control.notify_incumbent(state.explorer.best_cost(), state.explorer.explored());
         }
@@ -333,9 +331,7 @@ fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option
 
 /// Runs one speculative expansion in this worker's space, under the job's
 /// governor and inside the panic-isolation boundary. Pure in
-/// `(relation, prune_bound)`. The governor is cleared on every path,
-/// faults included, so no later kernel work in this session trips a stale
-/// one.
+/// `(relation, prune_bound)`.
 fn execute_expand(
     space: &RelationSpace,
     relation: &BooleanRelation,
@@ -343,24 +339,13 @@ fn execute_expand(
     prune_bound: u64,
     ctx: &RunContext<'_>,
 ) -> Result<Result<Expansion, RelationError>, FaultClass> {
-    let governed = ctx.job.fault.max_live_nodes.is_some() || ctx.deadline.is_some();
-    if governed {
-        let mut governor = ResourceGovernor::new();
-        if let Some(max) = ctx.job.fault.max_live_nodes {
-            governor = governor.with_max_live_nodes(max);
-        }
-        if let Some(at) = ctx.deadline {
-            governor = governor.with_deadline_at(at);
-        }
-        space.mgr().set_governor(governor);
-    }
     let minimizer = IsfMinimizer::default();
     let quick = QuickSolver::new().with_minimizer(minimizer);
-    let result = catch_fault(|| expand(&minimizer, cost_fn, &quick, relation, prune_bound));
-    if governed {
-        space.mgr().clear_governor();
-    }
-    result
+    catch_governed(
+        space.mgr(),
+        ctx.job.fault.governor(ctx.exec.deadline),
+        || expand(&minimizer, cost_fn, &quick, relation, prune_bound),
+    )
 }
 
 /// One worker's commit / claim / execute loop. Returns when the search
@@ -448,22 +433,16 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
                     state.entries[task.seq].state = Speculation::Ready(Box::new(expansion));
                     false
                 }
-                Ok(Err(RelationError::ResourceExhausted(err))) => {
-                    // A genuine governor abort: the session may be
-                    // mid-operation — degrade the search on the incumbent
-                    // and flag this worker's session for quarantine.
-                    state.degrade(|| FaultClass::from_resource(&err).describe());
-                    state.quarantine_worker.get_or_insert(w);
-                    true
-                }
                 Ok(Err(error)) => {
                     state.error.get_or_insert(error);
                     state.done = true;
                     true
                 }
                 Err(class) => {
-                    // A genuine panic escaped the expansion: quarantine
-                    // and close the search on the incumbent.
+                    // A governor abort or a genuine panic ended the
+                    // expansion, possibly mid-operation: quarantine this
+                    // worker's session and close the search on the
+                    // incumbent.
                     state.degrade(|| class.describe());
                     state.quarantine_worker.get_or_insert(w);
                     true
@@ -488,10 +467,10 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// modes commit through the same [`Explorer`] transition in the same pop
 /// order.
 ///
-/// It honors the job's [`crate::fault::FaultPolicy`] (the job's wall
-/// `deadline`, node quota, step deadline), cooperative cancellation and
-/// incumbent streaming through `control`, and the deterministic injection
-/// slice. A faulted, cancelled or truncated search *degrades*: the commit
+/// It honors the BREL attempt's context `exec` (the wall deadline, step
+/// deadline, cooperative cancellation and incumbent streaming through its
+/// control, and the deterministic injection slice) and the job's node
+/// quota. A faulted, cancelled or truncated search *degrades*: the commit
 /// sequence closes, and the report keeps the best incumbent (wide mode
 /// always holds one from the quick seed) with `degraded` set and the first
 /// fault described in the second tuple slot.
@@ -504,9 +483,7 @@ pub(crate) fn search(
     job: &JobSpec,
     options: WideOptions,
     sessions: &mut [WarmSession],
-    deadline: Option<Instant>,
-    control: Option<&JobControl>,
-    injections: &[&FaultInjection],
+    exec: &ExecContext<'_>,
 ) -> Result<(SolutionReport, Option<String>), RelationError> {
     let start = Instant::now();
     let solve_span = brel_obs::span(brel_obs::Category::Engine, "wide_solve");
@@ -516,7 +493,7 @@ pub(crate) fn search(
     let seed_span = brel_obs::span(brel_obs::Category::Engine, "seed");
     let (space0, root, seed_warm) = sessions[0].rehydrate(&job.relation);
     let before = space0.mgr().stats_snapshot();
-    let config = brel_config(job.cost, &job.budget, job.strategy, job.fault.step_deadline);
+    let config = brel_config(job.cost, &job.budget, job.strategy, exec.step_deadline);
     let explorer = Explorer::new(config, &root)?;
     let after = space0.mgr().stats_snapshot();
     // Kernel counters are scoped to the deterministic seed phase: the
@@ -525,7 +502,7 @@ pub(crate) fn search(
     let cache = after.cache.delta_since(&before.cache);
     let gc = after.gc.delta_since(&before.gc);
     drop(seed_span);
-    if let Some(control) = control {
+    if let Some(control) = exec.control {
         control.notify_incumbent(explorer.best_cost(), 0);
     }
 
@@ -545,13 +522,7 @@ pub(crate) fn search(
         }),
         work_ready: Condvar::new(),
     };
-    let ctx = RunContext {
-        job,
-        options,
-        deadline,
-        control,
-        injections,
-    };
+    let ctx = RunContext { job, options, exec };
 
     let num_inputs = job.relation.num_inputs();
     let num_outputs = job.relation.num_outputs();
@@ -629,6 +600,7 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultInjection;
     use crate::job::{JobBudget, RelationSpec};
     use brel_core::{CancelToken, SearchStrategy};
     use brel_relation::{BooleanRelation, RelationSpace};
@@ -656,7 +628,7 @@ mod tests {
         options: WideOptions,
     ) -> Result<SolutionReport, RelationError> {
         let mut sessions: Vec<WarmSession> = (0..workers).map(|_| WarmSession::new()).collect();
-        search(job, options, &mut sessions, None, None, &[]).map(|(report, _)| report)
+        search(job, options, &mut sessions, &ExecContext::default()).map(|(report, _)| report)
     }
 
     #[test]
@@ -822,15 +794,11 @@ mod tests {
         });
         let job = fig10_job().with_strategy(SearchStrategy::BestFirst);
         let mut sessions: Vec<WarmSession> = (0..4).map(|_| WarmSession::new()).collect();
-        let (report, fault) = search(
-            &job,
-            WideOptions::default(),
-            &mut sessions,
-            None,
-            Some(&control),
-            &[],
-        )
-        .unwrap();
+        let exec = ExecContext {
+            control: Some(&control),
+            ..ExecContext::default()
+        };
+        let (report, fault) = search(&job, WideOptions::default(), &mut sessions, &exec).unwrap();
         drop(control);
         assert_eq!(fault, None);
         let stream = seen.lock().unwrap();
@@ -852,15 +820,11 @@ mod tests {
         token.cancel();
         let job = fig10_job();
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = search(
-            &job,
-            WideOptions::default(),
-            &mut sessions,
-            None,
-            Some(&control),
-            &[],
-        )
-        .unwrap();
+        let exec = ExecContext {
+            control: Some(&control),
+            ..ExecContext::default()
+        };
+        let (report, fault) = search(&job, WideOptions::default(), &mut sessions, &exec).unwrap();
         assert!(report.degraded);
         assert_eq!(report.explored, 0);
         assert!(fault
@@ -879,15 +843,12 @@ mod tests {
         let job = fig10_job();
         let injection = FaultInjection::new("fig10", 0, FaultKind::Panic);
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = search(
-            &job,
-            WideOptions::default(),
-            &mut sessions,
-            None,
-            None,
-            &[&injection],
-        )
-        .expect("a fault degrades, it does not error");
+        let exec = ExecContext {
+            injections: &[&injection],
+            ..ExecContext::default()
+        };
+        let (report, fault) = search(&job, WideOptions::default(), &mut sessions, &exec)
+            .expect("a fault degrades, it does not error");
         assert!(injection.has_fired());
         assert!(report.degraded);
         assert!(fault.as_deref().unwrap().contains("injected panic"));
@@ -913,8 +874,11 @@ mod tests {
                 lookahead: 3,
                 ..WideOptions::default()
             };
-            let (report, fault) =
-                search(&job, options, &mut sessions, None, None, &[&injection]).unwrap();
+            let exec = ExecContext {
+                injections: &[&injection],
+                ..ExecContext::default()
+            };
+            let (report, fault) = search(&job, options, &mut sessions, &exec).unwrap();
             runs.push((mask(report), fault));
         }
         assert_eq!(runs[0], runs[1], "1 vs 2 workers");
@@ -928,15 +892,11 @@ mod tests {
         let job = fig10_job();
         let injection = FaultInjection::new("fig10", 1, FaultKind::StepDeadline);
         let mut sessions: Vec<WarmSession> = (0..2).map(|_| WarmSession::new()).collect();
-        let (report, fault) = search(
-            &job,
-            WideOptions::default(),
-            &mut sessions,
-            None,
-            None,
-            &[&injection],
-        )
-        .unwrap();
+        let exec = ExecContext {
+            injections: &[&injection],
+            ..ExecContext::default()
+        };
+        let (report, fault) = search(&job, WideOptions::default(), &mut sessions, &exec).unwrap();
         assert!(report.degraded);
         assert_eq!(
             report.explored, 1,

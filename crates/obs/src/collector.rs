@@ -1,5 +1,5 @@
-//! The [`Collector`] trait and its two implementations: null and
-//! recording.
+//! The [`RecordingCollector`], the one sink spans, events and counters
+//! flow into while it is installed.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
@@ -83,32 +83,6 @@ pub struct EventRecord {
     pub ts_us: u64,
     /// Attached integer arguments.
     pub args: ArgList,
-}
-
-/// Sink for completed spans, events, and counters. Implementations must
-/// be thread-safe: spans arrive concurrently from every worker thread.
-pub trait Collector: Send + Sync {
-    /// The category mask this collector wants armed while installed.
-    fn mask(&self) -> u32;
-    /// Receives a completed span.
-    fn span(&self, record: SpanRecord);
-    /// Receives an instant event.
-    fn event(&self, record: EventRecord);
-    /// Adds `delta` to the named counter.
-    fn add(&self, counter: &'static str, delta: u64);
-}
-
-/// Records nothing and arms no categories — the implicit default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullCollector;
-
-impl Collector for NullCollector {
-    fn mask(&self) -> u32 {
-        0
-    }
-    fn span(&self, _record: SpanRecord) {}
-    fn event(&self, _record: EventRecord) {}
-    fn add(&self, _counter: &'static str, _delta: u64) {}
 }
 
 /// Per-phase aggregate: call count and total duration.
@@ -240,12 +214,16 @@ impl RecordingCollector {
     }
 }
 
-impl Collector for RecordingCollector {
-    fn mask(&self) -> u32 {
+/// The sink side, called by the instrumentation sites while installed.
+/// Thread-safe: spans arrive concurrently from every worker thread.
+impl RecordingCollector {
+    /// The category mask armed while this collector is installed.
+    pub(crate) fn mask(&self) -> u32 {
         self.mask
     }
 
-    fn span(&self, record: SpanRecord) {
+    /// Receives a completed span.
+    pub(crate) fn span(&self, record: SpanRecord) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.agg.absorb_span(&record);
         if record.cat != Category::KernelOp {
@@ -253,7 +231,8 @@ impl Collector for RecordingCollector {
         }
     }
 
-    fn event(&self, record: EventRecord) {
+    /// Receives an instant event.
+    pub(crate) fn event(&self, record: EventRecord) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         *state
             .agg
@@ -263,7 +242,8 @@ impl Collector for RecordingCollector {
         state.events.push(record);
     }
 
-    fn add(&self, counter: &'static str, delta: u64) {
+    /// Adds `delta` to the named counter.
+    pub(crate) fn add(&self, counter: &'static str, delta: u64) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         *state.agg.counters.entry(counter).or_default() += delta;
     }

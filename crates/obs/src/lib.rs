@@ -12,13 +12,12 @@
 //! process that never installs a collector pays (almost) nothing for
 //! being instrumented.
 //!
-//! Data flows into a pluggable [`Collector`]:
-//!
-//! * [`NullCollector`] — the default; mask `0`, records nothing.
-//! * [`RecordingCollector`] — full span/event capture for export as a
-//!   Chrome trace-event JSON file ([`RecordingCollector::chrome_trace`],
-//!   loadable in Perfetto or `chrome://tracing`) and for the aggregate
-//!   [`PhaseReport`] (per-phase total/self time and call counts).
+//! With no collector installed (the default) the mask is `0` and nothing
+//! is recorded. [`install`] arms a [`RecordingCollector`], which captures
+//! every span and event for export as a Chrome trace-event JSON file
+//! ([`RecordingCollector::chrome_trace`], loadable in Perfetto or
+//! `chrome://tracing`) and for the aggregate [`PhaseReport`] (per-phase
+//! total/self time and call counts).
 //!
 //! Spans land on *tracks* — one per worker thread by default, or named
 //! explicitly via [`set_track`] so short-lived scoped threads (wide-mode
@@ -49,9 +48,7 @@ mod metrics;
 mod report;
 
 pub use chrome::{chrome_trace, escape_json_into};
-pub use collector::{
-    ArgList, Collector, EventRecord, NullCollector, PhaseAgg, RecordingCollector, SpanRecord,
-};
+pub use collector::{ArgList, EventRecord, PhaseAgg, RecordingCollector, SpanRecord};
 pub use metrics::{Metric, MetricsRegistry};
 pub use report::{PhaseReport, PhaseRow};
 
@@ -109,7 +106,7 @@ static MASK: AtomicU32 = AtomicU32::new(0);
 
 /// The installed collector. Read-locked once per *enabled* span/event;
 /// never touched on the disabled fast path.
-static COLLECTOR: RwLock<Option<Arc<dyn Collector>>> = RwLock::new(None);
+static COLLECTOR: RwLock<Option<Arc<RecordingCollector>>> = RwLock::new(None);
 
 /// Shared epoch for all span timestamps, fixed at first use.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -139,7 +136,7 @@ fn now_micros() -> u64 {
 ///
 /// Spans already open keep reporting to the collector they captured at
 /// open time, so swapping collectors mid-span is safe (if noisy).
-pub fn install(collector: Arc<dyn Collector>) {
+pub fn install(collector: Arc<RecordingCollector>) {
     let mask = collector.mask();
     *COLLECTOR.write().unwrap_or_else(PoisonError::into_inner) = Some(collector);
     MASK.store(mask, Ordering::Release);
@@ -157,7 +154,7 @@ pub fn enabled(cat: Category) -> bool {
     MASK.load(Ordering::Relaxed) & cat.bit() != 0
 }
 
-fn current_collector() -> Option<Arc<dyn Collector>> {
+fn current_collector() -> Option<Arc<RecordingCollector>> {
     COLLECTOR
         .read()
         .unwrap_or_else(PoisonError::into_inner)
@@ -269,7 +266,7 @@ pub struct SpanGuard {
 }
 
 struct ActiveSpan {
-    collector: Arc<dyn Collector>,
+    collector: Arc<RecordingCollector>,
     cat: Category,
     name: &'static str,
     track: u32,

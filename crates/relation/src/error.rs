@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use brel_bdd::BddError;
-
 /// Errors produced by relation constructors and solvers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelationError {
@@ -42,11 +40,6 @@ pub enum RelationError {
         /// Cost of the incompatible candidate that could not be split away.
         candidate_cost: u64,
     },
-    /// The kernel's resource governor aborted the underlying BDD work
-    /// (live-node quota or deadline); see [`brel_bdd::BddError`]. Raised by
-    /// fallible entry points such as `Explorer::step_guarded`, which catch
-    /// the kernel's cooperative unwind at the step boundary.
-    ResourceExhausted(BddError),
 }
 
 impl fmt::Display for RelationError {
@@ -79,16 +72,7 @@ impl fmt::Display for RelationError {
                      the relation was corrupted mid-search"
                 )
             }
-            RelationError::ResourceExhausted(inner) => {
-                write!(f, "kernel resource budget exhausted: {inner}")
-            }
         }
-    }
-}
-
-impl From<BddError> for RelationError {
-    fn from(error: BddError) -> Self {
-        RelationError::ResourceExhausted(error)
     }
 }
 
@@ -97,18 +81,6 @@ impl std::error::Error for RelationError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resource_exhausted_wraps_the_kernel_error() {
-        let err = RelationError::from(BddError::QuotaExceeded {
-            live_nodes: 10,
-            max_live_nodes: 5,
-        });
-        assert!(matches!(err, RelationError::ResourceExhausted(_)));
-        let message = err.to_string();
-        assert!(message.contains("resource budget exhausted"));
-        assert!(message.contains("quota"));
-    }
 
     #[test]
     fn no_split_point_displays_its_context() {

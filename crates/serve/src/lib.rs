@@ -45,5 +45,5 @@ pub use client::{Client, SolveOutcome};
 pub use protocol::{
     read_frame, FinalReport, Frame, FrameReader, StatsSnapshot, Submit, MAX_FRAME_BYTES,
 };
-pub use queue::{Admission, AdmissionConfig, JobQueue, QueuedJob};
+pub use queue::{Admission, AdmissionConfig, JobQueue, QueuedJob, SHED_BACKOFF_MS};
 pub use server::{DrainReport, ServeConfig, Server};

@@ -31,12 +31,14 @@ pub struct AdmissionConfig {
     /// check: a submission whose deadline is shorter than
     /// `queued * est_job_ms` is shed as infeasible.
     pub est_job_ms: u64,
-    /// Base backoff hint for shed replies; the jittered hint is in
-    /// `[backoff_ms, 2 * backoff_ms]`.
-    pub backoff_ms: u64,
-    /// Seed of the deterministic jitter sequence.
-    pub jitter_seed: u64,
 }
+
+/// Base backoff hint for shed replies; the jittered hint is in
+/// `[SHED_BACKOFF_MS, 2 * SHED_BACKOFF_MS]`.
+pub const SHED_BACKOFF_MS: u64 = 25;
+
+/// Seed of the deterministic backoff-jitter sequence.
+const JITTER_SEED: u64 = 0x5eed_cafe;
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
@@ -44,8 +46,6 @@ impl Default for AdmissionConfig {
             capacity: 64,
             per_client: 8,
             est_job_ms: 3,
-            backoff_ms: 25,
-            jitter_seed: 0x5eed_cafe,
         }
     }
 }
@@ -179,11 +179,10 @@ impl JobQueue {
 
     fn shed(&self, inner: &mut QueueInner, reason: &'static str) -> Admission {
         inner.sheds += 1;
-        let jitter = splitmix64(self.config.jitter_seed.wrapping_add(inner.sheds))
-            % (self.config.backoff_ms + 1);
+        let jitter = splitmix64(JITTER_SEED.wrapping_add(inner.sheds)) % (SHED_BACKOFF_MS + 1);
         Admission::Shed {
             reason,
-            retry_after_ms: self.config.backoff_ms + jitter,
+            retry_after_ms: SHED_BACKOFF_MS + jitter,
         }
     }
 
@@ -337,7 +336,7 @@ mod tests {
             panic!("second job of the same client must shed");
         };
         assert_eq!(reason, "client-budget");
-        let base = queue.config().backoff_ms;
+        let base = SHED_BACKOFF_MS;
         assert!((base..=2 * base).contains(&retry_after_ms));
 
         offer(&queue, job(2, "b", None), None);

@@ -3,18 +3,19 @@
 //! must come back with structured non-`solved` outcomes and recovered
 //! solutions, faulted sessions must be quarantined, untargeted jobs must
 //! be byte-identical to a no-fault run at every worker count in both
-//! narrow and wide mode with reuse on or off, and a faulted job must
-//! never leave an entry in the solved-subrelation cache for a later
-//! duplicate to be served from.
+//! narrow and wide mode with reuse on or off, a faulted job must never
+//! leave an entry in the solved-subrelation cache for a later duplicate to
+//! be served from, and a quota or wall-deadline abort of a BREL attempt,
+//! narrow or wide, must end in its pinned outcome, fault and attempts.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use brel_suite::benchdata::random_well_defined_relation;
 use brel_suite::engine::{
-    Engine, FaultInjection, FaultKind, FaultPlan, JobOutcome, JobSpec, RelationSpec,
-    SearchStrategy, WideOptions,
+    BackendKind, Engine, EngineConfig, FaultInjection, FaultKind, FaultPlan, FaultPolicy,
+    JobBudget, JobControl, JobOutcome, JobSpec, RelationSpec, Runner, SearchStrategy, WideOptions,
 };
 
 /// Four distinct random portfolio jobs seeded from one u64 — enough names
@@ -179,4 +180,173 @@ fn quota_aborted_jobs_leave_no_stale_cache_entries() {
         clean.jobs[1].to_json(false).render()
     );
     assert_eq!(chaos.jobs[1].outcome, Some(JobOutcome::Solved));
+}
+
+/// One governed abort and what the job report must say about it.
+struct AbortCase<'a> {
+    name: &'static str,
+    job: &'a JobSpec,
+    /// `Some` runs the job in wide mode at two workers, `None` narrow at one.
+    wide: Option<WideOptions>,
+    policy: FaultPolicy,
+    outcome: JobOutcome,
+    fault: &'static str,
+    /// `(backend, degraded)` of every attempt, in order.
+    attempts: &'static [(BackendKind, bool)],
+    quarantines: u64,
+}
+
+/// Pins the way a governed BREL attempt ends: a mid-search live-node
+/// quota abort and an already-expired wall deadline, narrow and wide,
+/// with the degradation ladder on and off. Both aborts come after the
+/// seed: the quick-solver incumbent is streamed before the search stops.
+#[test]
+fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
+    let brel_job = |inputs, outputs| {
+        let (_space, relation) = random_well_defined_relation(inputs, outputs, 0.35, 1000);
+        JobSpec::single(
+            format!("governed{inputs}x{outputs}"),
+            RelationSpec::from_relation(&relation).unwrap(),
+            BackendKind::Brel,
+        )
+        .with_strategy(SearchStrategy::Fifo)
+        .with_budget(JobBudget {
+            max_explored: Some(600),
+            fifo_capacity: Some(8192),
+            ..JobBudget::default()
+        })
+    };
+    // A search that outgrows a 1000-node quota within its first few dozen
+    // expansions, after its seed fits under it.
+    let large = brel_job(6, 4);
+    // A seed small enough to finish before the kernel's first deadline
+    // check (every 1024 allocations), so the expired deadline stops the
+    // search, not the seed.
+    let small = brel_job(3, 2);
+    let wide = Some(WideOptions::default());
+    let quota = |fallback| FaultPolicy {
+        max_live_nodes: Some(1000),
+        fallback,
+        ..FaultPolicy::default()
+    };
+    let expired = |fallback| FaultPolicy {
+        deadline_ms: Some(0),
+        fallback,
+        ..FaultPolicy::default()
+    };
+    let quota_fault = "live-node quota exceeded";
+    let deadline_fault = "deadline exceeded";
+    let degraded_brel: &[(BackendKind, bool)] = &[(BackendKind::Brel, true)];
+    let cases = [
+        AbortCase {
+            name: "narrow quota, ladder on",
+            job: &large,
+            wide: None,
+            policy: quota(true),
+            outcome: JobOutcome::Degraded,
+            fault: quota_fault,
+            attempts: degraded_brel,
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "narrow quota, ladder off",
+            job: &large,
+            wide: None,
+            policy: quota(false),
+            outcome: JobOutcome::QuotaExceeded,
+            fault: quota_fault,
+            attempts: &[],
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "narrow deadline, ladder on",
+            job: &small,
+            wide: None,
+            policy: expired(true),
+            outcome: JobOutcome::Degraded,
+            fault: deadline_fault,
+            attempts: degraded_brel,
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "narrow deadline, ladder off",
+            job: &small,
+            wide: None,
+            policy: expired(false),
+            outcome: JobOutcome::TimedOut,
+            fault: deadline_fault,
+            attempts: &[],
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "wide quota, ladder on",
+            job: &large,
+            wide,
+            policy: quota(true),
+            outcome: JobOutcome::Degraded,
+            fault: quota_fault,
+            attempts: degraded_brel,
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "wide quota, ladder off",
+            job: &large,
+            wide,
+            policy: quota(false),
+            outcome: JobOutcome::Degraded,
+            fault: quota_fault,
+            attempts: degraded_brel,
+            quarantines: 1,
+        },
+        AbortCase {
+            name: "wide deadline, ladder on",
+            job: &small,
+            wide,
+            policy: expired(true),
+            outcome: JobOutcome::Degraded,
+            fault: deadline_fault,
+            attempts: degraded_brel,
+            quarantines: 0,
+        },
+        AbortCase {
+            name: "wide deadline, ladder off",
+            job: &small,
+            wide,
+            policy: expired(false),
+            outcome: JobOutcome::Degraded,
+            fault: deadline_fault,
+            attempts: degraded_brel,
+            quarantines: 0,
+        },
+    ];
+    for case in cases {
+        let config = EngineConfig {
+            num_workers: if case.wide.is_some() { 2 } else { 1 },
+            wide: case.wide,
+            reuse: true,
+        };
+        let mut runner = Runner::new(&config, None);
+        let incumbents = Arc::new(Mutex::new(Vec::new()));
+        let sink = incumbents.clone();
+        let control = JobControl::new().on_incumbent(move |cost, explored| {
+            sink.lock().unwrap().push((cost, explored));
+        });
+        let job = case.job.clone().with_fault(case.policy);
+        let report = runner.run(0, &job, Some(&control));
+        let name = case.name;
+        assert!(
+            !incumbents.lock().unwrap().is_empty(),
+            "{name}: the abort must come after the seed's incumbent"
+        );
+        assert_eq!(report.outcome, Some(case.outcome), "{name}");
+        assert_eq!(report.fault.as_deref(), Some(case.fault), "{name}");
+        assert_eq!(report.winner.is_some(), !case.attempts.is_empty(), "{name}");
+        let attempts: Vec<(BackendKind, bool)> = report
+            .attempts
+            .iter()
+            .map(|a| (a.backend, a.degraded))
+            .collect();
+        assert_eq!(attempts, case.attempts, "{name}");
+        assert_eq!(runner.counts().quarantines, case.quarantines, "{name}");
+    }
 }

@@ -19,7 +19,7 @@ use brel_suite::benchdata::random_well_defined_relation;
 use brel_suite::engine::{BackendKind, Engine, FaultPlan, JobBudget, JobSpec, RelationSpec};
 use brel_suite::serve::{
     read_frame, AdmissionConfig, Client, DrainReport, FinalReport, Frame, ServeConfig, Server,
-    Submit,
+    Submit, SHED_BACKOFF_MS,
 };
 
 /// Spawns a server and hands back its address plus the drain handle; the
@@ -435,7 +435,7 @@ fn all_three_shed_reasons_carry_a_backoff_hint() {
         per_client: 1,
         ..AdmissionConfig::default()
     };
-    let backoff = admission.backoff_ms;
+    let backoff = SHED_BACKOFF_MS;
     let (addr, handle) = start(ServeConfig {
         workers: 1,
         admission,
