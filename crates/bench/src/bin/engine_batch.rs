@@ -14,12 +14,6 @@
 //!   `best-first`
 //! * `--wide`       wide mode: jobs run one at a time and the worker pool
 //!   runs an asynchronous work-stealing search over each BREL frontier
-//! * `--lookahead N` wide-mode speculation window: how far past the commit
-//!   head a worker may claim work (default: 8)
-//! * `--steal-threshold N` minimum subproblem size (relation pairs) worth
-//!   stealing: another worker copies it into its own session by structural
-//!   BDD import; smaller subproblems stay as live BDD handles on their
-//!   owner (default: 4)
 //! * `--hard`       swap in the checked-in hard corpus
 //!   (`hard-rand7x4`): four seeded 7-input/4-output relations whose
 //!   sequential solve takes ≥1s total — the wide-vs-sequential perf
@@ -84,8 +78,6 @@ fn main() -> ExitCode {
     let mut wide = false;
     let mut cold = false;
     let mut hard = false;
-    let mut lookahead = 8usize;
-    let mut steal_threshold = 4usize;
     let mut fingerprint: Option<u64> = None;
     let mut trace_out: Option<String> = None;
     let mut obs_report = false;
@@ -118,14 +110,6 @@ fn main() -> ExitCode {
             "--wide" => wide = true,
             "--cold" => cold = true,
             "--hard" => hard = true,
-            "--lookahead" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => lookahead = n,
-                None => return usage("--lookahead needs a number"),
-            },
-            "--steal-threshold" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => steal_threshold = n,
-                None => return usage("--steal-threshold needs a number"),
-            },
             "--fingerprint" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => fingerprint = Some(n),
                 None => return usage("--fingerprint needs a number"),
@@ -229,11 +213,7 @@ fn main() -> ExitCode {
      -> (BatchReport, Option<Arc<FaultPlan>>) {
         let mut engine = Engine::with_workers(num_workers).with_reuse(!cold);
         if wide {
-            engine = engine.with_wide(WideOptions {
-                lookahead,
-                steal_threshold,
-                ..WideOptions::default()
-            });
+            engine = engine.with_wide(WideOptions::default());
         }
         let plan = chaos_seed.map(|seed| Arc::new(FaultPlan::seeded(seed, &names)));
         if let Some(plan) = &plan {
@@ -442,8 +422,7 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("engine_batch: {error}");
     eprintln!(
         "usage: engine_batch [--smoke] [--hard] [--workers N] [--instances N] [--random N] \
-         [--strategy fifo|dfs|best-first] [--wide] [--cold] [--lookahead N] \
-         [--steal-threshold N] [--fingerprint N] \
+         [--strategy fifo|dfs|best-first] [--wide] [--cold] [--fingerprint N] \
          [--chaos SEED] [--deadline-ms N] [--max-live-nodes N] [--retries N] \
          [--json|--csv] [--timing] [--trace-out PATH] [--obs-report] [--overhead-gate NS]"
     );

@@ -284,10 +284,7 @@ mod tests {
             strategy: SearchStrategy::BestFirst,
             ..CorpusOptions::smoke()
         });
-        let options = WideOptions {
-            lookahead: 4,
-            ..WideOptions::default()
-        };
+        let options = WideOptions::default();
         let one = Engine::with_workers(1)
             .with_wide(options)
             .solve_batch(&jobs);

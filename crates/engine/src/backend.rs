@@ -1,6 +1,7 @@
 //! One backend attempt: run a solver on a rehydrated relation and score
 //! its solution into the uniform [`SolutionReport`].
 
+use std::any::Any;
 use std::time::Instant;
 
 use brel_bdd::{BddError, CacheStats, GcStats};
@@ -64,9 +65,11 @@ pub struct SolutionReport {
 
 /// The fault-policy context of one BREL attempt, narrow or wide: the
 /// wall-clock deadline, the deterministic step deadline, the fault
-/// injections aimed at the job and its control surface. The runner builds
-/// it once per job; the non-BREL backends and ladder rungs run under the
-/// empty default.
+/// injections aimed at the job and its control surface. Its methods are
+/// the per-step stop policy both modes drive ([`ExecContext::check`] before
+/// each step, [`ExecContext::settle`] after it). The runner builds it once
+/// per job; the non-BREL backends and ladder rungs run under the empty
+/// default.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExecContext<'a> {
     /// Wall-clock deadline, checked cooperatively between exploration
@@ -82,6 +85,118 @@ pub(crate) struct ExecContext<'a> {
     /// the batch path — and an inert control behaves identically to
     /// `None`, which is what keeps serial replays byte-identical.
     pub control: Option<&'a JobControl>,
+}
+
+/// Why a BREL attempt's commit sequence ends, as the per-step policy
+/// ([`ExecContext::check`], [`ExecContext::settle`]) decides it. Narrow
+/// mode maps it with [`Stop::raise`]; wide mode degrades on the incumbent
+/// (see [`crate::wide`]).
+pub(crate) enum Stop {
+    /// The search ended on its own: the frontier is exhausted or the
+    /// `max_explored` budget is spent.
+    Finished,
+    /// A deterministic truncation: an injected or expired step deadline,
+    /// or cancellation. The attempt keeps its incumbent as a degraded
+    /// result, described by the string.
+    Truncated(String),
+    /// An injection fired: the unwind payload of the fault it stands for,
+    /// an [`InjectedPanic`] or a quota trip's [`BddError::QuotaExceeded`]
+    /// (deterministic numbers only).
+    Injected(Box<dyn Any + Send>),
+    /// The wall-clock deadline passed between two steps.
+    Deadline,
+}
+
+impl Stop {
+    /// Narrow mode's mapping: a fault unwinds with the typed payload the
+    /// attempt boundary ([`crate::fault::catch_fault`]) classifies — the
+    /// wall deadline as the [`BddError::DeadlineExceeded`] the governor
+    /// raises on the same deadline inside the kernel — and a truncation
+    /// returns its description.
+    pub(crate) fn raise(self) -> Option<String> {
+        match self {
+            Stop::Finished => None,
+            Stop::Truncated(why) => Some(why),
+            Stop::Injected(payload) => std::panic::resume_unwind(payload),
+            Stop::Deadline => std::panic::panic_any(BddError::DeadlineExceeded {
+                elapsed_ms: 0,
+                deadline_ms: 0,
+            }),
+        }
+    }
+}
+
+impl ExecContext<'_> {
+    /// The per-step stop checks at expansion index `explored`, run before
+    /// each step by narrow and wide mode alike: the injections due there,
+    /// then the wall deadline, then cancellation.
+    ///
+    /// Injections fire by equality with the cumulative expansion count.
+    /// Both modes pass through every index, so a plan aimed anywhere in
+    /// the search fires at the same point at every worker count. The first
+    /// injection to fire decides the stop; another one due at the same
+    /// index stays armed for a retry.
+    pub(crate) fn check(&self, explored: usize) -> Option<Stop> {
+        let fired = self
+            .injections
+            .iter()
+            .find(|injection| injection.at_expansion() == explored && injection.fire());
+        if let Some(injection) = fired {
+            return Some(match injection.kind() {
+                FaultKind::Panic => Stop::Injected(Box::new(InjectedPanic {
+                    job: injection.job().to_string(),
+                    at_expansion: explored,
+                })),
+                FaultKind::QuotaTrip => Stop::Injected(Box::new(BddError::QuotaExceeded {
+                    live_nodes: 0,
+                    max_live_nodes: 0,
+                })),
+                FaultKind::StepDeadline => Stop::Truncated(format!(
+                    "injected step deadline at expansion {explored} of job {}",
+                    injection.job()
+                )),
+            });
+        }
+        // The wall deadline is timing-dependent by nature; determinism
+        // gates use step deadlines instead.
+        if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            return Some(Stop::Deadline);
+        }
+        if self.control.is_some_and(JobControl::is_cancelled) {
+            return Some(Stop::Truncated(format!(
+                "cancelled after {explored} expansions"
+            )));
+        }
+        None
+    }
+
+    /// Settles what the explorer reported for one step — a committed
+    /// expansion, or why [`Explorer::pop`] had nothing to give: streams an
+    /// improved incumbent, and maps a stop outcome to its [`Stop`].
+    pub(crate) fn settle(&self, explorer: &Explorer, outcome: StepOutcome) -> Option<Stop> {
+        match outcome {
+            StepOutcome::Explored { improved, .. } => {
+                if improved {
+                    self.notify(explorer);
+                }
+                None
+            }
+            StepOutcome::Exhausted | StepOutcome::BudgetExhausted => Some(Stop::Finished),
+            StepOutcome::DeadlineExpired => Some(Stop::Truncated(format!(
+                "step deadline expired after {} expansions",
+                explorer.explored()
+            ))),
+        }
+    }
+
+    /// Streams the explorer's incumbent to the control, if one is
+    /// installed: the quick-solver seed (a verified compatible solution
+    /// available before any step), then every improvement.
+    pub(crate) fn notify(&self, explorer: &Explorer) {
+        if let Some(control) = self.control {
+            control.notify_incumbent(explorer.best_cost(), explorer.explored());
+        }
+    }
 }
 
 /// Runs one backend on one (already rehydrated) relation under a
@@ -208,11 +323,11 @@ pub(crate) fn brel_config(
         .with_step_deadline(step_deadline)
 }
 
-/// The BREL attempt as a fault-aware exploration loop: between steps it
-/// fires due injections and checks the wall-clock deadline and
-/// cancellation. Behaviourally identical to `BrelSolver::solve` when the
-/// context is empty, so clean runs stay byte-identical to the plain
-/// solver.
+/// The BREL attempt's exploration loop: the per-step policy of `ctx`
+/// around [`Explorer::step`]. Behaviourally identical to
+/// `BrelSolver::solve` when the context is empty, so clean runs stay
+/// byte-identical to the plain solver. Narrow mode's mapping of a
+/// [`Stop`] is [`Stop::raise`].
 fn run_brel(
     cost: CostSpec,
     budget: &JobBudget,
@@ -222,87 +337,17 @@ fn run_brel(
 ) -> Result<(Solution, Option<String>), RelationError> {
     let config = brel_config(cost, budget, strategy, ctx.step_deadline);
     let mut explorer = Explorer::new(config, relation)?;
-    if let Some(control) = ctx.control {
-        // The quick-solver seed is the first incumbent: a valid, verified
-        // compatible solution available before any exploration step.
-        control.notify_incumbent(explorer.best_cost(), explorer.explored());
-    }
-    let mut truncated: Option<String> = None;
-    loop {
-        for injection in ctx.injections {
-            if injection.at_expansion() != explorer.explored() {
-                continue;
-            }
-            match injection.kind() {
-                FaultKind::Panic => {
-                    if injection.fire() {
-                        std::panic::panic_any(InjectedPanic {
-                            job: injection.job().to_string(),
-                            at_expansion: injection.at_expansion(),
-                        });
-                    }
-                }
-                FaultKind::QuotaTrip => {
-                    if injection.fire() {
-                        // The same typed payload a real governor abort
-                        // carries, so classification and quarantine follow
-                        // the organic path. Deterministic values only.
-                        std::panic::panic_any(BddError::QuotaExceeded {
-                            live_nodes: 0,
-                            max_live_nodes: 0,
-                        });
-                    }
-                }
-                FaultKind::StepDeadline => {
-                    if injection.fire() {
-                        explorer.config_mut().step_deadline = Some(explorer.explored());
-                        truncated = Some(format!(
-                            "injected step deadline at expansion {} of job {}",
-                            injection.at_expansion(),
-                            injection.job()
-                        ));
-                    }
-                }
-            }
+    ctx.notify(&explorer);
+    let stop = loop {
+        if let Some(stop) = ctx.check(explorer.explored()) {
+            break stop;
         }
-        if ctx.deadline.is_some_and(|at| Instant::now() >= at) {
-            // The payload the governor raises on the same deadline inside
-            // the kernel, so both unwind to the one attempt boundary. Only
-            // the variant is classified; the numbers stay deterministic.
-            std::panic::panic_any(BddError::DeadlineExceeded {
-                elapsed_ms: 0,
-                deadline_ms: 0,
-            });
+        let outcome = explorer.step()?;
+        if let Some(stop) = ctx.settle(&explorer, outcome) {
+            break stop;
         }
-        if ctx.control.is_some_and(JobControl::is_cancelled) {
-            // Cooperative cancellation: truncate like a step deadline —
-            // stop at the step boundary, keep the incumbent, classify the
-            // job as degraded rather than failed.
-            truncated.get_or_insert_with(|| {
-                format!("cancelled after {} expansions", explorer.explored())
-            });
-            break;
-        }
-        match explorer.step()? {
-            StepOutcome::Explored { improved, .. } => {
-                if improved {
-                    if let Some(control) = ctx.control {
-                        control.notify_incumbent(explorer.best_cost(), explorer.explored());
-                    }
-                }
-            }
-            StepOutcome::Exhausted | StepOutcome::BudgetExhausted => break,
-            StepOutcome::DeadlineExpired => {
-                if truncated.is_none() {
-                    truncated = Some(format!(
-                        "step deadline expired after {} expansions",
-                        explorer.explored()
-                    ));
-                }
-                break;
-            }
-        }
-    }
+    };
+    let truncated = stop.raise();
     Ok((explorer.into_solution(), truncated))
 }
 

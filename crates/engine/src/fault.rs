@@ -7,11 +7,15 @@
 //!   live-node quota mapped onto the kernel's
 //!   [`brel_bdd::ResourceGovernor`], a deterministic step deadline, a
 //!   bounded retry count for transient faults, and a degradation switch;
-//! * every backend attempt is classified: a governor abort, an expired
-//!   wall deadline, an injected fault and an organic panic all unwind to
-//!   the one attempt boundary ([`catch_fault`]), which folds the payload
-//!   into a [`FaultClass`]; that decides retry/quarantine/degradation and
-//!   maps to the job-level [`JobOutcome`] taxonomy the reports carry;
+//! * every backend attempt is classified: a governor abort and an organic
+//!   panic unwind to the one attempt boundary ([`catch_fault`]), which
+//!   folds the payload into a [`FaultClass`]; that decides
+//!   retry/quarantine/degradation and maps to the job-level [`JobOutcome`]
+//!   taxonomy the reports carry. Between two exploration steps, one
+//!   per-step policy checks the injections, the wall deadline and
+//!   cancellation for narrow and wide mode alike; narrow mode raises a
+//!   fault it finds as the same typed unwind, and wide mode degrades on
+//!   its incumbent with the description that unwind would classify to;
 //! * a seeded [`FaultPlan`] injects faults (a panic, a quota trip, or a
 //!   step deadline at the Nth expansion of a named job) *deterministically*
 //!   — each injection arms exactly once, so a chaos batch produces the same
@@ -40,6 +44,12 @@ pub struct FaultPolicy {
     /// crossing the kernel tries a garbage collection; if the quota is
     /// still exceeded afterwards (or the hard ceiling of twice the quota is
     /// hit), the attempt aborts with [`JobOutcome::QuotaExceeded`].
+    ///
+    /// In wide mode the quota governs each worker's session separately,
+    /// and a worker's live nodes depend on which subproblems it claimed or
+    /// stole. A quota that trips mid-search therefore aborts a wide solve
+    /// at a run-dependent point, unlike a narrow one; only a quota that
+    /// trips at the first expansion is worker-count invariant there.
     pub max_live_nodes: Option<u64>,
     /// Deterministic deadline: stop the BREL exploration after this many
     /// expanded subrelations and keep the incumbent as a

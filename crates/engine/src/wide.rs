@@ -34,9 +34,7 @@
 //! *stolen* across workers ship, lazily at steal time, by structural DAG
 //! copy from the owner's handle into the stealer's session
 //! ([`brel_bdd::BddSession::import`] — O(shared nodes), no row
-//! enumeration); subproblems below [`WideOptions::steal_threshold`]
-//! input/output pairs are never stolen at all — they stay pinned to
-//! their owner, where re-expanding is cheaper than shipping.
+//! enumeration).
 //!
 //! Lock order: code holding the state lock may take a BDD session's lock
 //! (to clone, size or drop a handle), never the reverse.
@@ -45,46 +43,26 @@ use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use brel_core::{
-    expand, CostFn, Expansion, Explorer, IsfMinimizer, QuickSolver, StepOutcome, Subproblem,
-};
+use brel_core::{expand, CostFn, Expansion, Explorer, IsfMinimizer, QuickSolver, Subproblem};
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError, RelationSpace};
 
-use crate::backend::{brel_config, score, ExecContext, SolutionReport};
-use crate::control::JobControl;
-use crate::fault::{catch_governed, splitmix64, FaultClass, FaultKind, InjectedPanic};
+use crate::backend::{brel_config, score, ExecContext, SolutionReport, Stop};
+use crate::fault::{catch_governed, splitmix64, FaultClass};
 use crate::job::{BackendKind, JobSpec};
 use crate::reuse::{ReuseStats, WarmSession};
 
+/// How far past the frontier head a worker may look for claimable work.
+/// A larger window keeps more workers busy on speculative expansions; a
+/// smaller one wastes less work when the incumbent improves quickly.
+const LOOKAHEAD: usize = 8;
+
 /// Wide-mode configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WideOptions {
-    /// How far past the frontier head a worker may look for claimable
-    /// work (clamped to at least 1). A larger lookahead keeps more
-    /// workers busy on speculative expansions; a smaller one wastes less
-    /// work when the incumbent improves quickly.
-    pub lookahead: usize,
-    /// Minimum size — in input/output pairs ([`BooleanRelation::num_pairs`])
-    /// — for a subproblem to be stealable by other workers. Subproblems
-    /// below the threshold stay pinned to the worker that created them
-    /// (whose warm session already holds their BDD handles); at or above
-    /// it, a stealer copies the owner's handle into its own session by
-    /// structural DAG import ([`brel_bdd::BddSession::import`]).
-    pub steal_threshold: usize,
     /// Optional seeded artificial delay before each expansion, used by
     /// the steal-order-invariance tests to scramble thread timing without
     /// touching results.
     pub stagger: Option<StaggerPlan>,
-}
-
-impl Default for WideOptions {
-    fn default() -> Self {
-        WideOptions {
-            lookahead: 8,
-            steal_threshold: 4,
-            stagger: None,
-        }
-    }
 }
 
 /// A seeded per-expansion delay plan: worker `w` sleeps a SplitMix64-
@@ -150,6 +128,24 @@ impl CommitState {
         self.fault.get_or_insert_with(describe);
         self.done = true;
     }
+
+    /// Wide mode's mapping of a [`Stop`]: a finish closes the search, and
+    /// anything else degrades on the incumbent. An injected fault stands
+    /// for a fault inside an expansion, so it also quarantines a session —
+    /// worker 0's, at every worker count — as narrow mode quarantines the
+    /// session an unwind leaves. The wall deadline interrupted no kernel
+    /// operation and quarantines nothing.
+    fn stop(&mut self, stop: Stop) {
+        match stop {
+            Stop::Finished => self.done = true,
+            Stop::Truncated(why) => self.degrade(|| why),
+            Stop::Injected(payload) => {
+                self.degrade(|| FaultClass::from_panic(payload).describe());
+                self.quarantine_worker.get_or_insert(0);
+            }
+            Stop::Deadline => self.degrade(|| FaultClass::Deadline.describe()),
+        }
+    }
 }
 
 /// The shared search: commit state and a wakeup channel for idle workers.
@@ -180,69 +176,21 @@ struct Claimed {
     stolen: bool,
 }
 
-/// Drives the commit sequence as far as it can go. At each expansion
-/// index it fires injections and checks the wall deadline and
-/// cancellation (mirroring the sequential engine's per-step checks), pops
-/// the next subproblem and commits it once its expansion is ready.
-/// Returns with the popped head still in flight (go speculate) or with
-/// `done` set.
+/// Drives the commit sequence as far as it can go under the attempt's
+/// per-step policy — the stop checks before each index, then pop and
+/// commit in pop order, exactly as the narrow loop steps. Returns with the
+/// popped head still in flight (go speculate) or with `done` set.
 fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
     while !state.done {
-        let explored = state.explorer.explored();
-        // Injections fire by equality with the cumulative expansion
-        // count — the commit sequence passes through every index, so a
-        // plan aimed anywhere in the search fires deterministically,
-        // before the next commit and regardless of worker count.
-        for injection in ctx.exec.injections {
-            if injection.at_expansion() != explored || !injection.fire() {
-                continue;
-            }
-            match injection.kind() {
-                FaultKind::Panic => {
-                    let panic = InjectedPanic {
-                        job: injection.job().to_string(),
-                        at_expansion: injection.at_expansion(),
-                    };
-                    state.degrade(|| FaultClass::Panicked(panic.describe()).describe());
-                    state.quarantine_worker.get_or_insert(0);
-                }
-                FaultKind::QuotaTrip => {
-                    state.degrade(|| FaultClass::Quota.describe());
-                    state.quarantine_worker.get_or_insert(0);
-                }
-                FaultKind::StepDeadline => state.degrade(|| {
-                    format!(
-                        "injected step deadline at expansion {} of job {}",
-                        injection.at_expansion(),
-                        injection.job()
-                    )
-                }),
-            }
-        }
-        if state.done {
-            return;
-        }
-        // The wall deadline is timing-dependent by nature; determinism
-        // gates use step deadlines instead.
-        if ctx.exec.deadline.is_some_and(|at| Instant::now() >= at) {
-            state.degrade(|| FaultClass::Deadline.describe());
-            return;
-        }
-        if ctx.exec.control.is_some_and(JobControl::is_cancelled) {
-            state.degrade(|| format!("cancelled after {explored} expansions"));
-            return;
+        if let Some(stop) = ctx.exec.check(state.explorer.explored()) {
+            return state.stop(stop);
         }
         if state.head.is_none() {
             match state.explorer.pop() {
                 Ok(subproblem) => state.head = Some(subproblem),
-                Err(StepOutcome::DeadlineExpired) => {
-                    state.degrade(|| format!("step deadline expired after {explored} expansions"));
-                    return;
-                }
-                Err(_) => {
-                    // Exhausted or out of budget: a clean finish.
-                    state.done = true;
-                    return;
+                Err(outcome) => {
+                    let stop = ctx.exec.settle(&state.explorer, outcome);
+                    return state.stop(stop.expect("`pop` fails only with a stop outcome"));
                 }
             }
         }
@@ -258,11 +206,9 @@ fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
         let owner = entry.owner;
         let head = state.head.take().expect("popped above");
         let outcome = state.explorer.commit(head, *expansion);
-        if let (StepOutcome::Explored { improved: true, .. }, Some(control)) =
-            (outcome, ctx.exec.control)
-        {
-            control.notify_incumbent(state.explorer.best_cost(), state.explorer.explored());
-        }
+        // A commit explores: settling it only streams an improvement.
+        let settled = ctx.exec.settle(&state.explorer, outcome);
+        debug_assert!(settled.is_none());
         // Admitted split halves live in the expanding worker's session.
         let admitted = state.explorer.admitted() as usize;
         state.entries.resize_with(admitted, || Entry {
@@ -272,13 +218,13 @@ fn commit_ready(state: &mut CommitState, ctx: &RunContext<'_>) {
     }
 }
 
-/// Claims a `Pending`, not dominated subproblem within `lookahead` of the
+/// Claims a `Pending`, not dominated subproblem within [`LOOKAHEAD`] of the
 /// frontier head, in pop order — with owner affinity: a worker first looks
 /// for a subproblem *it* created (whose BDDs sit live in its own warm
-/// session), and only when it owns nothing claimable does it steal, taking
-/// the head-most entry of at least `steal_threshold` pairs. Affinity
-/// changes which worker expands what, never what is expanded: commits
-/// still apply in pop order regardless of who computed them.
+/// session), and only when it owns nothing claimable does it steal the
+/// head-most claimable entry. Affinity changes which worker expands what,
+/// never what is expanded: commits still apply in pop order regardless of
+/// who computed them.
 fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option<Claimed> {
     let explorer = &state.explorer;
     let budget_left = ctx
@@ -287,7 +233,7 @@ fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option
         .max_explored
         .map_or(usize::MAX, |max| max.saturating_sub(explorer.explored()))
         .max(1);
-    let limit = ctx.options.lookahead.max(1).min(budget_left);
+    let limit = LOOKAHEAD.min(budget_left);
     let window: Vec<&Subproblem> = state
         .head
         .iter()
@@ -305,13 +251,6 @@ fn claim_work(state: &mut CommitState, w: usize, ctx: &RunContext<'_>) -> Option
             }
             let own = entry.owner == w;
             if own == steal_pass {
-                continue;
-            }
-            // Steal gate: `num_pairs` is one sat-count over the handle's
-            // characteristic BDD — cheap enough to ask under the state
-            // lock. The import itself happens outside, in the stealer's
-            // loop.
-            if !own && subproblem.relation.num_pairs() < ctx.options.steal_threshold as u128 {
                 continue;
             }
             entry.owner = w;
@@ -467,13 +406,13 @@ fn worker_loop(w: usize, space: RelationSpace, shared: &Shared, ctx: &RunContext
 /// modes commit through the same [`Explorer`] transition in the same pop
 /// order.
 ///
-/// It honors the BREL attempt's context `exec` (the wall deadline, step
-/// deadline, cooperative cancellation and incumbent streaming through its
-/// control, and the deterministic injection slice) and the job's node
-/// quota. A faulted, cancelled or truncated search *degrades*: the commit
-/// sequence closes, and the report keeps the best incumbent (wide mode
-/// always holds one from the quick seed) with `degraded` set and the first
-/// fault described in the second tuple slot.
+/// It honors the BREL attempt's context `exec` through the per-step
+/// policy the narrow loop runs too ([`ExecContext::check`],
+/// [`ExecContext::settle`]), and the job's node quota. A faulted,
+/// cancelled or truncated search *degrades*: the commit sequence closes,
+/// and the report keeps the best incumbent (wide mode always holds one
+/// from the quick seed) with `degraded` set and the first fault described
+/// in the second tuple slot.
 ///
 /// # Errors
 ///
@@ -502,9 +441,7 @@ pub(crate) fn search(
     let cache = after.cache.delta_since(&before.cache);
     let gc = after.gc.delta_since(&before.gc);
     drop(seed_span);
-    if let Some(control) = exec.control {
-        control.notify_incumbent(explorer.best_cost(), 0);
-    }
+    exec.notify(&explorer);
 
     let shared = Shared {
         state: Mutex::new(CommitState {
@@ -600,7 +537,8 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultInjection;
+    use crate::control::JobControl;
+    use crate::fault::{FaultInjection, FaultKind};
     use crate::job::{JobBudget, RelationSpec};
     use brel_core::{CancelToken, SearchStrategy};
     use brel_relation::{BooleanRelation, RelationSpace};
@@ -648,10 +586,7 @@ mod tests {
     fn wide_mode_is_worker_count_invariant() {
         for strategy in SearchStrategy::all() {
             let job = fig10_job().with_strategy(strategy);
-            let options = WideOptions {
-                lookahead: 3,
-                ..WideOptions::default()
-            };
+            let options = WideOptions::default();
             let mask = |mut r: SolutionReport| {
                 r.wall_micros = 0;
                 r
@@ -665,34 +600,8 @@ mod tests {
     }
 
     #[test]
-    fn steal_thresholds_never_change_results() {
-        // The threshold decides *where* a subproblem may run, never what
-        // it computes: everything-stealable and nothing-stealable must
-        // produce the same report at any worker count.
-        for strategy in SearchStrategy::all() {
-            let job = fig10_job().with_strategy(strategy);
-            let mask = |mut r: SolutionReport| {
-                r.wall_micros = 0;
-                r
-            };
-            let reports: Vec<SolutionReport> = [0usize, 2, usize::MAX]
-                .into_iter()
-                .map(|steal_threshold| {
-                    let options = WideOptions {
-                        steal_threshold,
-                        ..WideOptions::default()
-                    };
-                    mask(solve(&job, 4, options).unwrap())
-                })
-                .collect();
-            assert_eq!(reports[0], reports[1], "{strategy}: threshold 0 vs 2");
-            assert_eq!(reports[0], reports[2], "{strategy}: stealable vs pinned");
-        }
-    }
-
-    #[test]
     fn stolen_winners_pass_the_compatibility_check() {
-        // With every subproblem stealable, the second worker expands much
+        // Every subproblem is stealable, so the second worker expands much
         // of the search, so the winner often lives in its session. Scoring
         // imports the winner next to the root before the compatibility
         // assert, and the result matches the one-worker solve. The
@@ -727,12 +636,10 @@ mod tests {
         assert!(baseline.explored > 8, "the search must branch");
         for seed in 0..4u64 {
             let options = WideOptions {
-                steal_threshold: 0,
                 stagger: Some(StaggerPlan {
                     seed,
                     max_micros: 200,
                 }),
-                ..WideOptions::default()
             };
             assert_eq!(
                 mask(solve(&job, 2, options).unwrap()),
@@ -759,7 +666,6 @@ mod tests {
                         seed,
                         max_micros: 300,
                     }),
-                    ..WideOptions::default()
                 };
                 let staggered = mask(solve(&job, workers, options).unwrap());
                 assert_eq!(
@@ -776,11 +682,7 @@ mod tests {
             max_explored: Some(1),
             ..JobBudget::default()
         });
-        let options = WideOptions {
-            lookahead: 8,
-            ..WideOptions::default()
-        };
-        let report = solve(&job, 4, options).unwrap();
+        let report = solve(&job, 4, WideOptions::default()).unwrap();
         assert_eq!(report.explored, 1, "commits must stop at the budget");
         assert!(report.cost >= 2);
     }
@@ -870,15 +772,12 @@ mod tests {
             // Injections are armed-once, so each run gets a fresh one.
             let injection = FaultInjection::new("fig10", 1, FaultKind::QuotaTrip);
             let mut sessions: Vec<WarmSession> = (0..workers).map(|_| WarmSession::new()).collect();
-            let options = WideOptions {
-                lookahead: 3,
-                ..WideOptions::default()
-            };
             let exec = ExecContext {
                 injections: &[&injection],
                 ..ExecContext::default()
             };
-            let (report, fault) = search(&job, options, &mut sessions, &exec).unwrap();
+            let (report, fault) =
+                search(&job, WideOptions::default(), &mut sessions, &exec).unwrap();
             runs.push((mask(report), fault));
         }
         assert_eq!(runs[0], runs[1], "1 vs 2 workers");

@@ -419,6 +419,16 @@ fn opt_u64(value: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+fn opt_bool(value: &Json, key: &str) -> Result<Option<bool>, String> {
+    match value.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(field) => field
+            .as_bool()
+            .map(Some)
+            .ok_or_else(|| format!("field `{key}` must be a boolean")),
+    }
+}
+
 fn opt_string(value: &Json, key: &str) -> Option<String> {
     value.get(key).and_then(Json::as_str).map(str::to_string)
 }
@@ -566,11 +576,10 @@ fn job_from_json(value: &Json) -> Result<JobSpec, String> {
             deadline_ms: opt_u64(fault, "deadline_ms")?,
             max_live_nodes: opt_u64(fault, "max_live_nodes")?,
             step_deadline: opt_u64(fault, "step_deadline")?.map(|n| n as usize),
-            retries: opt_u64(fault, "retries")?.map_or(0, |n| n as u32),
-            fallback: fault
-                .get("fallback")
-                .and_then(Json::as_bool)
-                .unwrap_or(true),
+            retries: opt_u64(fault, "retries")?
+                .map_or(Ok(0), u32::try_from)
+                .map_err(|_| "field `retries` must fit in 32 bits".to_string())?,
+            fallback: opt_bool(fault, "fallback")?.unwrap_or(true),
         },
     };
 
@@ -890,6 +899,34 @@ mod tests {
             ));
         }
         assert!(job_from_json(&bad_backend).is_err());
+
+        // Fault-policy fields are range- and type-checked, not truncated
+        // or coerced.
+        let with_fault = |fault: Json| {
+            let mut job = minimal.clone();
+            if let Json::Object(fields) = &mut job {
+                fields.push(("fault".to_string(), fault));
+            }
+            job_from_json(&job)
+        };
+        let retries = |n: u64| Json::object(vec![("retries", Json::UInt(n))]);
+        assert_eq!(with_fault(retries(3)).unwrap().fault.retries, 3);
+        assert_eq!(
+            with_fault(retries(u64::from(u32::MAX) + 2)).unwrap_err(),
+            "field `retries` must fit in 32 bits"
+        );
+        let fallback = |value: Json| Json::object(vec![("fallback", value)]);
+        assert!(
+            !with_fault(fallback(Json::Bool(false)))
+                .unwrap()
+                .fault
+                .fallback
+        );
+        assert!(with_fault(fallback(Json::Null)).unwrap().fault.fallback);
+        assert_eq!(
+            with_fault(fallback(Json::str("no"))).unwrap_err(),
+            "field `fallback` must be a boolean"
+        );
 
         let bad_row = Json::object(vec![
             ("name", Json::str("bad")),

@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use brel_core::CancelToken;
-use brel_engine::{BatchReuse, EngineConfig, FaultPlan, JobControl, Runner, WideOptions};
+use brel_engine::{BatchReuse, EngineConfig, FaultPlan, JobControl, Runner};
 use brel_obs::Category;
 
 use crate::protocol::{Frame, FrameReader, StatsSnapshot, Submit};
@@ -56,12 +56,6 @@ pub struct ServeConfig {
     /// jobs whose names the plan targets, exactly as in `engine_batch
     /// --chaos`.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Solve BREL jobs with the engine's wide (work-stealing) search on
-    /// `(search workers, options)` instead of the narrow walk. Each serve
-    /// worker owns its own set of persistent search sessions; the shared
-    /// incumbent bound streams *every* worker's improvement out as an
-    /// [`Frame::Incumbent`], strictly decreasing. `None` keeps narrow.
-    pub wide: Option<(usize, WideOptions)>,
 }
 
 impl Default for ServeConfig {
@@ -73,7 +67,6 @@ impl Default for ServeConfig {
                 .unwrap_or(2),
             admission: AdmissionConfig::default(),
             fault_plan: None,
-            wide: None,
         }
     }
 }
@@ -529,10 +522,10 @@ fn handle_submit(shared: &Arc<Shared>, conn_id: u64, reply: &Sender<Frame>, subm
 fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
     let _track = brel_obs::set_track(&format!("serve-worker-{worker_id}"));
     // One warm runner per serve worker, reused across jobs exactly like a
-    // batch-engine worker's (in wide mode it owns the search sessions too).
+    // batch-engine worker's.
     let config = EngineConfig {
-        num_workers: shared.config.wide.map_or(1, |(n, _)| n),
-        wide: shared.config.wide.map(|(_, options)| options),
+        num_workers: 1,
+        wide: None,
         reuse: true,
     };
     let mut runner = Runner::new(&config, shared.config.fault_plan.clone());
@@ -609,8 +602,7 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         };
         let solve_us = solve_start.elapsed().as_micros() as u64;
 
-        // Fold this worker's warm-pool movement into the shared counters
-        // (the wide search sessions count like any other warm session).
+        // Fold this worker's warm-pool movement into the shared counters.
         let counts = runner.counts();
         shared.counters.warm_reuses.fetch_add(
             counts.warm_reuses - last_counts.warm_reuses,

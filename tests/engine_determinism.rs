@@ -162,10 +162,7 @@ fn assert_strategy_is_worker_count_invariant(strategy: SearchStrategy) {
     assert!(narrow[0].contains(&format!("\"strategy\": \"{strategy}\"")));
 
     // Wide mode (parallel frontier expansion inside each BREL solve).
-    let options = WideOptions {
-        lookahead: 4,
-        ..WideOptions::default()
-    };
+    let options = WideOptions::default();
     let wide: Vec<String> = [1usize, 2, 8]
         .into_iter()
         .map(|w| {

@@ -89,7 +89,7 @@ proptest! {
             .take(2)
             .map(|j| j.with_strategy(SearchStrategy::BestFirst))
             .collect();
-        let wide = WideOptions { lookahead: 4, ..WideOptions::default() };
+        let wide = WideOptions::default();
         let cold = Engine::with_workers(2).with_wide(wide).with_reuse(false).solve_batch(&jobs);
         prop_assert_eq!(cold.reuse.warm_reuses, 0);
         for workers in [1usize, 4] {

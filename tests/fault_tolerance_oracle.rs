@@ -5,7 +5,8 @@
 //! be byte-identical to a no-fault run at every worker count in both
 //! narrow and wide mode with reuse on or off, a faulted job must never
 //! leave an entry in the solved-subrelation cache for a later duplicate to
-//! be served from, and a quota or wall-deadline abort of a BREL attempt,
+//! be served from, and every early stop of a BREL attempt after its seed
+//! (a quota or wall-deadline abort, an injected fault, a cancellation),
 //! narrow or wide, must end in its pinned outcome, fault and attempts.
 
 use std::sync::{Arc, Mutex};
@@ -14,8 +15,9 @@ use proptest::prelude::*;
 
 use brel_suite::benchdata::random_well_defined_relation;
 use brel_suite::engine::{
-    BackendKind, Engine, EngineConfig, FaultInjection, FaultKind, FaultPlan, FaultPolicy,
-    JobBudget, JobControl, JobOutcome, JobSpec, RelationSpec, Runner, SearchStrategy, WideOptions,
+    BackendKind, CancelToken, Engine, EngineConfig, FaultInjection, FaultKind, FaultPlan,
+    FaultPolicy, JobBudget, JobControl, JobOutcome, JobSpec, RelationSpec, Runner, SearchStrategy,
+    WideOptions,
 };
 
 /// Four distinct random portfolio jobs seeded from one u64 — enough names
@@ -116,7 +118,7 @@ proptest! {
             .map(|j| j.with_strategy(SearchStrategy::BestFirst))
             .collect();
         let names: Vec<&str> = jobs.iter().map(|j| j.name.as_str()).collect();
-        let wide = WideOptions { lookahead: 4, ..WideOptions::default() };
+        let wide = WideOptions::default();
         let clean = Engine::with_workers(1).with_wide(wide).solve_batch(&jobs);
         let targets_owned = FaultPlan::seeded(seed, &names);
         let targets = targets_owned.targets();
@@ -182,13 +184,18 @@ fn quota_aborted_jobs_leave_no_stale_cache_entries() {
     assert_eq!(chaos.jobs[1].outcome, Some(JobOutcome::Solved));
 }
 
-/// One governed abort and what the job report must say about it.
+/// One way a BREL attempt stops after its seed, and what the job report
+/// must say about it.
 struct AbortCase<'a> {
     name: &'static str,
     job: &'a JobSpec,
     /// `Some` runs the job in wide mode at two workers, `None` narrow at one.
     wide: Option<WideOptions>,
     policy: FaultPolicy,
+    /// A fault injected at expansion 1 of the job.
+    injection: Option<FaultKind>,
+    /// Whether the job's control is cancelled before the run starts.
+    cancelled: bool,
     outcome: JobOutcome,
     fault: &'static str,
     /// `(backend, degraded)` of every attempt, in order.
@@ -196,10 +203,12 @@ struct AbortCase<'a> {
     quarantines: u64,
 }
 
-/// Pins the way a governed BREL attempt ends: a mid-search live-node
-/// quota abort and an already-expired wall deadline, narrow and wide,
-/// with the degradation ladder on and off. Both aborts come after the
-/// seed: the quick-solver incumbent is streamed before the search stops.
+/// Pins how each mode maps every way a BREL attempt stops early: a
+/// mid-search live-node quota abort and an already-expired wall deadline,
+/// with the degradation ladder on and off, and an injected panic, quota
+/// trip and step deadline and a pre-cancelled control, narrow and wide.
+/// Every stop comes after the seed: the quick-solver incumbent is streamed
+/// before the search stops.
 #[test]
 fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
     let brel_job = |inputs, outputs| {
@@ -237,12 +246,36 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
     let quota_fault = "live-node quota exceeded";
     let deadline_fault = "deadline exceeded";
     let degraded_brel: &[(BackendKind, bool)] = &[(BackendKind::Brel, true)];
+    // An injection or a cancellation under the default policy (ladder on)
+    // degrades the job on one BREL attempt: narrow mode recovers from an
+    // injected fault on the ladder's BREL rung, wide mode keeps its
+    // incumbent. Only an injected fault quarantines a session.
+    let stopped = |name, wide, injection, cancelled, fault, quarantines| AbortCase {
+        name,
+        job: &small,
+        wide,
+        policy: FaultPolicy::default(),
+        injection,
+        cancelled,
+        outcome: JobOutcome::Degraded,
+        fault,
+        attempts: degraded_brel,
+        quarantines,
+    };
+    let panic = Some(FaultKind::Panic);
+    let trip = Some(FaultKind::QuotaTrip);
+    let step = Some(FaultKind::StepDeadline);
+    let injected_panic = "panic: injected panic at expansion 1 of job governed3x2";
+    let injected_step = "injected step deadline at expansion 1 of job governed3x2";
+    let cancelled = "cancelled after 0 expansions";
     let cases = [
         AbortCase {
             name: "narrow quota, ladder on",
             job: &large,
             wide: None,
             policy: quota(true),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: quota_fault,
             attempts: degraded_brel,
@@ -253,6 +286,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &large,
             wide: None,
             policy: quota(false),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::QuotaExceeded,
             fault: quota_fault,
             attempts: &[],
@@ -263,6 +298,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &small,
             wide: None,
             policy: expired(true),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: deadline_fault,
             attempts: degraded_brel,
@@ -273,6 +310,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &small,
             wide: None,
             policy: expired(false),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::TimedOut,
             fault: deadline_fault,
             attempts: &[],
@@ -283,6 +322,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &large,
             wide,
             policy: quota(true),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: quota_fault,
             attempts: degraded_brel,
@@ -293,6 +334,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &large,
             wide,
             policy: quota(false),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: quota_fault,
             attempts: degraded_brel,
@@ -303,6 +346,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &small,
             wide,
             policy: expired(true),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: deadline_fault,
             attempts: degraded_brel,
@@ -313,11 +358,57 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             job: &small,
             wide,
             policy: expired(false),
+            injection: None,
+            cancelled: false,
             outcome: JobOutcome::Degraded,
             fault: deadline_fault,
             attempts: degraded_brel,
             quarantines: 0,
         },
+        // name, wide, injection, cancelled, fault, quarantines
+        stopped(
+            "narrow injected panic",
+            None,
+            panic,
+            false,
+            injected_panic,
+            1,
+        ),
+        stopped(
+            "narrow injected quota trip",
+            None,
+            trip,
+            false,
+            quota_fault,
+            1,
+        ),
+        stopped(
+            "narrow injected step deadline",
+            None,
+            step,
+            false,
+            injected_step,
+            0,
+        ),
+        stopped("narrow cancelled", None, None, true, cancelled, 0),
+        stopped("wide injected panic", wide, panic, false, injected_panic, 1),
+        stopped(
+            "wide injected quota trip",
+            wide,
+            trip,
+            false,
+            quota_fault,
+            1,
+        ),
+        stopped(
+            "wide injected step deadline",
+            wide,
+            step,
+            false,
+            injected_step,
+            0,
+        ),
+        stopped("wide cancelled", wide, None, true, cancelled, 0),
     ];
     for case in cases {
         let config = EngineConfig {
@@ -325,12 +416,22 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             wide: case.wide,
             reuse: true,
         };
-        let mut runner = Runner::new(&config, None);
+        let plan = case.injection.map(|kind| {
+            let injection = FaultInjection::new(case.job.name.clone(), 1, kind);
+            Arc::new(FaultPlan::new(vec![injection]))
+        });
+        let mut runner = Runner::new(&config, plan.clone());
         let incumbents = Arc::new(Mutex::new(Vec::new()));
         let sink = incumbents.clone();
-        let control = JobControl::new().on_incumbent(move |cost, explored| {
-            sink.lock().unwrap().push((cost, explored));
-        });
+        let token = CancelToken::new();
+        if case.cancelled {
+            token.cancel();
+        }
+        let control = JobControl::new()
+            .with_cancel(token)
+            .on_incumbent(move |cost, explored| {
+                sink.lock().unwrap().push((cost, explored));
+            });
         let job = case.job.clone().with_fault(case.policy);
         let report = runner.run(0, &job, Some(&control));
         let name = case.name;
@@ -348,5 +449,8 @@ fn governed_aborts_after_the_seed_end_the_attempt_one_way() {
             .collect();
         assert_eq!(attempts, case.attempts, "{name}");
         assert_eq!(runner.counts().quarantines, case.quarantines, "{name}");
+        if let Some(plan) = plan {
+            assert_eq!(plan.num_fired(), 1, "{name}");
+        }
     }
 }

@@ -57,10 +57,7 @@ fn chrome_trace_is_well_formed_with_monotone_tracks() {
     let collector = Arc::new(RecordingCollector::new());
     obs::install(collector.clone());
     let report = Engine::with_workers(2)
-        .with_wide(WideOptions {
-            lookahead: 4,
-            ..WideOptions::default()
-        })
+        .with_wide(WideOptions::default())
         .solve_batch(&small_batch());
     obs::uninstall();
     assert_eq!(report.num_solved(), 3);
@@ -217,10 +214,7 @@ fn tracing_leaves_batch_output_byte_identical() {
     let solve = |workers: usize, wide: bool, warm: bool| {
         let mut engine = Engine::with_workers(workers).with_reuse(warm);
         if wide {
-            engine = engine.with_wide(WideOptions {
-                lookahead: 4,
-                ..WideOptions::default()
-            });
+            engine = engine.with_wide(WideOptions::default());
         }
         let report = engine.solve_batch(&jobs);
         (report.to_json(false), report.to_csv(false))

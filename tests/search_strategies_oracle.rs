@@ -175,8 +175,6 @@ mod wide_invariance {
                 ));
             }
             let options = WideOptions {
-                lookahead: 4,
-                steal_threshold: 2,
                 stagger: Some(StaggerPlan { seed: stagger_seed, max_micros }),
             };
             let baseline = run_wide(&jobs, 1, options);

@@ -276,63 +276,6 @@ fn drain_degrades_queued_jobs_quickly() {
     );
 }
 
-/// A wide-mode server must stream the shared incumbent: every cross-worker
-/// bound improvement arrives as an `incumbent` frame, and because
-/// improvements commit under the search lock, the streamed costs are
-/// strictly decreasing and end exactly on the final report's cost.
-#[test]
-fn wide_server_streams_strictly_decreasing_incumbents() {
-    use brel_suite::engine::WideOptions;
-
-    let config = ServeConfig {
-        workers: 1,
-        wide: Some((4, WideOptions::default())),
-        ..ServeConfig::default()
-    };
-    let (addr, handle) = start(config);
-    let mut client = Client::connect(addr).unwrap();
-
-    // A budgeted single-backend BREL job on a relation hard enough that
-    // the quick seed is beaten several times before the budget closes
-    // the search.
-    let (_space, relation) = random_well_defined_relation(7, 4, 0.35, 1001);
-    let mut job = JobSpec::single(
-        "wide-stream",
-        RelationSpec::from_relation(&relation).unwrap(),
-        BackendKind::Brel,
-    );
-    job.budget = JobBudget {
-        max_explored: Some(250),
-        fifo_capacity: Some(8192),
-        ..JobBudget::default()
-    };
-
-    let outcome = client.solve(&job, "oracle", None, None, false).unwrap();
-    assert!(
-        outcome.incumbents.len() >= 2,
-        "the workers must improve on the quick seed at least once, got {:?}",
-        outcome.incumbents
-    );
-    for pair in outcome.incumbents.windows(2) {
-        assert!(
-            pair[1].0 < pair[0].0,
-            "incumbent stream must be strictly decreasing, got {:?}",
-            outcome.incumbents
-        );
-    }
-    let report = outcome.final_report.expect("budgeted job reaches a final");
-    assert_eq!(report.outcome, "solved");
-    assert_eq!(
-        report.cost,
-        Some(outcome.incumbents.last().unwrap().0),
-        "the final cost must be the last streamed incumbent"
-    );
-
-    client.shutdown_and_wait().unwrap();
-    let drain = handle.join().unwrap();
-    assert_eq!(drain.stats.admitted, drain.stats.completed);
-}
-
 /// Reads frames until one that is not an incumbent arrives.
 fn recv_skipping_incumbents(client: &mut Client) -> Frame {
     loop {
