@@ -12,25 +12,26 @@
 
 use std::process::ExitCode;
 
+use brel_bench::flag_value;
 use brel_serve::{ServeConfig, Server};
 
 fn main() -> ExitCode {
     let mut listen: Option<String> = None;
     let mut workers: Option<usize> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--listen" => match args.next() {
-                Some(addr) => listen = Some(addr),
-                None => return usage("--listen needs an address"),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => workers = Some(n),
-                None => return usage("--workers needs a number"),
-            },
-            other => return usage(&format!("unknown flag `{other}`")),
+    let parsed = (|| -> Result<(), String> {
+        let mut args = brel_bench::cli_args()?.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--listen" => listen = Some(flag_value(&mut args, &arg, "an address")?),
+                "--workers" => workers = Some(flag_value(&mut args, &arg, "a number")?),
+                other => return Err(format!("unknown flag `{other}`")),
+            }
         }
+        Ok(())
+    })();
+    if let Err(error) = parsed {
+        return usage(&error);
     }
     let Some(addr) = listen else {
         return usage("--listen is required");

@@ -60,6 +60,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use brel_bench::engine_batch::{chaos_corpus_error, corpus, hard_corpus, render, CorpusOptions};
+use brel_bench::flag_value;
 use brel_engine::{
     BatchReport, Engine, EngineConfig, FaultPlan, FaultPolicy, JobOutcome, JobSpec, SearchStrategy,
     WideOptions,
@@ -87,63 +88,44 @@ fn main() -> ExitCode {
     let mut max_live_nodes: Option<u64> = None;
     let mut retries = 0u32;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => workers = Some(n),
-                None => return usage("--workers needs a number"),
-            },
-            "--instances" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => instances = Some(n),
-                None => return usage("--instances needs a number"),
-            },
-            "--random" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => random = Some(n),
-                None => return usage("--random needs a number"),
-            },
-            "--strategy" => match args.next().as_deref().and_then(SearchStrategy::parse) {
-                Some(s) => strategy = Some(s),
-                None => return usage("--strategy needs fifo, dfs or best-first"),
-            },
-            "--wide" => wide = true,
-            "--cold" => cold = true,
-            "--hard" => hard = true,
-            "--fingerprint" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fingerprint = Some(n),
-                None => return usage("--fingerprint needs a number"),
-            },
-            "--json" => json = true,
-            "--csv" => csv = true,
-            "--timing" => timing = true,
-            "--trace-out" => match args.next() {
-                Some(path) => trace_out = Some(path),
-                None => return usage("--trace-out needs a path"),
-            },
-            "--obs-report" => obs_report = true,
-            "--overhead-gate" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => overhead_gate = Some(n),
-                None => return usage("--overhead-gate needs nanoseconds"),
-            },
-            "--chaos" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => chaos = Some(seed),
-                None => return usage("--chaos needs a seed"),
-            },
-            "--deadline-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => deadline_ms = Some(n),
-                None => return usage("--deadline-ms needs milliseconds"),
-            },
-            "--max-live-nodes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_live_nodes = Some(n),
-                None => return usage("--max-live-nodes needs a number"),
-            },
-            "--retries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retries = n,
-                None => return usage("--retries needs a number"),
-            },
-            other => return usage(&format!("unknown flag `{other}`")),
+    let parsed = (|| -> Result<(), String> {
+        let mut args = brel_bench::cli_args()?.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => smoke = true,
+                "--workers" => workers = Some(flag_value(&mut args, &arg, "a number")?),
+                "--instances" => instances = Some(flag_value(&mut args, &arg, "a number")?),
+                "--random" => random = Some(flag_value(&mut args, &arg, "a number")?),
+                "--strategy" => {
+                    let name: String = flag_value(&mut args, &arg, "fifo, dfs or best-first")?;
+                    let needs = "--strategy needs fifo, dfs or best-first";
+                    strategy = Some(SearchStrategy::parse(&name).ok_or(needs)?);
+                }
+                "--wide" => wide = true,
+                "--cold" => cold = true,
+                "--hard" => hard = true,
+                "--fingerprint" => fingerprint = Some(flag_value(&mut args, &arg, "a number")?),
+                "--json" => json = true,
+                "--csv" => csv = true,
+                "--timing" => timing = true,
+                "--trace-out" => trace_out = Some(flag_value(&mut args, &arg, "a path")?),
+                "--obs-report" => obs_report = true,
+                "--overhead-gate" => {
+                    overhead_gate = Some(flag_value(&mut args, &arg, "nanoseconds")?)
+                }
+                "--chaos" => chaos = Some(flag_value(&mut args, &arg, "a seed")?),
+                "--deadline-ms" => deadline_ms = Some(flag_value(&mut args, &arg, "milliseconds")?),
+                "--max-live-nodes" => {
+                    max_live_nodes = Some(flag_value(&mut args, &arg, "a number")?)
+                }
+                "--retries" => retries = flag_value(&mut args, &arg, "a number")?,
+                other => return Err(format!("unknown flag `{other}`")),
+            }
         }
+        Ok(())
+    })();
+    if let Err(error) = parsed {
+        return usage(&error);
     }
 
     // Compose the corpus after parsing, so explicit flags override the
@@ -379,8 +361,8 @@ fn unified_metrics(report: &BatchReport) -> MetricsRegistry {
         for attempt in &job.attempts {
             explored += attempt.explored as u64;
             splits += attempt.splits as u64;
-            registry.absorb_delta("batch.kernel.cache", &counters_only_cache(&attempt.cache));
-            registry.absorb_delta("batch.kernel.gc", &counters_only_gc(&attempt.gc));
+            registry.absorb_delta("batch.kernel.cache", &counters(attempt.cache.metrics()));
+            registry.absorb_delta("batch.kernel.gc", &counters(attempt.gc.metrics()));
         }
     }
     registry.absorb(
@@ -390,31 +372,23 @@ fn unified_metrics(report: &BatchReport) -> MetricsRegistry {
     registry
 }
 
-/// The additive subset of [`brel_bdd::CacheStats`] (gauges like table
-/// capacities are per-manager and meaningless summed across jobs).
-fn counters_only_cache(cache: &brel_bdd::CacheStats) -> Vec<(&'static str, u64)> {
-    cache
-        .metrics()
+/// The additive counters among a kernel stats struct's `metrics` (gauges
+/// such as table capacities or the live-node peak are per-manager and
+/// meaningless summed across jobs).
+fn counters<const N: usize>(metrics: [(&'static str, u64); N]) -> Vec<(&'static str, u64)> {
+    const COUNTERS: [&str; 8] = [
+        "unique_lookups",
+        "unique_hits",
+        "cache_lookups",
+        "cache_hits",
+        "cache_inserts",
+        "cache_evictions",
+        "collections",
+        "nodes_reclaimed",
+    ];
+    metrics
         .into_iter()
-        .filter(|(name, _)| {
-            matches!(
-                *name,
-                "unique_lookups"
-                    | "unique_hits"
-                    | "cache_lookups"
-                    | "cache_hits"
-                    | "cache_inserts"
-                    | "cache_evictions"
-            )
-        })
-        .collect()
-}
-
-/// The additive subset of [`brel_bdd::GcStats`].
-fn counters_only_gc(gc: &brel_bdd::GcStats) -> Vec<(&'static str, u64)> {
-    gc.metrics()
-        .into_iter()
-        .filter(|(name, _)| matches!(*name, "collections" | "nodes_reclaimed"))
+        .filter(|(name, _)| COUNTERS.contains(name))
         .collect()
 }
 

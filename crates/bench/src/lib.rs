@@ -1,33 +1,39 @@
 //! # brel-bench
 //!
 //! The experiment harness of the reproduction: one module per table or
-//! prose experiment of the paper's evaluation. Each module exposes a `run`
-//! function returning structured rows plus a `render` helper producing the
-//! table in the same layout as the paper; the `--bin` targets print the
-//! tables. Timing lives in `layerbench/`, which measures every layer from
-//! the BDD kernel to the daemon.
+//! prose experiment of the paper's evaluation. Each module's `run` returns
+//! a [`Report`]: the table in the paper's layout plus its deterministic
+//! ledger rows and summary. The [`repro`] module selects among them and
+//! holds the paper's reference values. Timing lives in
+//! `layerbench/`, which measures every layer from the BDD kernel to the
+//! daemon.
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|
-//! | Table 1 (ISF-minimization comparison) | [`table1`] | `table1_isf` |
-//! | Table 2 (BREL vs gyocro) | [`table2`] | `table2_gyocro` |
-//! | Table 3 (mux-latch decomposition) | [`table3`] | `table3_decomposition` |
-//! | §7.7 symmetry experiment | [`symmetry_ablation`] | `symmetry_ablation` |
+//! | Table 1 (ISF-minimization comparison) | [`table1`] | `reproduce table1` |
+//! | Table 2 (BREL vs gyocro) | [`table2`] | `reproduce table2` |
+//! | Table 3 (mux-latch decomposition) | [`table3`] | `reproduce table3` |
+//! | §7.7 symmetry experiment | [`symmetry_ablation`] | `reproduce symmetry` |
+//! | All four, as one deterministic ledger (`REPRO.json`) | [`repro`] | `reproduce --json` |
 //! | Parallel portfolio batch run | [`engine_batch`] | `engine_batch` |
 //! | Solver daemon (`--listen`) | — | `brel_serve` |
 //!
-//! The table binaries accept `--json` to emit their rows through the shared
-//! `brel-engine` serializer; the `engine_batch` binary fans the corpora
-//! over a `brel-engine` worker pool.
+//! The ledger is rendered through the shared `brel-engine` JSON writer;
+//! the `engine_batch` binary fans the corpora over a `brel-engine` worker
+//! pool.
 
 #![warn(missing_docs)]
 
+use std::time::{Duration, Instant};
+
 use brel_bdd::Var;
+use brel_engine::Json;
 use brel_network::{Network, SignalId};
 use brel_relation::MultiOutputFunction;
 use brel_sop::Cover;
 
 pub mod engine_batch;
+pub mod repro;
 pub mod symmetry_ablation;
 pub mod table1;
 pub mod table2;
@@ -60,6 +66,36 @@ pub(crate) fn network_from_function(name: &str, f: &MultiOutputFunction) -> Netw
     net
 }
 
+/// One experiment's results in their two forms: the paper-style text
+/// table, and the rows and summary of its ledger entry (see
+/// [`repro::ledger`]), which leave out every CPU time.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// The text table(s), as `reproduce` prints them.
+    pub text: String,
+    /// One ledger object per table row.
+    pub rows: Vec<Json>,
+    /// The ledger summary, keyed as in [`repro::PAPER_VALUES`].
+    pub summary: Vec<(&'static str, Json)>,
+}
+
+impl Report {
+    /// An empty report whose text starts with `title`.
+    pub(crate) fn titled(title: &str) -> Report {
+        Report {
+            text: title.to_string(),
+            ..Report::default()
+        }
+    }
+}
+
+/// Runs `f` and returns its result with the wall time it took.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed())
+}
+
 /// Formats a ratio as the normalized percentages used by Table 1
 /// (1.00 = the reference strategy).
 pub(crate) fn normalized(value: f64, reference: f64) -> f64 {
@@ -70,65 +106,55 @@ pub(crate) fn normalized(value: f64, reference: f64) -> f64 {
     }
 }
 
-/// Parses the `[num_instances] [max_explored] [--json]` argument
-/// convention of the four table binaries into `(num_instances,
-/// max_explored, json)`. A missing count means the whole family.
-/// `default_budget` is the exploration budget of a table that takes one
-/// as its second positional argument (`None`: no budget argument, and
-/// `0` is returned); `accepts_json` says whether the table has a `--json`
-/// mode.
+/// The process arguments after the program name. Unlike
+/// [`std::env::args`], which panics on an argument that is not valid
+/// UTF-8, this returns a message naming it, so each binary can print its
+/// usage and exit 1.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first argument the table does not take,
-/// so typos fail loudly instead of silently running the default (and
-/// possibly minutes-long) configuration.
-pub fn parse_table_args<I: IntoIterator<Item = String>>(
-    args: I,
-    default_budget: Option<usize>,
-    accepts_json: bool,
-) -> Result<(usize, usize, bool), String> {
-    let max_numbers = 1 + usize::from(default_budget.is_some());
-    let mut numbers = Vec::new();
-    let mut json = false;
-    for arg in args {
-        if arg == "--json" && accepts_json {
-            json = true;
-        } else if let (Ok(n), true) = (arg.parse(), numbers.len() < max_numbers) {
-            numbers.push(n);
-        } else {
-            return Err(format!("unexpected argument `{arg}`"));
-        }
-    }
-    let num = numbers.first().copied().unwrap_or(usize::MAX);
-    let budget = numbers.get(1).copied().or(default_budget).unwrap_or(0);
-    Ok((num, budget, json))
+/// Returns a message naming the first argument that is not valid UTF-8.
+pub fn cli_args() -> Result<Vec<String>, String> {
+    std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .map_err(|arg| format!("argument {arg:?} is not valid UTF-8"))
+        })
+        .collect()
+}
+
+/// Parses the value that follows `flag` in `args`.
+///
+/// # Errors
+///
+/// Returns `"{flag} needs {what}"` when the value is missing or does not
+/// parse.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use brel_engine::Json;
 
-    #[test]
-    fn table_args_accept_count_and_json_in_any_order() {
-        let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let json_table = |v: &[&str]| parse_table_args(to_args(v), None, true);
-        let budget_table = |v: &[&str]| parse_table_args(to_args(v), Some(200), false);
-        assert_eq!(json_table(&[]), Ok((usize::MAX, 0, false)));
-        assert_eq!(json_table(&["3"]), Ok((3, 0, false)));
-        assert_eq!(json_table(&["--json", "2"]), Ok((2, 0, true)));
-        assert_eq!(json_table(&["2", "--json"]), Ok((2, 0, true)));
-        assert!(json_table(&["--jsonn"]).unwrap_err().contains("--jsonn"));
-        // A table without a budget rejects a second count.
-        assert!(json_table(&["2", "10"]).unwrap_err().contains("`10`"));
-        // The budget is the second positional, defaulting per table.
-        assert_eq!(budget_table(&[]), Ok((usize::MAX, 200, false)));
-        assert_eq!(budget_table(&["1"]), Ok((1, 200, false)));
-        assert_eq!(budget_table(&["1", "10"]), Ok((1, 10, false)));
-        // Bad input fails instead of falling back to the full family.
-        assert!(budget_table(&["abc"]).unwrap_err().contains("`abc`"));
-        assert!(budget_table(&["1", "x"]).unwrap_err().contains("`x`"));
-        assert!(budget_table(&["1", "10", "3"]).unwrap_err().contains("`3`"));
-        assert!(budget_table(&["--json"]).unwrap_err().contains("--json"));
+    /// The number under `key` of a ledger row.
+    pub(crate) fn num(row: &Json, key: &str) -> f64 {
+        match row.get(key) {
+            Some(Json::UInt(n)) => *n as f64,
+            Some(Json::Float(x)) => *x,
+            other => panic!("`{key}` is not a number: {other:?}"),
+        }
+    }
+
+    /// The string under `key` of a ledger row.
+    pub(crate) fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        row.get(key).and_then(Json::as_str).expect("a string field")
     }
 }

@@ -8,131 +8,87 @@
 //! time, both normalized to the default strategy (ISOP with variable
 //! elimination).
 
-use std::time::{Duration, Instant};
-
 use brel_benchdata::table2 as family;
 use brel_core::{BrelConfig, BrelSolver, IsfMinimizer};
 use brel_engine::Json;
 
-/// One row of Table 1.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Strategy name.
-    pub strategy: &'static str,
-    /// Total literal count of the final solutions.
-    pub literals: usize,
-    /// Total CPU time.
-    pub cpu: Duration,
-    /// Literal count normalized to the reference strategy.
-    pub lit_ratio: f64,
-    /// CPU time normalized to the reference strategy.
-    pub cpu_ratio: f64,
-}
+use crate::{normalized, timed, Report};
 
 /// Runs the experiment over the first `num_instances` relations of the
-/// Table 2 family (use `usize::MAX` for all of them).
-pub fn run(num_instances: usize) -> Vec<Table1Row> {
+/// Table 2 family (use `usize::MAX` for all of them) and reports it in the
+/// layout of the paper's Table 1. Its ledger rows hold the literal counts
+/// without CPU time; the summary names the first strategy, in the paper's
+/// order, with the fewest literals.
+pub fn run(num_instances: usize) -> Report {
     let instances: Vec<_> = family::instances()
         .into_iter()
         .take(num_instances)
         .collect();
     let relations: Vec<_> = instances.iter().map(family::generate).collect();
 
-    let mut raw: Vec<(&'static str, usize, Duration)> = Vec::new();
+    let mut raw = Vec::new();
     for (name, minimizer) in IsfMinimizer::table1_strategies() {
-        let start = Instant::now();
-        let mut literals = 0usize;
-        for (_space, relation) in &relations {
-            let config = BrelConfig {
-                minimizer,
-                ..BrelConfig::table2()
-            };
-            let solution = BrelSolver::new(config)
-                .solve(relation)
-                .expect("family relations are well defined");
-            literals += solution.function.num_literals();
-        }
-        raw.push((name, literals, start.elapsed()));
+        let (literals, cpu) = timed(|| {
+            let mut literals = 0usize;
+            for (_space, relation) in &relations {
+                let config = BrelConfig {
+                    minimizer,
+                    ..BrelConfig::table2()
+                };
+                let solution = BrelSolver::new(config)
+                    .solve(relation)
+                    .expect("family relations are well defined");
+                literals += solution.function.num_literals();
+            }
+            literals
+        });
+        raw.push((name, literals, cpu.as_secs_f64()));
     }
 
-    let (ref_lit, ref_cpu) = (raw[0].1 as f64, raw[0].2.as_secs_f64());
-    raw.into_iter()
-        .map(|(strategy, literals, cpu)| Table1Row {
+    let mut report = Report::titled(concat!(
+        "Table 1: normalized comparison of ISF minimization strategies\n",
+        "strategy          LIT     LIT/ISOP+elim   CPU [s]   CPU/ISOP+elim\n",
+    ));
+    let (ref_lit, ref_cpu) = (raw[0].1 as f64, raw[0].2);
+    for &(strategy, literals, cpu) in &raw {
+        let lit_ratio = normalized(literals as f64, ref_lit);
+        report.text.push_str(&format!(
+            "{:16} {:6}   {:>12.3}   {:7.3}   {:>12.3}\n",
             strategy,
             literals,
+            lit_ratio,
             cpu,
-            lit_ratio: crate::normalized(literals as f64, ref_lit),
-            cpu_ratio: crate::normalized(cpu.as_secs_f64(), ref_cpu),
-        })
-        .collect()
-}
-
-/// Renders the rows in the layout of the paper's Table 1.
-pub fn render(rows: &[Table1Row]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 1: normalized comparison of ISF minimization strategies\n");
-    out.push_str("strategy          LIT     LIT/ISOP+elim   CPU [s]   CPU/ISOP+elim\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:16} {:6}   {:>12.3}   {:7.3}   {:>12.3}\n",
-            r.strategy,
-            r.literals,
-            r.lit_ratio,
-            r.cpu.as_secs_f64(),
-            r.cpu_ratio
+            normalized(cpu, ref_cpu),
         ));
+        report.rows.push(Json::object(vec![
+            ("strategy", Json::str(strategy)),
+            ("literals", Json::UInt(literals as u64)),
+            ("lit_ratio", Json::Float(lit_ratio)),
+        ]));
     }
-    out
-}
-
-/// Serializes the rows through the shared `brel-engine` JSON writer (the
-/// `--json` output of the `table1_isf` binary).
-pub fn to_json(rows: &[Table1Row]) -> String {
-    Json::object(vec![
-        ("schema", Json::str("brel-bench/table1-v1")),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("strategy", Json::str(r.strategy)),
-                            ("literals", Json::UInt(r.literals as u64)),
-                            ("cpu_micros", Json::UInt(r.cpu.as_micros() as u64)),
-                            ("lit_ratio", Json::Float(r.lit_ratio)),
-                            ("cpu_ratio", Json::Float(r.cpu_ratio)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
+    let best = raw.iter().min_by_key(|(_, literals, _)| literals);
+    let best = best.map_or(Json::Null, |(strategy, _, _)| Json::str(*strategy));
+    report.summary.push(("best_strategy", best));
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_output_lists_every_strategy() {
-        let rows = run(1);
-        let text = to_json(&rows);
-        assert!(text.contains("\"schema\": \"brel-bench/table1-v1\""));
-        for r in &rows {
-            assert!(text.contains(&format!("\"strategy\": \"{}\"", r.strategy)));
-        }
-    }
+    use crate::tests::{num, text};
 
     #[test]
     fn reference_strategy_is_normalized_to_one() {
-        let rows = run(3);
+        let report = run(3);
+        let rows = &report.rows;
         assert_eq!(rows.len(), 8);
-        assert_eq!(rows[0].strategy, "ISOP+elim");
-        assert!((rows[0].lit_ratio - 1.0).abs() < 1e-9);
-        assert!((rows[0].cpu_ratio - 1.0).abs() < 1e-9);
+        assert_eq!(text(&rows[0], "strategy"), "ISOP+elim");
+        assert!((num(&rows[0], "lit_ratio") - 1.0).abs() < 1e-9);
+        // The CPU ratio is a text column only; the reference's reads 1.000.
+        let first = report.text.lines().nth(2).unwrap();
+        assert!(first.starts_with("ISOP+elim") && first.ends_with("1.000"));
         // Every strategy produced some literals.
-        assert!(rows.iter().all(|r| r.literals > 0));
+        assert!(rows.iter().all(|r| num(r, "literals") > 0.0));
     }
 
     #[test]
@@ -141,22 +97,24 @@ mod tests {
         // best strategy *on average*; individual instances can go either way
         // (different minimizers steer the branch-and-bound differently), so
         // the check is a competitiveness bound rather than strict dominance.
-        let rows = run(4);
-        let lit = |name: &str| rows.iter().find(|r| r.strategy == name).unwrap().literals;
-        let best = rows.iter().map(|r| r.literals).min().unwrap();
+        let rows = run(4).rows;
+        let isop_elim = rows.iter().find(|r| text(r, "strategy") == "ISOP+elim");
+        let isop_elim = num(isop_elim.unwrap(), "literals");
+        let best = rows
+            .iter()
+            .map(|r| num(r, "literals"))
+            .fold(f64::MAX, f64::min);
         assert!(
-            (lit("ISOP+elim") as f64) <= best as f64 * 1.15,
-            "ISOP+elim ({}) should stay within 15% of the best strategy ({best})",
-            lit("ISOP+elim")
+            isop_elim <= best * 1.15,
+            "ISOP+elim ({isop_elim}) should stay within 15% of the best strategy ({best})"
         );
     }
 
     #[test]
-    fn render_contains_all_rows() {
-        let rows = run(2);
-        let text = render(&rows);
-        for r in &rows {
-            assert!(text.contains(r.strategy));
+    fn text_contains_all_rows() {
+        let report = run(2);
+        for r in &report.rows {
+            assert!(report.text.contains(text(r, "strategy")));
         }
     }
 }

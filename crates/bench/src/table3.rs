@@ -8,155 +8,126 @@
 //! BREL (the mux itself being absorbed by the flip-flop, as the paper
 //! assumes).
 
-use std::time::{Duration, Instant};
-
 use brel_benchdata::iscas_like as family;
+use brel_engine::Json;
 use brel_network::decompose::decompose_mux_latches;
 use brel_network::mapper::{map, MappingOptions};
 use brel_network::speedup::collapse;
 use brel_network::Library;
 
-/// One row of Table 3 (for one cost function).
-#[derive(Debug, Clone)]
-pub struct Table3Row {
-    /// Circuit name.
-    pub name: &'static str,
-    /// Primary inputs.
-    pub num_inputs: usize,
-    /// Primary outputs.
-    pub num_outputs: usize,
-    /// Flip-flops.
-    pub num_flip_flops: usize,
-    /// Mapped area of the baseline (original next-state logic).
-    pub baseline_area: f64,
-    /// Mapped delay of the baseline.
-    pub baseline_delay: f64,
-    /// Mapped area after mux-latch decomposition.
-    pub decomposed_area: f64,
-    /// Mapped delay after mux-latch decomposition.
-    pub decomposed_delay: f64,
-    /// Decomposition + mapping runtime.
-    pub cpu: Duration,
-}
+use crate::{timed, Report};
 
-/// Runs the flow over the first `num_instances` circuits with the given
-/// cost orientation and per-relation exploration budget.
-pub fn run(num_instances: usize, delay_oriented: bool, max_explored: usize) -> Vec<Table3Row> {
+/// Runs the flow over the first `num_instances` circuits under both cost
+/// functions, delay-oriented first, at the given per-relation exploration
+/// budget, and reports each run in the layout of the paper's Table 3,
+/// followed by a blank line. Its ledger rows hold every column but CPU,
+/// each tagged with its cost; the summary holds each run's decomposed over
+/// baseline ratios of the total area and delay.
+pub fn run(num_instances: usize, max_explored: usize) -> Report {
     let library = Library::lib2_like();
     let options = MappingOptions::default();
-    let mut rows = Vec::new();
-    for instance in family::instances().into_iter().take(num_instances) {
-        let net = family::generate(&instance);
-        let baseline_net = collapse(&net).expect("generated circuits are acyclic");
-        let baseline = map(&baseline_net, &library, &options).expect("acyclic");
-
-        let start = Instant::now();
-        let decomposed =
-            decompose_mux_latches(&net, delay_oriented, max_explored).expect("solvable");
-        let mapped = map(&decomposed.network, &library, &options).expect("acyclic");
-        let cpu = start.elapsed();
-
-        rows.push(Table3Row {
-            name: instance.name,
-            num_inputs: instance.num_inputs,
-            num_outputs: instance.num_outputs,
-            num_flip_flops: instance.num_flip_flops,
-            baseline_area: baseline.area,
-            baseline_delay: baseline.delay,
-            decomposed_area: mapped.area,
-            decomposed_delay: mapped.delay,
-            cpu,
-        });
-    }
-    rows
-}
-
-/// Totals over the rows: `(baseline area, decomposed area, baseline delay,
-/// decomposed delay)` — the "global improvement" row of the paper's table.
-pub fn totals(rows: &[Table3Row]) -> (f64, f64, f64, f64) {
-    rows.iter().fold((0.0, 0.0, 0.0, 0.0), |acc, r| {
-        (
-            acc.0 + r.baseline_area,
-            acc.1 + r.decomposed_area,
-            acc.2 + r.baseline_delay,
-            acc.3 + r.decomposed_delay,
-        )
-    })
-}
-
-/// Renders the rows in the layout of the paper's Table 3.
-pub fn render(rows: &[Table3Row], delay_oriented: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Table 3 ({} cost): logic decomposition for mux latches\n",
-        if delay_oriented {
-            "delay-oriented, sum of squared BDD sizes"
+    let circuits: Vec<_> = family::instances()
+        .into_iter()
+        .take(num_instances)
+        .map(|instance| {
+            let net = family::generate(&instance);
+            let baseline_net = collapse(&net).expect("generated circuits are acyclic");
+            let baseline = map(&baseline_net, &library, &options).expect("acyclic");
+            (instance, net, baseline)
+        })
+        .collect();
+    let mut report = Report::default();
+    for delay_oriented in [true, false] {
+        let (cost, title, keys) = if delay_oriented {
+            let keys = ["delay_cost_area_ratio", "delay_cost_delay_ratio"];
+            ("delay", "delay-oriented, sum of squared BDD sizes", keys)
         } else {
-            "area-oriented, sum of BDD sizes"
-        }
-    ));
-    out.push_str(
-        "name     PI PO FF |   base area  base delay |   mux area   mux delay |   CPU[s]\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:8} {:2} {:2} {:2} | {:10.1} {:11.2} | {:10.1} {:11.2} | {:8.3}\n",
-            r.name,
-            r.num_inputs,
-            r.num_outputs,
-            r.num_flip_flops,
-            r.baseline_area,
-            r.baseline_delay,
-            r.decomposed_area,
-            r.decomposed_delay,
-            r.cpu.as_secs_f64(),
+            let keys = ["area_cost_area_ratio", "area_cost_delay_ratio"];
+            ("area", "area-oriented, sum of BDD sizes", keys)
+        };
+        report.text.push_str(&format!(
+            "Table 3 ({title} cost): logic decomposition for mux latches\n\
+             name     PI PO FF |   base area  base delay |   mux area   mux delay |   CPU[s]\n"
         ));
+        let (mut ba, mut da, mut bd, mut dd) = (0.0, 0.0, 0.0, 0.0);
+        for (instance, net, baseline) in &circuits {
+            let (mapped, cpu) = timed(|| {
+                let decomposed =
+                    decompose_mux_latches(net, delay_oriented, max_explored).expect("solvable");
+                map(&decomposed.network, &library, &options).expect("acyclic")
+            });
+            report.text.push_str(&format!(
+                "{:8} {:2} {:2} {:2} | {:10.1} {:11.2} | {:10.1} {:11.2} | {:8.3}\n",
+                instance.name,
+                instance.num_inputs,
+                instance.num_outputs,
+                instance.num_flip_flops,
+                baseline.area,
+                baseline.delay,
+                mapped.area,
+                mapped.delay,
+                cpu.as_secs_f64(),
+            ));
+            report.rows.push(Json::object(vec![
+                ("cost", Json::str(cost)),
+                ("name", Json::str(instance.name)),
+                ("inputs", Json::UInt(instance.num_inputs as u64)),
+                ("outputs", Json::UInt(instance.num_outputs as u64)),
+                ("flip_flops", Json::UInt(instance.num_flip_flops as u64)),
+                ("baseline_area", Json::Float(baseline.area)),
+                ("baseline_delay", Json::Float(baseline.delay)),
+                ("decomposed_area", Json::Float(mapped.area)),
+                ("decomposed_delay", Json::Float(mapped.delay)),
+            ]));
+            ba += baseline.area;
+            da += mapped.area;
+            bd += baseline.delay;
+            dd += mapped.delay;
+        }
+        let area_ratio = if ba > 0.0 { da / ba } else { 1.0 };
+        let delay_ratio = if bd > 0.0 { dd / bd } else { 1.0 };
+        report.text.push_str(&format!(
+            "TOTAL                 | {ba:10.1} {bd:11.2} | {da:10.1} {dd:11.2} |  area x{area_ratio:.3}, delay x{delay_ratio:.3}\n\n"
+        ));
+        report.summary.push((keys[0], Json::Float(area_ratio)));
+        report.summary.push((keys[1], Json::Float(delay_ratio)));
     }
-    let (ba, da, bd, dd) = totals(rows);
-    out.push_str(&format!(
-        "TOTAL                 | {:10.1} {:11.2} | {:10.1} {:11.2} |  area x{:.3}, delay x{:.3}\n",
-        ba,
-        bd,
-        da,
-        dd,
-        if ba > 0.0 { da / ba } else { 1.0 },
-        if bd > 0.0 { dd / bd } else { 1.0 },
-    ));
-    out
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{num, text};
 
     #[test]
     fn small_run_produces_plausible_rows() {
-        let rows = run(2, false, 20);
-        assert_eq!(rows.len(), 2);
+        let rows = run(2, 20).rows;
+        assert_eq!(rows.len(), 4, "two circuits under each cost");
         for r in &rows {
-            assert!(r.baseline_area > 0.0);
-            assert!(r.decomposed_area > 0.0);
-            assert!(r.baseline_delay > 0.0);
-            assert!(r.decomposed_delay > 0.0);
+            assert!(num(r, "baseline_area") > 0.0);
+            assert!(num(r, "decomposed_area") > 0.0);
+            assert!(num(r, "baseline_delay") > 0.0);
+            assert!(num(r, "decomposed_delay") > 0.0);
         }
     }
 
     #[test]
     fn delay_cost_tends_to_reduce_delay_relative_to_area_cost() {
         // Shape expectation: with the delay-oriented cost the decomposed
-        // delay total is not worse than with the area-oriented cost.
-        let area_rows = run(2, false, 20);
-        let delay_rows = run(2, true, 20);
-        let (_, _, _, area_cost_delay) = totals(&area_rows);
-        let (_, _, _, delay_cost_delay) = totals(&delay_rows);
+        // delay total is not worse than with the area-oriented cost (both
+        // runs share one baseline, so their delay ratios compare the
+        // decomposed totals).
+        let summary = Json::object(run(2, 20).summary);
+        let delay_cost_delay = num(&summary, "delay_cost_delay_ratio");
+        let area_cost_delay = num(&summary, "area_cost_delay_ratio");
         assert!(delay_cost_delay <= area_cost_delay * 1.25);
     }
 
     #[test]
-    fn render_has_a_total_row() {
-        let rows = run(1, true, 10);
-        let text = render(&rows, true);
-        assert!(text.contains("TOTAL"));
-        assert!(text.contains(rows[0].name));
+    fn text_has_a_total_row_per_cost() {
+        let report = run(1, 10);
+        assert_eq!(report.text.matches("TOTAL").count(), 2);
+        assert!(report.text.contains(text(&report.rows[0], "name")));
     }
 }
